@@ -326,113 +326,109 @@ def _default_weight(letter):
     return BiPoly.t() if is_xi(letter) else BiPoly.s()
 
 
+def _sccs(start, succ):
+    """Strongly connected components reachable from start, sinks first.
+
+    Tarjan's algorithm with an explicit stack, so long chains do not hit
+    the recursion limit.
+    """
+    index = {start: 0}
+    low = {start: 0}
+    stack = [start]
+    on_stack = {start}
+    work = [(start, iter(succ.get(start, ())))]
+    out = []
+    while work:
+        q, it = work[-1]
+        for r in it:
+            if r not in index:
+                index[r] = low[r] = len(index)
+                stack.append(r)
+                on_stack.add(r)
+                work.append((r, iter(succ.get(r, ()))))
+                break
+            if r in on_stack:
+                low[q] = min(low[q], index[r])
+        else:
+            work.pop()
+            if work:
+                p = work[-1][0]
+                low[p] = min(low[p], low[q])
+            if low[q] == index[q]:
+                k = stack.index(q)
+                comp = stack[k:][::-1]
+                del stack[k:]
+                on_stack.difference_update(comp)
+                out.append(comp)
+    return out
+
+
 def generating_function(dfa, weight=None):
     """Sum of weight(w) over accepted words, as an exact rational.
 
-    Solves u_start^T (I - T)^{-1} e_accept by one fraction-free elimination
-    pass on the bordered matrix; the answer is the final border entry over
-    the last interior pivot.  I - T is invertible because every edge weight
-    vanishes at the origin.
+    The values x = e_accept + T x are solved one strongly connected
+    component C at a time, sinks first: (I - T_CC) x_C = e_C + T_C,out x_out
+    with x_out already known.  The right-hand sides share one denominator,
+    and fraction-free Gauss-Jordan leaves det(I - T_CC) times the solution,
+    so det(I - T) arrives as one factor per component.  Edge weights must
+    vanish at the origin, as t and s do; then each leading principal minor
+    of I - T_CC is 1 there: no pivot vanishes and every factor has
+    constant term 1.
     """
     if weight is None:
         weight = _default_weight
     if dfa.n == 0 or not dfa.accepts:
         return FactoredRational.zero()
-    n = dfa.n
-    rows = {i: {} for i in range(n + 1)}
-    cols = {j: set() for j in range(n + 1)}
-
-    def put(i, j, val):
-        if val.is_zero():
-            rows[i].pop(j, None)
-            cols[j].discard(i)
-        else:
-            rows[i][j] = val
-            cols[j].add(i)
-
-    one = BiPoly.one()
-    for i in range(n):
-        put(i, i, one)
+    zero, one = BiPoly.zero(), BiPoly.one()
+    succ = {}
     for (q, a), r in dfa.trans.items():
-        cur = rows[q].get(r, BiPoly.zero())
-        put(q, r, cur - weight(a))
-    for i in dfa.accepts:
-        put(i, n, one)
-    put(n, dfa.start, BiPoly.const(-1))
-
-    live_rows = set(range(n))
-    live_cols = set(range(n))
-    zero = BiPoly.zero()
-    # rows are rescaled lazily: a row untouched by cross-elimination since
-    # stage s holds stage-s minors, promoted by val*D[k]/D[s] on demand
-    D = [one]
-    stage = [0] * (n + 1)
-
-    def promote(i, k):
-        if stage[i] == k:
-            return
-        num_f, den_f = D[k], D[stage[i]]
-        for jj, v in list(rows[i].items()):
-            v = num_f * v
-            if not den_f.is_one():
-                v = v.exact_div(den_f)
-            rows[i][jj] = v
-        stage[i] = k
-
-    for step in range(n):
-        # cheapest nonzero pivot in the Markowitz sense, then fewest terms
-        best = None
-        for j in live_cols:
-            col_live = [i for i in cols[j] if i in live_rows]
-            for i in col_live:
-                row_live = sum(1 for jj in rows[i]
-                               if jj in live_cols or jj == n)
-                cost = (row_live - 1) * (len(col_live) - 1)
-                key = (cost, len(rows[i][j].terms))
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        if best is None:
-            raise ArithmeticError("singular interior block")
-        _, pi, pj = best
-        promote(pi, step)
-        pivot = rows[pi][pj]
-        prev = D[step]
-        D.append(pivot)
-        live_rows.discard(pi)
-        live_cols.discard(pj)
-        top_row = {jj: v for jj, v in rows[pi].items()
-                   if jj in live_cols or jj == n}
-        for i in [i for i in cols[pj] if i in live_rows or i == n]:
-            left = rows[i].get(pj)
-            if left is None:
-                continue
-            promote(i, step)
-            left = rows[i][pj]
-            support = set(rows[i])
-            support.update(top_row)
-            for jj in support:
-                if not (jj in live_cols or jj == n):
+        row = succ.setdefault(q, {})
+        row[r] = row.get(r, zero) + weight(a)
+    x = {}
+    for comp in _sccs(dfa.start, succ):
+        size = len(comp)
+        pos = {q: k for k, q in enumerate(comp)}
+        rows = []
+        rhs = []
+        for k, q in enumerate(comp):
+            row = {k: one}
+            b = FactoredRational.from_poly(one if q in dfa.accepts else zero)
+            for r, w in succ.get(q, {}).items():
+                j = pos.get(r)
+                if j is None:
+                    b = b + x[r].mul_poly(w)
+                else:
+                    row[j] = row.get(j, zero) - w
+            rows.append(row)
+            rhs.append(b)
+        den = FactoredRational(one)
+        for b in rhs:
+            den = FactoredRational(one, den._merge_factors(b)[0])
+        for row, b in zip(rows, rhs):
+            row[size] = b.num * b._merge_factors(den)[1]
+        # by Sylvester's identity every entry after step k is a minor of
+        # order k + 1, so dividing by the previous pivot is exact
+        prev = one
+        for k in range(size):
+            top = rows[k]
+            pivot = top[k]
+            for i in range(size):
+                if i == k:
                     continue
-                val = pivot * rows[i].get(jj, zero)
-                if jj in top_row:
-                    val = val - left * top_row[jj]
-                if not prev.is_one() and not val.is_zero():
-                    val = val.exact_div(prev)
-                put(i, jj, val)
-            put(i, pj, zero)
-            stage[i] = step + 1
-
-    promote(n, n)
-    num = rows[n].get(n, BiPoly.zero())
-    den = D[n]
-    if den.coeff(0, 0) < 0:
-        num = -num
-        den = -den
-    if num.is_zero():
-        return FactoredRational.zero()
-    if den.is_one():
-        return FactoredRational.from_poly(num)
-    return FactoredRational(num, ((den, 1),))
+                row = rows[i]
+                left = row.get(k, zero)
+                new = {}
+                for j in set(row) | set(top):
+                    if j > k:
+                        val = pivot * row.get(j, zero) - left * top.get(j, zero)
+                        if val:
+                            new[j] = val if prev.is_one() else val.exact_div(prev)
+                rows[i] = new
+            prev = pivot
+        for q, row in zip(comp, rows):
+            x[q] = FactoredRational(row.get(size, zero),
+                                    den.factors + ((prev, 1),))
+    return x[dfa.start]
 
 
 def to_dot(dfa):

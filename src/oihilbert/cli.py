@@ -6,9 +6,7 @@ Exit codes: 0 success, 2 schema or usage error, 3 internal error
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .analysis import (
     artinian_test,
@@ -20,27 +18,9 @@ from .decomposition import compute_decomposition
 from .errors import OihError, SchemaError
 from .oicore import Monomial, hilbert_width
 from .polyarith import BiPoly, render_poly
-from .schema import load_document, monomial_to_obj
+from .schema import _parse_exponents, load_document, monomial_to_obj
 from .series import module_series
 from .words import decode, encode, word_from_str, word_to_str
-
-
-def _thread_count():
-    try:
-        return max(1, int(os.environ.get("OIH_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _width_tables(p, n_max, j_max, quotient):
-    def dims(n):
-        return hilbert_width(p, n, quotient).dims(j_max)
-
-    workers = _thread_count()
-    if workers == 1:
-        return [dims(n) for n in range(n_max + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(dims, range(n_max + 1)))
 
 
 def _emit(obj):
@@ -132,7 +112,8 @@ def cmd_oracle(args):
     p = doc.effective_presentation()
     res = module_series(p, quotient=doc.quotient)
     win = res.window(args.N, args.J)
-    tables = _width_tables(p, args.N, args.J, doc.quotient)
+    tables = [hilbert_width(p, n, doc.quotient).dims(args.J)
+              for n in range(args.N + 1)]
     for n in range(args.N + 1):
         for j in range(args.J + 1):
             if win[(n, j)] != tables[n][j]:
@@ -236,13 +217,7 @@ def _parse_exponents_arg(text, c, width):
         cols = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"--exponents: invalid JSON: {exc}")
-    if (not isinstance(cols, list) or len(cols) != width
-            or any(not isinstance(col, list) or len(col) != c
-                   or any(not isinstance(v, int) or v < 0 for v in col)
-                   for col in cols)):
-        raise SchemaError(
-            f"--exponents needs {width} columns of {c} non-negative ints")
-    return tuple(tuple(col) for col in cols)
+    return _parse_exponents({"exponents": cols}, "words encode", c, width)
 
 
 def cmd_words(args):

@@ -273,10 +273,6 @@ class BiPoly:
     def from_uni_t(cls, u):
         return cls({(0, j): c for j, c in enumerate(u.coeffs)})
 
-    @classmethod
-    def from_uni_s(cls, u):
-        return cls({(j, 0): c for j, c in enumerate(u.coeffs)})
-
     def key(self):
         if self._key is None:
             self._key = tuple(sorted(self.terms.items()))
@@ -375,8 +371,11 @@ class BiPoly:
         if not a or not b:
             return BiPoly()
         bound = min(len(a), len(b)) * self.maxabs() * other.maxabs()
-        if bound < _KSAFE:
-            width = self.deg_t() + other.deg_t() + 1
+        width = self.deg_t() + other.deg_t() + 1
+        # unpacking walks every digit, so sparse operands of high degree
+        # are cheaper term by term
+        digits = (self.deg_s() + other.deg_s() + 1) * width
+        if bound < _KSAFE and digits <= len(a) * len(b):
             prod = self._pack(width) * other._pack(width)
             out = BiPoly._unpack(prod, width)
             if out is not None:
@@ -448,14 +447,6 @@ class BiPoly:
     def eval(self, sv, tv):
         return sum(c * sv ** i * tv ** j for (i, j), c in self.terms.items())
 
-    def subs_t(self, tv):
-        """Evaluate t at an integer, returning a UniPoly in s."""
-        out = {}
-        for (i, j), c in self.terms.items():
-            out[i] = out.get(i, 0) + c * tv ** j
-        im = max(out, default=-1)
-        return UniPoly(tuple(out.get(i, 0) for i in range(im + 1)))
-
     def exact_div(self, other):
         """Exact quotient in Z[s,t], dividing as polynomials in s over Z[t]."""
         if other.is_zero():
@@ -492,7 +483,9 @@ class BiPoly:
         integer remainder rules divisibility out.  A zero remainder alone is
         not proof: the quotient only counts once its digits and the
         digit-growth bound of quotient*divisor are certified small enough
-        that packing is injective on all three polynomials.
+        that packing is injective on all three polynomials, and once
+        quotient*divisor stays below t^width, where a carry into the next
+        s-digit would alias.
         """
         if self.maxabs() >= _KSAFE or other.maxabs() >= _KSAFE:
             return None
@@ -507,6 +500,8 @@ class BiPoly:
         if qterms is None:
             return None
         q = BiPoly._raw(qterms)
+        if q.deg_t() + other.deg_t() > dt:
+            return None
         if min(len(qterms), len(other.terms)) * q.maxabs() * other.maxabs() \
                 >= _KSAFE:
             return None
@@ -805,16 +800,6 @@ class SeriesWindow:
                     out.append((n, j, self.rows[n][j], other.rows[n][j]))
         return out
 
-    def pretty(self):
-        head = ["n\\j"] + [str(j) for j in range(self.j_max + 1)]
-        table = [head] + [
-            [str(n)] + [str(v) for v in row] for n, row in enumerate(self.rows)
-        ]
-        widths = [max(len(r[k]) for r in table) for k in range(len(head))]
-        return "\n".join(
-            "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in table
-        )
-
     def __repr__(self):
         return f"SeriesWindow({self.n_max}, {self.j_max})"
 
@@ -885,8 +870,3 @@ def expand_series(r, n_max, j_max, t_prefactor=0):
             row.append(v)
         rows.append(row)
     return SeriesWindow(rows)
-
-
-def window_from_table(table):
-    """Wrap a plain list-of-rows table as a SeriesWindow."""
-    return SeriesWindow(table)

@@ -3,6 +3,7 @@ import random
 import time
 
 from oihilbert.automata import (
+    Dfa,
     determinize,
     generating_function,
     generator_nfa,
@@ -127,6 +128,17 @@ class TestGeneratingFunction:
         d1 = BiPoly.one() - BiPoly.t() - BiPoly.s()
         d2 = BiPoly.one() - BiPoly.s()
         assert gf.equals_cross_mul(FactoredRational(st, ((d1, 1), (d2, 1))))
+        # one determinant per strongly connected component, not expanded
+        assert set(gf.factors) == {(d1, 1), (d2, 1)}
+
+    def test_long_chain_past_recursion_limit(self):
+        # 0 -x1-> 1 -t0-> 2 -x1-> ... -x1-> 1099, which loops on x1
+        n = 1100
+        trans = {(q, 1 if q % 2 == 0 else 0): q + 1 for q in range(n - 1)}
+        trans[(n - 1, 1)] = n - 1
+        gf = generating_function(Dfa(alphabet(1, 0), n, 0, {n - 1}, trans))
+        assert gf.num == BiPoly.term(549, 550)
+        assert gf.factors == ((BiPoly.one() - BiPoly.t(), 1),)
 
     def test_empty_language_is_zero(self):
         assert generating_function(module_dfa(1, 0, [])).is_zero()

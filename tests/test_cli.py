@@ -206,11 +206,8 @@ class TestCommands:
         assert lines[0].startswith("n\\j")
         assert len(lines) == 4
 
-    def test_oracle_ok_and_threads(self, capsys, tmp_path, monkeypatch):
+    def test_oracle_ok(self, capsys, tmp_path):
         doc = write_doc(tmp_path, minimal())
-        code, out, _ = run(capsys, "oracle", doc, "-N", "4", "-J", "4")
-        assert (code, out.strip()) == (0, "OK")
-        monkeypatch.setenv("OIH_THREADS", "3")
         code, out, _ = run(capsys, "oracle", doc, "-N", "4", "-J", "4")
         assert (code, out.strip()) == (0, "OK")
 

@@ -91,6 +91,9 @@ class TestBiPoly:
         assert (a * b).exact_div(b) == a
         assert (a * b).try_div(a) == b
         assert a.try_div(b) is None
+        # t*(1-t) = t - t^2: the packed quotient t must not alias onto s
+        with pytest.raises(NonDivisible):
+            (BiPoly.t() - BiPoly.s()).exact_div(BiPoly.one() - BiPoly.t())
 
     def test_s_coeff_views(self):
         p = BiPoly({(0, 0): 1, (0, 2): 5, (2, 1): -3})
@@ -152,6 +155,10 @@ class TestFactoredRational:
         red = r.reduce()
         assert red.num == self.one_minus_t * BiPoly.s()
         assert red.factors == ((self.one_minus_t_minus_s, 1),)
+        coprime = FactoredRational(BiPoly.t() - BiPoly.s(),
+                                   [(self.one_minus_t, 1)])
+        red = coprime.reduce()
+        assert (red.num, red.factors) == (coprime.num, coprime.factors)
 
     def test_reduce_splits_partial_factor(self):
         # numerator shares only the (1-t) part of the composite factor
