@@ -8,33 +8,48 @@ from math import comb
 
 from .errors import NoStableFit, NotConformant, ZeroModule
 from .oicore import dim_deg_width
-from .polyarith import BiPoly, UniPoly, prem_bipoly_s
+from .polyarith import (
+    BiPoly,
+    UniPoly,
+    _sign_normalize,
+    _sl_content,
+    prem_bipoly_s,
+)
 from .series import module_series
 
-_factor_cache = {}
+_ONE_MINUS_T = BiPoly({(0, 0): 1, (0, 1): -1})
 
 
 def _split_irreducible(base):
-    """Irreducible integer factors of a bivariate polynomial, via sympy.
-    Content is +-1 here because every denominator has constant term +-1."""
-    got = _factor_cache.get(base.key())
-    if got is None:
-        import sympy
+    """Split a denominator base into (sign, ((piece, multiplicity), ...)).
 
-        s, t = sympy.symbols("s t")
-        expr = sympy.Add(*[c * s**i * t**j
-                           for (i, j), c in base.terms.items()])
-        content, pieces = sympy.factor_list(expr, s, t)
-        assert content in (1, -1), f"unexpected content {content}"
-        out = []
-        for piece, mult in pieces:
-            poly = sympy.Poly(piece, s, t)
-            b = BiPoly({(int(i), int(j)): int(cf)
-                        for (i, j), cf in zip(poly.monoms(), poly.coeffs())})
-            out.append((b, int(mult)))
-        got = (int(content), tuple(out))
-        _factor_cache[base.key()] = got
-    return got
+    Viewing base as a polynomial in s over Z[t], its content is peeled of
+    its (1-t)-power, and what is left of the content, if not a unit, is one
+    piece.  The primitive part base/content is the last piece.  When it is
+    linear in s it is irreducible over Z by Gauss's lemma, since a factor
+    of s-degree 0 would divide the content 1.  Every factor the shape
+    theorem allows is linear in s, so no general factorizer is needed: a
+    primitive part of higher s-degree is returned whole.
+
+    Pieces have a positive constant term and sign is that of base(0,0),
+    so sign times the product of the pieces is base whenever base(0,0) is
+    +-1, as for every denominator the pipeline builds.
+    """
+    coeffs = base.as_s_coeffs()
+    content = _sl_content(coeffs)
+    primitive = BiPoly.from_s_coeffs([u.exact_div(content) for u in coeffs])
+    pieces = []
+    k = 0
+    while content(1) == 0:
+        content = content.exact_div(UniPoly((1, -1)))
+        k += 1
+    if k:
+        pieces.append((_ONE_MINUS_T, k))
+    for piece in (BiPoly.from_uni_t(content), primitive):
+        if piece.is_constant() and abs(piece.coeff(0, 0)) == 1:
+            continue
+        pieces.append((_sign_normalize(piece), 1))
+    return (1 if base.coeff(0, 0) > 0 else -1), tuple(pieces)
 
 
 @dataclass(frozen=True)
@@ -48,9 +63,6 @@ class ShapeReport:
     factors: tuple  # of (t_power, growth: UniPoly), repeated by multiplicity
     leftover: object  # BiPoly, or None when everything classified
     numerator: BiPoly
-
-
-_ONE_MINUS_T = BiPoly({(0, 0): 1, (0, 1): -1})
 
 
 def _classify_factor(b, c):
@@ -83,15 +95,11 @@ def validate_shape(result, c):
     linear = []
     leftover = None
     for base, exp in reduced.factors:
-        content, pieces = _split_irreducible(base)
-        if content < 0 and exp % 2:
+        sign, pieces = _split_irreducible(base)
+        if sign < 0 and exp % 2:
             num = -num
         for b, mult in pieces:
             mult *= exp
-            if b.coeff(0, 0) < 0:
-                b = -b
-                if mult % 2:
-                    num = -num
             if b == _ONE_MINUS_T:
                 power += mult
                 continue

@@ -28,13 +28,7 @@ def _emit(obj):
 
 
 def mono_text(m):
-    vars_ = [
-        f"x[{i + 1},{j + 1}]" + (f"^{e}" if e > 1 else "")
-        for j, col in enumerate(m.cols)
-        for i, e in enumerate(col)
-        if e
-    ]
-    out = "*".join(vars_) if vars_ else "1"
+    out = m.var_text()
     if m.pi:
         out += " e(" + ",".join(str(v) for v in m.pi) + ")"
     out += f" [width {m.width}]"
@@ -135,6 +129,17 @@ def _window_arg(text):
     if lo < 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad window bounds {text!r}")
     return lo, hi
+
+
+def _count_arg(text):
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
 
 
 def cmd_analyze(args):
@@ -252,16 +257,16 @@ def build_parser():
 
     ex = sub.add_parser("expand", help="print the dimension table")
     ex.add_argument("file")
-    ex.add_argument("-N", type=int, required=True, help="max width")
-    ex.add_argument("-J", type=int, required=True, help="max degree")
+    ex.add_argument("-N", type=_count_arg, required=True, help="max width")
+    ex.add_argument("-J", type=_count_arg, required=True, help="max degree")
     ex.add_argument("--json", action="store_true")
     ex.set_defaults(func=cmd_expand)
 
     orc = sub.add_parser(
         "oracle", help="compare the series against width-wise recursion")
     orc.add_argument("file")
-    orc.add_argument("-N", type=int, required=True)
-    orc.add_argument("-J", type=int, required=True)
+    orc.add_argument("-N", type=_count_arg, required=True)
+    orc.add_argument("-J", type=_count_arg, required=True)
     orc.set_defaults(func=cmd_oracle)
 
     an = sub.add_parser("analyze", help="growth invariants and shape")

@@ -112,15 +112,20 @@ class Monomial:
             self._hash = hash(self.key())
         return self._hash
 
-    def __repr__(self):
+    def var_text(self):
+        """The variable product `x[1,1]^2*x[2,3]`, column by column; `1`
+        for the unit."""
         vars_ = [
             f"x[{i + 1},{j + 1}]" + (f"^{e}" if e > 1 else "")
             for j, col in enumerate(self.cols)
             for i, e in enumerate(col)
             if e
         ]
-        body = "*".join(vars_) if vars_ else "1"
-        return f"Monomial({body} e{list(self.pi)} w{self.width} k{self.summand})"
+        return "*".join(vars_) if vars_ else "1"
+
+    def __repr__(self):
+        return (f"Monomial({self.var_text()} e{list(self.pi)} "
+                f"w{self.width} k{self.summand})")
 
 
 def apply_morphism(eps, mon):

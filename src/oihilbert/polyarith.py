@@ -493,6 +493,10 @@ class BiPoly:
         if other.deg_t() > dt or other.deg_s() > self.deg_s():
             raise NonDivisible("degree too small")
         width = dt + 1
+        # as in __mul__: unpacking walks every digit, so sparse operands
+        # of high degree are cheaper by long division
+        if (self.deg_s() + 1) * width > len(self.terms) * len(other.terms):
+            return None
         qi, rem = divmod(self._pack(width), other._pack(width))
         if rem:
             raise NonDivisible("nonzero remainder")

@@ -207,6 +207,11 @@ def test_criterion_05_language_membership():
 def test_criterion_06_denominator_shape(corpus):
     failures = []
     for k, (p, res) in enumerate(corpus):
+        # the content in Z[t] is s-free, so a primitive part has the
+        # s-degree of its base; the shape split relies on it being <= 1
+        for base, _ in res.rational.reduce().factors:
+            if base.deg_s() > 1:
+                failures.append((k, "primitive part of s-degree > 1", base))
         rep = validate_shape(res, p.c)
         if not rep.conformant:
             failures.append((k, "not conformant", rep.leftover))

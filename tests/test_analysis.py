@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from oihilbert.analysis import (
+    _split_irreducible,
     ArtinianCertificate,
     DegreeFit,
     _nearest_int,
@@ -33,6 +36,23 @@ def principal_power(a):
 def shape_of(p):
     res = module_series(p, quotient=True, reduce=True)
     return res, validate_shape(res, p.c)
+
+
+ONE_MINUS_T = BiPoly.one() - BiPoly.t()
+S, T = sympy.symbols("s t")
+
+
+def sympy_pieces(b):
+    """sympy's irreducible factors of b, each with positive constant term."""
+    expr = sympy.Add(*(c * S**i * T**j for (i, j), c in b.terms.items()))
+    _, pieces = sympy.factor_list(expr, S, T)
+    out = []
+    for piece, mult in pieces:
+        poly = sympy.Poly(piece, S, T)
+        q = BiPoly({(int(i), int(j)): int(c)
+                    for (i, j), c in zip(poly.monoms(), poly.coeffs())})
+        out.append((-q if q.coeff(0, 0) < 0 else q, int(mult)))
+    return out
 
 
 def hand_series(num_terms, den_terms):
@@ -66,6 +86,32 @@ class TestShape:
         rep = validate_shape(bad, 1)
         assert not rep.conformant
         assert rep.leftover == BiPoly({(0, 0): 1, (2, 1): -1})
+
+    @given(st.lists(st.integers(-3, 3), max_size=3),
+           st.lists(st.integers(-3, 3), max_size=4),
+           st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_split_of_s_linear_base(self, tail, growth, k):
+        # b = (1-t)^k * (u0(t) + s*u1(t)) with u0(0) = 1
+        b = BiPoly.from_s_coeffs([UniPoly([1] + tail), UniPoly(growth)]) \
+            * ONE_MINUS_T ** k
+        sign, pieces = _split_irreducible(b)
+        prod = BiPoly.const(sign)
+        for piece, mult in pieces:
+            assert piece.coeff(0, 0) > 0
+            prod = prod * piece ** mult
+        assert prod == b
+        theirs = sympy_pieces(b)
+
+        def power(ps):
+            return sum(m for q, m in ps if q == ONE_MINUS_T)
+
+        def s_linear(ps):
+            return sorted((q.key(), m) for q, m in ps if q.deg_s() > 0)
+
+        assert power(pieces) == power(theirs)
+        assert s_linear(pieces) == s_linear(theirs)
+        assert all(q.deg_s() <= 1 for q, _ in pieces)
 
     def test_single_row_refinement(self):
         # (1-t) - s(1+t) conforms for two rows but not for one

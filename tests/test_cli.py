@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -311,6 +314,16 @@ class TestCommands:
             cli.main([])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("command", ["expand", "oracle"])
+    @pytest.mark.parametrize("n,j,bad", [
+        ("-1", "3", "-N"), ("3", "-1", "-J"), ("x", "3", "-N")])
+    def test_negative_table_size_exits_two(self, capsys, command, n, j, bad):
+        doc = str(INPUTS / "principal_cubed.json")
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, doc, "-N", n, "-J", j])
+        assert err.value.code == 2
+        assert f"argument {bad}:" in capsys.readouterr().err
+
     def test_shipped_documents_pass_oracle(self, capsys):
         docs = sorted(INPUTS.glob("*.json"))
         assert docs
@@ -318,6 +331,23 @@ class TestCommands:
             code, out, _ = run(capsys, "oracle", str(doc), "-N", "5",
                                "-J", "5")
             assert (code, out.strip()) == (0, "OK"), doc.name
+
+    def test_runtime_never_imports_sympy(self):
+        # sympy is a test-only oracle; a fresh interpreter shows what the
+        # commands themselves import
+        src = Path(__file__).resolve().parent.parent / "src"
+        doc = str(INPUTS / "squarefree_pair.json")
+        script = (
+            "import contextlib, io, sys\n"
+            "from oihilbert import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [cli.main([c, {doc!r}]) for c in ('hilbert', 'analyze')]\n"
+            "print(codes, 'sympy' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert (out.returncode, out.stdout.strip()) == (0, "[0, 0] False")
 
     def test_deterministic_output(self, capsys, tmp_path):
         doc = write_doc(tmp_path, minimal())

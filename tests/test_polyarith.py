@@ -95,6 +95,15 @@ class TestBiPoly:
         with pytest.raises(NonDivisible):
             (BiPoly.t() - BiPoly.s()).exact_div(BiPoly.one() - BiPoly.t())
 
+    def test_exact_div_sparse_high_degree(self):
+        # 402 * 401 packed digits against 2 * 2 term pairs: long division
+        one_minus_t = BiPoly.one() - BiPoly.t()
+        big = BiPoly.term(400, 400) * one_minus_t
+        assert big._exact_div_packed(one_minus_t) is None
+        assert big.exact_div(one_minus_t) == BiPoly.term(400, 400)
+        with pytest.raises(NonDivisible):
+            big.exact_div(BiPoly.one() - BiPoly.s())
+
     def test_s_coeff_views(self):
         p = BiPoly({(0, 0): 1, (0, 2): 5, (2, 1): -3})
         cs = p.as_s_coeffs()
