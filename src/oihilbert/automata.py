@@ -9,7 +9,7 @@ determinizing yields a DFA whose transfer matrix gives the bivariate
 Hilbert series exactly.
 """
 
-from .errors import ZeroModule
+from .errors import NonDivisible, OihError, ZeroModule
 from .polyarith import BiPoly, FactoredRational
 from .words import alphabet, encode, is_xi, tau, tau_index
 
@@ -363,6 +363,91 @@ def _sccs(start, succ):
     return out
 
 
+def _l1(p):
+    return sum(map(abs, p.terms.values()))
+
+
+def _shift(p, a, b):
+    """p * s^a * t^b, for exponents that keep every term nonnegative."""
+    return BiPoly._raw({(i + a, j + b): c for (i, j), c in p.terms.items()})
+
+
+def _pack_size(rows, rhs):
+    """Stride and coefficient bound for packing one component's system.
+
+    Only det(M) and the Cramer numerators det(M) * x have to unpack.  Each
+    is a minor that takes one entry from every row, at most one of them
+    from the right-hand side, so its t-degree is at most the sum of the
+    rows' largest t-degrees plus the largest right-hand-side t-degree, and
+    its l1 norm at most the product of the rows' l1 norms times one plus
+    the sum of the right-hand-side l1 norms.  Every row norm is at least 1
+    because each diagonal entry has constant term 1.  Returns the stride
+    (one past that t-degree) and the norm bound.
+    """
+    width = 1 + max(b.deg_t() for b in rhs)
+    bound = 1 + sum(_l1(b) for b in rhs)
+    for row in rows:
+        width += max(p.deg_t() for p in row.values())
+        bound *= sum(_l1(p) for p in row.values())
+    return width, bound
+
+
+def _solve_component(rows, rhs):
+    """det(M) and the numerators det(M) * x of M x = rhs, for one component.
+
+    rows[i] maps column to entry of row i of M; rhs[i] is a polynomial.
+    Every entry is packed once into an integer (BiPoly._pack, t and s set
+    to powers of two sized by _pack_size), fraction-free Gauss-Jordan runs
+    on the integers, and only the results are unpacked.  Packing is a ring
+    homomorphism and, by Sylvester's identity, every entry after step k is
+    a minor of order k + 1, so dividing by the previous pivot is exact on
+    the packed integers too; the integer intermediates may wrap digits,
+    but they equal the packed polynomial intermediates, and the results
+    fit their digits by the bound.
+
+    The packed integers span the spread of the right-hand side: a sparse
+    right-hand side with terms far apart in both s and t, and no common
+    monomial to divide out first, makes every integer long.
+    """
+    size = len(rows)
+    width, bound = _pack_size(rows, rhs)
+    nbytes = max(8, -(-(4 * bound).bit_length() // 8))
+    mat = [{j: p._pack(width, nbytes) for j, p in row.items()} for row in rows]
+    for row, b in zip(mat, rhs):
+        if b:
+            row[size] = b._pack(width, nbytes)
+    prev = 1
+    for k in range(size):
+        top = mat[k]
+        pivot = top[k]
+        for i in range(size):
+            if i == k:
+                continue
+            row = mat[i]
+            left = row.get(k, 0)
+            new = {}
+            for j in set(row) | set(top):
+                if j > k:
+                    val = pivot * row.get(j, 0) - left * top.get(j, 0)
+                    if val:
+                        if prev != 1:
+                            val, rem = divmod(val, prev)
+                            if rem:
+                                raise NonDivisible(
+                                    "pivot does not divide a minor")
+                        new[j] = val
+            mat[i] = new
+        prev = pivot
+
+    def unpack(val):
+        terms = BiPoly._unpack(val, width, nbytes)
+        if terms is None:
+            raise OihError("solve result exceeds its digit bound")
+        return BiPoly._raw(terms)
+
+    return unpack(prev), [unpack(row.get(size, 0)) for row in mat]
+
+
 def generating_function(dfa, weight=None):
     """Sum of weight(w) over accepted words, as an exact rational.
 
@@ -373,7 +458,9 @@ def generating_function(dfa, weight=None):
     so det(I - T) arrives as one factor per component.  Edge weights must
     vanish at the origin, as t and s do; then each leading principal minor
     of I - T_CC is 1 there: no pivot vanishes and every factor has
-    constant term 1.
+    constant term 1.  A component of one state needs no elimination; a
+    larger one is eliminated on packed integers (_solve_component) after
+    the monomial common to its right-hand side is divided out.
     """
     if weight is None:
         weight = _default_weight
@@ -386,7 +473,6 @@ def generating_function(dfa, weight=None):
         row[r] = row.get(r, zero) + weight(a)
     x = {}
     for comp in _sccs(dfa.start, succ):
-        size = len(comp)
         pos = {q: k for k, q in enumerate(comp)}
         rows = []
         rhs = []
@@ -404,30 +490,19 @@ def generating_function(dfa, weight=None):
         den = FactoredRational(one)
         for b in rhs:
             den = FactoredRational(one, den._merge_factors(b)[0])
-        for row, b in zip(rows, rhs):
-            row[size] = b.num * b._merge_factors(den)[1]
-        # by Sylvester's identity every entry after step k is a minor of
-        # order k + 1, so dividing by the previous pivot is exact
-        prev = one
-        for k in range(size):
-            top = rows[k]
-            pivot = top[k]
-            for i in range(size):
-                if i == k:
-                    continue
-                row = rows[i]
-                left = row.get(k, zero)
-                new = {}
-                for j in set(row) | set(top):
-                    if j > k:
-                        val = pivot * row.get(j, zero) - left * top.get(j, zero)
-                        if val:
-                            new[j] = val if prev.is_one() else val.exact_div(prev)
-                rows[i] = new
-            prev = pivot
-        for q, row in zip(comp, rows):
-            x[q] = FactoredRational(row.get(size, zero),
-                                    den.factors + ((prev, 1),))
+        nums = [b.num * b._merge_factors(den)[1] for b in rhs]
+        if not any(nums):
+            det = one
+        elif len(comp) == 1:
+            det = rows[0][0]
+        else:
+            sa = min(i for b in nums for i, _ in b.terms)
+            tb = min(j for b in nums for _, j in b.terms)
+            det, nums = _solve_component(
+                rows, [_shift(b, -sa, -tb) for b in nums])
+            nums = [_shift(b, sa, tb) for b in nums]
+        for q, num in zip(comp, nums):
+            x[q] = FactoredRational(num, den.factors + ((det, 1),))
     return x[dfa.start]
 
 

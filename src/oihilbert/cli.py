@@ -17,8 +17,8 @@ from .analysis import (
 from .decomposition import compute_decomposition
 from .errors import OihError, SchemaError
 from .oicore import Monomial, hilbert_width
-from .polyarith import BiPoly, render_poly
-from .schema import _parse_exponents, load_document, monomial_to_obj
+from .polyarith import BiPoly, SeriesWindow, render_poly
+from .schema import _parse_exponents, _parse_pi, load_document, monomial_to_obj
 from .series import module_series
 from .words import decode, encode, word_from_str, word_to_str
 
@@ -106,15 +106,14 @@ def cmd_oracle(args):
     p = doc.effective_presentation()
     res = module_series(p, quotient=doc.quotient)
     win = res.window(args.N, args.J)
-    tables = [hilbert_width(p, n, doc.quotient).dims(args.J)
-              for n in range(args.N + 1)]
-    for n in range(args.N + 1):
-        for j in range(args.J + 1):
-            if win[(n, j)] != tables[n][j]:
-                print(f"mismatch at n={n} j={j}: "
-                      f"series gives {win[(n, j)]}, "
-                      f"width-wise gives {tables[n][j]}")
-                return 3
+    tables = SeriesWindow(hilbert_width(p, n, doc.quotient).dims(args.J)
+                          for n in range(args.N + 1))
+    mismatches = win.diff(tables)
+    for n, j, series, widthwise in mismatches:
+        print(f"mismatch at n={n} j={j}: "
+              f"series gives {series}, width-wise gives {widthwise}")
+    if mismatches:
+        return 3
     print("OK")
     return 0
 
@@ -128,18 +127,30 @@ def _window_arg(text):
             f"window must look like 3:8, got {text!r}")
     if lo < 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad window bounds {text!r}")
+    # the multiplicity fit needs six widths
+    if hi - lo + 1 < 6:
+        raise argparse.ArgumentTypeError(
+            f"window {text!r} spans {hi - lo + 1} widths, needs at least 6")
     return lo, hi
 
 
-def _count_arg(text):
+def _int_arg(text, low):
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+            f"expected an integer of at least {low}, got {text!r}")
+    if n < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
     return n
+
+
+def _count_arg(text):
+    return _int_arg(text, 0)
+
+
+def _positive_arg(text):
+    return _int_arg(text, 1)
 
 
 def cmd_analyze(args):
@@ -189,6 +200,12 @@ def cmd_decompose(args):
         e = tuple(int(v) for v in args.e.split(","))
     except ValueError:
         raise SchemaError(f"--e must be comma-separated integers, got {args.e!r}")
+    if len(p.summands) != 1 or p.summands[0][1] != 0:
+        raise SchemaError("decompose needs a document with one summand "
+                          "of shift 0")
+    if len(e) != p.c or min(e) < 0:
+        raise SchemaError(f"--e needs {p.c} non-negative integers, "
+                          f"got {args.e!r}")
     dec = compute_decomposition(p, e)
     d = p.summands[0][0]
     if args.json:
@@ -228,9 +245,10 @@ def _parse_exponents_arg(text, c, width):
 def cmd_words(args):
     if args.action == "encode":
         try:
-            pi = tuple(int(v) for v in args.pi.split(",")) if args.pi else ()
+            pi = [int(v) for v in args.pi.split(",")] if args.pi else []
         except ValueError:
             raise SchemaError(f"--pi must be comma-separated integers, got {args.pi!r}")
+        pi = _parse_pi({"pi": pi}, "words encode", len(pi), args.width)
         cols = (_parse_exponents_arg(args.exponents, args.c, args.width)
                 if args.exponents else ((0,) * args.c,) * args.width)
         mon = Monomial(args.c, args.width, cols, pi)
@@ -286,16 +304,16 @@ def build_parser():
     w = sub.add_parser("words", help="monomial/word round-trips")
     wsub = w.add_subparsers(dest="action", required=True)
     we = wsub.add_parser("encode")
-    we.add_argument("--c", type=int, required=True)
-    we.add_argument("--width", type=int, required=True)
+    we.add_argument("--c", type=_positive_arg, required=True)
+    we.add_argument("--width", type=_count_arg, required=True)
     we.add_argument("--pi", default="",
                     help="comma-separated basis tuple, e.g. 1,3")
     we.add_argument("--exponents", default="",
                     help='column-major JSON, e.g. "[[1],[0]]"')
     we.set_defaults(func=cmd_words)
     wd = wsub.add_parser("decode")
-    wd.add_argument("--c", type=int, required=True)
-    wd.add_argument("--d", type=int, required=True)
+    wd.add_argument("--c", type=_positive_arg, required=True)
+    wd.add_argument("--d", type=_count_arg, required=True)
     wd.add_argument("word", help='space-separated letters, e.g. "x1 t1"')
     wd.set_defaults(func=cmd_words)
 

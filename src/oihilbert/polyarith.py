@@ -15,14 +15,11 @@ from math import gcd as _int_gcd
 
 from .errors import NonDivisible, SingularAtOrigin
 
-# Kronecker packing: coefficients ride in signed 64-bit digits of one big
-# integer, so multiplication and exact division become single int ops.
-# _KSAFE leaves a factor-of-two margin under the 2^63 digit boundary.
-_KB = 64
-_KFULL = 1 << _KB
-_KMASK = _KFULL - 1
-_KHALF = 1 << (_KB - 1)
-_KSAFE = 1 << (_KB - 2)
+# Kronecker packing: coefficients ride in signed digits of one big integer,
+# so a product becomes a single int op.  __mul__ uses 8-byte digits; the
+# transfer-matrix solve sizes its digits from a coefficient bound.  _KSAFE
+# leaves a factor-of-two margin under the 8-byte half-digit boundary.
+_KSAFE = 1 << 62
 
 
 class UniPoly:
@@ -318,46 +315,53 @@ class BiPoly:
                                default=0)
         return self._maxabs
 
-    def _pack(self, width):
-        """Evaluate at t = 2^64, s = 2^(64*width); a ring homomorphism, and
-        injective back to terms while all coefficients stay below 2^63."""
+    def _pack(self, width, nbytes=8):
+        """Evaluate at t = 2^(8*nbytes), s = t^width: a ring homomorphism,
+        injective back to terms while every coefficient stays below
+        2^(8*nbytes - 2) in absolute value and every t-degree below width."""
         if self._packs is None:
             self._packs = {}
-        got = self._packs.get(width)
+        got = self._packs.get((width, nbytes))
         if got is None:
             top = self.deg_s() * width + self.deg_t()
-            pos = bytearray(8 * (top + 1))
-            neg = bytearray(8 * (top + 1))
+            pos = bytearray(nbytes * (top + 1))
+            neg = bytearray(nbytes * (top + 1))
             for (i, j), c in self.terms.items():
-                off = 8 * (i * width + j)
+                off = nbytes * (i * width + j)
                 if c > 0:
-                    pos[off:off + 8] = c.to_bytes(8, "little")
+                    pos[off:off + nbytes] = c.to_bytes(nbytes, "little")
                 else:
-                    neg[off:off + 8] = (-c).to_bytes(8, "little")
+                    neg[off:off + nbytes] = (-c).to_bytes(nbytes, "little")
             got = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-            self._packs[width] = got
+            self._packs[(width, nbytes)] = got
         return got
 
     @staticmethod
-    def _unpack(val, width):
-        """Signed 64-bit digits back to terms; None if any digit is too
-        large for the balanced representation to be trustworthy."""
+    def _unpack(val, width, nbytes=8):
+        """Signed digits of nbytes bytes back to terms; None if any digit
+        reaches 2^(8*nbytes - 2), too large for the balanced representation
+        to be trustworthy."""
+        bits = 8 * nbytes
+        full = 1 << bits
+        half = full >> 1
+        safe = half >> 1
         neg = val < 0
         if neg:
             val = -val
-        count = (val.bit_length() + _KB - 1) // _KB + 1
-        raw = val.to_bytes(8 * count, "little")
+        count = (val.bit_length() + bits - 1) // bits + 1
+        raw = val.to_bytes(nbytes * count, "little")
         out = {}
         carry = 0
         for idx in range(count):
-            digit = int.from_bytes(raw[8 * idx:8 * idx + 8], "little") + carry
-            if digit >= _KHALF:
-                digit -= _KFULL
+            off = nbytes * idx
+            digit = int.from_bytes(raw[off:off + nbytes], "little") + carry
+            if digit >= half:
+                digit -= full
                 carry = 1
             else:
                 carry = 0
             if digit:
-                if not -_KSAFE < digit < _KSAFE:
+                if not -safe < digit < safe:
                     return None
                 out[(idx // width, idx % width)] = -digit if neg else digit
         return out
@@ -453,9 +457,6 @@ class BiPoly:
             raise NonDivisible("division by zero polynomial")
         if self.is_zero():
             return BiPoly()
-        q = self._exact_div_packed(other)
-        if q is not None:
-            return q
         num = self.as_s_coeffs()
         den = other.as_s_coeffs()
         dd = len(den) - 1
@@ -474,42 +475,6 @@ class BiPoly:
             for i, dc in enumerate(den):
                 num[dn - dd + i] = num[dn - dd + i] - qc * dc
         return BiPoly.from_s_coeffs(q)
-
-    def _exact_div_packed(self, other):
-        """Packed-integer division; None means fall back to long division.
-
-        Evaluation at the packing point is a ring homomorphism, so if the
-        polynomials divide exactly the packed integers do too, and a nonzero
-        integer remainder rules divisibility out.  A zero remainder alone is
-        not proof: the quotient only counts once its digits and the
-        digit-growth bound of quotient*divisor are certified small enough
-        that packing is injective on all three polynomials, and once
-        quotient*divisor stays below t^width, where a carry into the next
-        s-digit would alias.
-        """
-        if self.maxabs() >= _KSAFE or other.maxabs() >= _KSAFE:
-            return None
-        dt = self.deg_t()
-        if other.deg_t() > dt or other.deg_s() > self.deg_s():
-            raise NonDivisible("degree too small")
-        width = dt + 1
-        # as in __mul__: unpacking walks every digit, so sparse operands
-        # of high degree are cheaper by long division
-        if (self.deg_s() + 1) * width > len(self.terms) * len(other.terms):
-            return None
-        qi, rem = divmod(self._pack(width), other._pack(width))
-        if rem:
-            raise NonDivisible("nonzero remainder")
-        qterms = BiPoly._unpack(qi, width)
-        if qterms is None:
-            return None
-        q = BiPoly._raw(qterms)
-        if q.deg_t() + other.deg_t() > dt:
-            return None
-        if min(len(qterms), len(other.terms)) * q.maxabs() * other.maxabs() \
-                >= _KSAFE:
-            return None
-        return q
 
     def try_div(self, other):
         try:

@@ -2,8 +2,13 @@ import itertools
 import random
 import time
 
+import sympy
+from hypothesis import given, settings, strategies as st
+
 from oihilbert.automata import (
     Dfa,
+    _pack_size,
+    _solve_component,
     determinize,
     generating_function,
     generator_nfa,
@@ -22,8 +27,58 @@ from oihilbert.words import alphabet, decode, is_in_lstd
 from enumerate_small import all_monomials, lstd_words
 
 
+S, T = sympy.symbols("s t")
+
+
 def one_minus_t_pow(c):
     return (BiPoly.one() - BiPoly.t()) ** c
+
+
+def to_sympy(p):
+    return sympy.Add(*(c * S**i * T**j for (i, j), c in p.terms.items()))
+
+
+def from_sympy(expr):
+    if expr == 0:
+        return BiPoly.zero()
+    return BiPoly({k: int(c) for k, c in sympy.Poly(expr, S, T).terms()})
+
+
+# entries of I - T: weights vanish at the origin, diagonals start at 1
+vanishing = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any),
+    st.integers(-4, 4), max_size=3).map(BiPoly)
+rhs_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 3)),
+    st.integers(-4, 4), max_size=3).map(BiPoly)
+
+
+@st.composite
+def augmented_systems(draw):
+    size = draw(st.integers(2, 3))
+    rows = []
+    for i in range(size):
+        row = {j: draw(vanishing) for j in range(size)}
+        row[i] = BiPoly.one() - row[i]
+        rows.append({j: p for j, p in row.items() if p})
+    rhs = draw(st.lists(rhs_polys, min_size=size, max_size=size)
+               .filter(lambda bs: any(bs)))
+    return rows, rhs
+
+
+def brute_window(dfa, weight, n_max, j_max):
+    """Sum of weight(w) over accepted words, by enumeration; every weight
+    has total degree >= 1, so words up to n_max + j_max letters suffice."""
+    total = BiPoly.zero()
+    for length in range(n_max + j_max + 1):
+        for word in itertools.product(dfa.alphabet, repeat=length):
+            if run_dfa(dfa, word):
+                w = BiPoly.one()
+                for a in word:
+                    w = w * weight(a)
+                total = total + w
+    return [[total.coeff(n, j) for j in range(j_max + 1)]
+            for n in range(n_max + 1)]
 
 
 class TestLstdDfa:
@@ -139,6 +194,79 @@ class TestGeneratingFunction:
         gf = generating_function(Dfa(alphabet(1, 0), n, 0, {n - 1}, trans))
         assert gf.num == BiPoly.term(549, 550)
         assert gf.factors == ((BiPoly.one() - BiPoly.t(), 1),)
+
+    def test_cycle_ahead_of_long_chain(self):
+        # the chain above, with 1 -x1-> 0 closing a 2-cycle at its start:
+        # its right-hand side is the monomial s^549*t^549 alone
+        n = 1100
+        trans = {(q, 1 if q % 2 == 0 else 0): q + 1 for q in range(n - 1)}
+        trans[(n - 1, 1)] = n - 1
+        trans[(1, 1)] = 0
+        t0 = time.monotonic()
+        gf = generating_function(Dfa(alphabet(1, 0), n, 0, {n - 1}, trans))
+        assert time.monotonic() - t0 < 1.0
+        one, t = BiPoly.one(), BiPoly.t()
+        assert gf.num == BiPoly.term(549, 550)
+        assert set(gf.factors) == {(one - t, 1), (one - t * t, 1)}
+
+    def test_cycle_with_wide_spread_exits(self):
+        # 0 <-x1-> 1 is a 2-cycle; 0 -t0-> F directly, 1 -t0-> through a
+        # chain of n states to F: right-hand sides s and s^301*t^300, whose
+        # common monomial s leaves a spread of s^300*t^300
+        n = 600
+        final = 2
+        trans = {(0, 1): 1, (1, 1): 0, (0, 0): final, (1, 0): 3}
+        for k in range(1, n + 1):
+            trans[(2 + k, 1 if k % 2 else 0)] = 3 + k if k < n else final
+        t0 = time.monotonic()
+        gf = generating_function(
+            Dfa(alphabet(1, 0), n + 3, 0, {final}, trans))
+        assert time.monotonic() - t0 < 1.0
+        # x0 = s + t*x1, x1 = t*x0 + s^301*t^300
+        assert gf.num == BiPoly({(1, 0): 1, (301, 301): 1})
+        assert gf.factors == ((BiPoly.one() - BiPoly.t() ** 2, 1),)
+
+    def test_weights_wider_than_eight_byte_digits(self):
+        # a 3-cycle whose determinant carries (2^40 + 3)^3 * t^3
+        big = 2 ** 40 + 3
+        weights = {1: BiPoly.term(0, 1, big),
+                   0: BiPoly.s() - BiPoly.term(1, 1, 5)}
+        trans = {(0, 1): 1, (1, 1): 2, (2, 1): 0, (1, 0): 0, (2, 0): 2}
+        dfa = Dfa(alphabet(1, 0), 3, 0, {0}, trans)
+        gf = generating_function(dfa, weights.__getitem__)
+        assert max(abs(c) for base, _ in gf.factors
+                   for c in base.terms.values()) > 2 ** 64
+        win = expand_series(gf, 4, 4)
+        want = brute_window(dfa, weights.__getitem__, 4, 4)
+        assert [[win[(n, j)] for j in range(5)] for n in range(5)] == want
+
+    @given(augmented_systems())
+    @settings(max_examples=40, deadline=None)
+    def test_packed_solve_bounds_and_values(self, system):
+        rows, rhs = system
+        size = len(rows)
+        width, bound = _pack_size(rows, rhs)
+        mat = sympy.Matrix(size, size, lambda i, j: to_sympy(
+            rows[i].get(j, BiPoly.zero())))
+        col = sympy.Matrix([to_sympy(b) for b in rhs])
+        det = from_sympy(sympy.expand(mat.det()))
+        nums = []
+        for i in range(size):
+            m = mat.copy()
+            m[:, i] = col
+            nums.append(from_sympy(sympy.expand(m.det())))
+        for p in [det] + nums:
+            assert sum(abs(c) for c in p.terms.values()) <= bound
+            assert p.deg_t() < width
+        assert _solve_component(rows, rhs) == (det, nums)
+
+    def test_dead_cycle_contributes_nothing(self):
+        # 1 <-x1-> 2 reaches no accepting state: a component whose
+        # right-hand sides are all zero
+        trans = {(0, 0): 0, (0, 1): 1, (1, 1): 2, (2, 1): 1}
+        gf = generating_function(Dfa(alphabet(1, 0), 3, 0, {0}, trans))
+        assert (gf.num, gf.factors) == (
+            BiPoly.one(), ((BiPoly.one() - BiPoly.s(), 1),))
 
     def test_empty_language_is_zero(self):
         assert generating_function(module_dfa(1, 0, [])).is_zero()

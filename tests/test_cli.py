@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -234,6 +235,30 @@ class TestCommands:
         assert code == 3
         assert "mismatch at n=" in out
 
+    def test_oracle_reports_every_mismatch(self, capsys, tmp_path,
+                                           monkeypatch):
+        doc = write_doc(tmp_path, minimal())
+        real = cli.hilbert_width
+
+        def corrupted(p, n, quotient):
+            dims = real(p, n, quotient).dims
+
+            def bumped(j_max):
+                out = dims(j_max)
+                for cn, cj in [(1, 0), (3, 2)]:
+                    if cn == n:
+                        out[cj] += 1
+                return out
+
+            return SimpleNamespace(dims=bumped)
+
+        monkeypatch.setattr(cli, "hilbert_width", corrupted)
+        code, out, _ = run(capsys, "oracle", doc, "-N", "4", "-J", "4")
+        assert code == 3
+        assert out.splitlines() == [
+            "mismatch at n=1 j=0: series gives 1, width-wise gives 2",
+            "mismatch at n=3 j=2: series gives 0, width-wise gives 1"]
+
     def test_analyze_text(self, capsys):
         code, out, _ = run(capsys, "analyze",
                            str(INPUTS / "principal_cubed.json"))
@@ -307,12 +332,37 @@ class TestCommands:
         assert "not standard" in err
         code, _, err = run(capsys, "decompose",
                            str(INPUTS / "two_summands.json"), "--e", "0,0")
-        assert code == 3
+        assert code == 2
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as err:
             cli.main([])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["words", "encode", "--c", "1", "--width", "2", "--pi", "3"],
+        ["words", "encode", "--c", "1", "--width", "-1"],
+        ["words", "encode", "--c", "0", "--width", "1"],
+        ["words", "decode", "--c", "0", "--d", "0", "t0"],
+        ["words", "decode", "--c", "1", "--d", "-1", "t0"],
+        ["analyze", str(INPUTS / "principal_cubed.json"), "--window", "0:2"],
+        ["analyze", str(INPUTS / "principal_cubed.json"), "--window", "3:7"],
+        ["decompose", str(INPUTS / "two_summands.json"), "--e", "0,0"],
+        ["decompose", "SHIFTED", "--e", "0"],
+    ])
+    def test_usage_errors_exit_two(self, capsys, tmp_path, argv):
+        shifted = write_doc(tmp_path, minimal(
+            summands=[{"d": 0, "shift": 1}]))
+        argv = [shifted if a == "SHIFTED" else a for a in argv]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines()
+                    if "error:" in line]) == 1
 
     @pytest.mark.parametrize("command", ["expand", "oracle"])
     @pytest.mark.parametrize("n,j,bad", [
