@@ -8,48 +8,10 @@ from math import comb
 
 from .errors import NoStableFit, NotConformant, ZeroModule
 from .oicore import dim_deg_width
-from .polyarith import (
-    BiPoly,
-    UniPoly,
-    _sign_normalize,
-    _sl_content,
-    prem_bipoly_s,
-)
+from .polyarith import BiPoly, UniPoly, prem_bipoly_s
 from .series import module_series
 
 _ONE_MINUS_T = BiPoly({(0, 0): 1, (0, 1): -1})
-
-
-def _split_irreducible(base):
-    """Split a denominator base into (sign, ((piece, multiplicity), ...)).
-
-    Viewing base as a polynomial in s over Z[t], its content is peeled of
-    its (1-t)-power, and what is left of the content, if not a unit, is one
-    piece.  The primitive part base/content is the last piece.  When it is
-    linear in s it is irreducible over Z by Gauss's lemma, since a factor
-    of s-degree 0 would divide the content 1.  Every factor the shape
-    theorem allows is linear in s, so no general factorizer is needed: a
-    primitive part of higher s-degree is returned whole.
-
-    Pieces have a positive constant term and sign is that of base(0,0),
-    so sign times the product of the pieces is base whenever base(0,0) is
-    +-1, as for every denominator the pipeline builds.
-    """
-    coeffs = base.as_s_coeffs()
-    content = _sl_content(coeffs)
-    primitive = BiPoly.from_s_coeffs([u.exact_div(content) for u in coeffs])
-    pieces = []
-    k = 0
-    while content(1) == 0:
-        content = content.exact_div(UniPoly((1, -1)))
-        k += 1
-    if k:
-        pieces.append((_ONE_MINUS_T, k))
-    for piece in (BiPoly.from_uni_t(content), primitive):
-        if piece.is_constant() and abs(piece.coeff(0, 0)) == 1:
-            continue
-        pieces.append((_sign_normalize(piece), 1))
-    return (1 if base.coeff(0, 0) > 0 else -1), tuple(pieces)
 
 
 @dataclass(frozen=True)
@@ -88,29 +50,28 @@ def validate_shape(result, c):
 
     Conforming factors are 1-t and (1-t)^k - s*f(t) with f(0)=1, f(1)>0
     and 0 <= k <= c; for c=1 only 1-t-s and 1-s(1+t+...+t^e) may occur.
+    Each factor is classified as it stands: the pipeline splits every
+    determinant where it is made (polyarith.split_content), so a factor
+    other than 1-t is a primitive part, irreducible when linear in s, or
+    the rest of a content, which lands whole in leftover.  A series whose
+    `reduced` flag is set is not reduced again.
     """
-    reduced = result.rational.reduce()
-    num = reduced.num
+    reduced = result.rational if result.reduced else result.rational.reduce()
     power = 0
     linear = []
     leftover = None
-    for base, exp in reduced.factors:
-        sign, pieces = _split_irreducible(base)
-        if sign < 0 and exp % 2:
-            num = -num
-        for b, mult in pieces:
-            mult *= exp
-            if b == _ONE_MINUS_T:
-                power += mult
-                continue
-            cf = _classify_factor(b, c)
-            if cf is None:
-                piece = b ** mult
-                leftover = piece if leftover is None else leftover * piece
-            else:
-                linear.extend([cf] * mult)
+    for b, mult in reduced.factors:
+        if b == _ONE_MINUS_T:
+            power += mult
+            continue
+        cf = _classify_factor(b, c)
+        if cf is None:
+            piece = b ** mult
+            leftover = piece if leftover is None else leftover * piece
+        else:
+            linear.extend([cf] * mult)
     return ShapeReport(leftover is None, power, tuple(sorted(
-        linear, key=lambda p: (p[0], p[1].coeffs))), leftover, num)
+        linear, key=lambda p: (p[0], p[1].coeffs))), leftover, reduced.num)
 
 
 def _one_minus_t_order(p):

@@ -10,7 +10,7 @@ Hilbert series exactly.
 """
 
 from .errors import NonDivisible, OihError, ZeroModule
-from .polyarith import BiPoly, FactoredRational
+from .polyarith import BiPoly, FactoredRational, split_content
 from .words import alphabet, encode, is_xi, tau, tau_index
 
 
@@ -455,12 +455,15 @@ def generating_function(dfa, weight=None):
     component C at a time, sinks first: (I - T_CC) x_C = e_C + T_C,out x_out
     with x_out already known.  The right-hand sides share one denominator,
     and fraction-free Gauss-Jordan leaves det(I - T_CC) times the solution,
-    so det(I - T) arrives as one factor per component.  Edge weights must
+    so det(I - T) arrives component by component.  Edge weights must
     vanish at the origin, as t and s do; then each leading principal minor
-    of I - T_CC is 1 there: no pivot vanishes and every factor has
-    constant term 1.  A component of one state needs no elimination; a
-    larger one is eliminated on packed integers (_solve_component) after
-    the monomial common to its right-hand side is divided out.
+    of I - T_CC is 1 there: no pivot vanishes and every determinant has
+    constant term 1.  Each determinant enters the denominator split by
+    split_content, so every factor is 1-t, the rest of a content or a
+    primitive part, each with constant term 1.  A component of one state
+    needs no elimination; a larger one is eliminated on packed integers
+    (_solve_component) after the monomial common to its right-hand side
+    is divided out.
     """
     if weight is None:
         weight = _default_weight
@@ -501,8 +504,9 @@ def generating_function(dfa, weight=None):
             det, nums = _solve_component(
                 rows, [_shift(b, -sa, -tb) for b in nums])
             nums = [_shift(b, sa, tb) for b in nums]
+        factors = den.factors + tuple(split_content(det))
         for q, num in zip(comp, nums):
-            x[q] = FactoredRational(num, den.factors + ((det, 1),))
+            x[q] = FactoredRational(num, factors)
     return x[dfa.start]
 
 

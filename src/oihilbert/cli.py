@@ -15,7 +15,7 @@ from .analysis import (
     validate_shape,
 )
 from .decomposition import compute_decomposition
-from .errors import OihError, SchemaError
+from .errors import NotInLanguage, OihError, SchemaError
 from .oicore import Monomial, hilbert_width
 from .polyarith import BiPoly, SeriesWindow, render_poly
 from .schema import _parse_exponents, _parse_pi, load_document, monomial_to_obj
@@ -254,8 +254,12 @@ def cmd_words(args):
         mon = Monomial(args.c, args.width, cols, pi)
         print(word_to_str(encode(mon)))
     else:
-        word = word_from_str(args.word)
-        mon = decode(word, args.c, args.d)
+        # the word is typed by the user: one outside the language is a
+        # usage error
+        try:
+            mon = decode(word_from_str(args.word), args.c, args.d)
+        except NotInLanguage as exc:
+            raise SchemaError(f"words decode: {exc}")
         print(mono_text(mon))
     return 0
 

@@ -223,9 +223,6 @@ class ModulePresentation:
         self.generators = generators
         self.category = category
 
-    def d_of(self, k):
-        return self.summands[k][0]
-
     def shift_of(self, k):
         return self.summands[k][1]
 

@@ -153,13 +153,6 @@ class UniPoly:
             raise NonDivisible("nonzero remainder")
         return UniPoly(q)
 
-    def divides(self, other):
-        try:
-            other.exact_div(self)
-            return True
-        except NonDivisible:
-            return False
-
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)})"
 
@@ -441,16 +434,6 @@ class BiPoly:
                     terms[(i, j)] = c
         return cls(terms)
 
-    def as_uni_t(self):
-        """View an s-free polynomial as UniPoly in t."""
-        if self.deg_s() > 0:
-            raise NonDivisible("polynomial involves s")
-        jm = self.deg_t()
-        return UniPoly(tuple(self.terms.get((0, j), 0) for j in range(jm + 1)))
-
-    def eval(self, sv, tv):
-        return sum(c * sv ** i * tv ** j for (i, j), c in self.terms.items())
-
     def exact_div(self, other):
         """Exact quotient in Z[s,t], dividing as polynomials in s over Z[t]."""
         if other.is_zero():
@@ -486,13 +469,36 @@ class BiPoly:
         return f"BiPoly({render_poly(self)!r})"
 
 
-def _sl_content(coeffs):
-    g = UniPoly()
+def split_content(p):
+    """Split p, with p(0, 0) = 1, into (piece, exponent) pairs whose
+    product is p; every piece has constant term 1.
+
+    Read as a polynomial in s over Z[t], p is its content (the gcd of its
+    s-coefficients) times its primitive part.  The pieces are the
+    content's (1-t)-power, the rest of the content unless it is 1, and
+    the primitive part unless it is 1.  A primitive part linear in s is
+    irreducible over Z by Gauss's lemma, since a factor of s-degree 0
+    would divide its content 1.
+    """
+    coeffs = p.as_s_coeffs()
+    content = UniPoly()
     for u in coeffs:
-        g = uni_gcd(g, u)
-        if g == UniPoly.one():
+        content = uni_gcd(content, u)
+        if content == UniPoly.one():
             break
-    return g
+    if content(0) < 0:
+        content = -content
+    primitive = BiPoly.from_s_coeffs([u.exact_div(content) for u in coeffs])
+    one_minus_t = UniPoly((1, -1))
+    k = 0
+    while content(1) == 0:
+        content = content.exact_div(one_minus_t)
+        k += 1
+    pieces = [(BiPoly.from_uni_t(one_minus_t), k)] if k else []
+    for piece in (BiPoly.from_uni_t(content), primitive):
+        if not piece.is_one():
+            pieces.append((piece, 1))
+    return pieces
 
 
 def _sl_prem(f, g):
@@ -522,49 +528,6 @@ def prem_bipoly_s(f, g):
     """Pseudo-remainder of f by g in s over Z[t]: the residue of
     lc_s(g)^e * f modulo g, with s-degree below deg_s(g)."""
     return BiPoly.from_s_coeffs(_sl_prem(f.as_s_coeffs(), g.as_s_coeffs()))
-
-
-def _sign_normalize(p):
-    """Flip the sign so the lowest term in canonical order is positive."""
-    if p.is_zero():
-        return p
-    return -p if p.terms[min(p.terms)] < 0 else p
-
-
-def gcd_bipoly(a, b):
-    """Gcd in Z[s,t] via a subresultant remainder sequence in s over Z[t].
-
-    The result is primitive up to the gcd of the inputs' contents; its sign
-    makes the lowest term in canonical order positive.
-    """
-    if a.is_zero():
-        return _sign_normalize(b)
-    if b.is_zero():
-        return _sign_normalize(a)
-    fa, fb = a.as_s_coeffs(), b.as_s_coeffs()
-    ca, cb = _sl_content(fa), _sl_content(fb)
-    cont = uni_gcd(ca, cb)
-    fa = [u.exact_div(ca) for u in fa]
-    fb = [u.exact_div(cb) for u in fb]
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    gg, h = UniPoly.one(), UniPoly.one()
-    while True:
-        delta = (len(fa) - 1) - (len(fb) - 1)
-        r = _sl_prem(fa, fb)
-        if not r:
-            break
-        if len(r) == 1:
-            fb = [UniPoly.one()]
-            break
-        div = gg * h ** delta
-        fa, fb = fb, [u.exact_div(div) for u in r]
-        gg = fa[-1]
-        h = h if delta == 0 else (gg ** delta).exact_div(h ** (delta - 1))
-    cpp = _sl_content(fb)
-    fb = [u.exact_div(cpp) for u in fb]
-    out = BiPoly.from_s_coeffs([u * cont for u in fb]) if cont != UniPoly.one() else BiPoly.from_s_coeffs(fb)
-    return _sign_normalize(out)
 
 
 class FactoredRational:
@@ -649,42 +612,26 @@ class FactoredRational:
         return (self.num * other.den_expanded()) == (other.num * self.den_expanded())
 
     def reduce(self):
-        """Cancel numerator against denominator factors.
+        """Cancel numerator against denominator factors by trial exact
+        division, one factor power at a time.
 
-        Whole factors are cancelled by repeated exact division; remaining
-        partial overlaps are found with gcd_bipoly, splitting a factor when
-        only part of it cancels. The result is reduced over Q[s,t].
+        The result is reduced over Q[s,t] when every factor is irreducible,
+        as 1-t and a primitive factor linear in s are (see split_content),
+        and no two factors are associates; any other factor cancels only
+        as a whole.
         """
         num = self.num
         if num.is_zero():
             return FactoredRational.zero()
-        work = [[b, e] for b, e in self.factors]
-        changed = True
-        while changed:
-            changed = False
-            for item in work:
-                base, e = item
-                while item[1] > 0:
-                    q = num.try_div(base)
-                    if q is None:
-                        break
-                    num = q
-                    item[1] -= 1
-                    changed = True
-            for idx in range(len(work)):
-                base, e = work[idx]
-                if e <= 0 or base.is_constant():
-                    continue
-                g = gcd_bipoly(num, base)
-                if g.is_constant():
-                    continue
-                num = num.exact_div(g)
-                rest = base.exact_div(g)
-                work[idx][1] -= 1
-                if not rest.is_constant():
-                    work.append([rest, 1])
-                changed = True
-        return FactoredRational(num, tuple((b, e) for b, e in work if e > 0))
+        kept = []
+        for base, e in self.factors:
+            while e:
+                q = num.try_div(base)
+                if q is None:
+                    break
+                num, e = q, e - 1
+            kept.append((base, e))
+        return FactoredRational(num, kept)
 
     def __repr__(self):
         return f"FactoredRational({render_rational(self)!r})"

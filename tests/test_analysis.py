@@ -6,7 +6,6 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from oihilbert.analysis import (
-    _split_irreducible,
     ArtinianCertificate,
     DegreeFit,
     _nearest_int,
@@ -18,7 +17,7 @@ from oihilbert.analysis import (
 )
 from oihilbert.errors import NoStableFit, ZeroModule
 from oihilbert.oicore import Monomial, ModulePresentation, dim_deg_width
-from oihilbert.polyarith import BiPoly, FactoredRational, UniPoly
+from oihilbert.polyarith import BiPoly, FactoredRational, UniPoly, split_content
 from oihilbert.series import SeriesResult, module_series
 
 from corpus import random_presentation
@@ -95,10 +94,10 @@ class TestShape:
         # b = (1-t)^k * (u0(t) + s*u1(t)) with u0(0) = 1
         b = BiPoly.from_s_coeffs([UniPoly([1] + tail), UniPoly(growth)]) \
             * ONE_MINUS_T ** k
-        sign, pieces = _split_irreducible(b)
-        prod = BiPoly.const(sign)
+        pieces = split_content(b)
+        prod = BiPoly.one()
         for piece, mult in pieces:
-            assert piece.coeff(0, 0) > 0
+            assert piece.coeff(0, 0) == 1
             prod = prod * piece ** mult
         assert prod == b
         theirs = sympy_pieces(b)

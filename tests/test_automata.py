@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from pathlib import Path
 
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -22,9 +23,13 @@ from oihilbert.automata import (
 )
 from oihilbert.oicore import Monomial, ModulePresentation, hilbert_width, oi_divides
 from oihilbert.polyarith import BiPoly, FactoredRational, expand_series
+from oihilbert.schema import load_document
 from oihilbert.words import alphabet, decode, is_in_lstd
 
+from corpus import random_presentation
 from enumerate_small import all_monomials, lstd_words
+
+INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
 
 S, T = sympy.symbols("s t")
@@ -207,7 +212,8 @@ class TestGeneratingFunction:
         assert time.monotonic() - t0 < 1.0
         one, t = BiPoly.one(), BiPoly.t()
         assert gf.num == BiPoly.term(549, 550)
-        assert set(gf.factors) == {(one - t, 1), (one - t * t, 1)}
+        # the chain's 1 - t times the cycle's 1 - t^2, split
+        assert set(gf.factors) == {(one - t, 2), (one + t, 1)}
 
     def test_cycle_with_wide_spread_exits(self):
         # 0 <-x1-> 1 is a 2-cycle; 0 -t0-> F directly, 1 -t0-> through a
@@ -224,7 +230,9 @@ class TestGeneratingFunction:
         assert time.monotonic() - t0 < 1.0
         # x0 = s + t*x1, x1 = t*x0 + s^301*t^300
         assert gf.num == BiPoly({(1, 0): 1, (301, 301): 1})
-        assert gf.factors == ((BiPoly.one() - BiPoly.t() ** 2, 1),)
+        # the cycle's 1 - t^2, split
+        one, t = BiPoly.one(), BiPoly.t()
+        assert set(gf.factors) == {(one - t, 1), (one + t, 1)}
 
     def test_weights_wider_than_eight_byte_digits(self):
         # a 3-cycle whose determinant carries (2^40 + 3)^3 * t^3
@@ -267,6 +275,28 @@ class TestGeneratingFunction:
         gf = generating_function(Dfa(alphabet(1, 0), 3, 0, {0}, trans))
         assert (gf.num, gf.factors) == (
             BiPoly.one(), ((BiPoly.one() - BiPoly.s(), 1),))
+
+    def test_factors_split_at_birth(self):
+        # every factor is 1 - t, or has constant term 1 and unit content
+        # over Z[t] (its s-coefficients have gcd +-1)
+        docs = [load_document(str(path)).effective_presentation()
+                for path in sorted(INPUTS.glob("*.json"))]
+        rng = random.Random(2718)
+        docs += [random_presentation(rng) for _ in range(40)]
+        one_minus_t = BiPoly.one() - BiPoly.t()
+        seen = 0
+        for p in docs:
+            for idx, (d, _) in enumerate(p.summands):
+                gens = [g for g in p.generators if g.summand == idx]
+                gf = generating_function(module_dfa(p.c, d, gens))
+                for base, _ in gf.factors:
+                    seen += 1
+                    if base == one_minus_t:
+                        continue
+                    assert base.coeff(0, 0) == 1, base
+                    coeffs = sympy.Poly(to_sympy(base), S).all_coeffs()
+                    assert sympy.gcd_list(coeffs) in (1, -1), base
+        assert seen > 50
 
     def test_empty_language_is_zero(self):
         assert generating_function(module_dfa(1, 0, [])).is_zero()

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from oihilbert.schema import (
 from oihilbert.series import free_series
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
+README = INPUTS.parent / "README.md"
 
 
 def minimal(**over):
@@ -328,7 +330,7 @@ class TestCommands:
         assert code == 2
         code, _, err = run(capsys, "words", "decode", "--c", "1", "--d", "1",
                            "x1 x1")
-        assert code == 3
+        assert code == 2
         assert "not standard" in err
         code, _, err = run(capsys, "decompose",
                            str(INPUTS / "two_summands.json"), "--e", "0,0")
@@ -349,6 +351,9 @@ class TestCommands:
         ["analyze", str(INPUTS / "principal_cubed.json"), "--window", "3:7"],
         ["decompose", str(INPUTS / "two_summands.json"), "--e", "0,0"],
         ["decompose", "SHIFTED", "--e", "0"],
+        ["words", "decode", "--c", "1", "--d", "1", "xx"],
+        ["words", "decode", "--c", "1", "--d", "1", "x9"],
+        ["words", "decode", "--c", "1", "--d", "1", "t9"],
     ])
     def test_usage_errors_exit_two(self, capsys, tmp_path, argv):
         shifted = write_doc(tmp_path, minimal(
@@ -398,6 +403,26 @@ class TestCommands:
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, timeout=120)
         assert (out.returncode, out.stdout.strip()) == (0, "[0, 0] False")
+
+    def test_readme_sessions(self, capsys, monkeypatch):
+        # every `$ oih ...` line of README.md, run from the repository
+        # root; the lines after it, up to a blank line or the end of the
+        # block, are its standard output
+        sessions = []
+        out = None
+        for line in README.read_text().splitlines():
+            if line.startswith("$ oih "):
+                out = []
+                sessions.append((shlex.split(line[len("$ oih "):]), out))
+            elif out is not None and line and not line.startswith("```"):
+                out.append(line + "\n")
+            else:
+                out = None
+        assert sessions
+        monkeypatch.chdir(README.parent)
+        for argv, want in sessions:
+            code, got, _ = run(capsys, *argv)
+            assert (code, got) == (0, "".join(want)), argv
 
     def test_deterministic_output(self, capsys, tmp_path):
         doc = write_doc(tmp_path, minimal())
