@@ -1,15 +1,15 @@
-"""Structural analysis of computed series: denominator shape, asymptotic
-growth of dimension and multiplicity, polynomiality in fixed degree, and
-the eventual-finite-length certificate."""
+"""Structural analysis of a reduced series: denominator shape, the exact
+eventual growth of dimension and multiplicity, polynomiality in fixed
+degree, and the eventual-finite-length certificate."""
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from itertools import count, islice
 
-from .errors import NoStableFit, NotConformant, ZeroModule
-from .oicore import dim_deg_width
-from .polyarith import BiPoly, UniPoly, prem_bipoly_s
-from .series import module_series
+from .errors import NonDivisible, NotConformant
+from .polyarith import BiPoly, UniPoly, one_minus_t_order, prem_bipoly_s
 
 _ONE_MINUS_T = BiPoly({(0, 0): 1, (0, 1): -1})
 
@@ -25,6 +25,11 @@ class ShapeReport:
     factors: tuple  # of (t_power, growth: UniPoly), repeated by multiplicity
     leftover: object  # BiPoly, or None when everything classified
     numerator: BiPoly
+
+
+def factor_base(t_power, growth):
+    """The denominator factor (1-t)^t_power - s*growth(t)."""
+    return _ONE_MINUS_T ** t_power - BiPoly.s() * BiPoly.from_uni_t(growth)
 
 
 def _classify_factor(b, c):
@@ -74,23 +79,6 @@ def validate_shape(result, c):
         linear, key=lambda p: (p[0], p[1].coeffs))), leftover, reduced.num)
 
 
-def _one_minus_t_order(p):
-    """Largest k with (1-t)^k dividing p, taken over the s-coefficients."""
-    omt = UniPoly((1, -1))
-    best = None
-    for u in p.as_s_coeffs():
-        if u.is_zero():
-            continue
-        k = 0
-        while u(1) == 0:
-            u = u.exact_div(omt)
-            k += 1
-        best = k if best is None else min(best, k)
-        if best == 0:
-            break
-    return best
-
-
 @dataclass(frozen=True)
 class ArtinianCertificate:
     """Division data behind the eventual-finite-length verdict.
@@ -110,17 +98,15 @@ class ArtinianCertificate:
     remainder_order: int  # (1-t)-adic order; equals power when rem = 0
 
 
-def artinian_test(p):
+def artinian_test(rep):
     """Decide whether the quotient has finite length in every large width.
 
-    Works from the reduced series: all factor t-powers must vanish and the
-    pseudo-remainder of the numerator by the s-factors must absorb the
-    whole (1-t)^power pole.
+    Works from the shape report of the reduced quotient series: all factor
+    t-powers must vanish and the pseudo-remainder of the numerator by the
+    s-factors must absorb the whole (1-t)^power pole.
     """
-    res = module_series(p, quotient=True, reduce=True)
-    if res.rational.is_zero():
+    if rep.numerator.is_zero():
         return ArtinianCertificate(True, 0, (), (), 0, None, BiPoly.zero(), 0)
-    rep = validate_shape(res, p.c)
     if not rep.conformant:
         raise NotConformant(f"unrecognized factor: {rep.leftover}")
     t_powers = tuple(tp for tp, _ in rep.factors)
@@ -136,7 +122,7 @@ def artinian_test(p):
     den = BiPoly.one()
     r = UniPoly.one()
     for f in f_list:
-        den = den * (BiPoly.one() - BiPoly.s() * BiPoly.from_uni_t(f))
+        den = den * factor_base(0, f)
         r = r * f
     rem = prem_bipoly_s(rep.numerator, den)
     e = max(0, rep.numerator.deg_s() - len(f_list) + 1)
@@ -145,158 +131,227 @@ def artinian_test(p):
     quot = (BiPoly.from_uni_t(r ** e) * rep.numerator - rem).exact_div(den)
     if rem.is_zero():
         return ArtinianCertificate(True, a, t_powers, f_list, e, quot, rem, a)
-    order = _one_minus_t_order(rem)
+    order = min(one_minus_t_order(u)[1] for u in rem.as_s_coeffs() if u)
     return ArtinianCertificate(
         order >= a, a, t_powers, f_list, e, quot, rem, order)
 
 
-def _window_data(p, window, quotient, index):
-    lo, hi = window
+def _expand(num, den):
+    """Yield A_0, A_1, ... with num/den = sum_k A_k / den_0^(k+1) * x^k,
+    for coefficient lists in x over Z or Z[y]: A_k = num_k den_0^k -
+    sum_(i>=1) den_i A_(k-i) den_0^(i-1) stays in the coefficient ring."""
     out = []
-    for n in range(lo, hi + 1):
-        try:
-            out.append(dim_deg_width(p, n, quotient)[index])
-        except ZeroModule:
-            out.append(0)
+    for k in count():
+        acc = (num[k] if k < len(num) else 0) * den[0] ** k
+        for i in range(1, min(k, len(den) - 1) + 1):
+            acc = acc - den[i] * out[k - i] * den[0] ** (i - 1)
+        out.append(acc)
+        yield acc
+
+
+def _at_one_minus(u):
+    """u(1 - x) as a UniPoly in x."""
+    out = UniPoly()
+    for c in reversed(u.coeffs):
+        out = out * UniPoly((1, -1)) + UniPoly((c,))
     return out
 
 
-def _tail(values):
-    """Upper half of the window, at least two points."""
-    return values[-max(2, (len(values) + 1) // 2):]
+def _subst(p, b):
+    """p(sigma x^b, 1 - x) as a BiPoly in (x, sigma), so that as_s_coeffs
+    gives its coefficients in x."""
+    return BiPoly({(b * i + k, i): c for i, u in enumerate(p.as_s_coeffs())
+                   for k, c in enumerate(_at_one_minus(u).coeffs)})
+
+
+def _solve(rows, rhs):
+    """The solution of a square, invertible linear system over Q."""
+    m = [[Fraction(v) for v in row] + [Fraction(b)]
+         for row, b in zip(rows, rhs)]
+    for col in range(len(m)):
+        piv = next(r for r in range(col, len(m)) if m[r][col])
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [v / m[col][col] for v in m[col]]
+        for r in range(len(m)):
+            f = m[r][col]
+            if r != col and f:
+                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    return [row[-1] for row in m]
+
+
+def _poly_at(coeffs, n):
+    return sum(c * n ** e for e, c in enumerate(coeffs))
+
+
+def _exp_poly_at(terms, n):
+    return sum(c ** n * _poly_at(p, n) for c, p in terms)
+
+
+def _closed_form(a, bases):
+    """(start, terms) with [y^n] a(y) / prod (1 - c*y)^m over the (c, m)
+    in bases equal to sum_c c^n P_c(n) over terms, (c, ascending
+    coefficients of P_c) by falling c, exactly for n >= start = deg a -
+    deg den + 1 (at least 0): below, the top coefficient of the
+    polynomial part adds in.  The c^n n^e (e < m) span the solutions of
+    the denominator's recurrence, and deg den consecutive values fix one
+    as no c is 0, so the solve is exact."""
+    lowest, den = [], UniPoly.one()
+    for c, m in bases:  # cancel 1 - c*y while a(1/c) = 0: lowest terms
+        while m and UniPoly(a.coeffs[::-1])(c) == 0:
+            a, m = a.exact_div(UniPoly((1, -c))), m - 1
+        lowest.append((c, m))
+        den = den * UniPoly((1, -c)) ** m
+    start = max(0, a.degree - den.degree + 1)
+    values = list(islice(_expand(a.coeffs, den.coeffs), start + den.degree))
+    cols = [(c, e) for c, m in lowest for e in range(m)]
+    sol = _solve([[c ** n * n ** e for c, e in cols]
+                  for n in range(start, start + den.degree)], values[start:])
+    terms = {}
+    for (c, _), v in zip(cols, sol):
+        terms.setdefault(c, []).append(v)
+    return start, tuple(
+        (c, tuple(p)) for c, p in sorted(terms.items(), reverse=True))
+
+
+def _last_zero(terms, start):
+    """Largest n >= start where sum_c c^n P_c(n) vanishes, else start - 1.
+
+    Only n below a proven bound N is searched.  With P = P_top of degree d,
+    lead |l| and lower coefficients of absolute sum h, |P(n)| >= |l| n^d/2
+    once n |l| >= 2h; the rest is at most H c2^n n^f for n >= 1 (c2 the
+    next base, H and f the others' absolute coefficient sum and top degree).
+    N is the first n with |l| top^n n^d > 2 H c2^n n^f and top n^g >=
+    c2 (n+1)^g, g = f - d, so the ratio of the sides no longer falls.  With
+    one base (H = 0) it bounds the integer roots of P."""
+    (top, p), rest = terms[0], terms[1:]
+    d, lead, low = len(p) - 1, abs(p[-1]), sum(abs(v) for v in p[:-1])
+    big = sum(abs(v) for _, q in rest for v in q)
+    c2 = max((c for c, _ in rest), default=1)
+    f = max((len(q) - 1 for _, q in rest), default=0)
+    n = 1
+    while not (n * lead >= 2 * low
+               and lead * top ** n * n ** d > 2 * big * c2 ** n * n ** f
+               and top * n ** max(f - d, 0) >= c2 * (n + 1) ** max(f - d, 0)):
+        n += 1
+    return next((m for m in range(n - 1, start - 1, -1)
+                 if _exp_poly_at(terms, m) == 0), start - 1)
 
 
 @dataclass(frozen=True)
 class DimensionGrowth:
+    """dim M_n = slope*n + intercept for every n >= onset."""
+
     slope: int
     intercept: int
-    window: tuple
-    dims: tuple
-
-
-def asymptotic_dimension(p, window=(3, 8), quotient=True):
-    """Eventual linear growth of the width-n Krull dimension.
-
-    Requires an exact linear fit on the upper half of the window."""
-    lo, hi = window
-    if hi - lo + 1 < 4:
-        raise NoStableFit("dimension window shorter than 4")
-    dims = _window_data(p, window, quotient, 0)
-    tail = _tail(dims)
-    slope = tail[1] - tail[0]
-    intercept = dims[-1] - slope * hi
-    for k, v in enumerate(tail):
-        if v != slope * (hi - len(tail) + 1 + k) + intercept:
-            raise NoStableFit(f"dimension not linear on tail: {dims}")
-    return DimensionGrowth(slope, intercept, window, tuple(dims))
+    onset: int
 
 
 @dataclass(frozen=True)
 class MultiplicityGrowth:
-    base: int  # degrees grow like base^n * n^poly_exponent
+    """The multiplicity of M_n is sum_c c^n P_c(n) for every n >= onset,
+    over terms (c, ascending coefficients of P_c) by falling c; base is the
+    top c, poly_exponent its degree (1 and 0 when M_n is eventually 0)."""
+
+    base: int
     poly_exponent: int
-    limit_estimate: Fraction  # last tail value of deg / (base^n n^exp)
-    exact: bool  # every tail ratio equals the base exactly
-    window: tuple
-    degrees: tuple
+    terms: tuple
+    onset: int
+
+    def evaluate(self, n):
+        return _exp_poly_at(self.terms, n)
 
 
-def _nearest_int(r):
-    q, rem2 = divmod(2 * r.numerator + r.denominator, 2 * r.denominator)
-    if rem2 == 0 and r.denominator != 1:
-        raise NoStableFit(f"degree ratio {r} sits between integers")
-    return q
+@lru_cache(maxsize=1)  # analyze reads dimension and multiplicity in turn
+def _growth(rep):
+    """(slope, intercept, terms, onset) of the eventual width-n growth.
+
+    With x = 1-t, s = sigma x^B and B the largest factor t-power, the series
+    is N(sigma, x) / (x^E U(sigma, x)), E the (1-t)-power plus all factor
+    t-powers and U(sigma, 0) = prod (1 - f_j(1) sigma) over the factors of
+    t-power B.  In x its coefficients are A_k / U(sigma, 0)^(k+1); the first
+    k0 not a polynomial in sigma gives dim M_n = B n + E - k0 and, as its
+    sigma^n coefficient, the multiplicity, once n passes every polynomial
+    part and the multiplicity's last zero."""
+    if not rep.conformant:
+        raise NotConformant(f"unrecognized factor: {rep.leftover}")
+    if not rep.factors:
+        # a polynomial in s over (1-t)^power: M_n = 0 past its s-degree
+        return 0, 0, (), rep.numerator.deg_s() + 1
+    big_b = max(tp for tp, _ in rep.factors)
+    t_powers = sum(tp for tp, _ in rep.factors)
+    num = _subst(rep.numerator, big_b)
+    den = BiPoly.one()
+    for tp, f in rep.factors:
+        den = den * factor_base(tp, f)
+    # each factor becomes x^tp (1 - sigma x^(B-tp) f(1-x)): drop the x^tp
+    x_den = _subst(den, big_b).as_s_coeffs()[t_powers:]
+    # k0 <= ord_x N(1/g(x), x) for g(x) = f(1-x) of a factor of t-power B,
+    # finite because the series is reduced
+    g = _at_one_minus(next(f for tp, f in rep.factors if tp == big_b))
+    on_curve = UniPoly()
+    for (k, i), c in num.terms.items():
+        on_curve = on_curve + (g ** (num.deg_t() - i) * c).shift(k)
+    bound = next((k for k, c in enumerate(on_curve.coeffs) if c), -1)
+    onset = 0
+    for k0, a in zip(range(bound + 1), _expand(num.as_s_coeffs(), x_den)):
+        try:
+            onset = max(onset, a.exact_div(x_den[0] ** (k0 + 1)).degree + 1)
+        except NonDivisible:
+            break
+    else:
+        raise NotConformant("series is not reduced")
+    bases = Counter(f(1) for tp, f in rep.factors if tp == big_b)
+    start, terms = _closed_form(
+        a, [(c, m * (k0 + 1)) for c, m in sorted(bases.items())])
+    onset = max(onset, start, _last_zero(terms, start) + 1)
+    return big_b, rep.one_minus_t_power + t_powers - k0, terms, onset
 
 
-def asymptotic_multiplicity(p, window=(3, 8), quotient=True):
-    """Exponential growth base of the width-n multiplicity, with the
-    polynomial correction exponent fitted by successive ratio tests."""
-    lo, hi = window
-    if hi - lo + 1 < 6:
-        raise NoStableFit("multiplicity window shorter than 6")
-    degs = _window_data(p, window, quotient, 1)
-    tail = _tail(degs)
-    if all(v == 0 for v in tail):
-        return MultiplicityGrowth(
-            1, 0, Fraction(0), True, window, tuple(degs))
-    if any(v <= 0 for v in tail):
-        raise NoStableFit(f"multiplicity tail mixes zeros: {degs}")
-    ns = list(range(hi - len(tail) + 1, hi + 1))
-    ratios = [Fraction(tail[i + 1], tail[i]) for i in range(len(tail) - 1)]
-    base = _nearest_int(ratios[-1])
-    if base < 1:
-        raise NoStableFit(f"degree ratios fall below 1/2: {degs}")
-    gaps = [abs(r - base) for r in ratios]
-    if any(g2 > g1 for g1, g2 in zip(gaps, gaps[1:])):
-        raise NoStableFit(f"degree ratios not settling near {base}: {degs}")
-    exact = not gaps[-1]
-    u = [Fraction(v, base ** n) for n, v in zip(ns, tail)]
-    n = ns[-2]
-    step = Fraction(u[-1], u[-2])
-    for exp in range(0, 9):
-        w = (step * Fraction(n, n + 1) ** exp) ** 2
-        if Fraction(n, n + 1) <= w <= Fraction(n + 1, n):
-            return MultiplicityGrowth(
-                base, exp, u[-1] / hi ** exp, exact, window, tuple(degs))
-    raise NoStableFit(f"no polynomial correction fits degrees: {degs}")
+def asymptotic_dimension(rep):
+    """Exact eventual Krull dimension of M_n, from the shape report."""
+    slope, intercept, _, onset = _growth(rep)
+    return DimensionGrowth(slope, intercept, onset)
+
+
+def asymptotic_multiplicity(rep):
+    """Exact eventual multiplicity of M_n, from the shape report."""
+    _, _, terms, onset = _growth(rep)
+    base, poly = terms[0] if terms else (1, (0,))
+    return MultiplicityGrowth(base, len(poly) - 1, terms, onset)
 
 
 @dataclass(frozen=True)
 class DegreeFit:
-    """Eventually-polynomial fit of n -> dim in one fixed degree."""
+    """dim [M_n]_j is the polynomial with ascending coefficients
+    `coefficients` for every n >= onset, and for no smaller onset."""
 
     degree_j: int
     onset: int
-    newton: tuple  # forward differences at the onset
-    values: tuple
+    coefficients: tuple
 
     def evaluate(self, n):
-        if n < self.onset:
-            raise NoStableFit(f"fit starts at width {self.onset}")
-        return sum(d * comb(n - self.onset, i)
-                   for i, d in enumerate(self.newton))
-
-    def coefficients(self):
-        """Power-basis coefficients in n, exact fractions, ascending."""
-        acc = [Fraction(0)]
-        for i, d in enumerate(self.newton):
-            poly = [Fraction(1)]  # prod_{k<i} (n - onset - k)
-            for k in range(i):
-                a = self.onset + k
-                poly = [(poly[m - 1] if m else Fraction(0))
-                        - a * (poly[m] if m < len(poly) else Fraction(0))
-                        for m in range(len(poly) + 1)]
-            fact = 1
-            for k in range(2, i + 1):
-                fact *= k
-            scale = Fraction(d, fact)
-            if len(poly) > len(acc):
-                acc.extend([Fraction(0)] * (len(poly) - len(acc)))
-            for m, cv in enumerate(poly):
-                acc[m] += scale * cv
-        while len(acc) > 1 and acc[-1] == 0:
-            acc.pop()
-        return tuple(acc)
+        return _poly_at(self.coefficients, n)
 
 
-def fixed_degree_polynomial(result, j, n_max=10):
-    """Fit n -> dim in fixed degree j as an eventually-polynomial function.
+def fixed_degree_polynomial(result, j):
+    """The eventual polynomial n -> dim [M_n]_j of a series, least onset.
 
-    Takes the least onset whose forward-difference table reaches an all-zero
-    row inside the window.  A nonempty zero row always leaves at least one
-    data point beyond the interpolation degree, so the fit is never vacuous;
-    basis growth can push the degree past j, so no degree cap is imposed."""
-    if n_max < j + 3:
-        raise NoStableFit(f"window too short for degree {j}")
-    win = result.window(n_max, max(j, 0))
-    col = [win[(n, j)] for n in range(n_max + 1)]
-    for onset in range(0, n_max - 1):
-        row = col[onset:]
-        newton = []
-        while row:
-            if all(v == 0 for v in row):
-                return DegreeFit(j, onset, tuple(newton), tuple(col))
-            newton.append(row[0])
-            row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-    raise NoStableFit(
-        f"no polynomial onset for degree {j} within width {n_max}")
+    In t, [t^(j+K)] of num/den is C(s) / (1-s)^R, as every factor is 1 at
+    t = 0 but 1 - s f(t) with f(0) = 1.  Its s^n coefficient is a
+    polynomial in n from deg C - R + 1 on, and not at deg C - R, where the
+    polynomial part of C / (1-s)^R ends.  The degree can exceed j when
+    basis tuples multiply the count by comb(n, d)."""
+    rat = result.rational
+
+    def t_coeffs(p):
+        return BiPoly({(b, a): v for (a, b), v in p.terms.items()}).as_s_coeffs()
+
+    den = t_coeffs(rat.den_expanded())
+    rest, power = one_minus_t_order(den[0])
+    if rest != UniPoly.one():
+        raise NotConformant(f"denominator at t = 0 is not a power of 1-s: "
+                            f"{den[0]}")
+    k = j + result.t_prefactor
+    c = next(islice(_expand(t_coeffs(rat.num), den), k, None))
+    start, terms = _closed_form(c, [(1, power * (k + 1))])
+    return DegreeFit(j, start, terms[0][1] if terms else (0,))

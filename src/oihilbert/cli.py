@@ -1,7 +1,7 @@
 """Command-line front end: `oih <command> <file> [flags]`.
 
 Exit codes: 0 success, 2 schema or usage error, 3 internal error
-(engine exceptions, oracle mismatches, unstable fits).
+(engine exceptions, oracle mismatches).
 """
 
 import argparse
@@ -12,12 +12,13 @@ from .analysis import (
     artinian_test,
     asymptotic_dimension,
     asymptotic_multiplicity,
+    factor_base,
     validate_shape,
 )
 from .decomposition import compute_decomposition
 from .errors import NotInLanguage, OihError, SchemaError
 from .oicore import Monomial, hilbert_width
-from .polyarith import BiPoly, SeriesWindow, render_poly
+from .polyarith import SeriesWindow, render_poly
 from .schema import _parse_exponents, _parse_pi, load_document, monomial_to_obj
 from .series import module_series
 from .words import decode, encode, word_from_str, word_to_str
@@ -37,12 +38,6 @@ def mono_text(m):
     return out
 
 
-def _factor_text(t_power, growth):
-    base = (BiPoly.one() - BiPoly.t()) ** t_power \
-        - BiPoly.s() * BiPoly.from_uni_t(growth)
-    return render_poly(base)
-
-
 def _shape_obj(rep):
     return {
         "conformant": rep.conformant,
@@ -59,7 +54,7 @@ def _print_shape(rep):
     print("shape:", "conformant" if rep.conformant else "NOT conformant")
     print(f"  (1-t)-power: {rep.one_minus_t_power}")
     for tp, f in rep.factors:
-        print(f"  factor: {_factor_text(tp, f)}")
+        print(f"  factor: {render_poly(factor_base(tp, f))}")
     if rep.leftover is not None:
         print(f"  leftover: {render_poly(rep.leftover)}")
 
@@ -104,6 +99,9 @@ def cmd_expand(args):
 def cmd_oracle(args):
     doc = load_document(args.file)
     p = doc.effective_presentation()
+    if any(shift < 0 for _, shift in p.summands):
+        raise SchemaError("oracle: the width-wise route needs nonnegative "
+                          "shifts")
     res = module_series(p, quotient=doc.quotient)
     win = res.window(args.N, args.J)
     tables = SeriesWindow(hilbert_width(p, n, doc.quotient).dims(args.J)
@@ -116,22 +114,6 @@ def cmd_oracle(args):
         return 3
     print("OK")
     return 0
-
-
-def _window_arg(text):
-    try:
-        lo, hi = text.split(":")
-        lo, hi = int(lo), int(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"window must look like 3:8, got {text!r}")
-    if lo < 0 or hi < lo:
-        raise argparse.ArgumentTypeError(f"bad window bounds {text!r}")
-    # the multiplicity fit needs six widths
-    if hi - lo + 1 < 6:
-        raise argparse.ArgumentTypeError(
-            f"window {text!r} spans {hi - lo + 1} widths, needs at least 6")
-    return lo, hi
 
 
 def _int_arg(text, low):
@@ -153,28 +135,39 @@ def _positive_arg(text):
     return _int_arg(text, 1)
 
 
+def _growth_text(terms):
+    """sum_c c^n P_c(n) as text, largest base and degree first."""
+    monos = []
+    for c, poly in terms:
+        for k in range(len(poly) - 1, -1, -1):
+            a = poly[k]
+            parts = [str(abs(a))] if abs(a) != 1 or (k, c) == (0, 1) else []
+            parts += [f"n^{k}" if k > 1 else "n"] if k else []
+            parts += [f"{c}^n"] if c != 1 else []
+            if a:
+                monos.append(("-" if a < 0 else "") + "*".join(parts))
+    return (" + ".join(monos) or "0").replace("+ -", "- ")
+
+
 def cmd_analyze(args):
     doc = load_document(args.file)
     p = doc.effective_presentation()
-    dim = asymptotic_dimension(p, window=args.window, quotient=doc.quotient)
-    mult = asymptotic_multiplicity(p, window=args.window,
-                                   quotient=doc.quotient)
     res = module_series(p, quotient=doc.quotient, reduce=True)
     rep = validate_shape(res, p.c)
-    cert = artinian_test(p) if doc.quotient else None
+    dim = asymptotic_dimension(rep)
+    mult = asymptotic_multiplicity(rep)
+    cert = artinian_test(rep) if doc.quotient else None
     if args.json:
         out = {
             "series": res.render(),
             "dimension": {"slope": dim.slope, "intercept": dim.intercept,
-                          "window": list(dim.window),
-                          "dims": list(dim.dims)},
+                          "onset": dim.onset},
             "multiplicity": {"base": mult.base,
                              "poly_exponent": mult.poly_exponent,
-                             "limit_estimate": [
-                                 mult.limit_estimate.numerator,
-                                 mult.limit_estimate.denominator],
-                             "exact": mult.exact,
-                             "degrees": list(mult.degrees)},
+                             "terms": [{"base": c,
+                                        "poly": [str(v) for v in poly]}
+                                       for c, poly in mult.terms],
+                             "onset": mult.onset},
             "shape": _shape_obj(rep),
         }
         if cert is not None:
@@ -183,10 +176,9 @@ def cmd_analyze(args):
     else:
         print(f"series: {res.render()}")
         print(f"dimension: {dim.slope}*n + {dim.intercept} "
-              f"on window {dim.window[0]}:{dim.window[1]}")
-        print(f"multiplicity: base {mult.base}, poly exponent "
-              f"{mult.poly_exponent}, tail estimate {mult.limit_estimate}"
-              + ("" if mult.exact else " (ratios still converging)"))
+              f"for n >= {dim.onset}")
+        print(f"multiplicity: {_growth_text(mult.terms)} "
+              f"for n >= {mult.onset}")
         if cert is not None:
             print(f"artinian: {'true' if cert.verdict else 'false'}")
         _print_shape(rep)
@@ -293,8 +285,6 @@ def build_parser():
 
     an = sub.add_parser("analyze", help="growth invariants and shape")
     an.add_argument("file")
-    an.add_argument("--window", type=_window_arg, default=(3, 8),
-                    help="width window a:b for the fits (default 3:8)")
     an.add_argument("--json", action="store_true")
     an.set_defaults(func=cmd_analyze)
 
@@ -333,6 +323,11 @@ def main(argv=None):
         return 2
     except OihError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # anything else is a fault of the program: one line, no traceback
+        print(f"error: internal: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 3
 
 

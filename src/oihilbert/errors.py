@@ -37,10 +37,6 @@ class NotInLanguage(OihError):
     """The word is not a member of the language required by the operation."""
 
 
-class NoStableFit(OihError):
-    """The requested asymptotic fit did not stabilize inside the window."""
-
-
 class NotConformant(OihError):
     """A denominator factor does not match any expected shape."""
 

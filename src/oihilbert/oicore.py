@@ -21,7 +21,7 @@ from .errors import (
     ZeroElement,
     ZeroModule,
 )
-from .polyarith import UniPoly
+from .polyarith import UniPoly, one_minus_t_order
 
 
 class OIMorphism:
@@ -393,13 +393,8 @@ class WidthSeries:
 
     def reduce(self):
         """(numerator with the root t=1 removed, pole order at t=1)."""
-        num = self.num
-        pole = self.den_pow
-        omt = UniPoly((1, -1))
-        while not num.is_zero() and num(1) == 0:
-            num = num.exact_div(omt)
-            pole -= 1
-        return num, pole
+        num, k = one_minus_t_order(self.num)
+        return num, self.den_pow - k
 
     def __repr__(self):
         return f"WidthSeries({self.num!r} / (1-t)^{self.den_pow})"
@@ -408,8 +403,6 @@ class WidthSeries:
 def _free_width_numerator(p, n):
     num = UniPoly.zero()
     for d, shift in p.summands:
-        if shift < 0:
-            raise WidthMismatch("width-wise series needs nonnegative shifts")
         num = num + UniPoly.const(comb(n, d)).shift(shift)
     return num
 
@@ -444,8 +437,6 @@ def dim_deg_width(p, n, quotient=True):
     num, pole = ws.reduce()
     if num.is_zero():
         raise ZeroModule(f"width-{n} component is zero")
-    if pole < 0:
-        return 0, 0
     return pole, num(1)
 
 

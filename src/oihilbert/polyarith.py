@@ -1,7 +1,7 @@
 """Exact polynomial arithmetic over Z: univariate and bivariate polynomials,
 rational functions with factored denominators, and truncated series windows.
 
-Everything is arbitrary-precision integer (or exact Fraction) arithmetic; the
+Everything is arbitrary-precision integer arithmetic; the
 pipeline contains no floating point. Bivariate terms are keyed by (s-degree,
 t-degree). The canonical term order used for rendering sorts by s-degree, then
 t-degree, both ascending.
@@ -9,8 +9,6 @@ t-degree, both ascending.
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
 from math import gcd as _int_gcd
 
 from .errors import NonDivisible, SingularAtOrigin
@@ -274,9 +272,6 @@ class BiPoly:
     def is_one(self):
         return self.terms == {(0, 0): 1}
 
-    def is_constant(self):
-        return not self.terms or set(self.terms) == {(0, 0)}
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -469,6 +464,16 @@ class BiPoly:
         return f"BiPoly({render_poly(self)!r})"
 
 
+def one_minus_t_order(u):
+    """(q, k) with u = (1-t)^k * q and k as large as it goes; the zero
+    polynomial gives (u, 0)."""
+    k = 0
+    while u and u(1) == 0:
+        u = u.exact_div(UniPoly((1, -1)))
+        k += 1
+    return u, k
+
+
 def split_content(p):
     """Split p, with p(0, 0) = 1, into (piece, exponent) pairs whose
     product is p; every piece has constant term 1.
@@ -489,12 +494,8 @@ def split_content(p):
     if content(0) < 0:
         content = -content
     primitive = BiPoly.from_s_coeffs([u.exact_div(content) for u in coeffs])
-    one_minus_t = UniPoly((1, -1))
-    k = 0
-    while content(1) == 0:
-        content = content.exact_div(one_minus_t)
-        k += 1
-    pieces = [(BiPoly.from_uni_t(one_minus_t), k)] if k else []
+    content, k = one_minus_t_order(content)
+    pieces = [(BiPoly.from_uni_t(UniPoly((1, -1))), k)] if k else []
     for piece in (BiPoly.from_uni_t(content), primitive):
         if not piece.is_one():
             pieces.append((piece, 1))
@@ -720,69 +721,27 @@ class SeriesWindow:
         return f"SeriesWindow({self.n_max}, {self.j_max})"
 
 
-def _trunc_mul(a, b, n_max, j_max):
-    out = {}
-    for (i, j), x in a.items():
-        if i > n_max or j > j_max:
-            continue
-        for (k, l), y in b.items():
-            n, m = i + k, j + l
-            if n > n_max or m > j_max:
-                continue
-            key = (n, m)
-            w = out.get(key, 0) + x * y
-            if w:
-                out[key] = w
-            elif key in out:
-                del out[key]
-    return out
-
-
-def _series_inverse(d, n_max, j_max):
-    """Inverse of d as a power series, truncated; d must be a unit at (0,0)."""
-    d00 = d.get((0, 0), 0)
-    if d00 == 0:
-        raise SingularAtOrigin("denominator vanishes at s = t = 0")
-    rest = [(k, v) for k, v in d.items() if k != (0, 0)]
-    exact_int = d00 in (1, -1)
-    inv = {}
-    for n in range(n_max + 1):
-        for j in range(j_max + 1):
-            if n == 0 and j == 0:
-                inv[(0, 0)] = d00 if exact_int else Fraction(1, d00)
-                continue
-            acc = 0
-            for (k, l), v in rest:
-                if k <= n and l <= j:
-                    w = inv.get((n - k, j - l), 0)
-                    if w:
-                        acc += v * w
-            if acc:
-                inv[(n, j)] = (-acc * d00) if exact_int else Fraction(-acc, d00)
-    return inv
-
-
 def expand_series(r, n_max, j_max, t_prefactor=0):
     """Expand a FactoredRational into a SeriesWindow of exact coefficients.
 
     t_prefactor k means the function is t^-k times `r`; the window reports
-    coefficients of nonnegative t-degrees only.
+    coefficients of nonnegative t-degrees only.  The expanded denominator
+    must be 1 at s = t = 0, as every factor the pipeline makes is, so the
+    division stays in the integers.
     """
     jj = j_max + t_prefactor
-    den = {(0, 0): 1}
-    for base, e in r.factors:
-        for _ in range(e):
-            den = _trunc_mul(den, base.terms, n_max, jj)
-    inv = _series_inverse(den, n_max, jj)
-    w = _trunc_mul(r.num.terms, inv, n_max, jj)
-    rows = []
+    den = r.den_expanded()
+    if den.coeff(0, 0) != 1:
+        raise SingularAtOrigin("denominator is not 1 at s = t = 0")
+    rest = [((k, l), v) for (k, l), v in den.terms.items()
+            if (k or l) and k <= n_max and l <= jj]
+    w = {}
     for n in range(n_max + 1):
-        row = []
-        for j in range(j_max + 1):
-            v = w.get((n, j + t_prefactor), 0)
-            if isinstance(v, Fraction):
-                if v.denominator == 1:
-                    v = int(v)
-            row.append(v)
-        rows.append(row)
-    return SeriesWindow(rows)
+        for j in range(jj + 1):
+            acc = r.num.coeff(n, j)
+            for (k, l), v in rest:
+                if k <= n and l <= j:
+                    acc -= v * w[(n - k, j - l)]
+            w[(n, j)] = acc
+    return SeriesWindow([[w[(n, j + t_prefactor)] for j in range(j_max + 1)]
+                         for n in range(n_max + 1)])

@@ -3,8 +3,8 @@
 Every test prints a single "criterion NN ...: PASS/FAIL" line (visible with
 -s, or in the captured output of a failing run) and asserts that no case
 failed.  All arithmetic is exact — integer window tables, cross-multiplied
-polynomial identities, Fraction fits — and every randomized corpus is
-seeded, so the suite is deterministic.
+polynomial identities, Fraction closed forms — and every randomized corpus
+is seeded, so the suite is deterministic.
 """
 
 import random
@@ -28,7 +28,7 @@ from oihilbert.decomposition import (
     repeated_division_sides,
     verify_decomposition,
 )
-from oihilbert.errors import NoStableFit, ZeroModule
+from oihilbert.errors import ZeroModule
 from oihilbert.oicore import (
     ModulePresentation,
     Monomial,
@@ -91,7 +91,7 @@ def all_monomials(c, d, w_max, deg_max):
 
 @pytest.fixture(scope="module")
 def corpus():
-    """The shared 200-presentation random corpus (criteria 3, 6, 8, 10, 11)."""
+    """The shared 200-presentation random corpus (criteria 3, 6, 8-11)."""
     rng = random.Random(20260816)
     out = []
     for _ in range(200):
@@ -262,26 +262,45 @@ def test_criterion_08_repeated_division(corpus):
     report(8, "repeated-division width identity", failures)
 
 
-def test_criterion_09_asymptotic_invariants():
+def growth_of(p, res):
+    """Exact eventual dimension and multiplicity of a quotient series."""
+    rep = validate_shape(res, p.c)
+    return asymptotic_dimension(rep), asymptotic_multiplicity(rep), rep
+
+
+def widthwise_growth_failures(p, dim, mult, n_max=9):
+    """Widths from the onset to n_max where the exact growth differs from
+    the width-wise dimension and multiplicity (zero module: (0, 0))."""
+    out = []
+    for n in range(dim.onset, n_max + 1):
+        try:
+            want = dim_deg_width(p, n, quotient=True)
+        except ZeroModule:
+            want = (0, 0)
+        if want != (dim.slope * n + dim.intercept, mult.evaluate(n)):
+            out.append(n)
+    return out
+
+
+def test_criterion_09_asymptotic_invariants(corpus):
     failures = []
-    for a in (1, 2, 3):
-        p = principal_power(a)
-        try:
-            if asymptotic_dimension(p, (3, 8)).slope != 0:
-                failures.append(("principal", a, "dimension slope"))
-            if asymptotic_multiplicity(p, (3, 8)).base != a:
-                failures.append(("principal", a, "multiplicity base"))
-        except NoStableFit as exc:
-            failures.append(("principal", a, str(exc)))
-    for c, d in FREE_PAIRS:
-        p = free_presentation(c, d)
-        try:
-            if asymptotic_dimension(p, (3, 8)).slope != c:
-                failures.append(("free", c, d, "dimension slope"))
-            if asymptotic_multiplicity(p, (3, 8)).base != 1:
-                failures.append(("free", c, d, "multiplicity base"))
-        except NoStableFit as exc:
-            failures.append(("free", c, d, str(exc)))
+    cases = [(("principal", a), principal_power(a), (0, 0, a, 0))
+             for a in (1, 2, 3)]
+    cases += [(("free", c, d), free_presentation(c, d), (c, 0, 1, d))
+              for c, d in FREE_PAIRS]
+    for tag, p, want in cases:
+        dim, mult, _ = growth_of(p, module_series(p, reduce=True))
+        got = (dim.slope, dim.intercept, mult.base, mult.poly_exponent)
+        if got != want:
+            failures.append((tag, got, want))
+        bad = widthwise_growth_failures(p, dim, mult)
+        if bad:
+            failures.append((tag, "widths", bad))
+    for k, (p, res) in enumerate(corpus):
+        dim, mult, _ = growth_of(p, res)
+        bad = widthwise_growth_failures(p, dim, mult)
+        if bad:
+            failures.append((k, "widths", bad))
     report(9, "asymptotic growth invariants", failures)
 
 
@@ -290,31 +309,38 @@ def test_criterion_10_fixed_degree_polynomiality(corpus):
     for k, (p, res) in enumerate(corpus):
         win = res.window(10, 4)
         for j in range(5):
-            try:
-                fit = fixed_degree_polynomial(res, j, n_max=10)
-            except NoStableFit as exc:
-                failures.append((k, j, str(exc)))
-                continue
+            fit = fixed_degree_polynomial(res, j)
             for n in range(fit.onset, 11):
                 if fit.evaluate(n) != win[n, j]:
                     failures.append((k, j, n))
+            if fit.onset and fit.evaluate(fit.onset - 1) == win[
+                    fit.onset - 1, j]:
+                failures.append((k, j, "onset not least"))
     report(10, "fixed-degree polynomiality", failures)
 
 
 def test_criterion_11_artinian_criterion(corpus):
     failures = []
+
+    def verdict(p):
+        return artinian_test(
+            validate_shape(module_series(p, reduce=True), p.c)).verdict
+
     for a in (1, 2, 3):
-        if artinian_test(principal_power(a)).verdict is not True:
+        if verdict(principal_power(a)) is not True:
             failures.append(("principal", a))
     for c, d in FREE_PAIRS:
-        if artinian_test(free_presentation(c, d)).verdict is not False:
+        if verdict(free_presentation(c, d)) is not False:
             failures.append(("free", c, d))
     squarefree = ModulePresentation(
         1, [(0, 0)], [Monomial(1, 2, ((1,), (1,)))])
-    if artinian_test(squarefree).verdict is not False:
+    if verdict(squarefree) is not False:
         failures.append(("squarefree pair",))
-    for k, (p, _) in enumerate(corpus):
-        verdict = artinian_test(p).verdict
+    for k, (p, res) in enumerate(corpus):
+        dim, _, rep = growth_of(p, res)
+        cert = artinian_test(rep).verdict
+        if cert != (dim.slope == 0 and dim.intercept == 0):
+            failures.append((k, cert, "eventual dimension", dim))
         wi = size_invariants(p).wi_plus
         base = wi if wi != -inf else 0
         widthwise = True
@@ -324,8 +350,8 @@ def test_criterion_11_artinian_criterion(corpus):
                     widthwise = False
             except ZeroModule:
                 pass
-        if verdict != widthwise:
-            failures.append((k, verdict, widthwise))
+        if cert != widthwise:
+            failures.append((k, cert, widthwise))
     report(11, "eventual finite length", failures)
 
 

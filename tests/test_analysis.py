@@ -7,17 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from oihilbert.analysis import (
     ArtinianCertificate,
-    DegreeFit,
-    _nearest_int,
+    _last_zero,
     artinian_test,
     asymptotic_dimension,
     asymptotic_multiplicity,
     fixed_degree_polynomial,
     validate_shape,
 )
-from oihilbert.errors import NoStableFit, ZeroModule
+from oihilbert.errors import ZeroModule
 from oihilbert.oicore import Monomial, ModulePresentation, dim_deg_width
 from oihilbert.polyarith import BiPoly, FactoredRational, UniPoly, split_content
+from oihilbert.schema import parse_document
 from oihilbert.series import SeriesResult, module_series
 
 from corpus import random_presentation
@@ -32,9 +32,13 @@ def principal_power(a):
     return ideal(1, ((a,),))
 
 
-def shape_of(p):
-    res = module_series(p, quotient=True, reduce=True)
+def shape_of(p, quotient=True):
+    res = module_series(p, quotient=quotient, reduce=True)
     return res, validate_shape(res, p.c)
+
+
+def report_of(p, quotient=True):
+    return shape_of(p, quotient)[1]
 
 
 ONE_MINUS_T = BiPoly.one() - BiPoly.t()
@@ -162,20 +166,21 @@ def widthwise_artinian(p, window):
 
 class TestArtinian:
     def test_known_verdicts(self):
-        assert artinian_test(principal_power(1)).verdict
-        assert artinian_test(principal_power(2)).verdict
-        assert not artinian_test(ideal(1, ((1,), (1,)))).verdict
-        assert not artinian_test(ModulePresentation(1, [(0, 0)], [])).verdict
-        assert not artinian_test(ModulePresentation(2, [(0, 0)], [])).verdict
-        assert not artinian_test(ideal(2, ((1, 1),))).verdict
+        assert artinian_test(report_of(principal_power(1))).verdict
+        assert artinian_test(report_of(principal_power(2))).verdict
+        assert not artinian_test(report_of(ideal(1, ((1,), (1,))))).verdict
+        for c in (1, 2):
+            free = ModulePresentation(c, [(0, 0)], [])
+            assert not artinian_test(report_of(free)).verdict
+        assert not artinian_test(report_of(ideal(2, ((1, 1),)))).verdict
 
     def test_certificate_division_identity(self):
-        cert = artinian_test(principal_power(2))
+        cert = artinian_test(report_of(principal_power(2)))
         assert cert == ArtinianCertificate(
             True, 0, (0,), (UniPoly((1, 1)),), 0,
             BiPoly.zero(), BiPoly.one(), 0)
         # r^e * g = quotient * prod(1 - s f_j) + remainder
-        cert = artinian_test(ideal(1, ((1,), (1,))))
+        cert = artinian_test(report_of(ideal(1, ((1,), (1,)))))
         assert cert.f_list == (UniPoly.one(), UniPoly.one())
         den = BiPoly.one()
         r = UniPoly.one()
@@ -189,12 +194,12 @@ class TestArtinian:
 
     def test_eventually_zero_widths(self):
         # unit generator at width 2: K, then K[x], then zero
-        cert = artinian_test(ideal(1, ((0,), (0,))))
+        cert = artinian_test(report_of(ideal(1, ((0,), (0,)))))
         assert cert.verdict
         assert cert.one_minus_t_power == 1
         assert cert.remainder == BiPoly.zero()
         assert cert.remainder_order == 1
-        assert artinian_test(ideal(1, ((0,),))).verdict
+        assert artinian_test(report_of(ideal(1, ((0,),)))).verdict
 
     def test_matches_widthwise_krull(self):
         rng = random.Random(90210)
@@ -204,7 +209,7 @@ class TestArtinian:
                   for _ in range(15)]
         for p in cases:
             wi = max([g.width for g in p.generators], default=1)
-            assert artinian_test(p).verdict == widthwise_artinian(
+            assert artinian_test(report_of(p)).verdict == widthwise_artinian(
                 p, (wi + 1, wi + 5)), p
 
     def test_artinian_tail_numerator_nonzero_at_one(self):
@@ -214,100 +219,171 @@ class TestArtinian:
                 assert dim_deg_width(p, n, quotient=True) == (0, a ** n)
 
 
+def widthwise(p, n, quotient=True):
+    """(Krull dimension, multiplicity) of M_n, (0, 0) for the zero module."""
+    try:
+        return dim_deg_width(p, n, quotient)
+    except ZeroModule:
+        return (0, 0)
+
+
 class TestDimensionGrowth:
     def test_free_modules(self):
         for c in (1, 2):
-            g = asymptotic_dimension(ModulePresentation(c, [(0, 0)], []))
-            assert (g.slope, g.intercept) == (c, 0)
+            g = asymptotic_dimension(
+                report_of(ModulePresentation(c, [(0, 0)], [])))
+            assert (g.slope, g.intercept, g.onset) == (c, 0, 0)
 
     def test_known_quotients(self):
-        g = asymptotic_dimension(principal_power(1))
+        g = asymptotic_dimension(report_of(principal_power(1)))
         assert (g.slope, g.intercept) == (0, 0)
-        g = asymptotic_dimension(ideal(1, ((1,), (1,))))
+        g = asymptotic_dimension(report_of(ideal(1, ((1,), (1,)))))
         assert (g.slope, g.intercept) == (0, 1)
 
     def test_zero_submodule_side(self):
-        g = asymptotic_dimension(
-            ModulePresentation(1, [(0, 0)], []), quotient=False)
-        assert (g.slope, g.intercept) == (0, 0)
+        g = asymptotic_dimension(report_of(
+            ModulePresentation(1, [(0, 0)], []), quotient=False))
+        assert (g.slope, g.intercept, g.onset) == (0, 0, 0)
 
     def test_slope_bounded_by_rows(self):
         rng = random.Random(4096)
         for _ in range(15):
             p = random_presentation(rng)
-            g = asymptotic_dimension(p)
+            g = asymptotic_dimension(report_of(p))
             assert 0 <= g.slope <= p.c
-            assert g.dims[-1] == g.slope * 8 + g.intercept
+            n = g.onset + 3
+            assert widthwise(p, n)[0] == g.slope * n + g.intercept
 
-    def test_short_window_rejected(self):
-        with pytest.raises(NoStableFit):
-            asymptotic_dimension(principal_power(1), window=(3, 5))
+
+# oracle-analyze corpus documents (perfbench/corpus, seed 2006) with their
+# exact growth: (slope, intercept, onset, multiplicity terms)
+GROWTH_DOCS = {
+    # 1 - s - s*t divides the denominator, yet the multiplicity is 1
+    "036": ({"c": 1, "summands": [{"d": 0, "shift": 1}, {"d": 0, "shift": 0}],
+             "generators": [
+                 {"summand": 1, "width": 2, "exponents": [[1], [0]]},
+                 {"summand": 0, "width": 2, "exponents": [[1], [2]]},
+                 {"summand": 0, "width": 1, "exponents": [[3]]}]},
+            (0, 1, 1, ((1, (1,)),))),
+    "082": ({"c": 2, "summands": [{"d": 0, "shift": 1}],
+             "generators": [
+                 {"width": 2, "exponents": [[0, 0], [0, 2]]},
+                 {"width": 3, "exponents": [[0, 2], [0, 1], [0, 0]]}]},
+            (1, 1, 2, ((1, (2,)),))),
+    "107": ({"c": 1, "summands": [{"d": 0, "shift": 2}, {"d": 0, "shift": 2}],
+             "generators": [
+                 {"summand": 0, "width": 3, "exponents": [[0], [0], [1]]},
+                 {"summand": 1, "width": 1, "exponents": [[2]]}]},
+            (0, 2, 2, ((1, (1,)),))),
+    # multiplicity 2^n - 1
+    "056": ({"c": 1, "summands": [{"d": 0, "shift": 2}, {"d": 0, "shift": 0}],
+             "generators": [
+                 {"summand": 0, "width": 1, "exponents": [[0]]},
+                 {"summand": 1, "width": 2, "exponents": [[2], [1]]}]},
+            (0, 1, 1, ((2, (1,)), (1, (-1,))))),
+    # multiplicity n - 1 vanishes at width 1, so the onset is 2
+    "131": ({"c": 2, "summands": [{"d": 2, "shift": 0}, {"d": 0, "shift": 1}],
+             "generators": [
+                 {"summand": 0, "width": 3,
+                  "exponents": [[0, 0], [1, 0], [0, 1]], "pi": [2, 3]},
+                 {"summand": 1, "width": 1, "exponents": [[0, 3]]}]},
+            (2, 0, 2, ((1, (-1, 1)),))),
+    "135": ({"c": 2, "summands": [{"d": 0, "shift": 1}],
+             "generators": [
+                 {"width": 3, "exponents": [[0, 0], [2, 0], [1, 0]]}]},
+            (1, 2, 2, ((2, (Fraction(1, 2),)), (1, (-1,))))),
+}
+
+
+class TestExactGrowth:
+    @pytest.mark.parametrize("name", sorted(GROWTH_DOCS))
+    def test_corpus_documents(self, name):
+        body, (slope, intercept, onset, terms) = GROWTH_DOCS[name]
+        doc = parse_document(dict(body, schema_version=1))
+        p = doc.effective_presentation()
+        rep = report_of(p)
+        dim = asymptotic_dimension(rep)
+        mult = asymptotic_multiplicity(rep)
+        assert (dim.slope, dim.intercept, dim.onset) == (slope, intercept,
+                                                         onset)
+        assert (mult.terms, mult.onset) == (terms, onset)
+        assert (mult.base, mult.poly_exponent) == (
+            terms[0][0], len(terms[0][1]) - 1)
+        for n in range(onset, 10):
+            assert widthwise(p, n) == (slope * n + intercept,
+                                       mult.evaluate(n)), n
+
+    def test_last_zero_is_proven(self):
+        one = Fraction(1)
+        assert _last_zero(((1, (-6 * one, one)),), 0) == 6
+        assert _last_zero(((1, (-6 * one, one)),), 8) == 7  # none from 8
+        assert _last_zero(((2, (one,)), (1, (-8 * one,))), 0) == 3
+        # a zero well past the point where 2^n first exceeds the rest
+        assert _last_zero(((2, (one,)), (1, (-1024 * one,))), 0) == 10
+        assert _last_zero(((3, (one,)), (2, (0 * one, -one))), 0) == -1
+        assert _last_zero(((2, (one, -one)), (1, (4 * one,))), 0) == 2
 
 
 class TestMultiplicityGrowth:
     def test_principal_powers(self):
         for a in (1, 2, 3):
-            g = asymptotic_multiplicity(principal_power(a))
-            assert g.base == a
-            assert g.poly_exponent == 0
-            assert g.exact
-            assert g.limit_estimate == 1
+            g = asymptotic_multiplicity(report_of(principal_power(a)))
+            assert (g.base, g.poly_exponent) == (a, 0)
+            assert (g.terms, g.onset) == (((a, (1,)),), 0)
 
     def test_free_modules(self):
         for c in (1, 2):
-            g = asymptotic_multiplicity(ModulePresentation(c, [(0, 0)], []))
-            assert (g.base, g.poly_exponent, g.limit_estimate) == (1, 0, 1)
+            g = asymptotic_multiplicity(
+                report_of(ModulePresentation(c, [(0, 0)], [])))
+            assert (g.base, g.poly_exponent, g.terms) == (1, 0, ((1, (1,)),))
 
     def test_max_exponent_wins(self):
-        g = asymptotic_multiplicity(ideal(1, ((2,), (3,))))
+        g = asymptotic_multiplicity(report_of(ideal(1, ((2,), (3,)))))
         assert g.base == 3
 
     def test_polynomial_correction(self):
-        g = asymptotic_multiplicity(ideal(1, ((1,), (1,))))
+        g = asymptotic_multiplicity(report_of(ideal(1, ((1,), (1,)))))
         assert (g.base, g.poly_exponent) == (1, 1)
-        assert g.limit_estimate == 1
-        assert not g.exact
+        assert g.terms == ((1, (0, 1)),)  # multiplicity n
 
     def test_eventually_zero(self):
-        g = asymptotic_multiplicity(ideal(1, ((0,), (0,))))
-        assert (g.base, g.limit_estimate) == (1, 0)
+        g = asymptotic_multiplicity(report_of(ideal(1, ((0,), (0,)))))
+        assert (g.base, g.terms, g.onset) == (1, (), 2)
 
-    def test_short_window_rejected(self):
-        with pytest.raises(NoStableFit):
-            asymptotic_multiplicity(principal_power(2), window=(3, 7))
 
-    def test_ambiguous_ratio_rejected(self):
-        assert _nearest_int(Fraction(7, 3)) == 2
-        assert _nearest_int(Fraction(5)) == 5
-        with pytest.raises(NoStableFit):
-            _nearest_int(Fraction(3, 2))
+def check_fit(res, fit, n_max=10):
+    """The fit equals the window from its onset on, and not one below."""
+    win = res.window(n_max, fit.degree_j)
+    for n in range(fit.onset, n_max + 1):
+        assert fit.evaluate(n) == win[n, fit.degree_j], n
+    if fit.onset:
+        assert fit.evaluate(fit.onset - 1) != win[fit.onset - 1, fit.degree_j]
 
 
 class TestFixedDegree:
     def test_free_single_row(self):
         res = module_series(ModulePresentation(1, [(0, 0)], []))
         fit = fixed_degree_polynomial(res, 1)
-        assert fit.coefficients() == (Fraction(0), Fraction(1))
+        assert fit.coefficients == (Fraction(0), Fraction(1))
         fit = fixed_degree_polynomial(res, 2)
-        assert fit.coefficients() == (
+        assert fit.coefficients == (
             Fraction(0), Fraction(1, 2), Fraction(1, 2))
-        for n in range(fit.onset, 11):
-            assert fit.evaluate(n) == fit.values[n]
+        check_fit(res, fit)
 
     def test_principal_quotient(self):
         res = module_series(principal_power(1), quotient=True)
-        assert fixed_degree_polynomial(res, 0).coefficients() == (Fraction(1),)
-        assert fixed_degree_polynomial(res, 1).coefficients() == (Fraction(0),)
+        assert fixed_degree_polynomial(res, 0).coefficients == (Fraction(1),)
+        assert fixed_degree_polynomial(res, 1).coefficients == (Fraction(0),)
 
     def test_late_onset(self):
-        # unit generator at width 4 zeroes the tail from there on
-        gens = [Monomial(1, 4, ((0,), (0,), (0,), (0,)))]
-        res = module_series(
-            ModulePresentation(1, [(0, 0)], gens), quotient=True)
-        fit = fixed_degree_polynomial(res, 1)
-        assert fit.onset == 4
-        assert fit.values[3] == 3 and fit.values[4] == 0
-        assert fit.evaluate(9) == 0
+        # a unit generator at width w zeroes the tail from there on
+        for w, j, onset in [(4, 1, 4), (10, 0, 10)]:
+            gens = [Monomial(1, w, ((0,),) * w)]
+            res = module_series(
+                ModulePresentation(1, [(0, 0)], gens), quotient=True)
+            fit = fixed_degree_polynomial(res, j)
+            assert (fit.onset, fit.coefficients) == (onset, (Fraction(0),))
+            check_fit(res, fit, 12)
 
     def test_reproduces_window_tail(self):
         rng = random.Random(777)
@@ -315,21 +391,7 @@ class TestFixedDegree:
             p = random_presentation(rng)
             res = module_series(p, quotient=True)
             for j in range(4):
-                fit = fixed_degree_polynomial(res, j)
-                for n in range(fit.onset, 11):
-                    assert fit.evaluate(n) == fit.values[n]
-
-    def test_unstable_within_window_rejected(self):
-        gens = [Monomial(1, 10, tuple(((0,),) * 10))]
-        res = module_series(
-            ModulePresentation(1, [(0, 0)], gens), quotient=True)
-        with pytest.raises(NoStableFit):
-            fixed_degree_polynomial(res, 0, n_max=10)
-
-    def test_short_window_rejected(self):
-        res = module_series(ModulePresentation(1, [(0, 0)], []))
-        with pytest.raises(NoStableFit):
-            fixed_degree_polynomial(res, 4, n_max=6)
+                check_fit(res, fixed_degree_polynomial(res, j))
 
     def test_power_coefficients_eventually_polynomial(self):
         # coefficient of t^j in f(t)^n, for f with constant term 1

@@ -265,21 +265,46 @@ class TestCommands:
         code, out, _ = run(capsys, "analyze",
                            str(INPUTS / "principal_cubed.json"))
         assert code == 0
-        assert "dimension: 0*n + 0" in out
-        assert "multiplicity: base 3" in out
+        assert "dimension: 0*n + 0 for n >= 0" in out
+        assert "multiplicity: 3^n for n >= 0" in out
         assert "artinian: true" in out
 
     def test_analyze_json_window(self, capsys, tmp_path):
+        # the exact onset replaces the fits' window and window values
         doc = write_doc(tmp_path, minimal())
-        code, out, _ = run(capsys, "analyze", doc, "--window", "2:9",
-                           "--json")
+        code, out, _ = run(capsys, "analyze", doc, "--json")
         assert code == 0
         data = json.loads(out)
-        assert data["dimension"] == {
-            "slope": 0, "intercept": 0, "window": [2, 9],
-            "dims": [0] * 8}
-        assert data["multiplicity"]["base"] == 1
+        assert data["dimension"] == {"slope": 0, "intercept": 0, "onset": 0}
+        assert data["multiplicity"] == {
+            "base": 1, "poly_exponent": 0,
+            "terms": [{"base": 1, "poly": ["1"]}], "onset": 0}
         assert data["artinian"] is True
+
+    def test_negative_shift_document(self, capsys, tmp_path):
+        # analyze reads the series alone; the width-wise oracle needs
+        # nonnegative shifts and says so as a usage error
+        doc = write_doc(tmp_path, minimal(summands=[{"d": 0, "shift": -1}]))
+        code, out, _ = run(capsys, "analyze", doc)
+        assert code == 0
+        assert out.splitlines()[:3] == [
+            "series: t^-1*1/(1 - s)",
+            "dimension: 0*n + 0 for n >= 0",
+            "multiplicity: 1 for n >= 0"]
+        code, out, err = run(capsys, "oracle", doc, "-N", "3", "-J", "3")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: oracle: the width-wise route needs nonnegative shifts"]
+
+    def test_unexpected_exception_exits_three(self, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_hilbert", boom)
+        code, out, err = run(capsys, "hilbert",
+                             str(INPUTS / "principal_cubed.json"))
+        assert (code, out) == (3, "")
+        assert err.splitlines() == ["error: internal: RuntimeError: boom"]
 
     def test_decompose_text(self, capsys):
         doc = str(INPUTS / "principal_x11.json")
@@ -354,11 +379,15 @@ class TestCommands:
         ["words", "decode", "--c", "1", "--d", "1", "xx"],
         ["words", "decode", "--c", "1", "--d", "1", "x9"],
         ["words", "decode", "--c", "1", "--d", "1", "t9"],
+        ["hilbert", "NOT_UTF8"],
     ])
     def test_usage_errors_exit_two(self, capsys, tmp_path, argv):
         shifted = write_doc(tmp_path, minimal(
             summands=[{"d": 0, "shift": 1}]))
-        argv = [shifted if a == "SHIFTED" else a for a in argv]
+        not_utf8 = tmp_path / "utf16.json"
+        not_utf8.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        files = {"SHIFTED": shifted, "NOT_UTF8": str(not_utf8)}
+        argv = [files.get(a, a) for a in argv]
         try:
             code = cli.main(argv)
         except SystemExit as exc:
@@ -403,6 +432,28 @@ class TestCommands:
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, timeout=120)
         assert (out.returncode, out.stdout.strip()) == (0, "[0, 0] False")
+
+    def test_benchmark_hooks_install(self):
+        # perfbench/spans.py wraps the package's entry points by name; a
+        # fresh interpreter shows that every name it looks up still exists
+        # and that the wrapped commands still run
+        root = Path(__file__).resolve().parent.parent
+        doc = str(INPUTS / "squarefree_pair.json")
+        script = (
+            "import contextlib, io, sys\n"
+            "import spans\n"
+            "spans.install(spans.Recorder())\n"
+            "from oihilbert import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [cli.main([c, {doc!r}]) for c in ('hilbert', 'analyze')]\n"
+            "print(codes)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root / "perfbench"),
+             os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert (out.returncode, out.stdout.strip()) == (0, "[0, 0]"), \
+            out.stderr
 
     def test_readme_sessions(self, capsys, monkeypatch):
         # every `$ oih ...` line of README.md, run from the repository

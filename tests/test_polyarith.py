@@ -210,6 +210,10 @@ class TestSeries:
     def test_singular_at_origin(self):
         with pytest.raises(SingularAtOrigin):
             expand_series(FactoredRational(BiPoly.one(), [(BiPoly.t(), 1)]), 2, 2)
+        # a constant term other than 1 would leave the integers
+        with pytest.raises(SingularAtOrigin):
+            expand_series(FactoredRational(
+                BiPoly.one(), [(BiPoly.const(2) - BiPoly.s(), 1)]), 2, 2)
 
     def test_window_equality_and_diff(self):
         a = SeriesWindow([[1, 0], [0, 2]])
