@@ -7,7 +7,6 @@ and extracts growth invariants from the result.
 """
 
 from .analysis import (
-    ArtinianCertificate,
     DegreeFit,
     DimensionGrowth,
     MultiplicityGrowth,
@@ -40,7 +39,6 @@ from .words import decode, encode
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArtinianCertificate",
     "Decomposition",
     "DegreeFit",
     "DimensionGrowth",

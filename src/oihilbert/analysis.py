@@ -1,6 +1,6 @@
 """Structural analysis of a reduced series: denominator shape, the exact
 eventual growth of dimension and multiplicity, polynomiality in fixed
-degree, and the eventual-finite-length certificate."""
+degree, and the eventual-finite-length verdict."""
 
 from collections import Counter
 from dataclasses import dataclass
@@ -9,7 +9,7 @@ from functools import lru_cache
 from itertools import count, islice
 
 from .errors import NonDivisible, NotConformant
-from .polyarith import BiPoly, UniPoly, one_minus_t_order, prem_bipoly_s
+from .polyarith import BiPoly, UniPoly, one_minus_t_order
 
 _ONE_MINUS_T = BiPoly({(0, 0): 1, (0, 1): -1})
 
@@ -77,63 +77,6 @@ def validate_shape(result, c):
             linear.extend([cf] * mult)
     return ShapeReport(leftover is None, power, tuple(sorted(
         linear, key=lambda p: (p[0], p[1].coeffs))), leftover, reduced.num)
-
-
-@dataclass(frozen=True)
-class ArtinianCertificate:
-    """Division data behind the eventual-finite-length verdict.
-
-    With numerator g and denominator (1-t)^power * prod_j (1 - s*f_j):
-    r^e * g = quotient * prod_j (1 - s*f_j) + remainder, where r is the
-    product of the f_j.  The verdict is true exactly when every factor
-    has t_power zero and (1-t)^power divides the remainder."""
-
-    verdict: bool
-    one_minus_t_power: int
-    factor_t_powers: tuple
-    f_list: tuple  # the f_j, one per factor with multiplicity
-    e: int
-    quotient: object  # BiPoly, or None when the verdict short-circuits
-    remainder: object
-    remainder_order: int  # (1-t)-adic order; equals power when rem = 0
-
-
-def artinian_test(rep):
-    """Decide whether the quotient has finite length in every large width.
-
-    Works from the shape report of the reduced quotient series: all factor
-    t-powers must vanish and the pseudo-remainder of the numerator by the
-    s-factors must absorb the whole (1-t)^power pole.
-    """
-    if rep.numerator.is_zero():
-        return ArtinianCertificate(True, 0, (), (), 0, None, BiPoly.zero(), 0)
-    if not rep.conformant:
-        raise NotConformant(f"unrecognized factor: {rep.leftover}")
-    t_powers = tuple(tp for tp, _ in rep.factors)
-    f_list = tuple(f for _, f in rep.factors)
-    a = rep.one_minus_t_power
-    if any(t_powers):
-        return ArtinianCertificate(
-            False, a, t_powers, f_list, 0, None, None, 0)
-    if not f_list:
-        # polynomial series over (1-t)^power: widths are eventually zero
-        return ArtinianCertificate(
-            True, a, (), (), 0, rep.numerator, BiPoly.zero(), a)
-    den = BiPoly.one()
-    r = UniPoly.one()
-    for f in f_list:
-        den = den * factor_base(0, f)
-        r = r * f
-    rem = prem_bipoly_s(rep.numerator, den)
-    e = max(0, rep.numerator.deg_s() - len(f_list) + 1)
-    if len(f_list) % 2 and e % 2:
-        rem = -rem  # lc_s(den) = (-1)^b * r: renormalize to r^e * g
-    quot = (BiPoly.from_uni_t(r ** e) * rep.numerator - rem).exact_div(den)
-    if rem.is_zero():
-        return ArtinianCertificate(True, a, t_powers, f_list, e, quot, rem, a)
-    order = min(one_minus_t_order(u)[1] for u in rem.as_s_coeffs() if u)
-    return ArtinianCertificate(
-        order >= a, a, t_powers, f_list, e, quot, rem, order)
 
 
 def _expand(num, den):
@@ -261,7 +204,7 @@ class MultiplicityGrowth:
         return _exp_poly_at(self.terms, n)
 
 
-@lru_cache(maxsize=1)  # analyze reads dimension and multiplicity in turn
+@lru_cache(maxsize=1)  # analyze reads dimension, multiplicity and verdict
 def _growth(rep):
     """(slope, intercept, terms, onset) of the eventual width-n growth.
 
@@ -318,6 +261,14 @@ def asymptotic_multiplicity(rep):
     _, _, terms, onset = _growth(rep)
     base, poly = terms[0] if terms else (1, (0,))
     return MultiplicityGrowth(base, len(poly) - 1, terms, onset)
+
+
+def artinian_test(rep):
+    """Whether the quotient has finite length in every large width: its
+    eventual Krull dimension slope*n + intercept is 0, from the shape report
+    of the reduced quotient series."""
+    slope, intercept, _, _ = _growth(rep)
+    return slope == 0 and intercept == 0
 
 
 @dataclass(frozen=True)

@@ -56,17 +56,6 @@ def empty_dfa(letters):
     return Dfa(letters, 0, -1, EMPTY_ACCEPTS, {})
 
 
-def run_dfa(dfa, word):
-    if dfa.n == 0:
-        return False
-    q = dfa.start
-    for a in word:
-        q = dfa.trans.get((q, a))
-        if q is None:
-            return False
-    return q in dfa.accepts
-
-
 def lstd_dfa(c, d):
     """DFA for the language of standard words with c colors, rank d.
 
@@ -508,21 +497,3 @@ def generating_function(dfa, weight=None):
         for q, num in zip(comp, nums):
             x[q] = FactoredRational(num, factors)
     return x[dfa.start]
-
-
-def to_dot(dfa):
-    lines = ["digraph dfa {", "  rankdir=LR;"]
-    for q in range(dfa.n):
-        shape = "doublecircle" if q in dfa.accepts else "circle"
-        mark = " (start)" if q == dfa.start else ""
-        lines.append(f'  q{q} [shape={shape}, label="{q}{mark}"];')
-    grouped = {}
-    for (q, a), r in dfa.trans.items():
-        grouped.setdefault((q, r), []).append(a)
-    from .words import letter_str
-
-    for (q, r), labels in sorted(grouped.items()):
-        text = ",".join(letter_str(a) for a in sorted(labels, reverse=True))
-        lines.append(f'  q{q} -> q{r} [label="{text}"];')
-    lines.append("}")
-    return "\n".join(lines)

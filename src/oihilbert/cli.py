@@ -156,7 +156,7 @@ def cmd_analyze(args):
     rep = validate_shape(res, p.c)
     dim = asymptotic_dimension(rep)
     mult = asymptotic_multiplicity(rep)
-    cert = artinian_test(rep) if doc.quotient else None
+    artinian = artinian_test(rep) if doc.quotient else None
     if args.json:
         out = {
             "series": res.render(),
@@ -170,8 +170,8 @@ def cmd_analyze(args):
                              "onset": mult.onset},
             "shape": _shape_obj(rep),
         }
-        if cert is not None:
-            out["artinian"] = cert.verdict
+        if artinian is not None:
+            out["artinian"] = artinian
         _emit(out)
     else:
         print(f"series: {res.render()}")
@@ -179,8 +179,8 @@ def cmd_analyze(args):
               f"for n >= {dim.onset}")
         print(f"multiplicity: {_growth_text(mult.terms)} "
               f"for n >= {mult.onset}")
-        if cert is not None:
-            print(f"artinian: {'true' if cert.verdict else 'false'}")
+        if artinian is not None:
+            print(f"artinian: {'true' if artinian else 'false'}")
         _print_shape(rep)
     return 0
 

@@ -237,15 +237,16 @@ class ModulePresentation:
 
 
 def expand_to_width(p, n):
-    """Minimal width-n generating set of the submodule: all order-embedding
-    images of the presentation's generators, minimalized."""
+    """Width-n generating set of the submodule: every distinct
+    order-embedding image of the presentation's generators, in generator
+    order.  The set need not be minimal; pass it to `minimalize` for that."""
     out = []
     for g in p.generators:
         if g.width > n:
             continue
         for values in itertools.combinations(range(1, n + 1), g.width):
             out.append(apply_morphism(OIMorphism(g.width, n, values), g))
-    return minimalize(out)
+    return list(dict.fromkeys(out))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +411,10 @@ def _free_width_numerator(p, n):
 def hilbert_width(p, n, quotient=True):
     """Classical Hilbert series at width n, as the oracle route computes it:
     expand the generators, split per (summand, basis tuple), and recurse on
-    each monomial-ideal component."""
+    each monomial-ideal component.  `kpoly` minimalizes each component, and
+    that is the only minimalization: at one width the only order-embedding
+    is the identity, so OI-divisibility inside a (summand, basis tuple)
+    group is divisibility of exponent tuples."""
     comps = group_components(expand_to_width(p, n))
     num_quot = UniPoly.zero()
     for k, (d, shift) in enumerate(p.summands):
@@ -465,13 +469,13 @@ class SizeInvariants:
 
 
 def size_invariants(p):
-    """Maximal generator width, maximal generator degree at that width, and
-    the size count used by the decomposition comparisons."""
+    """Maximal generator width, maximal degree of a minimal generator at
+    that width, and the size count used by the decomposition comparisons."""
     gens = minimalize(p.generators)
     if not gens:
         return SizeInvariants(-inf, -inf, inf)
     wi = max(g.width for g in gens)
-    top = expand_to_width(p, wi)
+    top = minimalize(expand_to_width(p, wi))
     e_plus = max(g.degree + p.shift_of(g.summand) for g in top)
     dims = hilbert_width(p, wi, quotient=True).dims(e_plus)
     return SizeInvariants(wi, e_plus, sum(dims))

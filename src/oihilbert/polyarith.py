@@ -502,35 +502,6 @@ def split_content(p):
     return pieces
 
 
-def _sl_prem(f, g):
-    """Pseudo-remainder in s of coefficient lists over Z[t]."""
-    dg = len(g) - 1
-    l = g[-1]
-    r = list(f)
-    e = (len(f) - 1) - dg + 1
-    while True:
-        while r and r[-1].is_zero():
-            r.pop()
-        if not r or len(r) - 1 < dg:
-            break
-        k = (len(r) - 1) - dg
-        c = r[-1]
-        r = [u * l for u in r]
-        for i, gc in enumerate(g):
-            r[k + i] = r[k + i] - c * gc
-        e -= 1
-    if e > 0:
-        le = l ** e
-        r = [u * le for u in r]
-    return r
-
-
-def prem_bipoly_s(f, g):
-    """Pseudo-remainder of f by g in s over Z[t]: the residue of
-    lc_s(g)^e * f modulo g, with s-degree below deg_s(g)."""
-    return BiPoly.from_s_coeffs(_sl_prem(f.as_s_coeffs(), g.as_s_coeffs()))
-
-
 class FactoredRational:
     """Rational function numerator / product of factor powers, all in Z[s,t].
 
@@ -673,20 +644,21 @@ def render_poly(p):
 
 
 def render_rational(r, t_prefactor=0):
-    """Canonical text form `num / (f1)^e1*(f2)^e2`, factors in key order."""
+    """Canonical text form `t^-K*num/(f1)^e1*(f2)^e2`, factors in key order.
+    The prefactor shows only for K > 0, and a unit numerator after it is
+    left out: `t^-K/(f1)`, or `t^-K` alone."""
     num = render_poly(r.num)
     if len(r.num.terms) > 1 and (r.factors or t_prefactor):
         num = f"({num})"
-    pre = ""
-    if t_prefactor:
-        pre = f"t^-{t_prefactor}*" if t_prefactor > 0 else ""
+    if t_prefactor > 0:
+        num = f"t^-{t_prefactor}" + ("" if num == "1" else f"*{num}")
     if not r.factors:
-        return pre + num
+        return num
     fs = []
     for base, e in r.factors:
         b = f"({render_poly(base)})"
         fs.append(b if e == 1 else f"{b}^{e}")
-    return f"{pre}{num}/" + "*".join(fs)
+    return f"{num}/" + "*".join(fs)
 
 
 class SeriesWindow:

@@ -15,6 +15,7 @@ import pytest
 
 from corpus import random_ideal, random_monomial, random_presentation, \
     random_single_summand
+from oracles import paper_artinian, run_dfa
 from oihilbert.analysis import (
     artinian_test,
     asymptotic_dimension,
@@ -22,7 +23,7 @@ from oihilbert.analysis import (
     fixed_degree_polynomial,
     validate_shape,
 )
-from oihilbert.automata import module_dfa, run_dfa
+from oihilbert.automata import module_dfa
 from oihilbert.decomposition import (
     compute_decomposition,
     repeated_division_sides,
@@ -322,25 +323,9 @@ def test_criterion_10_fixed_degree_polynomiality(corpus):
 def test_criterion_11_artinian_criterion(corpus):
     failures = []
 
-    def verdict(p):
-        return artinian_test(
-            validate_shape(module_series(p, reduce=True), p.c)).verdict
-
-    for a in (1, 2, 3):
-        if verdict(principal_power(a)) is not True:
-            failures.append(("principal", a))
-    for c, d in FREE_PAIRS:
-        if verdict(free_presentation(c, d)) is not False:
-            failures.append(("free", c, d))
-    squarefree = ModulePresentation(
-        1, [(0, 0)], [Monomial(1, 2, ((1,), (1,)))])
-    if verdict(squarefree) is not False:
-        failures.append(("squarefree pair",))
-    for k, (p, res) in enumerate(corpus):
-        dim, _, rep = growth_of(p, res)
-        cert = artinian_test(rep).verdict
-        if cert != (dim.slope == 0 and dim.intercept == 0):
-            failures.append((k, cert, "eventual dimension", dim))
+    def routes(p, rep):
+        """The runtime verdict, the paper's criterion and width-wise Krull
+        dimension zero past the generators' width."""
         wi = size_invariants(p).wi_plus
         base = wi if wi != -inf else 0
         widthwise = True
@@ -350,8 +335,22 @@ def test_criterion_11_artinian_criterion(corpus):
                     widthwise = False
             except ZeroModule:
                 pass
-        if cert != widthwise:
-            failures.append((k, cert, widthwise))
+        return artinian_test(rep), paper_artinian(rep), widthwise
+
+    squarefree = ModulePresentation(
+        1, [(0, 0)], [Monomial(1, 2, ((1,), (1,)))])
+    known = [(("principal", a), principal_power(a), True) for a in (1, 2, 3)]
+    known += [(("free", c, d), free_presentation(c, d), False)
+              for c, d in FREE_PAIRS]
+    known += [(("squarefree pair",), squarefree, False)]
+    for name, p, want in known:
+        got = routes(p, validate_shape(module_series(p, reduce=True), p.c))
+        if got != (want,) * 3:
+            failures.append((name, got))
+    for k, (p, res) in enumerate(corpus):
+        got = routes(p, validate_shape(res, p.c))
+        if len(set(got)) != 1:
+            failures.append((k, got))
     report(11, "eventual finite length", failures)
 
 

@@ -17,8 +17,6 @@ from oihilbert.automata import (
     lstd_dfa,
     minimize,
     module_dfa,
-    run_dfa,
-    to_dot,
     union_nfa,
 )
 from oihilbert.oicore import Monomial, ModulePresentation, hilbert_width, oi_divides
@@ -28,6 +26,7 @@ from oihilbert.words import alphabet, decode, is_in_lstd
 
 from corpus import random_presentation
 from enumerate_small import all_monomials, lstd_words
+from oracles import run_dfa
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
@@ -317,10 +316,6 @@ class TestGeneratingFunction:
                 dims = hilbert_width(p, n, quotient=False).dims(5)
                 for j in range(6):
                     assert win[(n, j)] == dims[j], (n, j)
-
-    def test_dot_output(self):
-        text = to_dot(module_dfa(1, 0, [Monomial(1, 1, ((1,),))]))
-        assert text.startswith("digraph") and "doublecircle" in text
 
 
 class TestPerformanceProbe:

@@ -288,9 +288,11 @@ class TestCommands:
         code, out, _ = run(capsys, "analyze", doc)
         assert code == 0
         assert out.splitlines()[:3] == [
-            "series: t^-1*1/(1 - s)",
+            "series: t^-1/(1 - s)",
             "dimension: 0*n + 0 for n >= 0",
             "multiplicity: 1 for n >= 0"]
+        code, out, _ = run(capsys, "hilbert", doc, "--reduce")
+        assert (code, out.splitlines()[0]) == (0, "t^-1/(1 - s)")
         code, out, err = run(capsys, "oracle", doc, "-N", "3", "-J", "3")
         assert (code, out) == (2, "")
         assert err.splitlines() == [

@@ -4,6 +4,7 @@ from math import comb, inf
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oihilbert import oicore
 from oihilbert.errors import SummandMismatch, WidthMismatch, ZeroElement, ZeroModule, NotAnIdeal
 from oihilbert.oicore import (
     Monomial,
@@ -145,6 +146,15 @@ class TestExpansion:
             ((1,), (0,), (0,)),
         ]
 
+    def test_non_minimal_images_kept(self):
+        # x[1,1] (given twice) and x[1,1]^2: every distinct image at width 2
+        p = ideal(1, [(1, ((1,),)), (1, ((1,),)), (1, ((2,),))])
+        got = expand_to_width(p, 2)
+        assert sorted(m.cols for m in got) == [
+            ((0,), (1,)), ((0,), (2,)), ((1,), (0,)), ((2,), (0,))]
+        assert sorted(m.cols for m in minimalize(got)) == [
+            ((0,), (1,)), ((1,), (0,))]
+
     def test_minimalize_drops_images(self):
         g = Monomial(1, 1, ((1,),))
         image = Monomial(1, 2, ((0,), (1,)))
@@ -241,6 +251,18 @@ class TestHilbertWidth:
         base = hilbert_width(unshifted, 2, quotient=False).dims(2)
         assert dims == [0, 0] + base
 
+    def test_never_minimalizes(self, monkeypatch):
+        # kpoly's per-group minimalization is the only one on this route
+        def forbidden(mons):
+            raise AssertionError("hilbert_width called minimalize")
+
+        monkeypatch.setattr(oicore, "minimalize", forbidden)
+        p = ideal(1, [(1, ((1,),)), (1, ((2,),))])
+        assert hilbert_width(p, 2).dims(3) == [1, 0, 0, 0]
+        q = principal(2, 2, ((1, 0), (0, 1)), d=1, pi=(2,))
+        assert hilbert_width(q, 3).dims(4) == [
+            degree_j_count(q, 3, j) for j in range(5)]
+
     def test_negative_shift_rejected(self):
         p = principal(1, 1, ((1,),), shift=-1)
         with pytest.raises(WidthMismatch):
@@ -303,6 +325,11 @@ class TestSizeInvariants:
         # degrees 0..2 of K[x1,x2]/(x1x2): 1, 2, 2
         assert inv.si == 5
 
+    def test_redundant_generator_at_top_width(self):
+        # x[1,1] divides x[1,1]*x[1,2], both at width 2
+        p = ideal(1, [(2, ((1,), (0,))), (2, ((1,), (1,)))])
+        assert size_invariants(p).e_plus == 1
+
     def test_redundant_generator_ignored(self):
         g = Monomial(1, 1, ((1,),))
         image = Monomial(1, 3, ((0,), (0,), (1,)))
@@ -361,7 +388,7 @@ class TestSymmetrize:
         p = ModulePresentation(2, [(0, 0)], gens, category="FI")
         sym = symmetrize_fi_ideal(p)
         for n in range(2, 5):
-            oi_side = set(expand_to_width(sym, n))
+            oi_side = set(minimalize(expand_to_width(sym, n)))
             fi_side = set()
             for g in gens:
                 for values in it.permutations(range(1, n + 1), g.width):

@@ -236,3 +236,6 @@ class TestRendering:
         assert render_rational(r) == "1/(1 - s)"
         r2 = FactoredRational(BiPoly({(1, 0): 1, (1, 1): -1}), [(one_minus_s, 2)])
         assert render_rational(r2) == "(s - s*t)/(1 - s)^2"
+        assert render_rational(r, 1) == "t^-1/(1 - s)"
+        assert render_rational(r2, 1) == "t^-1*(s - s*t)/(1 - s)^2"
+        assert render_rational(FactoredRational(BiPoly.one()), 2) == "t^-2"
