@@ -9,6 +9,8 @@ determinizing yields a DFA whose transfer matrix gives the bivariate
 Hilbert series exactly.
 """
 
+from math import isqrt
+
 from .errors import NonDivisible, OihError, ZeroModule
 from .polyarith import BiPoly, FactoredRational, split_content
 from .words import alphabet, encode, is_xi, tau, tau_index
@@ -364,35 +366,45 @@ def _shift(p, a, b):
 def _pack_size(rows, rhs):
     """Stride and coefficient bound for packing one component's system.
 
-    Only det(M) and the Cramer numerators det(M) * x have to unpack.  Each
-    is a minor that takes one entry from every row, at most one of them
-    from the right-hand side, so its t-degree is at most the sum of the
-    rows' largest t-degrees plus the largest right-hand-side t-degree, and
-    its l1 norm at most the product of the rows' l1 norms times one plus
-    the sum of the right-hand-side l1 norms.  Every row norm is at least 1
-    because each diagonal entry has constant term 1.  Returns the stride
-    (one past that t-degree) and the norm bound.
+    Only det(M) and the Cramer numerators det(M) * x must unpack; each
+    takes one entry per row and per column, the right-hand side standing
+    in for at most one column.  With r the top right-hand-side t-degree,
+    their t-degree is at most r plus the rows' top t-degrees, and at most
+    the columns' top t-degrees plus the excess of r over the smallest.
+    On |s| = |t| = 1 each entry is at most its l1 norm, so by Hadamard and
+    Parseval no coefficient of det(M) exceeds
+    H = isqrt(prod_i sum_j l1(m_ij)^2) + 1, and, expanding along the
+    replaced column, none of a numerator exceeds sum_i l1(b_i) * H (each
+    row's sum is at least 1, as each diagonal entry has constant term 1).
+    Returns the stride, one past the smaller degree bound, and
+    (1 + sum_i l1(b_i)) * H.
     """
-    width = 1 + max(b.deg_t() for b in rhs)
-    bound = 1 + sum(_l1(b) for b in rhs)
+    top = max(b.deg_t() for b in rhs)
+    by_rows = top
+    cols = {}
+    square = 1
     for row in rows:
-        width += max(p.deg_t() for p in row.values())
-        bound *= sum(_l1(p) for p in row.values())
-    return width, bound
+        by_rows += max(p.deg_t() for p in row.values())
+        square *= sum(_l1(p) ** 2 for p in row.values())
+        for j, p in row.items():
+            cols[j] = max(cols.get(j, 0), p.deg_t())
+    by_cols = sum(cols.values()) + max(0, top - min(cols.values()))
+    bound = (1 + sum(_l1(b) for b in rhs)) * (isqrt(square) + 1)
+    return 1 + min(by_rows, by_cols), bound
 
 
 def _solve_component(rows, rhs):
     """det(M) and the numerators det(M) * x of M x = rhs, for one component.
 
     rows[i] maps column to entry of row i of M; rhs[i] is a polynomial.
-    Every entry is packed once into an integer (BiPoly._pack, t and s set
-    to powers of two sized by _pack_size), fraction-free Gauss-Jordan runs
-    on the integers, and only the results are unpacked.  Packing is a ring
-    homomorphism and, by Sylvester's identity, every entry after step k is
-    a minor of order k + 1, so dividing by the previous pivot is exact on
-    the packed integers too; the integer intermediates may wrap digits,
-    but they equal the packed polynomial intermediates, and the results
-    fit their digits by the bound.
+    Every entry is packed once (BiPoly._pack, stride and digits sized by
+    _pack_size; a digit holds four times the coefficient bound, as _unpack
+    needs), fraction-free Gauss-Jordan runs on the integers, and only the
+    results are unpacked.  Packing is a ring homomorphism and, by
+    Sylvester's identity, every entry after step k is a minor of order
+    k + 1, so dividing by the previous pivot is exact on the packed
+    integers too (a remainder raises); the intermediates may wrap digits,
+    but the results fit theirs, and _unpack checks every digit.
 
     The packed integers span the spread of the right-hand side: a sparse
     right-hand side with terms far apart in both s and t, and no common
@@ -437,16 +449,31 @@ def _solve_component(rows, rhs):
     return unpack(prev), [unpack(row.get(size, 0)) for row in mat]
 
 
+def _cofactor(top, factors):
+    """The product of the factor powers `factors` lacks against `top`
+    (key -> (base, exponent))."""
+    have = {b.key(): e for b, e in factors}
+    out = BiPoly.one()
+    for key, (base, e) in top.items():
+        if e > have.get(key, 0):
+            out = out * base ** (e - have.get(key, 0))
+    return out
+
+
 def generating_function(dfa, weight=None):
     """Sum of weight(w) over accepted words, as an exact rational.
 
     The values x = e_accept + T x are solved one strongly connected
     component C at a time, sinks first: (I - T_CC) x_C = e_C + T_C,out x_out
-    with x_out already known.  The right-hand sides share one denominator,
-    and fraction-free Gauss-Jordan leaves det(I - T_CC) times the solution,
-    so det(I - T) arrives component by component.  Edge weights must
-    vanish at the origin, as t and s do; then each leading principal minor
-    of I - T_CC is 1 there: no pivot vanishes and every determinant has
+    with x_out already known.  A solved state keeps its numerator over its
+    component's one factor tuple.  C's denominator is the multiset maximum
+    of the tuples of the components its states reach: a state's terms are
+    summed per successor component and multiplied by that component's
+    cofactor, and the denominator is expanded only for an accepting state.
+    Fraction-free Gauss-Jordan leaves det(I - T_CC) times the solution, so
+    det(I - T) arrives component by component.  Edge weights must vanish
+    at the origin, as t and s do; then each leading principal minor of
+    I - T_CC is 1 there: no pivot vanishes and every determinant has
     constant term 1.  Each determinant enters the denominator split by
     split_content, so every factor is 1-t, the rest of a content or a
     primitive part, each with constant term 1.  A component of one state
@@ -464,25 +491,41 @@ def generating_function(dfa, weight=None):
         row = succ.setdefault(q, {})
         row[r] = row.get(r, zero) + weight(a)
     x = {}
+    home = {}
+    tuples = []
     for comp in _sccs(dfa.start, succ):
         pos = {q: k for k, q in enumerate(comp)}
         rows = []
-        rhs = []
+        parts = []
         for k, q in enumerate(comp):
             row = {k: one}
-            b = FactoredRational.from_poly(one if q in dfa.accepts else zero)
+            part = {}
             for r, w in succ.get(q, {}).items():
                 j = pos.get(r)
-                if j is None:
-                    b = b + x[r].mul_poly(w)
-                else:
+                if j is not None:
                     row[j] = row.get(j, zero) - w
+                elif x[r]:
+                    c = home[r]
+                    term = x[r] * w
+                    part[c] = part[c] + term if c in part else term
             rows.append(row)
-            rhs.append(b)
-        den = FactoredRational(one)
-        for b in rhs:
-            den = FactoredRational(one, den._merge_factors(b)[0])
-        nums = [b.num * b._merge_factors(den)[1] for b in rhs]
+            parts.append(part)
+        reached = set().union(*parts)
+        top = {}
+        for c in reached:
+            for base, e in tuples[c]:
+                got = top.get(base.key())
+                if got is None or got[1] < e:
+                    top[base.key()] = (base, e)
+        cofs = {c: _cofactor(top, tuples[c]) for c in reached}
+        den = (_cofactor(top, ())
+               if dfa.accepts.intersection(comp) else zero)
+        nums = []
+        for q, part in zip(comp, parts):
+            num = den if q in dfa.accepts else zero
+            for c, p in part.items():
+                num = num + (p if cofs[c].is_one() else p * cofs[c])
+            nums.append(num)
         if not any(nums):
             det = one
         elif len(comp) == 1:
@@ -493,7 +536,9 @@ def generating_function(dfa, weight=None):
             det, nums = _solve_component(
                 rows, [_shift(b, -sa, -tb) for b in nums])
             nums = [_shift(b, sa, tb) for b in nums]
-        factors = den.factors + tuple(split_content(det))
+        tuples.append(FactoredRational(
+            one, tuple(top.values()) + tuple(split_content(det))).factors)
         for q, num in zip(comp, nums):
-            x[q] = FactoredRational(num, factors)
-    return x[dfa.start]
+            x[q] = num
+            home[q] = len(tuples) - 1
+    return FactoredRational(x[dfa.start], tuples[home[dfa.start]])

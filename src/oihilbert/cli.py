@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 schema or usage error, 3 internal error
 
 import argparse
 import json
+import os
 import sys
 
 from .analysis import (
@@ -318,6 +319,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed standard output: nothing failed, and the flush
+        # at shutdown must not write to the closed pipe again
+        sys.stdout = open(os.devnull, "w")
+        return 0
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

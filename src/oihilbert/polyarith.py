@@ -391,8 +391,9 @@ class BiPoly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def deg_s(self):
@@ -527,10 +528,6 @@ class FactoredRational:
         self.factors = tuple(sorted(fs.values(), key=lambda be: be[0].key()))
 
     @classmethod
-    def from_poly(cls, p):
-        return cls(p, ())
-
-    @classmethod
     def zero(cls):
         return cls(BiPoly.zero(), ())
 
@@ -646,8 +643,11 @@ def render_poly(p):
 def render_rational(r, t_prefactor=0):
     """Canonical text form `t^-K*num/(f1)^e1*(f2)^e2`, factors in key order.
     The prefactor shows only for K > 0, and a unit numerator after it is
-    left out: `t^-K/(f1)`, or `t^-K` alone."""
+    left out: `t^-K/(f1)`, or `t^-K` alone.  A zero numerator renders as
+    `0` whatever the prefactor."""
     num = render_poly(r.num)
+    if r.num.is_zero():
+        return num
     if len(r.num.terms) > 1 and (r.factors or t_prefactor):
         num = f"({num})"
     if t_prefactor > 0:
@@ -693,20 +693,30 @@ class SeriesWindow:
         return f"SeriesWindow({self.n_max}, {self.j_max})"
 
 
+def _truncate(p, n_max, j_max):
+    """The terms of p with s-degree <= n_max and t-degree <= j_max."""
+    return BiPoly._raw({(i, j): c for (i, j), c in p.terms.items()
+                        if i <= n_max and j <= j_max})
+
+
 def expand_series(r, n_max, j_max, t_prefactor=0):
     """Expand a FactoredRational into a SeriesWindow of exact coefficients.
 
     t_prefactor k means the function is t^-k times `r`; the window reports
-    coefficients of nonnegative t-degrees only.  The expanded denominator
-    must be 1 at s = t = 0, as every factor the pipeline makes is, so the
-    division stays in the integers.
+    coefficients of nonnegative t-degrees only.  The denominator is
+    multiplied out only inside the window, which is all the division
+    reads; it must be 1 at s = t = 0, as every factor the pipeline makes
+    is, so the division stays in the integers.
     """
     jj = j_max + t_prefactor
-    den = r.den_expanded()
+    den = BiPoly.one()
+    for base, e in r.factors:
+        base = _truncate(base, n_max, jj)
+        for _ in range(e):
+            den = _truncate(den * base, n_max, jj)
     if den.coeff(0, 0) != 1:
         raise SingularAtOrigin("denominator is not 1 at s = t = 0")
-    rest = [((k, l), v) for (k, l), v in den.terms.items()
-            if (k or l) and k <= n_max and l <= jj]
+    rest = [(kl, v) for kl, v in den.terms.items() if kl != (0, 0)]
     w = {}
     for n in range(n_max + 1):
         for j in range(jj + 1):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oihilbert.automata import (
     Dfa,
+    _default_weight,
     _pack_size,
     _solve_component,
     determinize,
@@ -263,9 +264,56 @@ class TestGeneratingFunction:
             m[:, i] = col
             nums.append(from_sympy(sympy.expand(m.det())))
         for p in [det] + nums:
-            assert sum(abs(c) for c in p.terms.values()) <= bound
+            assert p.maxabs() <= bound
             assert p.deg_t() < width
         assert _solve_component(rows, rhs) == (det, nums)
+
+    def test_column_stride_cases(self):
+        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.t()
+        cases = [
+            # columns of t-degree 0 and 3, right-hand side t^2: replacing
+            # the degree-0 column lifts a Cramer numerator to t-degree 5,
+            # past the column sum 3 and short of the row bound 2 + 6
+            ([{0: one - s, 1: -t ** 3}, {0: -s, 1: one - t ** 3}],
+             [t ** 2, BiPoly.zero()], 6),
+            # columns of t-degree 3 and 1 above a constant right-hand
+            # side: det(M) reaches the column sum 4, short of the row
+            # bound 0 + 6
+            ([{0: one - t ** 3, 1: -(s * t)}, {0: -(t ** 3), 1: one - s}],
+             [one, BiPoly.zero()], 5),
+        ]
+        for rows, rhs, want in cases:
+            size = len(rows)
+            width, _ = _pack_size(rows, rhs)
+            assert width == want
+            mat = sympy.Matrix(size, size, lambda i, j: to_sympy(
+                rows[i].get(j, BiPoly.zero())))
+            det = from_sympy(sympy.expand(mat.det()))
+            nums = []
+            for i in range(size):
+                m = mat.copy()
+                m[:, i] = sympy.Matrix([to_sympy(b) for b in rhs])
+                nums.append(from_sympy(sympy.expand(m.det())))
+            assert max(p.deg_t() for p in [det] + nums) == want - 1
+            assert _solve_component(rows, rhs) == (det, nums)
+
+    def test_successor_components_with_different_factors(self):
+        # 0 <-x1-> 1 is a 2-cycle and 0 accepts; 0 -t0-> 2 reaches a
+        # component with factors (1-t)^2, 1 -t0-> 3 one with (1-s)(1-t):
+        # x2 = s/(1-t)^2 via 2 -t0-> 4, x3 = t/((1-s)(1-t)) via 3 -x1-> 4,
+        # and x4 = 1/(1-t) loops on x1 and accepts
+        trans = {(0, 1): 1, (1, 1): 0, (0, 0): 2, (1, 0): 3,
+                 (2, 1): 2, (2, 0): 4, (3, 0): 3, (3, 1): 4, (4, 1): 4}
+        dfa = Dfa(alphabet(1, 0), 5, 0, {0, 4}, trans)
+        gf = generating_function(dfa)
+        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.t()
+        # the cycle's 1 - t^2 splits into 1 - t and 1 + t
+        want = FactoredRational(
+            one, [(one - t, 3), (one + t, 1), (one - s, 1)]).factors
+        assert gf.factors == want
+        win = expand_series(gf, 4, 4)
+        assert [[win[(n, j)] for j in range(5)] for n in range(5)] == \
+            brute_window(dfa, _default_weight, 4, 4)
 
     def test_dead_cycle_contributes_nothing(self):
         # 1 <-x1-> 2 reaches no accepting state: a component whose

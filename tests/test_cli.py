@@ -1,3 +1,5 @@
+import importlib.util
+import io
 import json
 import os
 import shlex
@@ -297,6 +299,37 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert err.splitlines() == [
             "error: oracle: the width-wise route needs nonnegative shifts"]
+
+    def test_zero_series_with_prefactor(self, capsys, tmp_path):
+        # the unit generator makes the quotient zero; no t^-1 is printed
+        doc = write_doc(tmp_path, minimal(
+            summands=[{"d": 0, "shift": -1}],
+            generators=[{"summand": 0, "width": 0, "exponents": []}]))
+        code, out, _ = run(capsys, "hilbert", doc)
+        assert (code, out.splitlines()[0]) == (0, "0")
+        code, out, _ = run(capsys, "analyze", doc)
+        assert (code, out.splitlines()[0]) == (0, "series: 0")
+        # the benchmark's own parser reads it as the zero table
+        spec = importlib.util.spec_from_file_location(
+            "bench_check", INPUTS.parent / "perfbench" / "check.py")
+        check = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check)
+        assert check.expand_text("0", 2) == [[0] * 3] * 3
+
+    def test_closed_stdout_exits_zero(self, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = cli.main(["hilbert", str(INPUTS / "principal_cubed.json")])
+        # later writes, and the flush at shutdown, go nowhere
+        devnull = sys.stdout
+        monkeypatch.undo()
+        devnull.close()
+        assert devnull.name == os.devnull
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_unexpected_exception_exits_three(self, capsys, monkeypatch):
         def boom(args):

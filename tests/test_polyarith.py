@@ -139,7 +139,7 @@ class TestFactoredRational:
         half = FactoredRational(self.one_minus_t, [(self.one_minus_t, 2)])
         simple = FactoredRational(BiPoly.one(), [(self.one_minus_t, 1)])
         assert half.equals_cross_mul(simple)
-        assert not half.equals_cross_mul(FactoredRational.from_poly(BiPoly.one()))
+        assert not half.equals_cross_mul(FactoredRational(BiPoly.one()))
 
     def test_reduce_cancels_whole_factors(self):
         r = FactoredRational(
@@ -201,9 +201,25 @@ class TestSeries:
             for j in range(5):
                 assert w[n, j] == ser.coeff(S, n).coeff(T, j)
 
+    def test_factors_reaching_past_the_window(self):
+        # terms of s-degree 6 and t-degree 7 lie outside a 4 x 4 window,
+        # and (1 - t - s^6)^3 has many more
+        num = BiPoly({(0, 0): 1, (2, 1): 5})
+        f1 = BiPoly({(0, 0): 1, (0, 1): -1, (6, 0): -1})
+        f2 = BiPoly({(0, 0): 1, (1, 7): 3, (1, 0): -1})
+        w = expand_series(FactoredRational(num, [(f1, 3), (f2, 1)]), 4, 4,
+                          t_prefactor=1)
+        expr = to_sympy(num) / (to_sympy(f1) ** 3 * to_sympy(f2))
+        ser = sympy.series(
+            sympy.series(expr, S, 0, 5).removeO(), T, 0, 6
+        ).removeO().expand()
+        for n in range(5):
+            for j in range(5):
+                assert w[n, j] == ser.coeff(S, n).coeff(T, j + 1)
+
     def test_t_prefactor_shifts_columns(self):
         num = BiPoly({(0, 2): 1, (1, 3): 4})
-        r = FactoredRational.from_poly(num)
+        r = FactoredRational(num)
         w = expand_series(r, 1, 1, t_prefactor=2)
         assert w[0, 0] == 1 and w[1, 1] == 4
 
