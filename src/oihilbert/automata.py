@@ -189,26 +189,23 @@ def intersect_nfa_dfa(nfa, dfa):
 
 
 def determinize(nfa):
-    """Subset construction with bitmask states."""
+    """Subset construction with bitmask states.
+
+    Each subset's bits are walked once, collecting its destination mask
+    per letter; new subsets are numbered in alphabet order."""
     letters = nfa.alphabet
-    move = {}
+    moves = {}
     for (q, a), dests in nfa.trans.items():
         acc = 0
         for r in dests:
             acc |= 1 << r
-        move[(q, a)] = acc
+        moves.setdefault(q, []).append((a, acc))
     start = 0
     for q in nfa.starts:
         start |= 1 << q
     accept_mask = 0
     for q in nfa.accepts:
         accept_mask |= 1 << q
-
-    def bits(mask):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
 
     if start == 0:
         return empty_dfa(letters)
@@ -219,10 +216,15 @@ def determinize(nfa):
     while k < len(order):
         mask = order[k]
         k += 1
+        out = {}
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for a, acc in moves.get(low.bit_length() - 1, ()):
+                out[a] = out.get(a, 0) | acc
         for a in letters:
-            dest = 0
-            for q in bits(mask):
-                dest |= move.get((q, a), 0)
+            dest = out.get(a)
             if not dest:
                 continue
             if dest not in ids:
@@ -402,9 +404,20 @@ def _solve_component(rows, rhs):
     needs), fraction-free Gauss-Jordan runs on the integers, and only the
     results are unpacked.  Packing is a ring homomorphism and, by
     Sylvester's identity, every entry after step k is a minor of order
-    k + 1, so dividing by the previous pivot is exact on the packed
-    integers too (a remainder raises); the intermediates may wrap digits,
-    but the results fit theirs, and _unpack checks every digit.
+    k + 1, so the Bareiss divisions are exact on the packed integers too
+    (a remainder raises); the intermediates may wrap digits, but the
+    results fit theirs, and _unpack checks every digit.
+
+    Rows are rescaled lazily.  At each step Bareiss multiplies every other
+    row by the new pivot and divides it by the previous one; over a run of
+    steps those factors telescope to the last pivot over the one before
+    the first.  So each row keeps its level, the number of steps as of
+    which its stored entries are exact, and pivots[l] is the pivot of step
+    l - 1 (pivots[0] = 1).  A row with nothing in the pivot column is
+    skipped.  A touched row becomes (pivot * row - row[k] * top) /
+    pivots[level], top being the pivot row brought up to date first by
+    pivots[k] / pivots[level]; at the end each right-hand side is brought
+    up by det / pivots[level].
 
     The packed integers span the spread of the right-hand side: a sparse
     right-hand side with terms far apart in both s and t, and no common
@@ -417,28 +430,43 @@ def _solve_component(rows, rhs):
     for row, b in zip(mat, rhs):
         if b:
             row[size] = b._pack(width, nbytes)
-    prev = 1
+    pivots = [1]
+    lvl = [0] * size
+
+    def exact(val, by):
+        if by == 1:
+            return val
+        val, rem = divmod(val, by)
+        if rem:
+            raise NonDivisible("pivot does not divide a minor")
+        return val
+
+    def lift(val, level, step):
+        if level == step:
+            return val
+        return exact(val * pivots[step], pivots[level])
+
     for k in range(size):
         top = mat[k]
+        if lvl[k] < k:
+            top = mat[k] = {j: lift(v, lvl[k], k) for j, v in top.items()}
+        lvl[k] = k + 1
         pivot = top[k]
+        pivots.append(pivot)
         for i in range(size):
-            if i == k:
-                continue
             row = mat[i]
-            left = row.get(k, 0)
+            left = row.get(k)
+            if i == k or left is None:
+                continue
+            by = pivots[lvl[i]]
             new = {}
             for j in set(row) | set(top):
                 if j > k:
                     val = pivot * row.get(j, 0) - left * top.get(j, 0)
                     if val:
-                        if prev != 1:
-                            val, rem = divmod(val, prev)
-                            if rem:
-                                raise NonDivisible(
-                                    "pivot does not divide a minor")
-                        new[j] = val
+                        new[j] = exact(val, by)
             mat[i] = new
-        prev = pivot
+            lvl[i] = k + 1
 
     def unpack(val):
         terms = BiPoly._unpack(val, width, nbytes)
@@ -446,7 +474,8 @@ def _solve_component(rows, rhs):
             raise OihError("solve result exceeds its digit bound")
         return BiPoly._raw(terms)
 
-    return unpack(prev), [unpack(row.get(size, 0)) for row in mat]
+    return unpack(pivots[size]), [unpack(lift(row.get(size, 0), lvl[i], size))
+                                  for i, row in enumerate(mat)]
 
 
 def _cofactor(top, factors):

@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 schema or usage error, 3 internal error
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -257,7 +258,9 @@ def cmd_words(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process; main dispatches by command name."""
     ap = argparse.ArgumentParser(
         prog="oih",
         description="Equivariant Hilbert series of monomial OI-modules.")
@@ -268,33 +271,28 @@ def build_parser():
     h.add_argument("--reduce", action="store_true",
                    help="cancel the fraction before printing")
     h.add_argument("--json", action="store_true")
-    h.set_defaults(func=cmd_hilbert)
 
     ex = sub.add_parser("expand", help="print the dimension table")
     ex.add_argument("file")
     ex.add_argument("-N", type=_count_arg, required=True, help="max width")
     ex.add_argument("-J", type=_count_arg, required=True, help="max degree")
     ex.add_argument("--json", action="store_true")
-    ex.set_defaults(func=cmd_expand)
 
     orc = sub.add_parser(
         "oracle", help="compare the series against width-wise recursion")
     orc.add_argument("file")
     orc.add_argument("-N", type=_count_arg, required=True)
     orc.add_argument("-J", type=_count_arg, required=True)
-    orc.set_defaults(func=cmd_oracle)
 
     an = sub.add_parser("analyze", help="growth invariants and shape")
     an.add_argument("file")
     an.add_argument("--json", action="store_true")
-    an.set_defaults(func=cmd_analyze)
 
     de = sub.add_parser("decompose", help="width-descent decomposition")
     de.add_argument("file")
     de.add_argument("--e", required=True,
                     help="column-1 exponent vector, e.g. 0,2")
     de.add_argument("--json", action="store_true")
-    de.set_defaults(func=cmd_decompose)
 
     w = sub.add_parser("words", help="monomial/word round-trips")
     wsub = w.add_subparsers(dest="action", required=True)
@@ -305,20 +303,20 @@ def build_parser():
                     help="comma-separated basis tuple, e.g. 1,3")
     we.add_argument("--exponents", default="",
                     help='column-major JSON, e.g. "[[1],[0]]"')
-    we.set_defaults(func=cmd_words)
     wd = wsub.add_parser("decode")
     wd.add_argument("--c", type=_positive_arg, required=True)
     wd.add_argument("--d", type=_count_arg, required=True)
     wd.add_argument("word", help='space-separated letters, e.g. "x1 t1"')
-    wd.set_defaults(func=cmd_words)
 
     return ap
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # looked up at call time, so a replaced cmd_* function takes effect
+    func = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return func(args)
     except BrokenPipeError:
         # the reader closed standard output: nothing failed, and the flush
         # at shutdown must not write to the closed pipe again

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 from pathlib import Path
@@ -22,14 +23,15 @@ from oihilbert.automata import (
 )
 from oihilbert.oicore import Monomial, ModulePresentation, hilbert_width, oi_divides
 from oihilbert.polyarith import BiPoly, FactoredRational, expand_series
-from oihilbert.schema import load_document
+from oihilbert.schema import load_document, parse_document
 from oihilbert.words import alphabet, decode, is_in_lstd
 
 from corpus import random_presentation
 from enumerate_small import all_monomials, lstd_words
 from oracles import run_dfa
 
-INPUTS = Path(__file__).resolve().parent.parent / "inputs"
+ROOT = Path(__file__).resolve().parent.parent
+INPUTS = ROOT / "inputs"
 
 
 S, T = sympy.symbols("s t")
@@ -69,6 +71,48 @@ def augmented_systems(draw):
     rhs = draw(st.lists(rhs_polys, min_size=size, max_size=size)
                .filter(lambda bs: any(bs)))
     return rows, rhs
+
+
+def random_sparse_system(rng, size, density):
+    """I - T with a sparse T whose entries vanish at the origin, and a
+    right-hand side whose rows are zero with probability one third."""
+    def vanishing():
+        return BiPoly({rng.choice([(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]):
+                       rng.choice([-3, -2, -1, 1, 2, 3])
+                       for _ in range(rng.randint(1, 2))})
+
+    rows = []
+    for i in range(size):
+        row = {j: -vanishing() for j in range(size)
+               if j != i and rng.random() < density}
+        row[i] = BiPoly.one() - vanishing()
+        rows.append(row)
+    rhs = [BiPoly.zero() if rng.random() < 1 / 3 else
+           BiPoly({(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-3, 3)
+                   for _ in range(2)}) for _ in range(size)]
+    return rows, rhs
+
+
+def elimination_levels(rows):
+    """The levels the lazy elimination moves each row through, by the fill
+    pattern (cancellation ignored): per row, (step, level before) for each
+    step that rescales it, its own pivot step included, and the final
+    (size, level) of the right-hand side."""
+    size = len(rows)
+    pattern = [set(row) for row in rows]
+    lvl = [0] * size
+    moves = [[] for _ in rows]
+    for k in range(size):
+        moves[k].append((k, lvl[k]))
+        lvl[k] = k + 1
+        for i in range(size):
+            if i != k and k in pattern[i]:
+                moves[i].append((k, lvl[i]))
+                pattern[i] = {j for j in pattern[i] | pattern[k] if j > k}
+                lvl[i] = k + 1
+    for i in range(size):
+        moves[i].append((size, lvl[i]))
+    return moves
 
 
 def brute_window(dfa, weight, n_max, j_max):
@@ -164,6 +208,18 @@ class TestGeneratorLanguage:
         assert small.n <= big.n
         for word in itertools.product(alphabet(2, 1), repeat=4):
             assert run_dfa(small, word) == run_dfa(big, word)
+
+    def test_minimal_sizes_match_the_benchmark_corpus(self):
+        # the corpus records each summand's minimal-DFA state count at the
+        # commit that drew it: the construction must not change them
+        corpus = json.loads(
+            (ROOT / "perfbench" / "corpus" / "solve-heavy.json").read_text())
+        for entry in corpus["docs"]:
+            p = parse_document(entry["doc"]).effective_presentation()
+            sizes = [module_dfa(p.c, d, [g for g in p.generators
+                                         if g.summand == k]).n
+                     for k, (d, _) in enumerate(p.summands)]
+            assert sizes == entry["min_states"], entry["id"]
 
 
 class TestGeneratingFunction:
@@ -267,6 +323,39 @@ class TestGeneratingFunction:
             assert p.maxabs() <= bound
             assert p.deg_t() < width
         assert _solve_component(rows, rhs) == (det, nums)
+
+    def test_lazy_levels_against_sympy(self):
+        rng = random.Random(20261018)
+        cases = {"skips several": 0, "first touched last": 0,
+                 "rescaled at the end": 0, "zero rhs": 0}
+        for _ in range(12):
+            size = rng.randint(4, 7)
+            rows, rhs = random_sparse_system(rng, size, 0.25)
+            if not any(rhs):
+                continue
+            moves = elimination_levels(rows)
+            for i, steps in enumerate(moves):
+                touched = [k for k, _ in steps[:-1] if k != i]
+                cases["skips several"] += any(k - l >= 2 for k, l in steps)
+                # below the last pivot, its level differs from the
+                # previous pivot's
+                cases["first touched last"] += (
+                    i < size - 2 and touched == [size - 1])
+                cases["rescaled at the end"] += bool(
+                    rhs[i] and steps[-1][1] < size)
+                cases["zero rhs"] += not rhs[i]
+            mat = sympy.Matrix(size, size, lambda i, j: to_sympy(
+                rows[i].get(j, BiPoly.zero())))
+            det = from_sympy(sympy.expand(mat.det(method="berkowitz")))
+            got_det, nums = _solve_component(rows, rhs)
+            assert got_det == det
+            # M (det x) = det b determines det x, as det is nonzero
+            for row, b in zip(rows, rhs):
+                total = BiPoly.zero()
+                for j, p in row.items():
+                    total = total + p * nums[j]
+                assert total == det * b
+        assert all(cases.values()), cases
 
     def test_column_stride_cases(self):
         one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.t()

@@ -331,6 +331,23 @@ class TestCommands:
         assert code == 0
         assert capsys.readouterr().err == ""
 
+    def test_one_parser_many_commands(self, capsys):
+        # the parser is built once per process; no flag of one command
+        # carries over to the next
+        assert cli.build_parser() is cli.build_parser()
+        doc = str(INPUTS / "principal_cubed.json")
+        code, out, _ = run(capsys, "hilbert", "--json", doc)
+        assert code == 0 and out.startswith("{")
+        code, out, _ = run(capsys, "expand", doc, "-N", "1", "-J", "1")
+        assert code == 0 and out.startswith("n\\j")
+        code, out, _ = run(capsys, "hilbert", doc)
+        assert code == 0 and not out.startswith("{")
+        with pytest.raises(SystemExit):
+            run(capsys, "hilbert", "--reduce")
+        code, out, _ = run(capsys, "words", "decode", "--c", "1", "--d",
+                           "1", "x1 t1")
+        assert code == 0 and out.strip() == "x[1,1] e(1) [width 1]"
+
     def test_unexpected_exception_exits_three(self, capsys, monkeypatch):
         def boom(args):
             raise RuntimeError("boom")
