@@ -15,7 +15,6 @@ from .oicore import (
     ModulePresentation,
     Monomial,
     colon_width,
-    group_components,
     hilbert_width,
     minimalize,
     size_invariants,
@@ -34,17 +33,6 @@ def res_monomial(m):
     else:
         pi = tuple(x - 1 for x in m.pi)
     return Monomial(m.c, m.width - 1, m.cols[1:], pi, m.summand)
-
-
-def _column1_free(flats, c):
-    """Minimal generators of a width component that avoid column 1; the
-    rest are swallowed by the column-1 variables when those are adjoined."""
-    return [f for f in flats if not any(f[:c])]
-
-
-def _unflatten(flat, c, width, pi):
-    cols = tuple(tuple(flat[k * c:(k + 1) * c]) for k in range(width))
-    return Monomial(c, width, cols, pi)
 
 
 @dataclass(frozen=True)
@@ -72,24 +60,16 @@ def compute_decomposition(p, e):
     inv = size_invariants(p)
     m = inv.wi_plus if inv.wi_plus >= 1 else max(1, d)
 
+    # generators with a column-1 variable are swallowed once the column-1
+    # variables are adjoined; the rest lose their empty first column
     marked = None
     if d >= 1:
-        comps = group_components(colon_width(p, tuple(e), m))
-        gens = []
-        for (_, pi), flats in comps.items():
-            if pi[0] != 1:
-                continue
-            for f in _column1_free(flats, p.c):
-                gens.append(res_monomial(_unflatten(f, p.c, m, pi)))
+        gens = [res_monomial(g) for g in colon_width(p, tuple(e), m)
+                if g.pi[0] == 1 and not any(g.cols[0])]
         marked = ModulePresentation(p.c, [(d - 1, 0)], minimalize(gens))
 
-    comps = group_components(colon_width(p, tuple(e), m + 1))
-    gens = []
-    for (_, pi), flats in comps.items():
-        if d >= 1 and pi[0] == 1:
-            continue
-        for f in _column1_free(flats, p.c):
-            gens.append(res_monomial(_unflatten(f, p.c, m + 1, pi)))
+    gens = [res_monomial(g) for g in colon_width(p, tuple(e), m + 1)
+            if not (d >= 1 and g.pi[0] == 1) and not any(g.cols[0])]
     unmarked = ModulePresentation(p.c, [(d, 0)], minimalize(gens))
     return Decomposition(tuple(e), m, marked, unmarked)
 

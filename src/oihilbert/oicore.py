@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import cmp_to_key
 from math import comb, inf
+from operator import le
 
 from .errors import (
     NotAnIdeal,
@@ -128,18 +129,6 @@ class Monomial:
                 f"w{self.width} k{self.summand})")
 
 
-def apply_morphism(eps, mon):
-    """Push a monomial along an order-embedding into a larger width."""
-    if eps.src != mon.width:
-        raise WidthMismatch(f"morphism source {eps.src} != monomial width {mon.width}")
-    zero = (0,) * mon.c
-    cols = [zero] * eps.dst
-    for j, col in enumerate(mon.cols):
-        cols[eps.values[j] - 1] = col
-    pi = tuple(eps.values[p - 1] for p in mon.pi)
-    return Monomial(mon.c, eps.dst, cols, pi, mon.summand)
-
-
 def _col_le(a, b):
     return all(x <= y for x, y in zip(a, b))
 
@@ -236,116 +225,126 @@ class ModulePresentation:
         )
 
 
+def _images(p, n):
+    """Every order-embedding image of each generator at width n, in
+    generator order, as (summand, basis tuple, list of columns).  An image
+    of a valid generator is valid by construction, so nothing is checked
+    again here."""
+    zero = (0,) * p.c
+    for g in p.generators:
+        for values in itertools.combinations(range(n), g.width):
+            cols = [zero] * n
+            for v, col in zip(values, g.cols):
+                cols[v] = col
+            yield g.summand, tuple(values[k - 1] + 1 for k in g.pi), cols
+
+
 def expand_to_width(p, n):
     """Width-n generating set of the submodule: every distinct
     order-embedding image of the presentation's generators, in generator
     order.  The set need not be minimal; pass it to `minimalize` for that."""
-    out = []
-    for g in p.generators:
-        if g.width > n:
-            continue
-        for values in itertools.combinations(range(1, n + 1), g.width):
-            out.append(apply_morphism(OIMorphism(g.width, n, values), g))
-    return list(dict.fromkeys(out))
+    return list(dict.fromkeys(
+        Monomial(p.c, n, cols, pi, summand)
+        for summand, pi, cols in _images(p, n)))
 
 
 # ---------------------------------------------------------------------------
 # width-wise Hilbert machinery (the slow oracle)
+#
+# A monomial ideal of the polynomial ring is held as a frozenset of flat
+# exponent tuples; its support mask has bit i set when variable i occurs.
 
-_KPOLY_CACHE = {}
-
-
-def _tuple_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+def _masks(gens):
+    """Support mask of each tuple of the list, in order."""
+    bits = [1 << i for i in range(len(gens[0]))] if gens else []
+    return [sum(itertools.compress(bits, g)) for g in gens]
 
 
 def _min_tuples(gens):
-    out = []
-    for g in sorted(gens, key=lambda t: (sum(t), t)):
-        if not any(_tuple_divides(h, g) for h in out):
-            out.append(g)
-    return frozenset(out)
+    """Minimal generating set of the ideal the exponent tuples generate.
+
+    Tuples are visited by degree, so every divisor of a tuple is seen
+    before it.  A kept tuple h can divide g only when h's support lies in
+    g's, which the support masks test before any exponent is compared.
+    `_kpoly` calls this on colon ideals only: its "plus" ideals are
+    minimal as written (see there)."""
+    gens = sorted(gens, key=lambda t: (sum(t), t))
+    kept = []
+    for m, g in zip(_masks(gens), gens):
+        for hm, h in kept:
+            if not hm & ~m and all(map(le, h, g)):
+                break
+        else:
+            kept.append((m, g))
+    return frozenset(g for _, g in kept)
 
 
 def _components(gens):
-    """Partition generators into groups with disjoint variable support."""
+    """Partition generators into groups with disjoint variable support.
+
+    Groups are kept with the union of their members' masks; each new
+    generator merges every group its mask meets, so the groups stay
+    pairwise disjoint."""
     gens = list(gens)
-    supports = [frozenset(i for i, e in enumerate(g) if e) for g in gens]
-    comps = []
-    used = [False] * len(gens)
-    for i in range(len(gens)):
-        if used[i]:
-            continue
-        stack = [i]
-        used[i] = True
-        group = []
-        sup = set()
-        while stack:
-            k = stack.pop()
-            group.append(gens[k])
-            sup |= supports[k]
-            for j in range(len(gens)):
-                if not used[j] and supports[j] & sup:
-                    used[j] = True
-                    stack.append(j)
-        comps.append(group)
-    return comps
+    groups = []
+    for m, g in zip(_masks(gens), gens):
+        members = [g]
+        rest = []
+        for gm, gs in groups:
+            if gm & m:
+                m |= gm
+                members += gs
+            else:
+                rest.append((gm, gs))
+        rest.append((m, members))
+        groups = rest
+    return [gs for _, gs in groups]
 
 
-def kpoly(gens):
+def kpoly(gens, memo=None):
     """Numerator of the quotient's Hilbert series over (1-t)^(#variables),
-    for the monomial ideal generated by the given exponent tuples."""
-    gens = _min_tuples(gens)
-    return _kpoly(gens)
+    for the monomial ideal generated by the given exponent tuples.
+
+    The recursion splits on a pivot variable x: H(I) = H(I + <x>) +
+    t H(I : x).  I + <x> is written down minimal, since a minimal G gives
+    the minimal {g in G : x does not divide g} + {x}; only I : x is
+    minimalized.  memo maps minimal generating sets to numerators; pass
+    one dict to share it across calls."""
+    return _kpoly(_min_tuples(gens), {} if memo is None else memo)
 
 
-def _kpoly(gens):
+def _kpoly(gens, memo):
     if not gens:
         return UniPoly.one()
-    hit = _KPOLY_CACHE.get(gens)
+    hit = memo.get(gens)
     if hit is not None:
         return hit
-    if any(sum(g) == 0 for g in gens):
+    nvars = len(next(iter(gens)))
+    if (0,) * nvars in gens:
         out = UniPoly.zero()
     else:
         comps = _components(gens)
         if len(comps) > 1:
             out = UniPoly.one()
             for comp in comps:
-                out = out * _kpoly(frozenset(comp))
+                out = out * _kpoly(frozenset(comp), memo)
         elif len(gens) == 1:
             (g,) = gens
             out = UniPoly.one() - UniPoly.one().shift(sum(g))
         else:
-            nvars = len(next(iter(gens)))
-            counts = [0] * nvars
-            for g in gens:
-                for i, e in enumerate(g):
-                    if e:
-                        counts[i] += 1
-            piv = max(range(nvars), key=lambda i: counts[i])
-            unit = tuple(1 if i == piv else 0 for i in range(nvars))
-            plus = _min_tuples(set(gens) | {unit})
+            counts = [len(col) - col.count(0) for col in zip(*gens)]
+            piv = max(range(nvars), key=counts.__getitem__)
+            unit = (0,) * piv + (1,) + (0,) * (nvars - piv - 1)
+            # G is minimal without the zero tuple: x_piv divides exactly
+            # the g with g[piv] > 0, and its only nonzero divisor is
+            # itself, so no kept tuple divides another.
+            plus = frozenset([g for g in gens if not g[piv]] + [unit])
             colon = _min_tuples(
-                tuple(e - 1 if i == piv and e else e for i, e in enumerate(g))
-                for g in gens
-            )
-            out = _kpoly(plus) + UniPoly((0, 1)) * _kpoly(colon)
-    _KPOLY_CACHE[gens] = out
+                g[:piv] + (g[piv] - 1,) + g[piv + 1:] if g[piv] else g
+                for g in gens)
+            out = _kpoly(plus, memo) + UniPoly((0, 1)) * _kpoly(colon, memo)
+    memo[gens] = out
     return out
-
-
-def _flatten(mon):
-    """Dense exponent tuple of the coefficient part, column-major."""
-    return tuple(e for col in mon.cols for e in col)
-
-
-def group_components(mons):
-    """Group width-n monomials by (summand, pi), as flat exponent tuples."""
-    comps = {}
-    for m in mons:
-        comps.setdefault((m.summand, m.pi), []).append(_flatten(m))
-    return comps
 
 
 class WidthSeries:
@@ -410,29 +409,27 @@ def _free_width_numerator(p, n):
 
 def hilbert_width(p, n, quotient=True):
     """Classical Hilbert series at width n, as the oracle route computes it:
-    expand the generators, split per (summand, basis tuple), and recurse on
-    each monomial-ideal component.  `kpoly` minimalizes each component, and
-    that is the only minimalization: at one width the only order-embedding
-    is the identity, so OI-divisibility inside a (summand, basis tuple)
-    group is divisibility of exponent tuples."""
-    comps = group_components(expand_to_width(p, n))
-    num_quot = UniPoly.zero()
-    for k, (d, shift) in enumerate(p.summands):
-        if shift < 0:
-            raise WidthMismatch("width-wise series needs nonnegative shifts")
-        total = comb(n, d)
-        nonempty = 0
-        acc = UniPoly.zero()
-        for (summand, pi), gens in comps.items():
-            if summand != k:
-                continue
-            nonempty += 1
-            acc = acc + kpoly(gens)
-        acc = acc + UniPoly.const(total - nonempty)
-        num_quot = num_quot + acc.shift(shift)
+    enumerate the generators' images as flat exponent tuples, group them
+    per (summand, basis tuple), and recurse on each group's monomial ideal
+    with one `kpoly` memo for the call.  Each group is minimalized once,
+    in `kpoly`: at one width the only order-embedding is the identity, so
+    OI-divisibility inside a group is divisibility of exponent tuples.  In
+    the recursion only colon ideals are minimalized again, since the
+    "plus" ideal of a minimal set is minimal as written (see `kpoly`).
+    A basis tuple with no generator is a free summand, numerator 1."""
+    if any(shift < 0 for _, shift in p.summands):
+        raise WidthMismatch("width-wise series needs nonnegative shifts")
+    comps = {}
+    for summand, pi, cols in _images(p, n):
+        comps.setdefault((summand, pi), set()).add(
+            tuple(itertools.chain.from_iterable(cols)))
+    memo = {}
+    ideal = UniPoly.zero()
+    for (k, _), gens in comps.items():
+        ideal = ideal + (UniPoly.one() - kpoly(gens, memo)).shift(p.shift_of(k))
     if quotient:
-        return WidthSeries(num_quot, p.c * n)
-    return WidthSeries(_free_width_numerator(p, n) - num_quot, p.c * n)
+        return WidthSeries(_free_width_numerator(p, n) - ideal, p.c * n)
+    return WidthSeries(ideal, p.c * n)
 
 
 def dim_deg_width(p, n, quotient=True):

@@ -8,6 +8,7 @@ indices covering 1..d, then zeros), monomials by direct enumeration.
 
 import itertools
 
+from oihilbert.errors import WidthMismatch
 from oihilbert.oicore import Monomial
 
 
@@ -107,3 +108,16 @@ def brute_divides(g, m):
         if ok:
             return True
     return False
+
+
+def apply_morphism(eps, mon):
+    """Push a monomial along an order-embedding into a larger width, as a
+    Monomial built and checked column by column."""
+    if eps.src != mon.width:
+        raise WidthMismatch(f"morphism source {eps.src} != monomial width {mon.width}")
+    zero = (0,) * mon.c
+    cols = [zero] * eps.dst
+    for j, col in enumerate(mon.cols):
+        cols[eps.values[j] - 1] = col
+    pi = tuple(eps.values[p - 1] for p in mon.pi)
+    return Monomial(mon.c, eps.dst, cols, pi, mon.summand)

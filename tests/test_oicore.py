@@ -1,5 +1,8 @@
 import itertools
+import json
+import random
 from math import comb, inf
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,13 +13,12 @@ from oihilbert.oicore import (
     Monomial,
     ModulePresentation,
     OIMorphism,
-    apply_morphism,
+    WidthSeries,
     colon_width,
     compare_monomials,
     dim_deg_width,
     expand_to_width,
     find_embedding,
-    group_components,
     hilbert_width,
     kpoly,
     leading_monomial,
@@ -26,8 +28,11 @@ from oihilbert.oicore import (
     symmetrize_fi_ideal,
 )
 from oihilbert.polyarith import UniPoly
+from oihilbert.schema import parse_document
 
-from enumerate_small import all_monomials, brute_divides
+from enumerate_small import all_monomials, apply_morphism, brute_divides
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def ideal(c, gens, shift=0):
@@ -41,23 +46,54 @@ def principal(c, width, cols, d=0, pi=(), shift=0):
 
 
 def degree_j_count(p, n, j, quotient=True):
-    """Direct count of degree-j monomials, the honest slow route."""
-    gens = group_components(expand_to_width(p, n))
+    """Direct count of degree-j monomials at width n, each tested against
+    every generator by brute-force OI-divisibility."""
     total = 0
-    ncells = p.c * n
     for k, (d, shift) in enumerate(p.summands):
-        jj = j - shift
-        if jj < 0:
+        if j < shift:
             continue
-        for pi in itertools.combinations(range(1, n + 1), d):
-            comp = gens.get((k, pi), [])
-            for flat in itertools.product(range(jj + 1), repeat=ncells) if ncells else [()]:
-                if sum(flat) != jj:
-                    continue
-                inside = any(all(a <= b for a, b in zip(g, flat)) for g in comp)
-                if inside == (not quotient):
-                    total += 1
+        for m in all_monomials(p.c, d, n, j - shift, summand=k):
+            if m.degree != j - shift:
+                continue
+            inside = any(brute_divides(g, m) for g in p.generators)
+            if inside == (not quotient):
+                total += 1
     return total
+
+
+def outside_count(gens, nvars, j):
+    """Degree-j monomials in nvars variables that no tuple in gens divides."""
+    count = 0
+    for vs in itertools.combinations_with_replacement(range(nvars), j):
+        flat = [0] * nvars
+        for v in vs:
+            flat[v] += 1
+        if not any(all(a <= b for a, b in zip(g, flat)) for g in gens):
+            count += 1
+    return count
+
+
+def random_ideal(rng, nvars, case):
+    """0-6 exponent tuples; by case, with disjoint supports, a duplicate,
+    a unit tuple or the zero tuple mixed in."""
+    gens = []
+    for _ in range(rng.randint(0, 6)):
+        if case % 5 == 1:  # disjoint supports: one block of variables each
+            lo = rng.randrange(nvars)
+            hi = rng.randint(lo + 1, nvars)
+            g = [rng.randint(1, 3) if lo <= i < hi else 0 for i in range(nvars)]
+        else:
+            g = [rng.choice((0, 0, 1, 2, 3)) for _ in range(nvars)]
+        gens.append(tuple(g))
+    if case % 5 == 2 and gens:
+        gens.append(rng.choice(gens))
+    if case % 5 == 3:
+        v = rng.randrange(nvars)
+        gens.append(tuple(int(i == v) for i in range(nvars)))
+    if case % 5 == 4:
+        gens.append((0,) * nvars)
+    rng.shuffle(gens)
+    return gens
 
 
 class TestMorphisms:
@@ -155,6 +191,24 @@ class TestExpansion:
         assert sorted(m.cols for m in minimalize(got)) == [
             ((0,), (1,)), ((1,), (0,))]
 
+    def test_matches_morphism_images(self):
+        # every image apply_morphism gives, deduplicated in generator order
+        p = ModulePresentation(2, [(0, 1), (1, 0), (2, 0)], [
+            Monomial(2, 1, ((1, 0),), (), 0),
+            Monomial(2, 2, ((0, 1), (2, 0)), (2,), 1),
+            Monomial(2, 1, ((1, 1),), (1,), 1),
+            Monomial(2, 2, ((0, 0), (1, 0)), (1, 2), 2),
+            Monomial(2, 1, ((1, 0),), (), 0),
+        ])
+        for n in range(5):
+            want = []
+            for g in p.generators:
+                for values in itertools.combinations(range(1, n + 1), g.width):
+                    m = apply_morphism(OIMorphism(g.width, n, values), g)
+                    if m not in want:
+                        want.append(m)
+            assert expand_to_width(p, n) == want
+
     def test_minimalize_drops_images(self):
         g = Monomial(1, 1, ((1,),))
         image = Monomial(1, 2, ((0,), (1,)))
@@ -191,18 +245,24 @@ class TestKpoly:
             [(3, 0, 0)],
         ]
         for gens in ideals:
-            num = kpoly(gens)
-            from oihilbert.oicore import WidthSeries
+            dims = WidthSeries(kpoly(gens), 3).dims(6)
+            assert dims == [outside_count(gens, 3, j) for j in range(7)]
 
-            dims = WidthSeries(num, 3).dims(6)
-            for j in range(7):
-                count = 0
-                for flat in itertools.product(range(j + 1), repeat=3):
-                    if sum(flat) == j and not any(
-                        all(a <= b for a, b in zip(g, flat)) for g in gens
-                    ):
-                        count += 1
-                assert dims[j] == count
+    def test_random_ideals_against_enumeration(self):
+        rng = random.Random(2024)
+        shared = {}
+        for case in range(250):
+            nvars = rng.randint(2, 5)
+            gens = random_ideal(rng, nvars, case)
+            want = [outside_count(gens, nvars, j) for j in range(7)]
+            assert WidthSeries(kpoly(gens), nvars).dims(6) == want, gens
+            # a memo shared across ideals gives the same numerators
+            assert WidthSeries(kpoly(gens, shared), nvars).dims(6) == want, gens
+        # every ideal the recursion visits is held minimal, the "plus"
+        # ideals included, which are never minimalized
+        for key in shared:
+            for a, b in itertools.permutations(key, 2):
+                assert not all(x <= y for x, y in zip(a, b)), key
 
 
 class TestHilbertWidth:
@@ -262,6 +322,19 @@ class TestHilbertWidth:
         q = principal(2, 2, ((1, 0), (0, 1)), d=1, pi=(2,))
         assert hilbert_width(q, 3).dims(4) == [
             degree_j_count(q, 3, j) for j in range(5)]
+
+    def test_tables_match_the_benchmark_corpus(self):
+        # the corpus records each document's width-wise table at the
+        # commit that drew it: the oracle route must reproduce every cell
+        corpus = json.loads(
+            (ROOT / "perfbench" / "corpus" / "oracle-analyze.json").read_text())
+        size = corpus["check_window"]
+        for entry in corpus["docs"]:
+            doc = parse_document(entry["doc"])
+            p = doc.effective_presentation()
+            for n in range(size + 1):
+                got = hilbert_width(p, n, doc.quotient).dims(size)
+                assert got == entry["ref"][n], (entry["id"], n)
 
     def test_negative_shift_rejected(self):
         p = principal(1, 1, ((1,),), shift=-1)
