@@ -47,9 +47,6 @@ class Dfa:
         self.accepts = frozenset(accepts)
         self.trans = dict(trans)
 
-    def step(self, state, letter):
-        return self.trans.get((state, letter))
-
 
 EMPTY_ACCEPTS = frozenset()
 
@@ -236,7 +233,19 @@ def determinize(nfa):
 
 
 def minimize(dfa):
-    """Trim then Moore partition refinement (sink kept implicit)."""
+    """Trim, then Hopcroft partition refinement.
+
+    Missing transitions and those into dead states (not both reachable and
+    co-reachable) go to an explicit sink block, so the refinement runs on a
+    complete automaton (Hopcroft 1971; for partial DFAs, Valmari and
+    Lehtinen 2008).  It starts from the accepting live states, the other
+    live states and the sink, and splits with per-letter inverse
+    transitions.  The worklist holds splitter blocks: a block split while
+    queued queues both halves, otherwise only the smaller one.  A
+    splitter's members are copied before refining with it, as refining can
+    split the splitter itself.  Blocks are numbered in order of their
+    smallest live state.
+    """
     if dfa.n == 0:
         return dfa
     letters = dfa.alphabet
@@ -267,42 +276,54 @@ def minimize(dfa):
 
     SINK = -1
     states = sorted(live)
-    cls = {SINK: 0}
+    inv = {a: {SINK: [SINK]} for a in letters}
     for q in states:
-        cls[q] = 2 if q in dfa.accepts else 1
-    # non-accepting live states start apart from the sink: they reach an
-    # accept state, the sink never does, so they can only split further
-    while True:
-        sigs = {}
-        for q in states:
-            sig = (cls[q],) + tuple(
-                cls[dfa.trans[(q, a)]] if dfa.trans.get((q, a)) in live
-                else 0
-                for a in letters)
-            sigs.setdefault(sig, []).append(q)
-        new_cls = {SINK: 0}
-        for i, (_, members) in enumerate(sorted(sigs.items()), start=1):
-            for q in members:
-                new_cls[q] = i
-        if new_cls == cls:
-            break
-        cls = new_cls
+        for a in letters:
+            r = dfa.trans.get((q, a))
+            inv[a].setdefault(r if r in live else SINK, []).append(q)
+    accepting = live & dfa.accepts
+    members = [m for m in (accepting, live - accepting, {SINK}) if m]
+    blk = {q: b for b, m in enumerate(members) for q in m}
+    work = list(range(len(members)))
+    queued = set(work)
+    while work:
+        b = work.pop()
+        queued.discard(b)
+        splitter = list(members[b])
+        for a in letters:
+            pre = inv[a]
+            hit = {}
+            for r in splitter:
+                for q in pre.get(r, ()):
+                    hit.setdefault(blk[q], []).append(q)
+            for y, part in hit.items():
+                if len(part) == len(members[y]):
+                    continue
+                z = len(members)
+                members[y].difference_update(part)
+                members.append(set(part))
+                for q in part:
+                    blk[q] = z
+                add = (z if y in queued or len(part) <= len(members[y])
+                       else y)
+                queued.add(add)
+                work.append(add)
 
     ids = {}
     for q in states:
-        ids.setdefault(cls[q], len(ids))
+        ids.setdefault(blk[q], len(ids))
     n = len(ids)
     trans = {}
     accepts = set()
     for q in states:
-        me = ids[cls[q]]
+        me = ids[blk[q]]
         if q in dfa.accepts:
             accepts.add(me)
         for a in letters:
             r = dfa.trans.get((q, a))
             if r in live:
-                trans[(me, a)] = ids[cls[r]]
-    return Dfa(letters, n, ids[cls[dfa.start]], accepts, trans)
+                trans[(me, a)] = ids[blk[r]]
+    return Dfa(letters, n, ids[blk[dfa.start]], accepts, trans)
 
 
 def module_dfa(c, d, gens):
@@ -368,7 +389,8 @@ def _shift(p, a, b):
 def _pack_size(rows, rhs):
     """Stride and coefficient bound for packing one component's system.
 
-    Only det(M) and the Cramer numerators det(M) * x must unpack; each
+    Only det(M) and Cramer numerators det(M) * x_i must unpack; the bounds
+    cover every x_i, a superset of the entry rows' that unpack.  Each
     takes one entry per row and per column, the right-hand side standing
     in for at most one column.  With r the top right-hand-side t-degree,
     their t-degree is at most r plus the rows' top t-degrees, and at most
@@ -395,20 +417,24 @@ def _pack_size(rows, rhs):
     return 1 + min(by_rows, by_cols), bound
 
 
-def _solve_component(rows, rhs):
-    """det(M) and the numerators det(M) * x of M x = rhs, for one component.
+def _solve_component(rows, rhs, first):
+    """det(M) and the numerators det(M) * x_i, i >= first, of M x = rhs.
 
     rows[i] maps column to entry of row i of M; rhs[i] is a polynomial.
     Every entry is packed once (BiPoly._pack, stride and digits sized by
     _pack_size; a digit holds four times the coefficient bound, as _unpack
-    needs), fraction-free Gauss-Jordan runs on the integers, and only the
-    results are unpacked.  Packing is a ring homomorphism and, by
-    Sylvester's identity, every entry after step k is a minor of order
-    k + 1, so the Bareiss divisions are exact on the packed integers too
-    (a remainder raises); the intermediates may wrap digits, but the
-    results fit theirs, and _unpack checks every digit.
+    needs), fraction-free elimination runs on the integers, and only the
+    results are unpacked.  A pivot k < first updates only the rows below
+    it; from first on, Gauss-Jordan runs among rows first.. alone.  Every
+    row from first on is thus updated as a full Gauss-Jordan would update
+    it, and the rows above first, whose unknowns are not wanted, are left
+    half reduced; first = 0 is the full solve.  Packing is a ring
+    homomorphism and, by Sylvester's identity, every entry after step k is
+    a minor of order k + 1, so the Bareiss divisions are exact on the
+    packed integers too (a remainder raises); the intermediates may wrap
+    digits, but the results fit theirs, and _unpack checks every digit.
 
-    Rows are rescaled lazily.  At each step Bareiss multiplies every other
+    Rows are rescaled lazily.  At each step Bareiss multiplies each updated
     row by the new pivot and divides it by the previous one; over a run of
     steps those factors telescope to the last pivot over the one before
     the first.  So each row keeps its level, the number of steps as of
@@ -453,7 +479,7 @@ def _solve_component(rows, rhs):
         lvl[k] = k + 1
         pivot = top[k]
         pivots.append(pivot)
-        for i in range(size):
+        for i in range(k + 1 if k < first else first, size):
             row = mat[i]
             left = row.get(k)
             if i == k or left is None:
@@ -474,8 +500,9 @@ def _solve_component(rows, rhs):
             raise OihError("solve result exceeds its digit bound")
         return BiPoly._raw(terms)
 
-    return unpack(pivots[size]), [unpack(lift(row.get(size, 0), lvl[i], size))
-                                  for i, row in enumerate(mat)]
+    return unpack(pivots[size]), [
+        unpack(lift(mat[i].get(size, 0), lvl[i], size))
+        for i in range(first, size)]
 
 
 def _cofactor(top, factors):
@@ -499,8 +526,12 @@ def generating_function(dfa, weight=None):
     of the tuples of the components its states reach: a state's terms are
     summed per successor component and multiplied by that component's
     cofactor, and the denominator is expanded only for an accepting state.
-    Fraction-free Gauss-Jordan leaves det(I - T_CC) times the solution, so
-    det(I - T) arrives component by component.  Edge weights must vanish
+    Only entry states are read: the start, and the targets of edges from
+    other components.  Each component orders its other states first, in
+    Tarjan order, and solves for its entry states alone
+    (_solve_component); the others keep no numerator.  The elimination
+    leaves det(I - T_CC) times the wanted unknowns, so det(I - T) arrives
+    component by component.  Edge weights must vanish
     at the origin, as t and s do; then each leading principal minor of
     I - T_CC is 1 there: no pivot vanishes and every determinant has
     constant term 1.  Each determinant enters the denominator split by
@@ -519,10 +550,18 @@ def generating_function(dfa, weight=None):
     for (q, a), r in dfa.trans.items():
         row = succ.setdefault(q, {})
         row[r] = row.get(r, zero) + weight(a)
+    sccs = _sccs(dfa.start, succ)
+    where = {q: i for i, comp in enumerate(sccs) for q in comp}
+    entry = {dfa.start}
+    for q, i in where.items():
+        entry.update(r for r in succ.get(q, ()) if where[r] != i)
     x = {}
     home = {}
     tuples = []
-    for comp in _sccs(dfa.start, succ):
+    for comp in sccs:
+        inner = [q for q in comp if q not in entry]
+        first = len(inner)
+        comp = inner + [q for q in comp if q in entry]
         pos = {q: k for k, q in enumerate(comp)}
         rows = []
         parts = []
@@ -557,17 +596,18 @@ def generating_function(dfa, weight=None):
             nums.append(num)
         if not any(nums):
             det = one
+            nums = nums[first:]
         elif len(comp) == 1:
             det = rows[0][0]
         else:
             sa = min(i for b in nums for i, _ in b.terms)
             tb = min(j for b in nums for _, j in b.terms)
             det, nums = _solve_component(
-                rows, [_shift(b, -sa, -tb) for b in nums])
+                rows, [_shift(b, -sa, -tb) for b in nums], first)
             nums = [_shift(b, sa, tb) for b in nums]
         tuples.append(FactoredRational(
             one, tuple(top.values()) + tuple(split_content(det))).factors)
-        for q, num in zip(comp, nums):
+        for q, num in zip(comp[first:], nums):
             x[q] = num
             home[q] = len(tuples) - 1
     return FactoredRational(x[dfa.start], tuples[home[dfa.start]])

@@ -231,7 +231,7 @@ def cmd_decompose(args):
 def _parse_exponents_arg(text, c, width):
     try:
         cols = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:
         raise SchemaError(f"--exponents: invalid JSON: {exc}")
     return _parse_exponents({"exponents": cols}, "words encode", c, width)
 

@@ -1,6 +1,6 @@
-"""Core objects: order-preserving injections, monomials of free modules over
-the polynomial algebra with c variable rows per column, module presentations,
-and the width-wise (classical) Hilbert machinery used as the slow oracle.
+"""Core objects: monomials of free modules over the polynomial algebra with c
+variable rows per column, OI-divisibility, module presentations, and the
+width-wise (classical) Hilbert machinery used as the slow oracle.
 
 A width-n monomial is x^u e_pi: an exponent matrix u with c rows and n columns
 together with a strictly increasing basis tuple pi of length d (the rank
@@ -23,45 +23,6 @@ from .errors import (
     ZeroModule,
 )
 from .polyarith import UniPoly, one_minus_t_order
-
-
-class OIMorphism:
-    """A strictly increasing map [m] -> [n], stored as the image tuple."""
-
-    __slots__ = ("src", "dst", "values")
-
-    def __init__(self, src, dst, values):
-        values = tuple(values)
-        if len(values) != src:
-            raise WidthMismatch(f"expected {src} values, got {len(values)}")
-        if any(v < 1 or v > dst for v in values):
-            raise WidthMismatch(f"images {values} not inside [1..{dst}]")
-        if any(a >= b for a, b in zip(values, values[1:])):
-            raise WidthMismatch(f"images {values} not strictly increasing")
-        self.src = src
-        self.dst = dst
-        self.values = values
-
-    def __call__(self, j):
-        return self.values[j - 1]
-
-    def compose(self, inner):
-        """self after inner."""
-        if inner.dst != self.src:
-            raise WidthMismatch("composition widths do not match")
-        return OIMorphism(inner.src, self.dst, tuple(self.values[v - 1] for v in inner.values))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OIMorphism)
-            and (self.src, self.dst, self.values) == (other.src, other.dst, other.values)
-        )
-
-    def __hash__(self):
-        return hash((self.src, self.dst, self.values))
-
-    def __repr__(self):
-        return f"OIMorphism({self.src}->{self.dst}, {self.values})"
 
 
 class Monomial:
@@ -134,8 +95,9 @@ def _col_le(a, b):
 
 
 def find_embedding(g, m):
-    """Order-embedding eps with eps(g.pi) = m.pi and exponents of g fitting
-    under those of m column by column; None when no such embedding exists."""
+    """Images (eps(1), ..., eps(g.width)) of an order-embedding eps with
+    eps(g.pi) = m.pi and exponents of g fitting under those of m column by
+    column; None when no such embedding exists."""
     if g.summand != m.summand:
         raise SummandMismatch(f"summand {g.summand} vs {m.summand}")
     if g.width > m.width or len(g.pi) != len(m.pi):
@@ -157,7 +119,7 @@ def find_embedding(g, m):
                 return None
             values[gc - 1] = target
             target += 1
-    return OIMorphism(g.width, m.width, values)
+    return tuple(values)
 
 
 def oi_divides(g, m):

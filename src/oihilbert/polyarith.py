@@ -43,11 +43,6 @@ class UniPoly:
     def const(cls, n):
         return cls((n,))
 
-    @classmethod
-    def geometric(cls, e):
-        """1 + t + ... + t^e."""
-        return cls((1,) * (e + 1))
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -575,10 +570,6 @@ class FactoredRational:
 
     def mul_t_power(self, k):
         return self.mul_poly(BiPoly.term(0, k))
-
-    def equals_cross_mul(self, other):
-        """Exact equality as rational functions, by cross-multiplication."""
-        return (self.num * other.den_expanded()) == (other.num * self.den_expanded())
 
     def reduce(self):
         """Cancel numerator against denominator factors by trial exact

@@ -190,10 +190,12 @@ def load_document(path):
             obj = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8: {exc}") from exc
+    except (RecursionError, ValueError) as exc:
+        # ValueError covers JSONDecodeError and integers past the
+        # interpreter's digit limit; RecursionError, nesting too deep
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
     return parse_document(obj)
 
 

@@ -1,4 +1,5 @@
-"""Shared brute-force enumerators used by unit and acceptance tests.
+"""Shared brute-force enumerators and order-embeddings used by unit and
+acceptance tests.
 
 These intentionally avoid the package's own language/automata machinery so
 they can serve as independent oracles: words are produced straight from the
@@ -108,6 +109,45 @@ def brute_divides(g, m):
         if ok:
             return True
     return False
+
+
+class OIMorphism:
+    """A strictly increasing map [m] -> [n], stored as the image tuple."""
+
+    __slots__ = ("src", "dst", "values")
+
+    def __init__(self, src, dst, values):
+        values = tuple(values)
+        if len(values) != src:
+            raise WidthMismatch(f"expected {src} values, got {len(values)}")
+        if any(v < 1 or v > dst for v in values):
+            raise WidthMismatch(f"images {values} not inside [1..{dst}]")
+        if any(a >= b for a, b in zip(values, values[1:])):
+            raise WidthMismatch(f"images {values} not strictly increasing")
+        self.src = src
+        self.dst = dst
+        self.values = values
+
+    def __call__(self, j):
+        return self.values[j - 1]
+
+    def compose(self, inner):
+        """self after inner."""
+        if inner.dst != self.src:
+            raise WidthMismatch("composition widths do not match")
+        return OIMorphism(inner.src, self.dst, tuple(self.values[v - 1] for v in inner.values))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, OIMorphism)
+            and (self.src, self.dst, self.values) == (other.src, other.dst, other.values)
+        )
+
+    def __hash__(self):
+        return hash((self.src, self.dst, self.values))
+
+    def __repr__(self):
+        return f"OIMorphism({self.src}->{self.dst}, {self.values})"
 
 
 def apply_morphism(eps, mon):

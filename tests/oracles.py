@@ -1,9 +1,13 @@
 """Reference routes that the runtime does not need, kept for the tests:
-running a DFA on one word, and the paper's pseudo-division criterion for
-eventual finite length, written with sympy rather than the package's own
-polynomial arithmetic."""
+running a DFA on one word, Moore minimization, equality of rational
+functions by cross-multiplication, the geometric polynomial, and the
+paper's pseudo-division criterion for eventual finite length, written with
+sympy rather than the package's own polynomial arithmetic."""
 
 import sympy
+
+from oihilbert.automata import Dfa, empty_dfa
+from oihilbert.polyarith import UniPoly
 
 S, T = sympy.symbols("s t")
 
@@ -14,10 +18,92 @@ def run_dfa(dfa, word):
         return False
     q = dfa.start
     for a in word:
-        q = dfa.step(q, a)
+        q = dfa.trans.get((q, a))
         if q is None:
             return False
     return q in dfa.accepts
+
+
+def moore_minimize(dfa):
+    """Trim, then Moore partition refinement with the sink kept implicit:
+    the reference for automata.minimize."""
+    if dfa.n == 0:
+        return dfa
+    letters = dfa.alphabet
+    fwd = {}
+    back = {}
+    for (q, a), r in dfa.trans.items():
+        fwd.setdefault(q, []).append((a, r))
+        back.setdefault(r, []).append(q)
+    reach = {dfa.start}
+    stack = [dfa.start]
+    while stack:
+        q = stack.pop()
+        for _, r in fwd.get(q, ()):
+            if r not in reach:
+                reach.add(r)
+                stack.append(r)
+    co = set(dfa.accepts)
+    stack = list(co)
+    while stack:
+        q = stack.pop()
+        for p in back.get(q, ()):
+            if p not in co:
+                co.add(p)
+                stack.append(p)
+    live = reach & co
+    if dfa.start not in live:
+        return empty_dfa(letters)
+
+    SINK = -1
+    states = sorted(live)
+    cls = {SINK: 0}
+    for q in states:
+        cls[q] = 2 if q in dfa.accepts else 1
+    # non-accepting live states start apart from the sink: they reach an
+    # accept state, the sink never does, so they can only split further
+    while True:
+        sigs = {}
+        for q in states:
+            sig = (cls[q],) + tuple(
+                cls[dfa.trans[(q, a)]] if dfa.trans.get((q, a)) in live
+                else 0
+                for a in letters)
+            sigs.setdefault(sig, []).append(q)
+        new_cls = {SINK: 0}
+        for i, (_, members) in enumerate(sorted(sigs.items()), start=1):
+            for q in members:
+                new_cls[q] = i
+        if new_cls == cls:
+            break
+        cls = new_cls
+
+    ids = {}
+    for q in states:
+        ids.setdefault(cls[q], len(ids))
+    n = len(ids)
+    trans = {}
+    accepts = set()
+    for q in states:
+        me = ids[cls[q]]
+        if q in dfa.accepts:
+            accepts.add(me)
+        for a in letters:
+            r = dfa.trans.get((q, a))
+            if r in live:
+                trans[(me, a)] = ids[cls[r]]
+    return Dfa(letters, n, ids[cls[dfa.start]], accepts, trans)
+
+
+def equals_cross_mul(a, b):
+    """Exact equality of two FactoredRationals as rational functions, by
+    cross-multiplication."""
+    return a.num * b.den_expanded() == b.num * a.den_expanded()
+
+
+def geometric(e):
+    """1 + t + ... + t^e."""
+    return UniPoly((1,) * (e + 1))
 
 
 def _expr(b):

@@ -24,11 +24,12 @@ from oihilbert.automata import (
 from oihilbert.oicore import Monomial, ModulePresentation, hilbert_width, oi_divides
 from oihilbert.polyarith import BiPoly, FactoredRational, expand_series
 from oihilbert.schema import load_document, parse_document
+from oihilbert.series import module_series
 from oihilbert.words import alphabet, decode, is_in_lstd
 
 from corpus import random_presentation
 from enumerate_small import all_monomials, lstd_words
-from oracles import run_dfa
+from oracles import equals_cross_mul, moore_minimize, run_dfa
 
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "inputs"
@@ -154,6 +155,84 @@ class TestLstdDfa:
                 assert run_dfa(small, word) == run_dfa(dfa, word)
 
 
+def random_partial_dfa(rng):
+    """1-3 letters, up to 40 states, a random start, each transition present
+    with a drawn probability and aimed anywhere, and accepting states drawn
+    with a probability that may be 0."""
+    letters = tuple(range(rng.randint(1, 3)))
+    n = rng.randint(1, 40)
+    present = rng.random()
+    accepting = rng.choice([0.0, 0.1, 0.3])
+    trans = {(q, a): rng.randrange(n) for q in range(n) for a in letters
+             if rng.random() < present}
+    accepts = {q for q in range(n) if rng.random() < accepting}
+    return Dfa(letters, n, rng.randrange(n), accepts, trans)
+
+
+def closure(seeds, edges):
+    """The states reachable from seeds along edges ((q, letter), r)."""
+    succ = {}
+    for (q, _), r in edges:
+        succ.setdefault(q, []).append(r)
+    out = set(seeds)
+    stack = list(out)
+    while stack:
+        for r in succ.get(stack.pop(), ()):
+            if r not in out:
+                out.add(r)
+                stack.append(r)
+    return out
+
+
+def same_dfa(a, b):
+    return (a.n, a.start, a.accepts, a.trans) == (b.n, b.start, b.accepts,
+                                                   b.trans)
+
+
+def summand_automata(corpus):
+    """The subset-construction DFA of every summand of a benchmark corpus."""
+    for entry in corpus["docs"]:
+        p = parse_document(entry["doc"]).effective_presentation()
+        for k, (d, _) in enumerate(p.summands):
+            gens = [g for g in p.generators if g.summand == k]
+            if gens:
+                u = union_nfa([generator_nfa(g, d) for g in gens])
+                yield entry["id"], determinize(
+                    intersect_nfa_dfa(u, lstd_dfa(p.c, d)))
+
+
+class TestMinimize:
+    def test_random_partial_dfas_against_moore(self):
+        rng = random.Random(1971)
+        cases = {"unreachable": 0, "dead": 0, "missing": 0,
+                 "no accepts": 0, "several blocks": 0}
+        for _ in range(400):
+            dfa = random_partial_dfa(rng)
+            small = minimize(dfa)
+            assert same_dfa(small, moore_minimize(dfa)), (
+                dfa.n, dfa.start, dfa.accepts, dfa.trans)
+            reach = closure({dfa.start}, dfa.trans.items())
+            co = closure(dfa.accepts, (((r, a), q) for (q, a), r
+                                       in dfa.trans.items()))
+            cases["unreachable"] += len(reach) < dfa.n
+            cases["dead"] += bool(dfa.accepts and reach - co)
+            cases["missing"] += len(dfa.trans) < dfa.n * len(dfa.alphabet)
+            cases["no accepts"] += not dfa.accepts
+            cases["several blocks"] += small.n > 2
+        assert all(cases.values()), cases
+
+    def test_corpus_automata_against_moore(self):
+        # refining with a splitter block that is not copied first (later
+        # letters then see it shrunk) merges states in 8 of these
+        seen = 0
+        for path in sorted((ROOT / "perfbench" / "corpus").glob("*.json")):
+            corpus = json.loads(path.read_text())
+            for doc_id, dfa in summand_automata(corpus):
+                assert same_dfa(minimize(dfa), moore_minimize(dfa)), doc_id
+                seen += 1
+        assert seen > 600
+
+
 def automaton_vs_divisibility(c, d, gens, max_tau=4, max_xi=4):
     dfa = module_dfa(c, d, gens)
     for word in lstd_words(c, d, max_tau, max_xi):
@@ -228,14 +307,14 @@ class TestGeneratingFunction:
             gf = generating_function(minimize(lstd_dfa(c, 0)))
             om = one_minus_t_pow(c)
             want = FactoredRational(om, ((om - BiPoly.s(), 1),))
-            assert gf.equals_cross_mul(want)
+            assert equals_cross_mul(gf, want)
 
     def test_full_language_rank_one(self):
         gf = generating_function(minimize(lstd_dfa(1, 1)))
         om = one_minus_t_pow(1)
         want = FactoredRational(
             BiPoly.s() * om, ((om - BiPoly.s(), 2),))
-        assert gf.equals_cross_mul(want)
+        assert equals_cross_mul(gf, want)
 
     def test_principal_module_closed_form(self):
         # <x_{1,1}>: st / ((1-t-s)(1-s))
@@ -243,7 +322,7 @@ class TestGeneratingFunction:
         st = BiPoly.s() * BiPoly.t()
         d1 = BiPoly.one() - BiPoly.t() - BiPoly.s()
         d2 = BiPoly.one() - BiPoly.s()
-        assert gf.equals_cross_mul(FactoredRational(st, ((d1, 1), (d2, 1))))
+        assert equals_cross_mul(gf, FactoredRational(st, ((d1, 1), (d2, 1))))
         # one determinant per strongly connected component, not expanded
         assert set(gf.factors) == {(d1, 1), (d2, 1)}
 
@@ -322,12 +401,14 @@ class TestGeneratingFunction:
         for p in [det] + nums:
             assert p.maxabs() <= bound
             assert p.deg_t() < width
-        assert _solve_component(rows, rhs) == (det, nums)
+        assert _solve_component(rows, rhs, 0) == (det, nums)
 
     def test_lazy_levels_against_sympy(self):
         rng = random.Random(20261018)
+        splits = random.Random(1971)
         cases = {"skips several": 0, "first touched last": 0,
-                 "rescaled at the end": 0, "zero rhs": 0}
+                 "rescaled at the end": 0, "zero rhs": 0,
+                 "split inside": 0, "last row alone": 0}
         for _ in range(12):
             size = rng.randint(4, 7)
             rows, rhs = random_sparse_system(rng, size, 0.25)
@@ -347,7 +428,7 @@ class TestGeneratingFunction:
             mat = sympy.Matrix(size, size, lambda i, j: to_sympy(
                 rows[i].get(j, BiPoly.zero())))
             det = from_sympy(sympy.expand(mat.det(method="berkowitz")))
-            got_det, nums = _solve_component(rows, rhs)
+            got_det, nums = _solve_component(rows, rhs, 0)
             assert got_det == det
             # M (det x) = det b determines det x, as det is nonzero
             for row, b in zip(rows, rhs):
@@ -355,6 +436,20 @@ class TestGeneratingFunction:
                 for j, p in row.items():
                     total = total + p * nums[j]
                 assert total == det * b
+            # read only rows first.. (entry states): Cramer's numerators
+            # for those rows, and the same determinant
+            first = splits.randrange(size)
+            cases["split inside"] += 0 < first < size - 1
+            cases["last row alone"] += first == size - 1
+            col = sympy.Matrix([to_sympy(b) for b in rhs])
+            got_det, entry = _solve_component(rows, rhs, first)
+            assert got_det == det
+            assert len(entry) == size - first
+            for i, num in zip(range(first, size), entry):
+                m = mat.copy()
+                m[:, i] = col
+                assert num == from_sympy(sympy.expand(
+                    m.det(method="berkowitz")))
         assert all(cases.values()), cases
 
     def test_column_stride_cases(self):
@@ -384,7 +479,7 @@ class TestGeneratingFunction:
                 m[:, i] = sympy.Matrix([to_sympy(b) for b in rhs])
                 nums.append(from_sympy(sympy.expand(m.det())))
             assert max(p.deg_t() for p in [det] + nums) == want - 1
-            assert _solve_component(rows, rhs) == (det, nums)
+            assert _solve_component(rows, rhs, 0) == (det, nums)
 
     def test_successor_components_with_different_factors(self):
         # 0 <-x1-> 1 is a 2-cycle and 0 accepts; 0 -t0-> 2 reaches a
@@ -456,6 +551,18 @@ class TestGeneratingFunction:
 
 
 class TestPerformanceProbe:
+    def test_degree_probe(self):
+        # the quotient by x[1,1]^e x[1,2] and x[1,1] x[1,2]^e at e = 100:
+        # a 204-state minimal DFA, checked width by width past t^e
+        e = 100
+        p = ModulePresentation(1, [(0, 0)], [
+            Monomial(1, 2, ((e,), (1,))), Monomial(1, 2, ((1,), (e,)))])
+        assert module_dfa(1, 0, p.generators).n == 204
+        win = module_series(p, quotient=True, reduce=True).window(3, e + 2)
+        for n in range(4):
+            dims = hilbert_width(p, n, quotient=True).dims(e + 2)
+            assert [win[(n, j)] for j in range(e + 3)] == dims, n
+
     def test_moderate_module_is_fast(self):
         gens = [
             Monomial(2, 3, ((1, 0), (0, 1), (1, 0)), (1, 3)),

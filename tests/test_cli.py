@@ -432,13 +432,27 @@ class TestCommands:
         ["words", "decode", "--c", "1", "--d", "1", "x9"],
         ["words", "decode", "--c", "1", "--d", "1", "t9"],
         ["hilbert", "NOT_UTF8"],
+        ["hilbert", "DEEP"],
+        ["hilbert", "LONG_SHIFT"],
+        ["words", "encode", "--c", "1", "--width", "1",
+         "--exponents", "[[" + "9" * 5000 + "]]"],
+        ["words", "encode", "--c", "1", "--width", "1",
+         "--exponents", "[" * 100000],
     ])
     def test_usage_errors_exit_two(self, capsys, tmp_path, argv):
         shifted = write_doc(tmp_path, minimal(
             summands=[{"d": 0, "shift": 1}]))
         not_utf8 = tmp_path / "utf16.json"
         not_utf8.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
-        files = {"SHIFTED": shifted, "NOT_UTF8": str(not_utf8)}
+        # nesting past the recursion limit, and an integer past the
+        # interpreter's digit limit for string conversion
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        long_shift = tmp_path / "long_shift.json"
+        long_shift.write_text(json.dumps(minimal()).replace(
+            '"shift": 0', '"shift": ' + "9" * 5000))
+        files = {"SHIFTED": shifted, "NOT_UTF8": str(not_utf8),
+                 "DEEP": str(deep), "LONG_SHIFT": str(long_shift)}
         argv = [files.get(a, a) for a in argv]
         try:
             code = cli.main(argv)

@@ -12,7 +12,6 @@ from oihilbert.errors import SummandMismatch, WidthMismatch, ZeroElement, ZeroMo
 from oihilbert.oicore import (
     Monomial,
     ModulePresentation,
-    OIMorphism,
     WidthSeries,
     colon_width,
     compare_monomials,
@@ -30,7 +29,7 @@ from oihilbert.oicore import (
 from oihilbert.polyarith import UniPoly
 from oihilbert.schema import parse_document
 
-from enumerate_small import all_monomials, apply_morphism, brute_divides
+from enumerate_small import OIMorphism, all_monomials, apply_morphism, brute_divides
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -169,7 +168,8 @@ class TestDivisibility:
         emb = find_embedding(g, m)
         assert (emb is not None) == brute_divides(g, m)
         if emb is not None:
-            assert apply_morphism(emb, g).pi == m.pi
+            assert apply_morphism(OIMorphism(g.width, m.width, emb),
+                                  g).pi == m.pi
 
 
 class TestExpansion:

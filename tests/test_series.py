@@ -4,6 +4,8 @@ from oihilbert.oicore import Monomial, ModulePresentation, hilbert_width
 from oihilbert.polyarith import BiPoly, FactoredRational, render_rational
 from oihilbert.series import SeriesResult, free_series, module_series
 
+from oracles import equals_cross_mul
+
 
 def poly_dim(ncells, j):
     """Monomials of degree j in ncells variables."""
@@ -36,7 +38,7 @@ class TestFreeSeries:
         for c, d in [(1, 0), (2, 1), (1, 2)]:
             p = ModulePresentation(c, [(d, 0)], [])
             res = module_series(p)
-            assert res.rational.equals_cross_mul(free_series(c, d))
+            assert equals_cross_mul(res.rational, free_series(c, d))
 
 
 class TestModuleSeries:
@@ -45,7 +47,7 @@ class TestModuleSeries:
         res = module_series(p, quotient=True, reduce=True)
         want = FactoredRational(
             BiPoly.one(), ((BiPoly.one() - BiPoly.s(), 1),))
-        assert res.rational.equals_cross_mul(want)
+        assert equals_cross_mul(res.rational, want)
         assert res.reduced
         assert "1 - s" in res.render()
 
