@@ -505,14 +505,19 @@ def _solve_component(rows, rhs, first):
         for i in range(first, size)]
 
 
-def _cofactor(top, factors):
+def _cofactor(top, factors, memo):
     """The product of the factor powers `factors` lacks against `top`
-    (key -> (base, exponent))."""
+    (key -> (base, exponent)).  memo maps the tuple of lacking
+    (key, exponent) pairs, in top's order, to their product."""
     have = {b.key(): e for b, e in factors}
-    out = BiPoly.one()
-    for key, (base, e) in top.items():
-        if e > have.get(key, 0):
-            out = out * base ** (e - have.get(key, 0))
+    lack = tuple((key, e - have.get(key, 0))
+                 for key, (_, e) in top.items() if e > have.get(key, 0))
+    out = memo.get(lack)
+    if out is None:
+        out = BiPoly.one()
+        for key, e in lack:
+            out = out * top[key][0] ** e
+        memo[lack] = out
     return out
 
 
@@ -539,7 +544,9 @@ def generating_function(dfa, weight=None):
     primitive part, each with constant term 1.  A component of one state
     needs no elimination; a larger one is eliminated on packed integers
     (_solve_component) after the monomial common to its right-hand side
-    is divided out.
+    is divided out.  Components of one automaton repeat their cofactor
+    products and determinants, so the call memoizes both: cofactors by
+    their lacking factor powers (_cofactor), splits by the determinant.
     """
     if weight is None:
         weight = _default_weight
@@ -558,6 +565,8 @@ def generating_function(dfa, weight=None):
     x = {}
     home = {}
     tuples = []
+    cofactors = {}
+    splits = {}
     for comp in sccs:
         inner = [q for q in comp if q not in entry]
         first = len(inner)
@@ -585,8 +594,8 @@ def generating_function(dfa, weight=None):
                 got = top.get(base.key())
                 if got is None or got[1] < e:
                     top[base.key()] = (base, e)
-        cofs = {c: _cofactor(top, tuples[c]) for c in reached}
-        den = (_cofactor(top, ())
+        cofs = {c: _cofactor(top, tuples[c], cofactors) for c in reached}
+        den = (_cofactor(top, (), cofactors)
                if dfa.accepts.intersection(comp) else zero)
         nums = []
         for q, part in zip(comp, parts):
@@ -605,8 +614,11 @@ def generating_function(dfa, weight=None):
             det, nums = _solve_component(
                 rows, [_shift(b, -sa, -tb) for b in nums], first)
             nums = [_shift(b, sa, tb) for b in nums]
+        pieces = splits.get(det.key())
+        if pieces is None:
+            pieces = splits[det.key()] = tuple(split_content(det))
         tuples.append(FactoredRational(
-            one, tuple(top.values()) + tuple(split_content(det))).factors)
+            one, tuple(top.values()) + pieces).factors)
         for q, num in zip(comp[first:], nums):
             x[q] = num
             home[q] = len(tuples) - 1

@@ -106,7 +106,8 @@ def cmd_oracle(args):
                           "shifts")
     res = module_series(p, quotient=doc.quotient)
     win = res.window(args.N, args.J)
-    tables = SeriesWindow(hilbert_width(p, n, doc.quotient).dims(args.J)
+    memo = {}
+    tables = SeriesWindow(hilbert_width(p, n, doc.quotient, memo).dims(args.J)
                           for n in range(args.N + 1))
     mismatches = win.diff(tables)
     for n, j, series, widthwise in mismatches:

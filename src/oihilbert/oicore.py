@@ -263,6 +263,17 @@ def _components(gens):
     return [gs for _, gs in groups]
 
 
+def _canonical(gens):
+    """The ideal with the variables no generator uses dropped and the
+    others reordered: the nonzero columns of the sorted generators,
+    sorted.  Equal forms mean equal numerators, as a permutation of the
+    variables or an unused variable leaves the numerator over
+    (1-t)^(#variables) unchanged; ideals that differ only so may still
+    get different forms."""
+    cols = sorted(col for col in zip(*sorted(gens)) if any(col))
+    return frozenset(zip(*cols))
+
+
 def kpoly(gens, memo=None):
     """Numerator of the quotient's Hilbert series over (1-t)^(#variables),
     for the monomial ideal generated by the given exponent tuples.
@@ -270,43 +281,54 @@ def kpoly(gens, memo=None):
     The recursion splits on a pivot variable x: H(I) = H(I + <x>) +
     t H(I : x).  I + <x> is written down minimal, since a minimal G gives
     the minimal {g in G : x does not divide g} + {x}; only I : x is
-    minimalized.  memo maps minimal generating sets to numerators; pass
-    one dict to share it across calls."""
+    minimalized.  memo maps minimal generating sets to numerators, each
+    set under its own key and under its canonical form (`_canonical`), on
+    which the recursion runs; pass one dict to share it across calls, as
+    ideals of different widths share canonical forms."""
     return _kpoly(_min_tuples(gens), {} if memo is None else memo)
 
 
 def _kpoly(gens, memo):
     if not gens:
         return UniPoly.one()
-    hit = memo.get(gens)
-    if hit is not None:
-        return hit
-    nvars = len(next(iter(gens)))
-    if (0,) * nvars in gens:
+    out = memo.get(gens)
+    if out is not None:
+        return out
+    if (0,) * len(next(iter(gens))) in gens:
         out = UniPoly.zero()
     else:
-        comps = _components(gens)
-        if len(comps) > 1:
-            out = UniPoly.one()
-            for comp in comps:
-                out = out * _kpoly(frozenset(comp), memo)
-        elif len(gens) == 1:
-            (g,) = gens
-            out = UniPoly.one() - UniPoly.one().shift(sum(g))
-        else:
-            counts = [len(col) - col.count(0) for col in zip(*gens)]
-            piv = max(range(nvars), key=counts.__getitem__)
-            unit = (0,) * piv + (1,) + (0,) * (nvars - piv - 1)
-            # G is minimal without the zero tuple: x_piv divides exactly
-            # the g with g[piv] > 0, and its only nonzero divisor is
-            # itself, so no kept tuple divides another.
-            plus = frozenset([g for g in gens if not g[piv]] + [unit])
-            colon = _min_tuples(
-                g[:piv] + (g[piv] - 1,) + g[piv + 1:] if g[piv] else g
-                for g in gens)
-            out = _kpoly(plus, memo) + UniPoly((0, 1)) * _kpoly(colon, memo)
+        key = _canonical(gens)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = _split(key, memo)
     memo[gens] = out
     return out
+
+
+def _split(gens, memo):
+    """The numerator of a proper nonzero ideal, from its components or
+    its pivot split (see `kpoly`)."""
+    comps = _components(gens)
+    if len(comps) > 1:
+        out = UniPoly.one()
+        for comp in comps:
+            out = out * _kpoly(frozenset(comp), memo)
+        return out
+    if len(gens) == 1:
+        (g,) = gens
+        return UniPoly.one() - UniPoly.one().shift(sum(g))
+    nvars = len(next(iter(gens)))
+    counts = [len(col) - col.count(0) for col in zip(*gens)]
+    piv = max(range(nvars), key=counts.__getitem__)
+    unit = (0,) * piv + (1,) + (0,) * (nvars - piv - 1)
+    # G is minimal without the zero tuple: x_piv divides exactly the g
+    # with g[piv] > 0, and its only nonzero divisor is itself, so no kept
+    # tuple divides another.
+    plus = frozenset([g for g in gens if not g[piv]] + [unit])
+    colon = _min_tuples(
+        g[:piv] + (g[piv] - 1,) + g[piv + 1:] if g[piv] else g
+        for g in gens)
+    return _kpoly(plus, memo) + UniPoly((0, 1)) * _kpoly(colon, memo)
 
 
 class WidthSeries:
@@ -369,11 +391,13 @@ def _free_width_numerator(p, n):
     return num
 
 
-def hilbert_width(p, n, quotient=True):
+def hilbert_width(p, n, quotient=True, memo=None):
     """Classical Hilbert series at width n, as the oracle route computes it:
     enumerate the generators' images as flat exponent tuples, group them
     per (summand, basis tuple), and recurse on each group's monomial ideal
-    with one `kpoly` memo for the call.  Each group is minimalized once,
+    with one `kpoly` memo, the given one or a new one for the call; pass
+    one dict to the calls for several widths of one presentation, whose
+    ideals share canonical forms.  Each group is minimalized once,
     in `kpoly`: at one width the only order-embedding is the identity, so
     OI-divisibility inside a group is divisibility of exponent tuples.  In
     the recursion only colon ideals are minimalized again, since the
@@ -385,7 +409,8 @@ def hilbert_width(p, n, quotient=True):
     for summand, pi, cols in _images(p, n):
         comps.setdefault((summand, pi), set()).add(
             tuple(itertools.chain.from_iterable(cols)))
-    memo = {}
+    if memo is None:
+        memo = {}
     ideal = UniPoly.zero()
     for (k, _), gens in comps.items():
         ideal = ideal + (UniPoly.one() - kpoly(gens, memo)).shift(p.shift_of(k))

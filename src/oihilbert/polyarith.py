@@ -9,6 +9,7 @@ t-degree, both ascending.
 
 from __future__ import annotations
 
+import sys
 from math import gcd as _int_gcd
 
 from .errors import NonDivisible, SingularAtOrigin
@@ -18,6 +19,10 @@ from .errors import NonDivisible, SingularAtOrigin
 # transfer-matrix solve sizes its digits from a coefficient bound.  _KSAFE
 # leaves a factor-of-two margin under the 8-byte half-digit boundary.
 _KSAFE = 1 << 62
+
+# 8-byte digits are read as native words where the host's order is the
+# packing's own
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 class UniPoly:
@@ -323,7 +328,11 @@ class BiPoly:
     def _unpack(val, width, nbytes=8):
         """Signed digits of nbytes bytes back to terms; None if any digit
         reaches 2^(8*nbytes - 2), too large for the balanced representation
-        to be trustworthy."""
+        to be trustworthy.
+
+        8-byte digits are read through a word view of the bytes on a
+        little-endian host, other widths one int.from_bytes each.  A zero
+        digit is skipped unless a carry from the digit below enters it."""
         bits = 8 * nbytes
         full = 1 << bits
         half = full >> 1
@@ -333,11 +342,17 @@ class BiPoly:
             val = -val
         count = (val.bit_length() + bits - 1) // bits + 1
         raw = val.to_bytes(nbytes * count, "little")
+        if nbytes == 8 and _LITTLE_ENDIAN:
+            digits = memoryview(raw).cast("Q")
+        else:
+            digits = [int.from_bytes(raw[off:off + nbytes], "little")
+                      for off in range(0, nbytes * count, nbytes)]
         out = {}
         carry = 0
-        for idx in range(count):
-            off = nbytes * idx
-            digit = int.from_bytes(raw[off:off + nbytes], "little") + carry
+        for idx, digit in enumerate(digits):
+            if not digit and not carry:
+                continue
+            digit += carry
             if digit >= half:
                 digit -= full
                 carry = 1
@@ -346,10 +361,14 @@ class BiPoly:
             if digit:
                 if not -safe < digit < safe:
                     return None
-                out[(idx // width, idx % width)] = -digit if neg else digit
+                out[divmod(idx, width)] = -digit if neg else digit
         return out
 
     def __mul__(self, other):
+        """Product with a BiPoly or an int.  A one-term operand shifts the
+        other's exponents and scales its coefficients; larger operands are
+        multiplied as one packed integer (see _pack) while the product's
+        coefficients fit the 8-byte digits, else term by term."""
         if isinstance(other, int):
             if other == 0:
                 return BiPoly()
@@ -357,10 +376,20 @@ class BiPoly:
         a, b = self.terms, other.terms
         if not a or not b:
             return BiPoly()
+        if len(a) == 1 or len(b) == 1:
+            if len(a) != 1:
+                a, b = b, a
+            ((i, j), c), = a.items()
+            if c == 1:
+                return BiPoly._raw({(i + k, j + l): v
+                                    for (k, l), v in b.items()})
+            return BiPoly._raw({(i + k, j + l): c * v
+                                for (k, l), v in b.items()})
         bound = min(len(a), len(b)) * self.maxabs() * other.maxabs()
         width = self.deg_t() + other.deg_t() + 1
-        # unpacking walks every digit, so sparse operands of high degree
-        # are cheaper term by term
+        # the packed product spans every digit of the product's degree box,
+        # zero or not, so sparse operands of high degree are cheaper term by
+        # term
         digits = (self.deg_s() + other.deg_s() + 1) * width
         if bound < _KSAFE and digits <= len(a) * len(b):
             prod = self._pack(width) * other._pack(width)

@@ -1,8 +1,9 @@
 """Reference routes that the runtime does not need, kept for the tests:
 running a DFA on one word, Moore minimization, equality of rational
-functions by cross-multiplication, the geometric polynomial, and the
-paper's pseudo-division criterion for eventual finite length, written with
-sympy rather than the package's own polynomial arithmetic."""
+functions by cross-multiplication, the geometric polynomial, the
+schoolbook product and per-digit unpacking of bivariate polynomials, and
+the paper's pseudo-division criterion for eventual finite length, written
+with sympy rather than the package's own polynomial arithmetic."""
 
 import sympy
 
@@ -104,6 +105,39 @@ def equals_cross_mul(a, b):
 def geometric(e):
     """1 + t + ... + t^e."""
     return UniPoly((1,) * (e + 1))
+
+
+def schoolbook(a, b):
+    """Terms of the BiPoly product a * b, term by term."""
+    out = {}
+    for (i, j), x in a.terms.items():
+        for (k, l), y in b.terms.items():
+            out[(i + k, j + l)] = out.get((i + k, j + l), 0) + x * y
+    return {kl: c for kl, c in out.items() if c}
+
+
+def unpack_digits(val, width, nbytes):
+    """BiPoly._unpack one digit at a time, every digit visited: the terms
+    of the balanced nbytes-byte digits of val, or None if a digit reaches
+    2^(8*nbytes - 2) in absolute value."""
+    full = 1 << (8 * nbytes)
+    safe = full >> 2
+    sign = -1 if val < 0 else 1
+    val = abs(val)
+    out = {}
+    idx = 0
+    while val:
+        digit = val % full
+        val //= full
+        if digit >= full >> 1:
+            digit -= full
+            val += 1
+        if digit:
+            if abs(digit) >= safe:
+                return None
+            out[(idx // width, idx % width)] = sign * digit
+        idx += 1
+    return out
 
 
 def _expr(b):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from oihilbert.automata import (
     Dfa,
+    _cofactor,
     _default_weight,
     _pack_size,
     _solve_component,
@@ -498,6 +499,27 @@ class TestGeneratingFunction:
         win = expand_series(gf, 4, 4)
         assert [[win[(n, j)] for j in range(5)] for n in range(5)] == \
             brute_window(dfa, _default_weight, 4, 4)
+
+    def test_cofactor_memo_matches_direct_product(self):
+        # one memo across many (top, factors) pairs, as one
+        # generating_function call shares it across components
+        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.t()
+        pool = [one - t, one + t, one - s, one - s * t - t * t,
+                one - s - s * t * 2]
+        rng = random.Random(505)
+        memo = {}
+        for _ in range(300):
+            top = {b.key(): (b, rng.randint(1, 3))
+                   for b in rng.sample(pool, rng.randint(0, len(pool)))}
+            factors = tuple((b, rng.randint(1, 3)) for b, _ in rng.sample(
+                list(top.values()), rng.randint(0, len(top))))
+            have = {b.key(): e for b, e in factors}
+            want = one
+            for key, (b, e) in top.items():
+                for _ in range(e - have.get(key, 0)):
+                    want = want * b
+            assert _cofactor(top, factors, memo) == want
+        assert len(memo) < 300
 
     def test_dead_cycle_contributes_nothing(self):
         # 1 <-x1-> 2 reaches no accepting state: a component whose

@@ -244,8 +244,8 @@ class TestCommands:
         doc = write_doc(tmp_path, minimal())
         real = cli.hilbert_width
 
-        def corrupted(p, n, quotient):
-            dims = real(p, n, quotient).dims
+        def corrupted(p, n, quotient, memo=None):
+            dims = real(p, n, quotient, memo).dims
 
             def bumped(j_max):
                 out = dims(j_max)

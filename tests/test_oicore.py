@@ -264,6 +264,28 @@ class TestKpoly:
             for a, b in itertools.permutations(key, 2):
                 assert not all(x <= y for x, y in zip(a, b)), key
 
+    def test_padded_and_permuted_ideals(self):
+        # an unused variable or a permutation of the variables leaves the
+        # numerator unchanged; the memo shares it through canonical forms
+        rng = random.Random(1212)
+        shared = {}
+        for case in range(200):
+            nvars = rng.randint(1, 4)
+            gens = random_ideal(rng, nvars, case)
+            total = nvars + rng.randint(1, 2)
+            where = rng.sample(range(total), nvars)
+            padded = [tuple(g[where.index(i)] if i in where else 0
+                            for i in range(total)) for g in gens]
+            perm = rng.sample(range(nvars), nvars)
+            permuted = [tuple(g[i] for i in perm) for g in gens]
+            want = kpoly(gens)
+            for ideal_, size in ((gens, nvars), (padded, total),
+                                 (permuted, nvars)):
+                assert kpoly(ideal_) == want, (gens, ideal_)
+                assert kpoly(ideal_, shared) == want, (gens, ideal_)
+                assert WidthSeries(want, size).dims(5) == [
+                    outside_count(ideal_, size, j) for j in range(6)], ideal_
+
 
 class TestHilbertWidth:
     def test_free_module(self):
@@ -335,6 +357,11 @@ class TestHilbertWidth:
             for n in range(size + 1):
                 got = hilbert_width(p, n, doc.quotient).dims(size)
                 assert got == entry["ref"][n], (entry["id"], n)
+            # one memo for every width, as `oih oracle` passes it
+            memo = {}
+            for n in range(size + 1):
+                got = hilbert_width(p, n, doc.quotient, memo).dims(size)
+                assert got == entry["ref"][n], (entry["id"], n, "shared")
 
     def test_negative_shift_rejected(self):
         p = principal(1, 1, ((1,),), shift=-1)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import sympy
 
+from oihilbert import polyarith
 from oihilbert.errors import NonDivisible, SingularAtOrigin
 from oihilbert.polyarith import (
     BiPoly,
@@ -18,7 +20,7 @@ from oihilbert.polyarith import (
     uni_gcd,
 )
 
-from oracles import equals_cross_mul, geometric
+from oracles import equals_cross_mul, geometric, schoolbook, unpack_digits
 
 S, T = sympy.symbols("s t")
 
@@ -119,6 +121,56 @@ class TestBiPoly:
         if a.is_zero():
             return
         assert (a * b).exact_div(a) == b
+
+    def test_product_against_schoolbook(self):
+        # one-term operands on either side, with coefficients 1, -1 and
+        # past the 8-byte digits, against packed and term-by-term products
+        rng = random.Random(1202)
+        big = (1 << 62) + 5
+        monomials = [BiPoly.term(i, j, c)
+                     for c in (1, -1, 3, big, -big)
+                     for i, j in ((0, 0), (2, 5), (7, 0))]
+        for _ in range(300):
+            deg = rng.choice((2, 6, 40))
+            mag = rng.choice((3, 1 << 40, 1 << 70))
+            a = BiPoly({(rng.randint(0, deg), rng.randint(0, deg)):
+                        rng.randint(-mag, mag)
+                        for _ in range(rng.randint(0, 8))})
+            m = rng.choice(monomials)
+            zero = BiPoly.zero()
+            for x, y in ((a, m), (m, a), (a, a), (m, m), (a, zero), (zero, m)):
+                assert (x * y).terms == schoolbook(x, y), (x, y)
+
+    @pytest.mark.parametrize("little", [True, False])
+    @pytest.mark.parametrize("nbytes", [8, 9, 16])
+    def test_unpack_against_per_digit_decoder(self, monkeypatch, nbytes,
+                                              little):
+        # little=False forces the per-digit path for 8-byte digits too
+        monkeypatch.setattr(polyarith, "_LITTLE_ENDIAN", little)
+        rng = random.Random(nbytes)
+        safe = 1 << (8 * nbytes - 2)
+        pool = (0, 0, 0, 1, -1, 2, -2, safe - 1, 1 - safe)
+        for case in range(300):
+            count = rng.randint(1, 12)
+            digits = [rng.choice(pool) if rng.random() < 0.7
+                      else rng.randint(1 - safe, safe - 1)
+                      for _ in range(count)]
+            if case % 3 == 0:
+                # a negative digit, then a 1: its raw digit is zero and
+                # the carry from below makes it 1
+                k = rng.randrange(count)
+                digits[k:k + 2] = [-rng.randint(1, 5), 1]
+            if case % 4 == 1:
+                digits[rng.randrange(count)] = rng.choice((safe, -safe))
+            val = sum(d << (8 * nbytes * i) for i, d in enumerate(digits))
+            width = rng.randint(1, 4)
+            want = unpack_digits(val, width, nbytes)
+            if case % 4 == 1:
+                assert want is None
+            else:
+                assert want == {(i // width, i % width): d
+                                for i, d in enumerate(digits) if d}
+            assert BiPoly._unpack(val, width, nbytes) == want, digits
 
 
 class TestFactoredRational:
