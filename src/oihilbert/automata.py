@@ -156,7 +156,12 @@ def union_nfa(nfas):
 
 
 def intersect_nfa_dfa(nfa, dfa):
-    """Product automaton, reachable part only."""
+    """Product automaton, reachable part only.
+
+    The runtime no longer builds it: `determinize` forms the product
+    subset by subset.  It stays as the tests' reference product, and
+    because the benchmark's tracing looks it up by name when a traced run
+    starts."""
     out = Nfa(nfa.alphabet)
     if dfa.n == 0:
         return out
@@ -185,12 +190,80 @@ def intersect_nfa_dfa(nfa, dfa):
     return out
 
 
-def determinize(nfa):
-    """Subset construction with bitmask states.
+def _simulation(nfa):
+    """The greatest direct simulation preorder of nfa, as bitmasks.
 
+    Bit q of sim[p] is set when p <= q: if p accepts, so does q, and every
+    edge p -a-> p' is matched by an edge q -a-> q' with p' <= q'.  Then q
+    accepts every word p accepts.  pre(a, M), the states with an a-edge
+    into M, is assembled from the edges grouped by letter and offset
+    r - p: each group keeps its sources whose bit, shifted by the offset,
+    lies in M.  A generator NFA is a path with self-loops, so only offsets
+    0 and 1 occur.  Starting from the relation that only acceptance
+    bounds, each state in descending order is refined until it is stable,
+    and whole passes repeat until none changes; this reaches the greatest
+    fixpoint on any NFA."""
+    n = nfa.n
+    accept_mask = 0
+    for q in nfa.accepts:
+        accept_mask |= 1 << q
+    sources = {}
+    edges = [[] for _ in range(n)]
+    for (p, a), dests in nfa.trans.items():
+        for r in dests:
+            sources[(a, r - p)] = sources.get((a, r - p), 0) | 1 << p
+            edges[p].append((a, r))
+    groups = {}
+    for (a, off), src in sources.items():
+        groups.setdefault(a, []).append((off, src))
+
+    def pre(a, m):
+        out = 0
+        for off, src in groups[a]:
+            out |= (m >> off if off >= 0 else m << -off) & src
+        return out
+
+    full = (1 << n) - 1
+    sim = [accept_mask if q in nfa.accepts else full for q in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for p in reversed(range(n)):
+            while True:
+                new = sim[p]
+                for a, r in edges[p]:
+                    new &= pre(a, sim[r])
+                if new == sim[p]:
+                    break
+                sim[p] = new
+                changed = True
+    return sim
+
+
+def determinize(nfa, dfa):
+    """Subset construction of the product of nfa with dfa, pruned by
+    simulation.
+
+    Every reachable subset of product states shares one state of dfa, so
+    a state is a pair (bitmask of nfa states, dfa state) and no product
+    automaton is built.  A letter moves a state when dfa has that
+    transition and the destination mask is nonempty; a state accepts when
+    its mask meets nfa's accepting states and its dfa state accepts.
     Each subset's bits are walked once, collecting its destination mask
-    per letter; new subsets are numbered in alphabet order."""
+    per letter; new states are numbered breadth-first in alphabet order.
+
+    The start mask and every destination mask drop each state p that
+    dom[p] meets: the states q != p with p <= q (`_simulation`) and
+    either not q <= p or q < p.  That is a strict order, so each mask
+    keeps its maximal members, and since q accepts every word p accepts,
+    its residual language.  A DFA built breadth-first in alphabet order
+    numbers its states by their shortlex-least access words, and
+    `minimize` numbers blocks by their smallest live state, so the
+    minimal DFA depends only on the language: pruning changes the subset
+    DFA, mostly shrinking it, and leaves the minimal one as it was."""
     letters = nfa.alphabet
+    if dfa.n == 0:
+        return empty_dfa(letters)
     moves = {}
     for (q, a), dests in nfa.trans.items():
         acc = 0
@@ -206,13 +279,33 @@ def determinize(nfa):
 
     if start == 0:
         return empty_dfa(letters)
-    ids = {start: 0}
-    order = [start]
+    sim = _simulation(nfa)
+    below = [0] * nfa.n  # bit q of below[p]: q <= p
+    for q, m in enumerate(sim):
+        while m:
+            low = m & -m
+            m ^= low
+            below[low.bit_length() - 1] |= 1 << q
+    dom = [sim[p] & ~(1 << p) & (~below[p] | ((1 << p) - 1))
+           for p in range(nfa.n)]
+
+    def prune(mask):
+        keep = rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if dom[low.bit_length() - 1] & mask:
+                keep ^= low
+        return keep
+
+    first = (prune(start), dfa.start)
+    ids = {first: 0}  # also keyed by unpruned destinations
+    order = [first]
     trans = {}
+    step = dfa.trans
     k = 0
     while k < len(order):
-        mask = order[k]
-        k += 1
+        mask, q = order[k]
         out = {}
         rest = mask
         while rest:
@@ -224,11 +317,21 @@ def determinize(nfa):
             dest = out.get(a)
             if not dest:
                 continue
-            if dest not in ids:
-                ids[dest] = len(order)
-                order.append(dest)
-            trans[(ids[mask], a)] = ids[dest]
-    accepts = {i for m, i in ids.items() if m & accept_mask}
+            q2 = step.get((q, a))
+            if q2 is None:
+                continue
+            j = ids.get((dest, q2))
+            if j is None:
+                key = (prune(dest), q2)
+                j = ids.get(key)
+                if j is None:
+                    j = ids[key] = len(order)
+                    order.append(key)
+                ids[(dest, q2)] = j
+            trans[(k, a)] = j
+        k += 1
+    accepts = {i for i, (m, q) in enumerate(order)
+               if m & accept_mask and q in dfa.accepts}
     return Dfa(letters, len(order), 0, accepts, trans)
 
 
@@ -328,12 +431,13 @@ def minimize(dfa):
 
 def module_dfa(c, d, gens):
     """Minimal DFA for the standard words lying in the submodule
-    generated by gens (monomials of one summand of rank d)."""
+    generated by gens (monomials of one summand of rank d): the union of
+    the generator NFAs, determinized together with the standard-word DFA
+    (`determinize` forms their product as it goes), then minimized."""
     if not gens:
         return empty_dfa(alphabet(c, d))
     u = union_nfa([generator_nfa(g, d) for g in gens])
-    prod = intersect_nfa_dfa(u, lstd_dfa(c, d))
-    return minimize(determinize(prod))
+    return minimize(determinize(u, lstd_dfa(c, d)))
 
 
 def _default_weight(letter):
@@ -524,8 +628,11 @@ def _cofactor(top, factors, memo):
 def generating_function(dfa, weight=None):
     """Sum of weight(w) over accepted words, as an exact rational.
 
-    The values x = e_accept + T x are solved one strongly connected
-    component C at a time, sinks first: (I - T_CC) x_C = e_C + T_C,out x_out
+    weight is called once per letter; the edges from one state to another
+    are bundled into one entry, the first letter's weight itself plus the
+    later ones.  The values x = e_accept + T x are solved one strongly
+    connected component C at a time, sinks first:
+    (I - T_CC) x_C = e_C + T_C,out x_out
     with x_out already known.  A solved state keeps its numerator over its
     component's one factor tuple.  C's denominator is the multiset maximum
     of the tuples of the components its states reach: a state's terms are
@@ -553,10 +660,12 @@ def generating_function(dfa, weight=None):
     if dfa.n == 0 or not dfa.accepts:
         return FactoredRational.zero()
     zero, one = BiPoly.zero(), BiPoly.one()
+    weights = {a: weight(a) for a in dfa.alphabet}
     succ = {}
     for (q, a), r in dfa.trans.items():
         row = succ.setdefault(q, {})
-        row[r] = row.get(r, zero) + weight(a)
+        w = weights[a]
+        row[r] = row[r] + w if r in row else w
     sccs = _sccs(dfa.start, succ)
     where = {q: i for i, comp in enumerate(sccs) for q in comp}
     entry = {dfa.start}

@@ -227,9 +227,7 @@ def _min_tuples(gens):
 
     Tuples are visited by degree, so every divisor of a tuple is seen
     before it.  A kept tuple h can divide g only when h's support lies in
-    g's, which the support masks test before any exponent is compared.
-    `_kpoly` calls this on colon ideals only: its "plus" ideals are
-    minimal as written (see there)."""
+    g's, which the support masks test before any exponent is compared."""
     gens = sorted(gens, key=lambda t: (sum(t), t))
     kept = []
     for m, g in zip(_masks(gens), gens):
@@ -278,13 +276,12 @@ def kpoly(gens, memo=None):
     """Numerator of the quotient's Hilbert series over (1-t)^(#variables),
     for the monomial ideal generated by the given exponent tuples.
 
-    The recursion splits on a pivot variable x: H(I) = H(I + <x>) +
-    t H(I : x).  I + <x> is written down minimal, since a minimal G gives
-    the minimal {g in G : x does not divide g} + {x}; only I : x is
-    minimalized.  memo maps minimal generating sets to numerators, each
-    set under its own key and under its canonical form (`_canonical`), on
-    which the recursion runs; pass one dict to share it across calls, as
-    ideals of different widths share canonical forms."""
+    The recursion splits on a pivot variable x over all its powers at
+    once (`_split`), so it only enters ideals without x.  memo maps
+    minimal generating sets to numerators, each set under its own key and
+    under its canonical form (`_canonical`), on which the recursion runs;
+    pass one dict to share it across calls, as ideals of different widths
+    share canonical forms."""
     return _kpoly(_min_tuples(gens), {} if memo is None else memo)
 
 
@@ -307,7 +304,15 @@ def _kpoly(gens, memo):
 
 def _split(gens, memo):
     """The numerator of a proper nonzero ideal, from its components or
-    its pivot split (see `kpoly`)."""
+    its pivot split.
+
+    Unrolling H(I) = H(I + <x>) + t H(I : x) over the powers of the
+    pivot x gives H(I) = sum_(i<k) t^i H((I : x^i) + <x>) + t^k H(I : x^k),
+    k the pivot's top exponent, so the recursion enters only ideals
+    without x and its depth is bounded by the number of variables.
+    (I : x^i) + <x> is generated by x and the g with g[piv] <= i, their
+    x-exponent dropped, and changes only where i reaches such a g[piv];
+    each run of equal terms is one product with t^lo + ... + t^(hi-1)."""
     comps = _components(gens)
     if len(comps) > 1:
         out = UniPoly.one()
@@ -321,14 +326,15 @@ def _split(gens, memo):
     counts = [len(col) - col.count(0) for col in zip(*gens)]
     piv = max(range(nvars), key=counts.__getitem__)
     unit = (0,) * piv + (1,) + (0,) * (nvars - piv - 1)
-    # G is minimal without the zero tuple: x_piv divides exactly the g
-    # with g[piv] > 0, and its only nonzero divisor is itself, so no kept
-    # tuple divides another.
-    plus = frozenset([g for g in gens if not g[piv]] + [unit])
-    colon = _min_tuples(
-        g[:piv] + (g[piv] - 1,) + g[piv + 1:] if g[piv] else g
-        for g in gens)
-    return _kpoly(plus, memo) + UniPoly((0, 1)) * _kpoly(colon, memo)
+    levels = sorted({g[piv] for g in gens} | {0})
+    out = UniPoly.zero()
+    for lo, hi in zip(levels, levels[1:]):
+        plus = _min_tuples(g[:piv] + (0,) + g[piv + 1:]
+                           for g in gens if g[piv] <= lo) | {unit}
+        run = UniPoly((0,) * lo + (1,) * (hi - lo))
+        out = out + _kpoly(plus, memo) * run
+    colon = _min_tuples(g[:piv] + (0,) + g[piv + 1:] for g in gens)
+    return out + _kpoly(colon, memo).shift(levels[-1])
 
 
 class WidthSeries:
@@ -399,9 +405,7 @@ def hilbert_width(p, n, quotient=True, memo=None):
     one dict to the calls for several widths of one presentation, whose
     ideals share canonical forms.  Each group is minimalized once,
     in `kpoly`: at one width the only order-embedding is the identity, so
-    OI-divisibility inside a group is divisibility of exponent tuples.  In
-    the recursion only colon ideals are minimalized again, since the
-    "plus" ideal of a minimal set is minimal as written (see `kpoly`).
+    OI-divisibility inside a group is divisibility of exponent tuples.
     A basis tuple with no generator is a free summand, numerator 1."""
     if any(shift < 0 for _, shift in p.summands):
         raise WidthMismatch("width-wise series needs nonnegative shifts")

@@ -1,9 +1,11 @@
 """Reference routes that the runtime does not need, kept for the tests:
-running a DFA on one word, Moore minimization, equality of rational
-functions by cross-multiplication, the geometric polynomial, the
-schoolbook product and per-digit unpacking of bivariate polynomials, and
-the paper's pseudo-division criterion for eventual finite length, written
-with sympy rather than the package's own polynomial arithmetic."""
+running a DFA on one word, the unpruned subset construction, the
+greatest simulation as a pairwise fixpoint, Moore minimization, equality
+of rational functions by cross-multiplication, the geometric polynomial,
+the schoolbook product and per-digit unpacking of bivariate polynomials,
+and the paper's pseudo-division criterion for eventual finite length,
+written with sympy rather than the package's own polynomial
+arithmetic."""
 
 import sympy
 
@@ -23,6 +25,73 @@ def run_dfa(dfa, word):
         if q is None:
             return False
     return q in dfa.accepts
+
+
+def subset_dfa(nfa):
+    """Subset construction with bitmask states, nothing pruned: the
+    reference for automata.determinize, run on the product automaton.
+    New subsets are numbered breadth-first in alphabet order."""
+    letters = nfa.alphabet
+    moves = {}
+    for (q, a), dests in nfa.trans.items():
+        acc = 0
+        for r in dests:
+            acc |= 1 << r
+        moves.setdefault(q, []).append((a, acc))
+    start = 0
+    for q in nfa.starts:
+        start |= 1 << q
+    accept_mask = 0
+    for q in nfa.accepts:
+        accept_mask |= 1 << q
+
+    if start == 0:
+        return empty_dfa(letters)
+    ids = {start: 0}
+    order = [start]
+    trans = {}
+    k = 0
+    while k < len(order):
+        mask = order[k]
+        k += 1
+        out = {}
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for a, acc in moves.get(low.bit_length() - 1, ()):
+                out[a] = out.get(a, 0) | acc
+        for a in letters:
+            dest = out.get(a)
+            if not dest:
+                continue
+            if dest not in ids:
+                ids[dest] = len(order)
+                order.append(dest)
+            trans[(ids[mask], a)] = ids[dest]
+    accepts = {i for m, i in ids.items() if m & accept_mask}
+    return Dfa(letters, len(order), 0, accepts, trans)
+
+
+def pairwise_simulation(nfa):
+    """The greatest direct simulation of nfa as a set of pairs (p, q),
+    p <= q: start from all pairs that respect acceptance and delete a pair
+    while some edge of p has no matching edge of q, until none goes.  The
+    reference for automata._simulation."""
+    states = range(nfa.n)
+    rel = {(p, q) for p in states for q in states
+           if q in nfa.accepts or p not in nfa.accepts}
+    changed = True
+    while changed:
+        changed = False
+        for p, q in sorted(rel):
+            if not all(any((r, r2) in rel
+                           for r2 in nfa.trans.get((q, a), ()))
+                       for (p1, a), dests in nfa.trans.items() if p1 == p
+                       for r in dests):
+                rel.discard((p, q))
+                changed = True
+    return rel
 
 
 def moore_minimize(dfa):

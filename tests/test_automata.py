@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from oihilbert.automata import (
     Dfa,
+    Nfa,
     _cofactor,
     _default_weight,
     _pack_size,
+    _simulation,
     _solve_component,
     determinize,
     generating_function,
@@ -30,7 +32,8 @@ from oihilbert.words import alphabet, decode, is_in_lstd
 
 from corpus import random_presentation
 from enumerate_small import all_monomials, lstd_words
-from oracles import equals_cross_mul, moore_minimize, run_dfa
+from oracles import (equals_cross_mul, moore_minimize, pairwise_simulation,
+                     run_dfa, subset_dfa)
 
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "inputs"
@@ -156,11 +159,12 @@ class TestLstdDfa:
                 assert run_dfa(small, word) == run_dfa(dfa, word)
 
 
-def random_partial_dfa(rng):
-    """1-3 letters, up to 40 states, a random start, each transition present
-    with a drawn probability and aimed anywhere, and accepting states drawn
-    with a probability that may be 0."""
-    letters = tuple(range(rng.randint(1, 3)))
+def random_partial_dfa(rng, letters=None):
+    """1-3 letters unless given, up to 40 states, a random start, each
+    transition present with a drawn probability and aimed anywhere, and
+    accepting states drawn with a probability that may be 0."""
+    if letters is None:
+        letters = tuple(range(rng.randint(1, 3)))
     n = rng.randint(1, 40)
     present = rng.random()
     accepting = rng.choice([0.0, 0.1, 0.3])
@@ -190,16 +194,43 @@ def same_dfa(a, b):
                                                    b.trans)
 
 
-def summand_automata(corpus):
-    """The subset-construction DFA of every summand of a benchmark corpus."""
+def random_nfa(rng):
+    """1-3 letters, up to 14 states, one to three starts, edges drawn with
+    a drawn density and aimed at any state (offsets of either sign and any
+    size), and accepting states drawn with a probability that may be 0."""
+    letters = tuple(range(rng.randint(1, 3)))
+    nfa = Nfa(letters)
+    for _ in range(rng.randint(1, 14)):
+        nfa.add_state()
+    density = rng.choice([0.05, 0.15, 0.3])
+    for p in range(nfa.n):
+        for a in letters:
+            for r in range(nfa.n):
+                if rng.random() < density:
+                    nfa.add_edge(p, a, r)
+    nfa.starts.update(rng.sample(range(nfa.n), min(nfa.n, rng.randint(1, 3))))
+    accepting = rng.choice([0.0, 0.2, 0.5])
+    nfa.accepts.update(q for q in range(nfa.n) if rng.random() < accepting)
+    return nfa
+
+
+def summand_pairs(corpus):
+    """(document id, union NFA, standard-word DFA) of every summand of a
+    benchmark corpus."""
     for entry in corpus["docs"]:
         p = parse_document(entry["doc"]).effective_presentation()
         for k, (d, _) in enumerate(p.summands):
             gens = [g for g in p.generators if g.summand == k]
             if gens:
                 u = union_nfa([generator_nfa(g, d) for g in gens])
-                yield entry["id"], determinize(
-                    intersect_nfa_dfa(u, lstd_dfa(p.c, d)))
+                yield entry["id"], u, lstd_dfa(p.c, d)
+
+
+def summand_automata(corpus):
+    """The unpruned subset-construction DFA of the product automaton of
+    every summand of a benchmark corpus."""
+    for doc_id, u, lstd in summand_pairs(corpus):
+        yield doc_id, subset_dfa(intersect_nfa_dfa(u, lstd))
 
 
 class TestMinimize:
@@ -232,6 +263,67 @@ class TestMinimize:
                 assert same_dfa(minimize(dfa), moore_minimize(dfa)), doc_id
                 seen += 1
         assert seen > 600
+
+
+def simulation_pairs(nfa):
+    return {(p, q) for p, m in enumerate(_simulation(nfa))
+            for q in range(nfa.n) if m >> q & 1}
+
+
+class TestSubsetConstruction:
+    def test_simulation_against_pairwise_fixpoint(self):
+        rng = random.Random(2010)
+        cases = {"negative offset": 0, "offset past 4": 0, "no accepts": 0,
+                 "strict pair": 0, "equivalent pair": 0}
+        for _ in range(300):
+            nfa = random_nfa(rng)
+            rel = simulation_pairs(nfa)
+            assert rel == pairwise_simulation(nfa), (nfa.n, nfa.trans)
+            offsets = {r - p for (p, _), ds in nfa.trans.items() for r in ds}
+            cases["negative offset"] += min(offsets, default=0) < 0
+            cases["offset past 4"] += max(offsets, default=0) > 4
+            cases["no accepts"] += not nfa.accepts
+            cases["strict pair"] += any((q, p) not in rel for p, q in rel)
+            cases["equivalent pair"] += any(
+                p != q and (q, p) in rel for p, q in rel)
+        assert all(cases.values()), cases
+
+    def test_random_products_against_unpruned(self):
+        # the pruned subset DFA is often smaller, though not always: of
+        # two equivalent states, a mask keeps whichever is smaller, so
+        # masks of one language can differ; the minimal DFAs may not
+        # differ in any state number
+        rng = random.Random(2006)
+        shrunk = 0
+        for _ in range(400):
+            nfa = random_nfa(rng)
+            dfa = random_partial_dfa(rng, nfa.alphabet)
+            pruned = determinize(nfa, dfa)
+            full = subset_dfa(intersect_nfa_dfa(nfa, dfa))
+            assert same_dfa(minimize(pruned), minimize(full)), (
+                nfa.trans, dfa.trans)
+            shrunk += pruned.n < full.n
+        assert shrunk > 20
+
+    def test_corpus_summands_against_unpruned(self):
+        seen = 0
+        for path in sorted((ROOT / "perfbench" / "corpus").glob("*.json")):
+            corpus = json.loads(path.read_text())
+            for doc_id, u, lstd in summand_pairs(corpus):
+                want = minimize(subset_dfa(intersect_nfa_dfa(u, lstd)))
+                assert same_dfa(minimize(determinize(u, lstd)), want), doc_id
+                seen += 1
+        assert seen > 600
+
+    def test_degree_probe_subsets_shrink(self):
+        e = 400
+        gens = [Monomial(1, 2, ((e,), (1,))), Monomial(1, 2, ((1,), (e,)))]
+        u = union_nfa([generator_nfa(g, 0) for g in gens])
+        lstd = lstd_dfa(1, 0)
+        pruned = determinize(u, lstd)
+        full = subset_dfa(intersect_nfa_dfa(u, lstd))
+        assert pruned.n < full.n
+        assert minimize(pruned).n == 804
 
 
 def automaton_vs_divisibility(c, d, gens, max_tau=4, max_xi=4):
@@ -282,8 +374,7 @@ class TestGeneratorLanguage:
         gens = [Monomial(2, 2, ((1, 0), (0, 1)), (2,)),
                 Monomial(2, 1, ((0, 2),), (1,))]
         u = union_nfa([generator_nfa(g, 1) for g in gens])
-        prod = intersect_nfa_dfa(u, lstd_dfa(2, 1))
-        big = determinize(prod)
+        big = determinize(u, lstd_dfa(2, 1))
         small = minimize(big)
         assert small.n <= big.n
         for word in itertools.product(alphabet(2, 1), repeat=4):

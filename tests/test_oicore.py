@@ -28,6 +28,7 @@ from oihilbert.oicore import (
 )
 from oihilbert.polyarith import UniPoly
 from oihilbert.schema import parse_document
+from oihilbert.series import module_series
 
 from enumerate_small import OIMorphism, all_monomials, apply_morphism, brute_divides
 
@@ -259,7 +260,7 @@ class TestKpoly:
             # a memo shared across ideals gives the same numerators
             assert WidthSeries(kpoly(gens, shared), nvars).dims(6) == want, gens
         # every ideal the recursion visits is held minimal, the "plus"
-        # ideals included, which are never minimalized
+        # ideals included
         for key in shared:
             for a, b in itertools.permutations(key, 2):
                 assert not all(x <= y for x, y in zip(a, b)), key
@@ -362,6 +363,17 @@ class TestHilbertWidth:
             for n in range(size + 1):
                 got = hilbert_width(p, n, doc.quotient, memo).dims(size)
                 assert got == entry["ref"][n], (entry["id"], n, "shared")
+
+    def test_high_pivot_power_within_recursion_limit(self):
+        # the quotient by x[1,1]^e x[1,2] and x[1,1] x[1,2]^e: one split
+        # per unit of the pivot's exponent went past the recursion limit
+        # from e = 500 on
+        e = 520
+        p = ModulePresentation(1, [(0, 0)], [
+            Monomial(1, 2, ((e,), (1,))), Monomial(1, 2, ((1,), (e,)))])
+        win = module_series(p).window(3, e + 2)
+        assert hilbert_width(p, 3).dims(e + 2) == [
+            win[(3, j)] for j in range(e + 3)]
 
     def test_negative_shift_rejected(self):
         p = principal(1, 1, ((1,),), shift=-1)
