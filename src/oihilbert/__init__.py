@@ -17,12 +17,6 @@ from .analysis import (
     fixed_degree_polynomial,
     validate_shape,
 )
-from .decomposition import (
-    Decomposition,
-    compute_decomposition,
-    repeated_division_sides,
-    verify_decomposition,
-)
 from .errors import OihError
 from .oicore import (
     ModulePresentation,
@@ -37,6 +31,21 @@ from .series import SeriesResult, free_series, module_series
 from .words import decode, encode
 
 __version__ = "0.1.0"
+
+# decomposition serves one command; its names load it on first access
+_DECOMPOSITION = {"Decomposition", "compute_decomposition",
+                  "repeated_division_sides", "verify_decomposition"}
+
+
+def __getattr__(name):
+    if name in _DECOMPOSITION:
+        from . import decomposition
+        return getattr(decomposition, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() | _DECOMPOSITION)
 
 __all__ = [
     "Decomposition",

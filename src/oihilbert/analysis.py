@@ -2,9 +2,7 @@
 eventual growth of dimension and multiplicity, polynomiality in fixed
 degree, and the eventual-finite-length verdict."""
 
-from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import count, islice
 
@@ -14,17 +12,17 @@ from .polyarith import BiPoly, UniPoly, one_minus_t_order
 _ONE_MINUS_T = BiPoly({(0, 0): 1, (0, 1): -1})
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(namedtuple("ShapeReport", "conformant one_minus_t_power "
+                             "factors leftover numerator")):
     """Classified reduced denominator: (1-t)^power times a product of
     factors (1-t)^(t_power) - s*growth(t), one list entry per multiplicity.
-    Anything unclassifiable is multiplied into `leftover`."""
+    Anything unclassifiable is multiplied into `leftover`.
 
-    conformant: bool
-    one_minus_t_power: int
-    factors: tuple  # of (t_power, growth: UniPoly), repeated by multiplicity
-    leftover: object  # BiPoly, or None when everything classified
-    numerator: BiPoly
+    conformant: bool; one_minus_t_power: int; factors: tuple of
+    (t_power, growth: UniPoly), repeated by multiplicity; leftover: BiPoly,
+    or None when everything classified; numerator: BiPoly."""
+
+    __slots__ = ()
 
 
 def factor_base(t_power, growth):
@@ -109,6 +107,8 @@ def _subst(p, b):
 
 def _solve(rows, rhs):
     """The solution of a square, invertible linear system over Q."""
+    from fractions import Fraction  # here: hilbert and oracle never solve
+
     m = [[Fraction(v) for v in row] + [Fraction(b)]
          for row, b in zip(rows, rhs)]
     for col in range(len(m)):
@@ -180,25 +180,20 @@ def _last_zero(terms, start):
                  if _exp_poly_at(terms, m) == 0), start - 1)
 
 
-@dataclass(frozen=True)
-class DimensionGrowth:
+class DimensionGrowth(namedtuple("DimensionGrowth",
+                                 "slope intercept onset")):
     """dim M_n = slope*n + intercept for every n >= onset."""
 
-    slope: int
-    intercept: int
-    onset: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MultiplicityGrowth:
+class MultiplicityGrowth(namedtuple("MultiplicityGrowth",
+                                    "base poly_exponent terms onset")):
     """The multiplicity of M_n is sum_c c^n P_c(n) for every n >= onset,
     over terms (c, ascending coefficients of P_c) by falling c; base is the
     top c, poly_exponent its degree (1 and 0 when M_n is eventually 0)."""
 
-    base: int
-    poly_exponent: int
-    terms: tuple
-    onset: int
+    __slots__ = ()
 
     def evaluate(self, n):
         return _exp_poly_at(self.terms, n)
@@ -271,14 +266,11 @@ def artinian_test(rep):
     return slope == 0 and intercept == 0
 
 
-@dataclass(frozen=True)
-class DegreeFit:
+class DegreeFit(namedtuple("DegreeFit", "degree_j onset coefficients")):
     """dim [M_n]_j is the polynomial with ascending coefficients
     `coefficients` for every n >= onset, and for no smaller onset."""
 
-    degree_j: int
-    onset: int
-    coefficients: tuple
+    __slots__ = ()
 
     def evaluate(self, n):
         return _poly_at(self.coefficients, n)

@@ -17,7 +17,6 @@ from .analysis import (
     factor_base,
     validate_shape,
 )
-from .decomposition import compute_decomposition
 from .errors import NotInLanguage, OihError, SchemaError
 from .oicore import Monomial, hilbert_width
 from .polyarith import SeriesWindow, render_poly
@@ -178,7 +177,8 @@ def cmd_analyze(args):
         _emit(out)
     else:
         print(f"series: {res.render()}")
-        print(f"dimension: {dim.slope}*n + {dim.intercept} "
+        sign = "-" if dim.intercept < 0 else "+"
+        print(f"dimension: {dim.slope}*n {sign} {abs(dim.intercept)} "
               f"for n >= {dim.onset}")
         print(f"multiplicity: {_growth_text(mult.terms)} "
               f"for n >= {mult.onset}")
@@ -189,6 +189,8 @@ def cmd_analyze(args):
 
 
 def cmd_decompose(args):
+    from .decomposition import compute_decomposition  # no other command uses it
+
     doc = load_document(args.file)
     p = doc.effective_presentation()
     try:

@@ -7,7 +7,7 @@ read off from colon generators at one fixed width, and the construction
 yields the repeated-division identity for the width-wise series.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product
 
 from .errors import Column1NotEmpty, WidthMismatch
@@ -35,14 +35,11 @@ def res_monomial(m):
     return Monomial(m.c, m.width - 1, m.cols[1:], pi, m.summand)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Width-independent presentations of the two split parts."""
+class Decomposition(namedtuple("Decomposition", "e m marked unmarked")):
+    """Width-independent presentations of the two split parts: marked has
+    rank d-1 (None when d == 0), unmarked rank d."""
 
-    e: tuple
-    m: int
-    marked: object  # rank d-1 presentation, None when d == 0
-    unmarked: object  # rank d presentation
+    __slots__ = ()
 
 
 def compute_decomposition(p, e):

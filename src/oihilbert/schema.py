@@ -7,7 +7,7 @@ the offending field by JSON path.
 """
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import SchemaError, ZeroElement
 from .oicore import (
@@ -119,14 +119,12 @@ def _parse_element(obj, path, c, summands):
         _fail(path, "element has no nonzero term")
 
 
-@dataclass(frozen=True)
-class InputDocument:
+class InputDocument(namedtuple("InputDocument",
+                               "presentation quotient groebner_leads")):
     """Parsed document: the presentation as written, before symmetrizing
     or replacing asserted elements by their leading monomials."""
 
-    presentation: ModulePresentation
-    quotient: bool
-    groebner_leads: tuple
+    __slots__ = ()
 
     def effective_presentation(self):
         """The monomial OI presentation the engines run on."""

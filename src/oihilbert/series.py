@@ -6,7 +6,7 @@ and degree shifts multiply by powers of t.  A negative shift is carried as
 an explicit t^-K prefactor so the rational part stays polynomial.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .automata import generating_function, module_dfa
 from .polyarith import (
@@ -25,15 +25,16 @@ def free_series(c, d):
         BiPoly.term(d, 0) * om, ((om - BiPoly.s(), d + 1),))
 
 
-@dataclass(frozen=True)
-class SeriesResult:
-    """A bivariate Hilbert series t^-K * rational, plus pipeline metadata."""
+class SeriesResult(namedtuple(
+        "SeriesResult",
+        "rational t_prefactor mode automaton_states reduced",
+        defaults=((), False))):
+    """A bivariate Hilbert series t^-K * rational, plus pipeline metadata:
+    mode is "quotient" or "submodule", automaton_states the minimal DFA
+    size of each summand, and reduced whether rational is in lowest
+    terms."""
 
-    rational: FactoredRational
-    t_prefactor: int
-    mode: str
-    automaton_states: tuple = field(default=())
-    reduced: bool = False
+    __slots__ = ()
 
     def window(self, n_max, j_max):
         return expand_series(self.rational, n_max, j_max, self.t_prefactor)

@@ -6,6 +6,10 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from oihilbert.analysis import (
+    DegreeFit,
+    DimensionGrowth,
+    MultiplicityGrowth,
+    ShapeReport,
     _last_zero,
     artinian_test,
     asymptotic_dimension,
@@ -13,11 +17,12 @@ from oihilbert.analysis import (
     fixed_degree_polynomial,
     validate_shape,
 )
+from oihilbert.decomposition import Decomposition
 from oihilbert.errors import ZeroModule
 from oihilbert.oicore import Monomial, ModulePresentation, dim_deg_width
 from oihilbert.polyarith import BiPoly, FactoredRational, UniPoly, split_content
-from oihilbert.schema import parse_document
-from oihilbert.series import SeriesResult, module_series
+from oihilbert.schema import InputDocument, parse_document
+from oihilbert.series import SeriesResult, free_series, module_series
 
 from corpus import random_presentation
 from oracles import equals_cross_mul, paper_artinian
@@ -389,3 +394,55 @@ class TestFixedDegree:
                     depth += 1
                 assert row and len(row) >= 2, (f.coeffs, j)
                 assert depth <= j + 1
+
+
+_FREE = free_series(1, 0)
+_EMPTY = ModulePresentation(1, [(0, 0)], [])
+_RECORDS = [
+    (DimensionGrowth(2, -1, 3),
+     "DimensionGrowth(slope=2, intercept=-1, onset=3)"),
+    (MultiplicityGrowth(3, 0, ((3, (1,)),), 0),
+     "MultiplicityGrowth(base=3, poly_exponent=0, terms=((3, (1,)),), "
+     "onset=0)"),
+    (DegreeFit(1, 2, (0, 1)),
+     "DegreeFit(degree_j=1, onset=2, coefficients=(0, 1))"),
+    (ShapeReport(True, 1, ((1, UniPoly((1,))),), None, BiPoly.one()),
+     "ShapeReport(conformant=True, one_minus_t_power=1, "
+     "factors=((1, UniPoly([1])),), leftover=None, "
+     "numerator=BiPoly('1'))"),
+    (SeriesResult(_FREE, 0, "quotient"),
+     "SeriesResult(rational=FactoredRational('(1 - t)/(1 - t - s)'), "
+     "t_prefactor=0, mode='quotient', automaton_states=(), "
+     "reduced=False)"),
+    (InputDocument(_EMPTY, True, ()),
+     "InputDocument(presentation=ModulePresentation(c=1, "
+     "summands=((0, 0),), 0 generators, OI), quotient=True, "
+     "groebner_leads=())"),
+    (Decomposition((1,), 1, None, _EMPTY),
+     "Decomposition(e=(1,), m=1, marked=None, "
+     "unmarked=ModulePresentation(c=1, summands=((0, 0),), "
+     "0 generators, OI))"),
+]
+
+
+class TestRecords:
+    # the result records are immutable, hashable values (analyze's
+    # _growth cache keys on ShapeReport) with a keyword repr
+    @pytest.mark.parametrize("record,text", _RECORDS,
+                             ids=[type(r).__name__ for r, _ in _RECORDS])
+    def test_value_semantics(self, record, text):
+        assert repr(record) == text
+        twin = type(record)(*record)
+        assert twin == record and hash(twin) == hash(record)
+        assert len({record, twin}) == 1
+        assert type(record)(*record[:-1], "other") != record
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_series_result_defaults(self):
+        res = SeriesResult(_FREE, 2, "submodule")
+        assert (res.automaton_states, res.reduced) == ((), False)
+        assert res == SeriesResult(_FREE, 2, "submodule", (), False)
+        assert res != SeriesResult(_FREE, 2, "submodule", (1,), False)

@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import io
 import json
@@ -9,8 +10,9 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oihilbert import cli
+from oihilbert import analysis, cli
 from oihilbert.errors import SchemaError
 from oihilbert.oicore import Monomial, ModulePresentation
 from oihilbert.schema import (
@@ -271,6 +273,13 @@ class TestCommands:
         assert "multiplicity: 3^n for n >= 0" in out
         assert "artinian: true" in out
 
+    def test_analyze_computes_growth_once(self, capsys):
+        # dimension, multiplicity and verdict share one cached _growth
+        analysis._growth.cache_clear()
+        code, _, _ = run(capsys, "analyze", str(INPUTS / "two_summands.json"))
+        info = analysis._growth.cache_info()
+        assert (code, info.misses, info.hits) == (0, 1, 2)
+
     def test_analyze_json_window(self, capsys, tmp_path):
         # the exact onset replaces the fits' window and window values
         doc = write_doc(tmp_path, minimal())
@@ -482,22 +491,39 @@ class TestCommands:
                                "-J", "5")
             assert (code, out.strip()) == (0, "OK"), doc.name
 
-    def test_runtime_never_imports_sympy(self):
-        # sympy is a test-only oracle; a fresh interpreter shows what the
-        # commands themselves import
+    def test_cold_commands_import_only_what_they_run(self):
+        # a fresh interpreter per command shows what the command itself
+        # imports: sympy is a test-only oracle, dataclasses drags in
+        # inspect, decomposition serves decompose alone and fractions the
+        # exact solve of analyze; the package's decomposition names still
+        # load on first access
         src = Path(__file__).resolve().parent.parent / "src"
         doc = str(INPUTS / "squarefree_pair.json")
+        watched = ["dataclasses", "fractions", "inspect",
+                   "oihilbert.decomposition", "sympy"]
         script = (
-            "import contextlib, io, sys\n"
+            "import contextlib, io, json, sys\n"
             "from oihilbert import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    codes = [cli.main([c, {doc!r}]) for c in ('hilbert', 'analyze')]\n"
-            "print(codes, 'sympy' in sys.modules)\n")
+            "    code = cli.main(sys.argv[1:])\n"
+            f"loaded = sorted(set(sys.modules) & set({watched!r}))\n"
+            "from oihilbert import compute_decomposition\n"
+            "print(json.dumps([code, loaded, "
+            "compute_decomposition.__module__]))\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(src), os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert (out.returncode, out.stdout.strip()) == (0, "[0, 0] False")
+        for argv, loaded in [
+                (["hilbert", doc], []),
+                (["analyze", doc], ["fractions"]),
+                (["oracle", doc, "-N", "3", "-J", "3"], []),
+                (["decompose", doc, "--e", "1"],
+                 ["oihilbert.decomposition"])]:
+            out = subprocess.run([sys.executable, "-c", script, *argv],
+                                 env=env, capture_output=True, text=True,
+                                 timeout=120)
+            assert out.returncode == 0, out.stderr
+            assert json.loads(out.stdout) == [
+                0, loaded, "oihilbert.decomposition"], argv
 
     def test_benchmark_hooks_install(self):
         # perfbench/spans.py wraps the package's entry points by name; a
@@ -546,3 +572,102 @@ class TestCommands:
         first = run(capsys, "hilbert", doc, "--json")
         second = run(capsys, "hilbert", doc, "--json")
         assert first == second
+
+
+# any small JSON value: stands in for a document field to corrupt it
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.text(max_size=3),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=3), kids, max_size=3)),
+    max_leaves=6)
+
+_COMMANDS = [
+    ["hilbert"], ["hilbert", "--reduce", "--json"], ["analyze"],
+    ["analyze", "--json"], ["expand", "-N", "3", "-J", "3"],
+    ["oracle", "-N", "3", "-J", "3"], ["decompose", "--e", "1"],
+    ["decompose", "--e", "0,1", "--json"]]
+
+
+@st.composite
+def _documents(draw):
+    """A small document, valid or with one field replaced or dropped."""
+    c = draw(st.integers(1, 2))
+    summands = draw(st.lists(st.fixed_dictionaries(
+        {"d": st.integers(0, 2)}, optional={"shift": st.integers(-1, 1)}),
+        min_size=1, max_size=2))
+
+    def place():
+        return {"summand": draw(st.integers(0, len(summands) - 1)),
+                "width": draw(st.integers(0, 3))}
+
+    def term(summand, width):
+        obj = {"pi": sorted(draw(st.permutations(range(1, width + 1)))
+                            [:summands[summand]["d"]])}
+        if draw(st.booleans()):
+            obj["exponents"] = [[draw(st.integers(0, 2)) for _ in range(c)]
+                                for _ in range(width)]
+        return obj
+
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        at = place()
+        gens.append(dict(at, **term(at["summand"], at["width"])))
+    fi = all(sm["d"] == 0 for sm in summands) and draw(st.booleans())
+    doc = {"schema_version": 1, "c": c, "summands": summands,
+           "generators": gens,
+           "mode": draw(st.sampled_from(["quotient", "submodule"])),
+           "category": "FI" if fi else "OI"}
+    if draw(st.booleans()):
+        at = place()
+        at["terms"] = [dict(term(at["summand"], at["width"]),
+                            coeff=draw(st.integers(-1, 2)))
+                       for _ in range(draw(st.integers(1, 2)))]
+        doc["asserted_groebner"] = [at]
+    if draw(st.booleans()):
+        slots = []
+
+        def collect(node):
+            keys = node if isinstance(node, dict) else range(len(node))
+            for k in keys:
+                slots.append((node, k))
+                if isinstance(node[k], (dict, list)):
+                    collect(node[k])
+
+        collect(doc)
+        node, key = draw(st.sampled_from(slots))
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(_JSON)
+    return doc
+
+
+class TestExitContract:
+    # every document and every byte string gives exit 0 or 2; a non-zero
+    # exit prints exactly one `error:` line and never a traceback
+
+    def check(self, path, command):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command[0], str(path), *command[1:]])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2), (command, err.getvalue())
+        assert lines == [] if code == 0 else (
+            len(lines) == 1 and lines[0].startswith("error: ")), lines
+
+    @given(_documents())
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_documents(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        for command in _COMMANDS:
+            self.check(path, command)
+
+    @given(st.binary(max_size=40), st.sampled_from(_COMMANDS))
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes(self, tmp_path, data, command):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        self.check(path, command)
