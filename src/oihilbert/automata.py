@@ -12,7 +12,12 @@ Hilbert series exactly.
 from math import isqrt
 
 from .errors import NonDivisible, OihError, ZeroModule
-from .polyarith import BiPoly, FactoredRational, split_content
+from .polyarith import (
+    BiPoly,
+    FactoredRational,
+    common_denominator,
+    split_content,
+)
 from .words import alphabet, encode, is_xi, tau, tau_index
 
 
@@ -609,22 +614,6 @@ def _solve_component(rows, rhs, first):
         for i in range(first, size)]
 
 
-def _cofactor(top, factors, memo):
-    """The product of the factor powers `factors` lacks against `top`
-    (key -> (base, exponent)).  memo maps the tuple of lacking
-    (key, exponent) pairs, in top's order, to their product."""
-    have = {b.key(): e for b, e in factors}
-    lack = tuple((key, e - have.get(key, 0))
-                 for key, (_, e) in top.items() if e > have.get(key, 0))
-    out = memo.get(lack)
-    if out is None:
-        out = BiPoly.one()
-        for key, e in lack:
-            out = out * top[key][0] ** e
-        memo[lack] = out
-    return out
-
-
 def generating_function(dfa, weight=None):
     """Sum of weight(w) over accepted words, as an exact rational.
 
@@ -653,7 +642,8 @@ def generating_function(dfa, weight=None):
     (_solve_component) after the monomial common to its right-hand side
     is divided out.  Components of one automaton repeat their cofactor
     products and determinants, so the call memoizes both: cofactors by
-    their lacking factor powers (_cofactor), splits by the determinant.
+    their lacking factor powers (common_denominator), splits by the
+    determinant.
     """
     if weight is None:
         weight = _default_weight
@@ -696,16 +686,13 @@ def generating_function(dfa, weight=None):
                     part[c] = part[c] + term if c in part else term
             rows.append(row)
             parts.append(part)
-        reached = set().union(*parts)
-        top = {}
-        for c in reached:
-            for base, e in tuples[c]:
-                got = top.get(base.key())
-                if got is None or got[1] < e:
-                    top[base.key()] = (base, e)
-        cofs = {c: _cofactor(top, tuples[c], cofactors) for c in reached}
-        den = (_cofactor(top, (), cofactors)
-               if dfa.accepts.intersection(comp) else zero)
+        reached = list(set().union(*parts))
+        accepting = not dfa.accepts.isdisjoint(comp)
+        # the empty tuple's cofactor is the expanded denominator
+        top, cofs = common_denominator(
+            [tuples[c] for c in reached] + [()] * accepting, cofactors)
+        den = cofs.pop() if accepting else zero
+        cofs = dict(zip(reached, cofs))
         nums = []
         for q, part in zip(comp, parts):
             num = den if q in dfa.accepts else zero
@@ -726,8 +713,7 @@ def generating_function(dfa, weight=None):
         pieces = splits.get(det.key())
         if pieces is None:
             pieces = splits[det.key()] = tuple(split_content(det))
-        tuples.append(FactoredRational(
-            one, tuple(top.values()) + pieces).factors)
+        tuples.append(FactoredRational(one, top + pieces).factors)
         for q, num in zip(comp[first:], nums):
             x[q] = num
             home[q] = len(tuples) - 1

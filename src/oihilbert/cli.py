@@ -19,7 +19,7 @@ from .analysis import (
 )
 from .errors import NotInLanguage, OihError, SchemaError
 from .oicore import Monomial, hilbert_width
-from .polyarith import SeriesWindow, render_poly
+from .polyarith import render_poly
 from .schema import _parse_exponents, _parse_pi, load_document, monomial_to_obj
 from .series import module_series
 from .words import decode, encode, word_from_str, word_to_str
@@ -84,9 +84,7 @@ def cmd_expand(args):
     doc = load_document(args.file)
     p = doc.effective_presentation()
     res = module_series(p, quotient=doc.quotient)
-    win = res.window(args.N, args.J)
-    table = [[win[(n, j)] for j in range(args.J + 1)]
-             for n in range(args.N + 1)]
+    table = res.window(args.N, args.J)
     if args.json:
         _emit({"n_max": args.N, "j_max": args.J, "dims": table})
     else:
@@ -104,11 +102,14 @@ def cmd_oracle(args):
         raise SchemaError("oracle: the width-wise route needs nonnegative "
                           "shifts")
     res = module_series(p, quotient=doc.quotient)
-    win = res.window(args.N, args.J)
+    rows = res.window(args.N, args.J)
     memo = {}
-    tables = SeriesWindow(hilbert_width(p, n, doc.quotient, memo).dims(args.J)
-                          for n in range(args.N + 1))
-    mismatches = win.diff(tables)
+    tables = [hilbert_width(p, n, doc.quotient, memo).dims(args.J)
+              for n in range(args.N + 1)]
+    mismatches = [(n, j, series, widthwise)
+                  for n, (row, dims) in enumerate(zip(rows, tables))
+                  for j, (series, widthwise) in enumerate(zip(row, dims))
+                  if series != widthwise]
     for n, j, series, widthwise in mismatches:
         print(f"mismatch at n={n} j={j}: "
               f"series gives {series}, width-wise gives {widthwise}")

@@ -14,11 +14,12 @@ from .errors import Column1NotEmpty, WidthMismatch
 from .oicore import (
     ModulePresentation,
     Monomial,
+    WidthSeries,
     colon_width,
     hilbert_width,
     minimalize,
-    size_invariants,
 )
+from .polyarith import FactoredRational
 
 
 def res_monomial(m):
@@ -54,8 +55,8 @@ def compute_decomposition(p, e):
     if len(e) != p.c or any(x < 0 for x in e):
         raise WidthMismatch(f"exponent vector must be {p.c} nonnegatives")
     d = p.summands[0][0]
-    inv = size_invariants(p)
-    m = inv.wi_plus if inv.wi_plus >= 1 else max(1, d)
+    wi = max((g.width for g in minimalize(p.generators)), default=0)
+    m = wi if wi >= 1 else max(1, d)
 
     # generators with a column-1 variable are swallowed once the column-1
     # variables are adjoined; the rest lose their empty first column
@@ -127,19 +128,19 @@ def repeated_division_sides(p, n):
     """Both sides of the width-n series identity obtained by dividing out
     all column-1 powers up to the clearing bound.
 
-    Returns (lhs, rhs) as reduced-equality-comparable width series; the
-    right side sums t^|e| / (1-t)^(count of saturated entries) times the
-    sliced quotient over all exponent vectors e in [0, r]^c.
+    Returns (lhs, rhs) as FactoredRationals in t, equal when
+    (lhs - rhs).is_zero(); the right side sums t^|e| / (1-t)^(count of
+    saturated entries) times the sliced quotient over all exponent
+    vectors e in [0, r]^c.
     """
     r = division_exponent_bound(p)
-    lhs = hilbert_width(p, n)
-    rhs = None
+    lhs = hilbert_width(p, n).as_rational()
+    rhs = FactoredRational.zero()
     col1 = _column1_all_summands(p, n)
     for e in product(range(r + 1), repeat=p.c):
         gens = colon_width(p, e, n) + col1
-        pn = p.with_generators(minimalize(gens))
-        part = hilbert_width(pn, n)
+        part = hilbert_width(p.with_generators(minimalize(gens)), n)
         gamma = sum(1 for x in e if x == r)
-        part = part.shift(sum(e)).over_one_minus_t(gamma)
-        rhs = part if rhs is None else rhs + part
+        rhs = rhs + WidthSeries(part.num.shift(sum(e)),
+                                part.den_pow + gamma).as_rational()
     return lhs, rhs

@@ -22,7 +22,7 @@ from .errors import (
     ZeroElement,
     ZeroModule,
 )
-from .polyarith import UniPoly, one_minus_t_order
+from .polyarith import BiPoly, FactoredRational, UniPoly, one_minus_t_order
 
 
 class Monomial:
@@ -356,30 +356,10 @@ class WidthSeries:
             for j in range(j_max + 1)
         ]
 
-    def align(self, other):
-        p = max(self.den_pow, other.den_pow)
-        omt = UniPoly((1, -1))
-        a = self.num * omt ** (p - self.den_pow)
-        b = other.num * omt ** (p - other.den_pow)
-        return a, b, p
-
-    def __add__(self, other):
-        a, b, p = self.align(other)
-        return WidthSeries(a + b, p)
-
-    def __sub__(self, other):
-        a, b, p = self.align(other)
-        return WidthSeries(a - b, p)
-
-    def shift(self, k):
-        return WidthSeries(self.num.shift(k), self.den_pow)
-
-    def over_one_minus_t(self, gamma):
-        return WidthSeries(self.num, self.den_pow + gamma)
-
-    def equals(self, other):
-        a, b, _ = self.align(other)
-        return a == b
+    def as_rational(self):
+        """The series as a FactoredRational in t alone."""
+        return FactoredRational(BiPoly.from_uni_t(self.num),
+                                ((BiPoly.one() - BiPoly.t(), self.den_pow),))
 
     def reduce(self):
         """(numerator with the root t=1 removed, pole order at t=1)."""

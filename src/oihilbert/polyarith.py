@@ -527,6 +527,35 @@ def split_content(p):
     return pieces
 
 
+def common_denominator(factor_tuples, memo=None):
+    """The multiset maximum of a sequence of factor tuples, and each
+    tuple's cofactor: the product of the factor powers it lacks against
+    that maximum.  memo maps a tuple of lacking (key, exponent) pairs, in
+    the maximum's order, to their product; pass one dict to calls whose
+    cofactors repeat."""
+    top = {}
+    for factors in factor_tuples:
+        for base, e in factors:
+            got = top.get(base.key())
+            if got is None or got[1] < e:
+                top[base.key()] = (base, e)
+    if memo is None:
+        memo = {}
+    cofactors = []
+    for factors in factor_tuples:
+        have = {b.key(): e for b, e in factors}
+        lack = tuple((key, e - have.get(key, 0))
+                     for key, (_, e) in top.items() if e > have.get(key, 0))
+        out = memo.get(lack)
+        if out is None:
+            out = BiPoly.one()
+            for key, e in lack:
+                out = out * top[key][0] ** e
+            memo[lack] = out
+        cofactors.append(out)
+    return tuple(top.values()), cofactors
+
+
 class FactoredRational:
     """Rational function numerator / product of factor powers, all in Z[s,t].
 
@@ -564,41 +593,18 @@ class FactoredRational:
             out = out * base ** e
         return out
 
-    def _merge_factors(self, other):
-        """Common denominator: (merged factors, my cofactor, their cofactor)."""
-        mine = {b.key(): (b, e) for b, e in self.factors}
-        theirs = {b.key(): (b, e) for b, e in other.factors}
-        merged = []
-        co_self = BiPoly.one()
-        co_other = BiPoly.one()
-        for k in sorted(set(mine) | set(theirs)):
-            b, ea = mine.get(k, (None, 0))
-            b2, eb = theirs.get(k, (None, 0))
-            base = b if b is not None else b2
-            e = max(ea, eb)
-            merged.append((base, e))
-            if e > ea:
-                co_self = co_self * base ** (e - ea)
-            if e > eb:
-                co_other = co_other * base ** (e - eb)
-        return merged, co_self, co_other
-
     def __add__(self, other):
-        merged, cs, co = self._merge_factors(other)
+        merged, (cs, co) = common_denominator((self.factors, other.factors))
         return FactoredRational(self.num * cs + other.num * co, merged)
 
     def __sub__(self, other):
-        merged, cs, co = self._merge_factors(other)
-        return FactoredRational(self.num * cs - other.num * co, merged)
+        return self + (-other)
 
     def __neg__(self):
         return FactoredRational(-self.num, self.factors)
 
-    def mul_poly(self, p):
-        return FactoredRational(self.num * p, self.factors)
-
     def mul_t_power(self, k):
-        return self.mul_poly(BiPoly.term(0, k))
+        return FactoredRational(self.num * BiPoly.term(0, k), self.factors)
 
     def reduce(self):
         """Cancel numerator against denominator factors by trial exact
@@ -681,38 +687,6 @@ def render_rational(r, t_prefactor=0):
     return f"{num}/" + "*".join(fs)
 
 
-class SeriesWindow:
-    """Truncated expansion table: rows indexed by s-degree n, columns by t-degree j."""
-
-    __slots__ = ("rows", "n_max", "j_max")
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(r) for r in rows)
-        self.n_max = len(self.rows) - 1
-        self.j_max = len(self.rows[0]) - 1 if self.rows else -1
-
-    def __getitem__(self, nj):
-        n, j = nj
-        return self.rows[n][j]
-
-    def __eq__(self, other):
-        return isinstance(other, SeriesWindow) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def diff(self, other):
-        out = []
-        for n in range(min(self.n_max, other.n_max) + 1):
-            for j in range(min(self.j_max, other.j_max) + 1):
-                if self.rows[n][j] != other.rows[n][j]:
-                    out.append((n, j, self.rows[n][j], other.rows[n][j]))
-        return out
-
-    def __repr__(self):
-        return f"SeriesWindow({self.n_max}, {self.j_max})"
-
-
 def _truncate(p, n_max, j_max):
     """The terms of p with s-degree <= n_max and t-degree <= j_max."""
     return BiPoly._raw({(i, j): c for (i, j), c in p.terms.items()
@@ -720,7 +694,8 @@ def _truncate(p, n_max, j_max):
 
 
 def expand_series(r, n_max, j_max, t_prefactor=0):
-    """Expand a FactoredRational into a SeriesWindow of exact coefficients.
+    """Expand a FactoredRational into its exact coefficients: a tuple of
+    rows indexed by s-degree n, each a tuple indexed by t-degree j.
 
     t_prefactor k means the function is t^-k times `r`; the window reports
     coefficients of nonnegative t-degrees only.  The denominator is
@@ -745,5 +720,5 @@ def expand_series(r, n_max, j_max, t_prefactor=0):
                 if k <= n and l <= j:
                     acc -= v * w[(n - k, j - l)]
             w[(n, j)] = acc
-    return SeriesWindow([[w[(n, j + t_prefactor)] for j in range(j_max + 1)]
-                         for n in range(n_max + 1)])
+    return tuple(tuple(w[(n, j + t_prefactor)] for j in range(j_max + 1))
+                 for n in range(n_max + 1))

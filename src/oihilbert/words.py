@@ -62,44 +62,17 @@ def word_from_str(text):
     out = []
     for tok in text.split():
         kind, num = tok[:1], tok[1:]
-        if kind not in ("x", "t") or not num.isdigit():
+        if kind not in ("x", "t") or not (num.isascii() and num.isdigit()):
             raise NotInLanguage(f"bad letter token {tok!r}")
-        n = int(num)
+        try:
+            n = int(num)
+        except ValueError:
+            raise NotInLanguage(
+                f"letter index of {len(num)} digits is too long") from None
         if kind == "x" and n < 1:
             raise NotInLanguage(f"bad variable letter {tok!r}")
         out.append(n if kind == "x" else -n)
     return tuple(out)
-
-
-def apply_shift(i, exps, positions):
-    """The index-i shift operator on a (monomial, positions) pair.
-
-    exps maps (row, column) to exponents; every column moves up by one.
-    positions entries at 1-based index >= i increase by one; index 0 leaves
-    them all unchanged.
-    """
-    shifted = {(r, col + 1): e for (r, col), e in exps.items()}
-    if i == 0:
-        return shifted, tuple(positions)
-    return shifted, tuple(p + 1 if k + 1 >= i else p for k, p in enumerate(positions))
-
-
-def eta(word, c, d):
-    """Evaluate a word right to left into an (exponent map, positions) pair."""
-    exps = {}
-    positions = tuple([0] * d)
-    for a in reversed(word):
-        if is_xi(a):
-            if a > c:
-                raise NotInLanguage(f"variable letter x{a} exceeds c = {c}")
-            key = (a, 1)
-            exps[key] = exps.get(key, 0) + 1
-        else:
-            j = tau_index(a)
-            if j > d:
-                raise NotInLanguage(f"marker letter t{j} exceeds d = {d}")
-            exps, positions = apply_shift(j, exps, positions)
-    return exps, positions
 
 
 def is_standard(word):

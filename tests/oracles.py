@@ -1,7 +1,8 @@
 """Reference routes that the runtime does not need, kept for the tests:
-running a DFA on one word, the unpruned subset construction, the
-greatest simulation as a pairwise fixpoint, Moore minimization, equality
-of rational functions by cross-multiplication, the geometric polynomial,
+the right-to-left decoder of words (eta, by shift operators), running a
+DFA on one word, the unpruned subset construction, the greatest
+simulation as a pairwise fixpoint, Moore minimization, equality of
+rational functions by cross-multiplication, the geometric polynomial,
 the schoolbook product and per-digit unpacking of bivariate polynomials,
 and the paper's pseudo-division criterion for eventual finite length,
 written with sympy rather than the package's own polynomial
@@ -10,9 +11,43 @@ arithmetic."""
 import sympy
 
 from oihilbert.automata import Dfa, empty_dfa
+from oihilbert.errors import NotInLanguage
 from oihilbert.polyarith import UniPoly
+from oihilbert.words import is_xi, tau_index
 
 S, T = sympy.symbols("s t")
+
+
+def apply_shift(i, exps, positions):
+    """The index-i shift operator on a (monomial, positions) pair.
+
+    exps maps (row, column) to exponents; every column moves up by one.
+    positions entries at 1-based index >= i increase by one; index 0 leaves
+    them all unchanged.
+    """
+    shifted = {(r, col + 1): e for (r, col), e in exps.items()}
+    if i == 0:
+        return shifted, tuple(positions)
+    return shifted, tuple(p + 1 if k + 1 >= i else p
+                          for k, p in enumerate(positions))
+
+
+def eta(word, c, d):
+    """Evaluate a word right to left into an (exponent map, positions) pair."""
+    exps = {}
+    positions = tuple([0] * d)
+    for a in reversed(word):
+        if is_xi(a):
+            if a > c:
+                raise NotInLanguage(f"variable letter x{a} exceeds c = {c}")
+            key = (a, 1)
+            exps[key] = exps.get(key, 0) + 1
+        else:
+            j = tau_index(a)
+            if j > d:
+                raise NotInLanguage(f"marker letter t{j} exceeds d = {d}")
+            exps, positions = apply_shift(j, exps, positions)
+    return exps, positions
 
 
 def run_dfa(dfa, word):

@@ -341,9 +341,9 @@ def check_fit(res, fit, n_max=10):
     """The fit equals the window from its onset on, and not one below."""
     win = res.window(n_max, fit.degree_j)
     for n in range(fit.onset, n_max + 1):
-        assert fit.evaluate(n) == win[n, fit.degree_j], n
+        assert fit.evaluate(n) == win[n][fit.degree_j], n
     if fit.onset:
-        assert fit.evaluate(fit.onset - 1) != win[fit.onset - 1, fit.degree_j]
+        assert fit.evaluate(fit.onset - 1) != win[fit.onset - 1][fit.degree_j]
 
 
 class TestFixedDegree:

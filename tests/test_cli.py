@@ -447,6 +447,10 @@ class TestCommands:
          "--exponents", "[[" + "9" * 5000 + "]]"],
         ["words", "encode", "--c", "1", "--width", "1",
          "--exponents", "[" * 100000],
+        # letter indices take ASCII digits only, and one too long for int
+        ["words", "decode", "--c", "1", "--d", "1", "t\u00b2"],
+        ["words", "decode", "--c", "1", "--d", "1", "t\u0661"],
+        ["words", "decode", "--c", "1", "--d", "1", "t" + "1" * 5000],
     ])
     def test_usage_errors_exit_two(self, capsys, tmp_path, argv):
         shifted = write_doc(tmp_path, minimal(

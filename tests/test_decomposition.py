@@ -1,5 +1,6 @@
 import pytest
 
+from oihilbert import decomposition, oicore
 from oihilbert.decomposition import (
     compute_decomposition,
     division_exponent_bound,
@@ -54,6 +55,21 @@ class TestComputeDecomposition:
         assert dec.marked.summands == ((0, 0),)
         assert dec.marked.generators == ()
         assert [g.pi for g in dec.unmarked.generators] == [(1,)]
+
+    def test_reads_no_widthwise_series(self, monkeypatch):
+        # m is the largest width among the minimal generators, or d (at
+        # least 1) without any; no series is needed
+        def refuse(*args, **kwargs):
+            raise AssertionError("hilbert_width called")
+
+        monkeypatch.setattr(decomposition, "hilbert_width", refuse)
+        monkeypatch.setattr(oicore, "hilbert_width", refuse)
+        # x[1,1] divides the width-2 generator, which leaves no mark on m
+        p = ideal(1, [((1,),), ((2,), (1,))])
+        assert compute_decomposition(p, (1,)).m == 1
+        assert compute_decomposition(ideal(1, []), (0,)).m == 1
+        free = ModulePresentation(1, [(2, 0)], [])
+        assert compute_decomposition(free, (0,)).m == 2
 
     def test_validation(self):
         p = ModulePresentation(1, [(0, 0), (0, 0)], [])
@@ -132,7 +148,7 @@ class TestRepeatedDivision:
         for p in cases:
             for n in range(1, 5):
                 lhs, rhs = repeated_division_sides(p, n)
-                assert lhs.equals(rhs), (p, n)
+                assert (lhs - rhs).is_zero(), (p, n)
 
     def test_sliced_dims_sane(self):
         free = ModulePresentation(1, [(0, 0)], [])

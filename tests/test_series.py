@@ -21,7 +21,7 @@ def window_vs_widthwise(p, n_max=5, j_max=5):
         for n in range(n_max + 1):
             dims = hilbert_width(p, n, quotient=quotient).dims(j_max)
             for j in range(j_max + 1):
-                assert win[(n, j)] == dims[j], (quotient, n, j)
+                assert win[n][j] == dims[j], (quotient, n, j)
 
 
 class TestFreeSeries:
@@ -32,7 +32,7 @@ class TestFreeSeries:
             win = res.window(5, 5)
             for n in range(6):
                 for j in range(6):
-                    assert win[(n, j)] == comb(n, d) * poly_dim(c * n, j)
+                    assert win[n][j] == comb(n, d) * poly_dim(c * n, j)
 
     def test_automaton_agrees_with_closed_form(self):
         for c, d in [(1, 0), (2, 1), (1, 2)]:
@@ -69,8 +69,8 @@ class TestModuleSeries:
         assert res.t_prefactor == 0
         win = res.window(4, 5)
         for n in range(5):
-            assert win[(n, 3)] == 1  # shifted unit in each width
-            assert win[(n, 0)] == 0
+            assert win[n][3] == 1  # shifted unit in each width
+            assert win[n][0] == 0
 
     def test_negative_shift_prefactor(self):
         p = ModulePresentation(1, [(0, -2), (0, 0)], [])
@@ -82,7 +82,7 @@ class TestModuleSeries:
         for n in range(4):
             for j in range(5):
                 want = poly_dim(n, j) + poly_dim(n, j + 2)
-                assert win[(n, j)] == want
+                assert win[n][j] == want
 
     def test_automaton_sizes_recorded(self):
         p = ModulePresentation(1, [(0, 0), (0, 0)],
