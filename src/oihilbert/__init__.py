@@ -21,9 +21,7 @@ from .errors import OihError
 from .oicore import (
     ModulePresentation,
     Monomial,
-    dim_deg_width,
     hilbert_width,
-    size_invariants,
     symmetrize_fi_ideal,
 )
 from .schema import InputDocument, load_document, parse_document
@@ -33,8 +31,7 @@ from .words import decode, encode
 __version__ = "0.1.0"
 
 # decomposition serves one command; its names load it on first access
-_DECOMPOSITION = {"Decomposition", "compute_decomposition",
-                  "repeated_division_sides", "verify_decomposition"}
+_DECOMPOSITION = {"Decomposition", "compute_decomposition"}
 
 
 def __getattr__(name):
@@ -63,7 +60,6 @@ __all__ = [
     "asymptotic_multiplicity",
     "compute_decomposition",
     "decode",
-    "dim_deg_width",
     "encode",
     "fixed_degree_polynomial",
     "free_series",
@@ -71,9 +67,6 @@ __all__ = [
     "load_document",
     "module_series",
     "parse_document",
-    "repeated_division_sides",
-    "size_invariants",
     "symmetrize_fi_ideal",
     "validate_shape",
-    "verify_decomposition",
 ]

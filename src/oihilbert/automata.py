@@ -11,7 +11,7 @@ Hilbert series exactly.
 
 from math import isqrt
 
-from .errors import NonDivisible, OihError, ZeroModule
+from .errors import NonDivisible, OihError
 from .polyarith import (
     BiPoly,
     FactoredRational,
@@ -99,65 +99,50 @@ def lstd_dfa(c, d):
     return Dfa(letters, len(order), 0, accepts, trans)
 
 
-def generator_nfa(g, d):
-    """NFA for the words of monomials OI-divisible by g.
+def module_nfa(c, d, gens):
+    """NFA for the words of monomials OI-divisible by some generator in
+    gens (monomials of one summand of rank d).
 
-    Built from g's own standard word: one hub per column block carrying the
-    filler loops (any variables, plus the block's marker index), then a
-    chain consuming the block's required letters, with extra-variable loops
-    on every chain state.  The trailing hub loops on zero-index markers and
-    accepts.  Unsorted junk the loops admit is standard-word-filtered later.
+    Each generator appends its own states, in order, built from its
+    standard word: one hub per column block carrying the filler loops (any
+    variables, plus the block's marker index), then a chain consuming the
+    block's required letters, with extra-variable loops on every chain
+    state.  The trailing hub loops on zero-index markers and accepts.
+    Unsorted junk the loops admit is standard-word-filtered later.
     """
-    nfa = Nfa(alphabet(g.c, d))
-    word = encode(g)
-    blocks = []
-    req = []
-    for a in word:
-        if is_xi(a):
-            req.append(a)
-        else:
-            blocks.append((tuple(req), tau_index(a)))
-            req = []
+    nfa = Nfa(alphabet(c, d))
     xs = [a for a in nfa.alphabet if is_xi(a)]
+    for g in gens:
+        blocks = []
+        req = []
+        for a in encode(g):
+            if is_xi(a):
+                req.append(a)
+            else:
+                blocks.append((tuple(req), tau_index(a)))
+                req = []
 
-    hub = nfa.add_state()
-    nfa.starts.add(hub)
-    for required, tidx in blocks:
-        marker = tau(tidx)
+        hub = nfa.add_state()
+        nfa.starts.add(hub)
+        for required, tidx in blocks:
+            marker = tau(tidx)
+            for x in xs:
+                nfa.add_edge(hub, x, hub)
+            nfa.add_edge(hub, marker, hub)
+            cur = hub
+            for a in required:
+                nxt = nfa.add_state()
+                nfa.add_edge(cur, a, nxt)
+                for x in xs:
+                    nfa.add_edge(nxt, x, nxt)
+                cur = nxt
+            hub = nfa.add_state()
+            nfa.add_edge(cur, marker, hub)
         for x in xs:
             nfa.add_edge(hub, x, hub)
-        nfa.add_edge(hub, marker, hub)
-        cur = hub
-        for a in required:
-            nxt = nfa.add_state()
-            nfa.add_edge(cur, a, nxt)
-            for x in xs:
-                nfa.add_edge(nxt, x, nxt)
-            cur = nxt
-        hub = nfa.add_state()
-        nfa.add_edge(cur, marker, hub)
-    for x in xs:
-        nfa.add_edge(hub, x, hub)
-    nfa.add_edge(hub, tau(0), hub)
-    nfa.accepts.add(hub)
+        nfa.add_edge(hub, tau(0), hub)
+        nfa.accepts.add(hub)
     return nfa
-
-
-def union_nfa(nfas):
-    if not nfas:
-        raise ZeroModule("union of no automata")
-    out = Nfa(nfas[0].alphabet)
-    for m in nfas:
-        if m.alphabet != out.alphabet:
-            raise ValueError("alphabet mismatch in union")
-        base = out.n
-        out.n += m.n
-        out.starts.update(base + q for q in m.starts)
-        out.accepts.update(base + q for q in m.accepts)
-        for (q, a), dests in m.trans.items():
-            out.trans.setdefault((base + q, a), set()).update(
-                base + r for r in dests)
-    return out
 
 
 def intersect_nfa_dfa(nfa, dfa):
@@ -261,11 +246,15 @@ def determinize(nfa, dfa):
     dom[p] meets: the states q != p with p <= q (`_simulation`) and
     either not q <= p or q < p.  That is a strict order, so each mask
     keeps its maximal members, and since q accepts every word p accepts,
-    its residual language.  A DFA built breadth-first in alphabet order
-    numbers its states by their shortlex-least access words, and
-    `minimize` numbers blocks by their smallest live state, so the
-    minimal DFA depends only on the language: pruning changes the subset
-    DFA, mostly shrinking it, and leaves the minimal one as it was."""
+    its residual language.  The simulation is a preorder, so p <= q <= p
+    exactly when sim[p] == sim[q]; grouping the states by their sim value
+    finds these ties, dom[p] keeps the tied states below p, and a mask
+    keeps the least state of each tie.  A DFA built breadth-first in
+    alphabet order numbers its states by their shortlex-least access
+    words, and `minimize` numbers blocks by their smallest live state, so
+    the minimal DFA depends only on the language: pruning changes the
+    subset DFA, mostly shrinking it, and leaves the minimal one as it
+    was."""
     letters = nfa.alphabet
     if dfa.n == 0:
         return empty_dfa(letters)
@@ -285,14 +274,10 @@ def determinize(nfa, dfa):
     if start == 0:
         return empty_dfa(letters)
     sim = _simulation(nfa)
-    below = [0] * nfa.n  # bit q of below[p]: q <= p
+    tie = {}  # sim value -> its states, the classes of p <= q <= p
     for q, m in enumerate(sim):
-        while m:
-            low = m & -m
-            m ^= low
-            below[low.bit_length() - 1] |= 1 << q
-    dom = [sim[p] & ~(1 << p) & (~below[p] | ((1 << p) - 1))
-           for p in range(nfa.n)]
+        tie[m] = tie.get(m, 0) | 1 << q
+    dom = [m & ~(tie[m] & ~((1 << p) - 1)) for p, m in enumerate(sim)]
 
     def prune(mask):
         keep = rest = mask
@@ -436,17 +421,11 @@ def minimize(dfa):
 
 def module_dfa(c, d, gens):
     """Minimal DFA for the standard words lying in the submodule
-    generated by gens (monomials of one summand of rank d): the union of
-    the generator NFAs, determinized together with the standard-word DFA
-    (`determinize` forms their product as it goes), then minimized."""
-    if not gens:
-        return empty_dfa(alphabet(c, d))
-    u = union_nfa([generator_nfa(g, d) for g in gens])
-    return minimize(determinize(u, lstd_dfa(c, d)))
-
-
-def _default_weight(letter):
-    return BiPoly.t() if is_xi(letter) else BiPoly.s()
+    generated by gens (monomials of one summand of rank d): `module_nfa`,
+    determinized together with the standard-word DFA (`determinize` forms
+    their product as it goes), then minimized.  Without generators the
+    NFA has no start state and the DFA is empty."""
+    return minimize(determinize(module_nfa(c, d, gens), lstd_dfa(c, d)))
 
 
 def _sccs(start, succ):
@@ -614,13 +593,14 @@ def _solve_component(rows, rhs, first):
         for i in range(first, size)]
 
 
-def generating_function(dfa, weight=None):
-    """Sum of weight(w) over accepted words, as an exact rational.
+def generating_function(dfa):
+    """Sum of s^(markers) t^(variables) over accepted words, as an exact
+    rational in s and t.
 
-    weight is called once per letter; the edges from one state to another
-    are bundled into one entry, the first letter's weight itself plus the
-    later ones.  The values x = e_accept + T x are solved one strongly
-    connected component C at a time, sinks first:
+    A variable letter weighs t and a marker letter s; the edges from one
+    state to another are bundled into one entry, the first letter's weight
+    itself plus the later ones.  The values x = e_accept + T x are solved
+    one strongly connected component C at a time, sinks first:
     (I - T_CC) x_C = e_C + T_C,out x_out
     with x_out already known.  A solved state keeps its numerator over its
     component's one factor tuple.  C's denominator is the multiset maximum
@@ -632,12 +612,12 @@ def generating_function(dfa, weight=None):
     Tarjan order, and solves for its entry states alone
     (_solve_component); the others keep no numerator.  The elimination
     leaves det(I - T_CC) times the wanted unknowns, so det(I - T) arrives
-    component by component.  Edge weights must vanish
-    at the origin, as t and s do; then each leading principal minor of
-    I - T_CC is 1 there: no pivot vanishes and every determinant has
-    constant term 1.  Each determinant enters the denominator split by
-    split_content, so every factor is 1-t, the rest of a content or a
-    primitive part, each with constant term 1.  A component of one state
+    component by component.  Edge weights vanish at the origin, as t and
+    s do, so each leading principal minor of I - T_CC is 1 there: no pivot
+    vanishes and every determinant has constant term 1.  Each determinant
+    enters the denominator split by split_content, so every factor is
+    1-t, the rest of a content or a primitive part, each with constant
+    term 1.  A component of one state
     needs no elimination; a larger one is eliminated on packed integers
     (_solve_component) after the monomial common to its right-hand side
     is divided out.  Components of one automaton repeat their cofactor
@@ -645,12 +625,11 @@ def generating_function(dfa, weight=None):
     their lacking factor powers (common_denominator), splits by the
     determinant.
     """
-    if weight is None:
-        weight = _default_weight
     if dfa.n == 0 or not dfa.accepts:
         return FactoredRational.zero()
     zero, one = BiPoly.zero(), BiPoly.one()
-    weights = {a: weight(a) for a in dfa.alphabet}
+    weights = {a: BiPoly.t() if is_xi(a) else BiPoly.s()
+               for a in dfa.alphabet}
     succ = {}
     for (q, a), r in dfa.trans.items():
         row = succ.setdefault(q, {})

@@ -318,7 +318,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     # looked up at call time, so a replaced cmd_* function takes effect
-    func = globals()[f"cmd_{args.command}"]
+    func = {"hilbert": cmd_hilbert, "expand": cmd_expand,
+            "oracle": cmd_oracle, "analyze": cmd_analyze,
+            "decompose": cmd_decompose, "words": cmd_words}[args.command]
     try:
         return func(args)
     except BrokenPipeError:

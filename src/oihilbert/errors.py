@@ -21,10 +21,6 @@ class SummandMismatch(OihError):
     """Free-module summand indices of the objects involved differ."""
 
 
-class ZeroModule(OihError):
-    """The operation is undefined for the zero module."""
-
-
 class ZeroElement(OihError):
     """The operation is undefined for the zero element."""
 

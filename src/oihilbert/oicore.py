@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cmp_to_key
-from math import comb, inf
+from math import comb
 from operator import le
 
 from .errors import (
@@ -20,9 +20,8 @@ from .errors import (
     SummandMismatch,
     WidthMismatch,
     ZeroElement,
-    ZeroModule,
 )
-from .polyarith import BiPoly, FactoredRational, UniPoly, one_minus_t_order
+from .polyarith import UniPoly
 
 
 class Monomial:
@@ -356,16 +355,6 @@ class WidthSeries:
             for j in range(j_max + 1)
         ]
 
-    def as_rational(self):
-        """The series as a FactoredRational in t alone."""
-        return FactoredRational(BiPoly.from_uni_t(self.num),
-                                ((BiPoly.one() - BiPoly.t(), self.den_pow),))
-
-    def reduce(self):
-        """(numerator with the root t=1 removed, pole order at t=1)."""
-        num, k = one_minus_t_order(self.num)
-        return num, self.den_pow - k
-
     def __repr__(self):
         return f"WidthSeries({self.num!r} / (1-t)^{self.den_pow})"
 
@@ -403,15 +392,6 @@ def hilbert_width(p, n, quotient=True, memo=None):
     return WidthSeries(ideal, p.c * n)
 
 
-def dim_deg_width(p, n, quotient=True):
-    """Krull dimension and multiplicity of the width-n component."""
-    ws = hilbert_width(p, n, quotient)
-    num, pole = ws.reduce()
-    if num.is_zero():
-        raise ZeroModule(f"width-{n} component is zero")
-    return pole, num(1)
-
-
 def colon_width(p, e, n):
     """Width-n generators of (M_n : x^e), where x^e is the degree-|e| monomial
     with exponent e_i on the row-i variable of column 1."""
@@ -422,31 +402,6 @@ def colon_width(p, e, n):
         col1 = tuple(max(0, a - b) for a, b in zip(m.cols[0], e))
         out.append(Monomial(m.c, m.width, (col1,) + m.cols[1:], m.pi, m.summand))
     return minimalize(out)
-
-
-class SizeInvariants:
-    __slots__ = ("wi_plus", "e_plus", "si")
-
-    def __init__(self, wi_plus, e_plus, si):
-        self.wi_plus = wi_plus
-        self.e_plus = e_plus
-        self.si = si
-
-    def __repr__(self):
-        return f"SizeInvariants(wi+={self.wi_plus}, e+={self.e_plus}, si={self.si})"
-
-
-def size_invariants(p):
-    """Maximal generator width, maximal degree of a minimal generator at
-    that width, and the size count used by the decomposition comparisons."""
-    gens = minimalize(p.generators)
-    if not gens:
-        return SizeInvariants(-inf, -inf, inf)
-    wi = max(g.width for g in gens)
-    top = minimalize(expand_to_width(p, wi))
-    e_plus = max(g.degree + p.shift_of(g.summand) for g in top)
-    dims = hilbert_width(p, wi, quotient=True).dims(e_plus)
-    return SizeInvariants(wi, e_plus, sum(dims))
 
 
 # ---------------------------------------------------------------------------

@@ -242,10 +242,6 @@ class BiPoly:
         return cls({(0, 0): 1})
 
     @classmethod
-    def const(cls, n):
-        return cls({(0, 0): n})
-
-    @classmethod
     def s(cls):
         return cls({(1, 0): 1})
 

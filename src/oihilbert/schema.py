@@ -113,6 +113,11 @@ def _parse_element(obj, path, c, summands):
         pi = _parse_pi(term, tp, d, width)
         cols = _parse_exponents(term, tp, c, width)
         parsed.append((coeff, Monomial(c, width, cols, pi, summand)))
+    # the series is defined for graded modules only
+    degrees = sorted({m.degree for coeff, m in parsed if coeff})
+    if len(degrees) > 1:
+        _fail(f"{path}.terms",
+              f"terms must share one total degree, got degrees {degrees}")
     try:
         return leading_monomial(parsed)
     except ZeroElement:

@@ -4,15 +4,33 @@ DFA on one word, the unpruned subset construction, the greatest
 simulation as a pairwise fixpoint, Moore minimization, equality of
 rational functions by cross-multiplication, the geometric polynomial,
 the schoolbook product and per-digit unpacking of bivariate polynomials,
-and the paper's pseudo-division criterion for eventual finite length,
+the paper's pseudo-division criterion for eventual finite length,
 written with sympy rather than the package's own polynomial
-arithmetic."""
+arithmetic, the width-wise Krull dimension, multiplicity and size
+invariants, and the decomposition identities: the width-n slice
+identity and the repeated-division identity."""
+
+from itertools import combinations, product
+from math import inf
 
 import sympy
 
 from oihilbert.automata import Dfa, empty_dfa
-from oihilbert.errors import NotInLanguage
-from oihilbert.polyarith import UniPoly
+from oihilbert.decomposition import compute_decomposition
+from oihilbert.errors import NotInLanguage, OihError, WidthMismatch
+from oihilbert.oicore import (
+    Monomial,
+    colon_width,
+    expand_to_width,
+    hilbert_width,
+    minimalize,
+)
+from oihilbert.polyarith import (
+    BiPoly,
+    FactoredRational,
+    UniPoly,
+    one_minus_t_order,
+)
 from oihilbert.words import is_xi, tau_index
 
 S, T = sympy.symbols("s t")
@@ -261,3 +279,131 @@ def paper_artinian(rep):
     rem = sympy.prem(_expr(rep.numerator), den, S)
     a = rep.one_minus_t_power
     return sympy.rem(rem, (1 - T) ** a, T) == 0
+
+
+# ---------------------------------------------------------------------------
+# width-wise invariants
+
+
+class ZeroModule(OihError):
+    """The operation is undefined for the zero module."""
+
+
+def dim_deg_width(p, n, quotient=True):
+    """Krull dimension and multiplicity of the width-n component: the
+    pole order at t = 1 of its width-wise series, and the numerator's
+    value there once the root t = 1 is removed."""
+    ws = hilbert_width(p, n, quotient)
+    num, k = one_minus_t_order(ws.num)
+    if num.is_zero():
+        raise ZeroModule(f"width-{n} component is zero")
+    return ws.den_pow - k, num(1)
+
+
+class SizeInvariants:
+    __slots__ = ("wi_plus", "e_plus", "si")
+
+    def __init__(self, wi_plus, e_plus, si):
+        self.wi_plus = wi_plus
+        self.e_plus = e_plus
+        self.si = si
+
+    def __repr__(self):
+        return f"SizeInvariants(wi+={self.wi_plus}, e+={self.e_plus}, si={self.si})"
+
+
+def size_invariants(p):
+    """Maximal generator width, maximal degree of a minimal generator at
+    that width, and the size count used by the decomposition comparisons."""
+    gens = minimalize(p.generators)
+    if not gens:
+        return SizeInvariants(-inf, -inf, inf)
+    wi = max(g.width for g in gens)
+    top = minimalize(expand_to_width(p, wi))
+    e_plus = max(g.degree + p.shift_of(g.summand) for g in top)
+    dims = hilbert_width(p, wi, quotient=True).dims(e_plus)
+    return SizeInvariants(wi, e_plus, sum(dims))
+
+
+# ---------------------------------------------------------------------------
+# decomposition identities
+
+
+def _column1_generators(c, d, n, summand=0):
+    """Width-n generators of the submodule spanned by column-1 variables."""
+    out = []
+    zero_col = (0,) * c
+    for pi in combinations(range(1, n + 1), d):
+        for i in range(c):
+            col1 = tuple(1 if r == i else 0 for r in range(c))
+            cols = (col1,) + (zero_col,) * (n - 1)
+            out.append(Monomial(c, n, cols, pi, summand))
+    return out
+
+
+def _column1_all_summands(p, n):
+    out = []
+    for k, (d, _) in enumerate(p.summands):
+        out.extend(_column1_generators(p.c, d, n, k))
+    return out
+
+
+def sliced_quotient_dims(p, e, n, j_max):
+    """Degree dims of F_n / (M_n : x1^e + (column 1)F_n)."""
+    gens = colon_width(p, tuple(e), n) + _column1_all_summands(p, n)
+    pn = p.with_generators(minimalize(gens))
+    return hilbert_width(pn, n).dims(j_max)
+
+
+def verify_decomposition(p, e, n, j_max):
+    """Check the width-n slice identity: the colon-plus-column-1 quotient
+    matches marked + unmarked parts one width down.  Needs n >= m+1."""
+    dec = compute_decomposition(p, e)
+    if n < dec.m + 1:
+        raise WidthMismatch(f"identity needs width > {dec.m}")
+    lhs = sliced_quotient_dims(p, e, n, j_max)
+    rhs = [0] * (j_max + 1)
+    if dec.marked is not None:
+        for j, v in enumerate(hilbert_width(dec.marked, n - 1).dims(j_max)):
+            rhs[j] += v
+    for j, v in enumerate(hilbert_width(dec.unmarked, n - 1).dims(j_max)):
+        rhs[j] += v
+    return lhs == rhs, lhs, rhs
+
+
+def division_exponent_bound(p):
+    """One more than the largest column-1 exponent among minimal
+    generators; dividing by that power always clears column 1."""
+    r = 0
+    for g in minimalize(p.generators):
+        if g.width >= 1:
+            r = max(r, max(g.cols[0]))
+    return r + 1
+
+
+def _as_rational(num, den_pow):
+    """num / (1-t)^den_pow, num a UniPoly in t, as a FactoredRational."""
+    return FactoredRational(BiPoly.from_uni_t(num),
+                            ((BiPoly.one() - BiPoly.t(), den_pow),))
+
+
+def repeated_division_sides(p, n):
+    """Both sides of the width-n series identity obtained by dividing out
+    all column-1 powers up to the clearing bound.
+
+    Returns (lhs, rhs) as FactoredRationals in t, equal when
+    (lhs - rhs).is_zero(); the right side sums t^|e| / (1-t)^(count of
+    saturated entries) times the sliced quotient over all exponent
+    vectors e in [0, r]^c.
+    """
+    r = division_exponent_bound(p)
+    whole = hilbert_width(p, n)
+    lhs = _as_rational(whole.num, whole.den_pow)
+    rhs = FactoredRational.zero()
+    col1 = _column1_all_summands(p, n)
+    for e in product(range(r + 1), repeat=p.c):
+        gens = colon_width(p, e, n) + col1
+        part = hilbert_width(p.with_generators(minimalize(gens)), n)
+        gamma = sum(1 for x in e if x == r)
+        rhs = rhs + _as_rational(part.num.shift(sum(e)), part.den_pow + gamma)
+    return lhs, rhs

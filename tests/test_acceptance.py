@@ -15,7 +15,16 @@ import pytest
 
 from corpus import random_ideal, random_monomial, random_presentation, \
     random_single_summand
-from oracles import equals_cross_mul, paper_artinian, run_dfa
+from oracles import (
+    ZeroModule,
+    dim_deg_width,
+    equals_cross_mul,
+    paper_artinian,
+    repeated_division_sides,
+    run_dfa,
+    size_invariants,
+    verify_decomposition,
+)
 from oihilbert.analysis import (
     artinian_test,
     asymptotic_dimension,
@@ -24,19 +33,12 @@ from oihilbert.analysis import (
     validate_shape,
 )
 from oihilbert.automata import module_dfa
-from oihilbert.decomposition import (
-    compute_decomposition,
-    repeated_division_sides,
-    verify_decomposition,
-)
-from oihilbert.errors import ZeroModule
+from oihilbert.decomposition import compute_decomposition
 from oihilbert.oicore import (
     ModulePresentation,
     Monomial,
-    dim_deg_width,
     hilbert_width,
     oi_divides,
-    size_invariants,
     symmetrize_fi_ideal,
 )
 from oihilbert.polyarith import BiPoly, FactoredRational

@@ -18,14 +18,13 @@ from oihilbert.analysis import (
     validate_shape,
 )
 from oihilbert.decomposition import Decomposition
-from oihilbert.errors import ZeroModule
-from oihilbert.oicore import Monomial, ModulePresentation, dim_deg_width
+from oihilbert.oicore import Monomial, ModulePresentation
 from oihilbert.polyarith import BiPoly, FactoredRational, UniPoly, split_content
 from oihilbert.schema import InputDocument, parse_document
 from oihilbert.series import SeriesResult, free_series, module_series
 
 from corpus import random_presentation
-from oracles import equals_cross_mul, paper_artinian
+from oracles import ZeroModule, dim_deg_width, equals_cross_mul, paper_artinian
 
 
 def ideal(c, *gens):

@@ -10,18 +10,16 @@ from hypothesis import given, settings, strategies as st
 from oihilbert.automata import (
     Dfa,
     Nfa,
-    _default_weight,
     _pack_size,
     _simulation,
     _solve_component,
     determinize,
     generating_function,
-    generator_nfa,
     intersect_nfa_dfa,
     lstd_dfa,
     minimize,
     module_dfa,
-    union_nfa,
+    module_nfa,
 )
 from oihilbert.oicore import Monomial, ModulePresentation, hilbert_width, oi_divides
 from oihilbert.polyarith import (
@@ -32,7 +30,7 @@ from oihilbert.polyarith import (
 )
 from oihilbert.schema import load_document, parse_document
 from oihilbert.series import module_series
-from oihilbert.words import alphabet, decode, is_in_lstd
+from oihilbert.words import alphabet, decode, is_in_lstd, is_xi
 
 from corpus import random_presentation
 from enumerate_small import all_monomials, lstd_words
@@ -124,19 +122,31 @@ def elimination_levels(rows):
     return moves
 
 
-def brute_window(dfa, weight, n_max, j_max):
-    """Sum of weight(w) over accepted words, by enumeration; every weight
-    has total degree >= 1, so words up to n_max + j_max letters suffice."""
-    total = BiPoly.zero()
+def brute_window(dfa, n_max, j_max):
+    """Number of accepted words with n markers and j variable letters, for
+    n <= n_max and j <= j_max, by enumeration."""
+    out = [[0] * (j_max + 1) for _ in range(n_max + 1)]
     for length in range(n_max + j_max + 1):
         for word in itertools.product(dfa.alphabet, repeat=length):
-            if run_dfa(dfa, word):
-                w = BiPoly.one()
-                for a in word:
-                    w = w * weight(a)
-                total = total + w
-    return [[total.coeff(n, j) for j in range(j_max + 1)]
-            for n in range(n_max + 1)]
+            j = sum(map(is_xi, word))
+            if j <= j_max and length - j <= n_max and run_dfa(dfa, word):
+                out[length - j][j] += 1
+    return out
+
+
+def sympy_solve(rows, rhs):
+    """det(M) and the Cramer numerators det(M) * x_i of M x = rhs, by
+    sympy: the reference for _solve_component."""
+    size = len(rows)
+    mat = sympy.Matrix(size, size, lambda i, j: to_sympy(
+        rows[i].get(j, BiPoly.zero())))
+    col = sympy.Matrix([to_sympy(b) for b in rhs])
+    nums = []
+    for i in range(size):
+        m = mat.copy()
+        m[:, i] = col
+        nums.append(from_sympy(sympy.expand(m.det())))
+    return from_sympy(sympy.expand(mat.det())), nums
 
 
 class TestLstdDfa:
@@ -226,8 +236,7 @@ def summand_pairs(corpus):
         for k, (d, _) in enumerate(p.summands):
             gens = [g for g in p.generators if g.summand == k]
             if gens:
-                u = union_nfa([generator_nfa(g, d) for g in gens])
-                yield entry["id"], u, lstd_dfa(p.c, d)
+                yield entry["id"], module_nfa(p.c, d, gens), lstd_dfa(p.c, d)
 
 
 def summand_automata(corpus):
@@ -322,12 +331,25 @@ class TestSubsetConstruction:
     def test_degree_probe_subsets_shrink(self):
         e = 400
         gens = [Monomial(1, 2, ((e,), (1,))), Monomial(1, 2, ((1,), (e,)))]
-        u = union_nfa([generator_nfa(g, 0) for g in gens])
+        u = module_nfa(1, 0, gens)
         lstd = lstd_dfa(1, 0)
         pruned = determinize(u, lstd)
         full = subset_dfa(intersect_nfa_dfa(u, lstd))
         assert pruned.n < full.n
         assert minimize(pruned).n == 804
+
+    def test_repeated_generator_is_pruned(self):
+        # each state of the second copy ties with its twin of the first:
+        # every mask keeps one of the two, so the subset DFA is the
+        # one-generator DFA state for state (dropping both would lose words)
+        cases = [(1, 0, Monomial(1, 2, ((2,), (1,)))),
+                 (2, 1, Monomial(2, 2, ((1, 0), (0, 1)), (2,))),
+                 (1, 2, Monomial(1, 3, ((1,), (0,), (2,)), (1, 3)))]
+        for c, d, g in cases:
+            lstd = lstd_dfa(c, d)
+            once = determinize(module_nfa(c, d, [g]), lstd)
+            twice = determinize(module_nfa(c, d, [g, g]), lstd)
+            assert same_dfa(twice, once), (c, d, g)
 
 
 def automaton_vs_divisibility(c, d, gens, max_tau=4, max_xi=4):
@@ -377,8 +399,7 @@ class TestGeneratorLanguage:
     def test_determinize_minimize_agree(self):
         gens = [Monomial(2, 2, ((1, 0), (0, 1)), (2,)),
                 Monomial(2, 1, ((0, 2),), (1,))]
-        u = union_nfa([generator_nfa(g, 1) for g in gens])
-        big = determinize(u, lstd_dfa(2, 1))
+        big = determinize(module_nfa(2, 1, gens), lstd_dfa(2, 1))
         small = minimize(big)
         assert small.n <= big.n
         for word in itertools.product(alphabet(2, 1), repeat=4):
@@ -465,35 +486,39 @@ class TestGeneratingFunction:
         one, t = BiPoly.one(), BiPoly.t()
         assert set(gf.factors) == {(one - t, 1), (one + t, 1)}
 
-    def test_weights_wider_than_eight_byte_digits(self):
-        # a 3-cycle whose determinant carries (2^40 + 3)^3 * t^3
-        big = 2 ** 40 + 3
-        weights = {1: BiPoly.term(0, 1, big),
-                   0: BiPoly.s() - BiPoly.term(1, 1, 5)}
-        trans = {(0, 1): 1, (1, 1): 2, (2, 1): 0, (1, 0): 0, (2, 0): 2}
-        dfa = Dfa(alphabet(1, 0), 3, 0, {0}, trans)
-        gf = generating_function(dfa, weights.__getitem__)
-        assert max(abs(c) for base, _ in gf.factors
-                   for c in base.terms.values()) > 2 ** 64
-        win = expand_series(gf, 4, 4)
-        want = brute_window(dfa, weights.__getitem__, 4, 4)
-        assert [[win[n][j] for j in range(5)] for n in range(5)] == want
+    def test_entries_wider_than_eight_byte_digits(self):
+        # I - T of a 3-cycle with signed wide entries: the determinant
+        # carries (2^40 + 3)^3 * t^3
+        big = BiPoly.term(0, 1, 2 ** 40 + 3)
+        marker = BiPoly.s() - BiPoly.term(1, 1, 5)
+        one, zero = BiPoly.one(), BiPoly.zero()
+        rows = [{0: one, 1: -big},
+                {0: -marker, 1: one, 2: -big},
+                {0: -big, 2: one - marker}]
+        rhs = [one, zero, zero]
+        det, nums = sympy_solve(rows, rhs)
+        assert det.maxabs() > 2 ** 64
+        assert _solve_component(rows, rhs, 0) == (det, nums)
+
+    def test_counts_wider_than_eight_byte_digits(self):
+        # a 13-cycle whose every edge carries all 40 variable letters:
+        # 1 / (1 - 40^13 t^13), past 2^64 from t^13 on
+        c, n = 40, 13
+        trans = {(q, x): (q + 1) % n for q in range(n)
+                 for x in range(1, c + 1)}
+        gf = generating_function(Dfa(alphabet(c, 0), n, 0, {0}, trans))
+        assert max(abs(v) for base, _ in gf.factors
+                   for v in base.terms.values()) == c ** n
+        win = expand_series(gf, 0, 3 * n)
+        assert list(win[0]) == [c ** j if j % n == 0 else 0
+                          for j in range(3 * n + 1)]
 
     @given(augmented_systems())
     @settings(max_examples=40, deadline=None)
     def test_packed_solve_bounds_and_values(self, system):
         rows, rhs = system
-        size = len(rows)
         width, bound = _pack_size(rows, rhs)
-        mat = sympy.Matrix(size, size, lambda i, j: to_sympy(
-            rows[i].get(j, BiPoly.zero())))
-        col = sympy.Matrix([to_sympy(b) for b in rhs])
-        det = from_sympy(sympy.expand(mat.det()))
-        nums = []
-        for i in range(size):
-            m = mat.copy()
-            m[:, i] = col
-            nums.append(from_sympy(sympy.expand(m.det())))
+        det, nums = sympy_solve(rows, rhs)
         for p in [det] + nums:
             assert p.maxabs() <= bound
             assert p.deg_t() < width
@@ -593,7 +618,7 @@ class TestGeneratingFunction:
         assert gf.factors == want
         win = expand_series(gf, 4, 4)
         assert [[win[n][j] for j in range(5)] for n in range(5)] == \
-            brute_window(dfa, _default_weight, 4, 4)
+            brute_window(dfa, 4, 4)
 
     def test_cofactor_memo_matches_direct_product(self):
         # one memo across many (top, factors) pairs, as one

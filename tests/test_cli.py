@@ -414,6 +414,14 @@ class TestCommands:
         assert "strictly increasing" in err
         code, _, err = run(capsys, "hilbert", str(tmp_path / "none.json"))
         assert code == 2
+        # x[1,1]^2 - x[1,2] is not homogeneous: no graded module to read
+        mixed = write_doc(tmp_path, minimal(generators=[], asserted_groebner=[{
+            "width": 2, "terms": [{"coeff": 1, "exponents": [[2], [0]]},
+                                  {"coeff": -1, "exponents": [[0], [1]]}]}]),
+            "mixed.json")
+        code, out, err = run(capsys, "hilbert", mixed)
+        assert (code, out) == (2, "")
+        assert "$.asserted_groebner[0].terms" in err
         code, _, err = run(capsys, "words", "decode", "--c", "1", "--d", "1",
                            "x1 x1")
         assert code == 2

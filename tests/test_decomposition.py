@@ -1,16 +1,17 @@
 import pytest
 
-from oihilbert import decomposition, oicore
-from oihilbert.decomposition import (
-    compute_decomposition,
+from oihilbert import oicore
+from oihilbert.decomposition import compute_decomposition, res_monomial
+from oihilbert.errors import Column1NotEmpty, WidthMismatch
+from oihilbert.oicore import Monomial, ModulePresentation
+
+from oracles import (
     division_exponent_bound,
     repeated_division_sides,
-    res_monomial,
+    size_invariants,
     sliced_quotient_dims,
     verify_decomposition,
 )
-from oihilbert.errors import Column1NotEmpty, WidthMismatch
-from oihilbert.oicore import Monomial, ModulePresentation, size_invariants
 
 
 def ideal(c, gens_cols, d=0, pis=None):
@@ -62,7 +63,6 @@ class TestComputeDecomposition:
         def refuse(*args, **kwargs):
             raise AssertionError("hilbert_width called")
 
-        monkeypatch.setattr(decomposition, "hilbert_width", refuse)
         monkeypatch.setattr(oicore, "hilbert_width", refuse)
         # x[1,1] divides the width-2 generator, which leaves no mark on m
         p = ideal(1, [((1,),), ((2,), (1,))])

@@ -1,0 +1,65 @@
+"""The package ships only code that runs: every module-level function and
+class of `src/oihilbert` is referenced somewhere in the package outside
+its own definition, is exported by `oihilbert.__all__`, or is looked up
+by name by the benchmark's tracing (`perfbench/spans.py`).  Oracles that
+only the tests use live in `tests/`.  Dunder hooks such as a module's
+`__getattr__` are called by the interpreter and count as used."""
+
+import ast
+from pathlib import Path
+
+import oihilbert
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "oihilbert"
+
+
+def _references(tree, skip):
+    """Names loaded or read as attributes in tree, outside the nodes of
+    skip."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _patched_names():
+    """The attribute names `perfbench/spans.py` hands to its patch
+    helper: patch(owner, "name", ...)."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    return {node.args[1].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "patch"
+            and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)}
+
+
+def test_patched_names_found():
+    assert {"module_dfa", "determinize", "generating_function",
+            "kpoly"} <= _patched_names()
+
+
+def test_every_module_level_definition_is_used():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    defs = [(name, node) for name, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))]
+    allowed = set(oihilbert.__all__) | _patched_names()
+    unused = []
+    for module, node in defs:
+        if node.name in allowed or (node.name.startswith("__")
+                                    and node.name.endswith("__")):
+            continue
+        if not any(node.name in _references(tree, {node})
+                   for tree in trees.values()):
+            unused.append(f"{module}:{node.lineno} {node.name}")
+    assert not unused, unused

@@ -313,7 +313,7 @@ class TestSeries:
         # a constant term other than 1 would leave the integers
         with pytest.raises(SingularAtOrigin):
             expand_series(FactoredRational(
-                BiPoly.one(), [(BiPoly.const(2) - BiPoly.s(), 1)]), 2, 2)
+                BiPoly.one(), [(BiPoly.term(0, 0, 2) - BiPoly.s(), 1)]), 2, 2)
 
 
 class TestRendering:
