@@ -69,7 +69,7 @@ def cmd_hilbert(args):
         _emit({
             "series": res.render(),
             "t_prefactor": res.t_prefactor,
-            "mode": "quotient" if doc.quotient else "submodule",
+            "mode": res.mode,
             "reduced": res.reduced,
             "automaton_states": list(res.automaton_states),
             "shape": _shape_obj(rep),

@@ -362,7 +362,7 @@ class WidthSeries:
 def _free_width_numerator(p, n):
     num = UniPoly.zero()
     for d, shift in p.summands:
-        num = num + UniPoly.const(comb(n, d)).shift(shift)
+        num = num + UniPoly((comb(n, d),)).shift(shift)
     return num
 
 

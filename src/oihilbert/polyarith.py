@@ -9,7 +9,6 @@ t-degree, both ascending.
 
 from __future__ import annotations
 
-import sys
 from math import gcd as _int_gcd
 
 from .errors import NonDivisible, SingularAtOrigin
@@ -19,10 +18,6 @@ from .errors import NonDivisible, SingularAtOrigin
 # transfer-matrix solve sizes its digits from a coefficient bound.  _KSAFE
 # leaves a factor-of-two margin under the 8-byte half-digit boundary.
 _KSAFE = 1 << 62
-
-# 8-byte digits are read as native words where the host's order is the
-# packing's own
-_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 class UniPoly:
@@ -43,10 +38,6 @@ class UniPoly:
     @classmethod
     def one(cls):
         return cls((1,))
-
-    @classmethod
-    def const(cls, n):
-        return cls((n,))
 
     @property
     def degree(self):
@@ -172,29 +163,14 @@ def uni_prem(f, g):
 
 
 def uni_gcd(f, g):
-    """Gcd over Z via the subresultant remainder sequence; positive lc."""
-    if f.is_zero():
-        return g if g.lc() >= 0 else -g
-    if g.is_zero():
-        return f if f.lc() >= 0 else -f
-    cf, cg = f.content(), g.content()
-    cont = _int_gcd(cf, cg)
+    """Gcd over Z, with a positive leading coefficient: the gcd of the
+    contents times the last nonzero member of the primitive remainder
+    sequence, each pseudo-remainder made primitive before the next step."""
+    cont = _int_gcd(f.content(), g.content())
     a, b = f.primitive(), g.primitive()
-    if a.degree < b.degree:
-        a, b = b, a
-    gg, h = 1, 1
-    while True:
-        delta = a.degree - b.degree
-        r = uni_prem(a, b)
-        if r.is_zero():
-            break
-        if r.degree == 0:
-            b = UniPoly.one()
-            break
-        a, b = b, UniPoly(tuple(c // (gg * h ** delta) for c in r.coeffs))
-        gg = a.lc()
-        h = h if delta == 0 else (gg ** delta) // (h ** (delta - 1))
-    out = b.primitive() * cont
+    while b:
+        a, b = b, uni_prem(a, b).primitive()
+    out = a * cont
     return out if out.lc() >= 0 else -out
 
 
@@ -205,7 +181,7 @@ class BiPoly:
     immutable after construction.
     """
 
-    __slots__ = ("terms", "_key", "_packs", "_maxabs", "_degs", "_degt")
+    __slots__ = ("terms", "_key")
 
     def __init__(self, terms=None):
         d = {}
@@ -217,20 +193,12 @@ class BiPoly:
                         del d[k]
         self.terms = d
         self._key = None
-        self._packs = None
-        self._maxabs = None
-        self._degs = None
-        self._degt = None
 
     @classmethod
     def _raw(cls, terms):
         p = cls.__new__(cls)
         p.terms = terms
         p._key = None
-        p._packs = None
-        p._maxabs = None
-        p._degs = None
-        p._degt = None
         return p
 
     @classmethod
@@ -294,30 +262,18 @@ class BiPoly:
         return self + (-other)
 
     def maxabs(self):
-        if self._maxabs is None:
-            self._maxabs = max((abs(v) for v in self.terms.values()),
-                               default=0)
-        return self._maxabs
+        return max((abs(v) for v in self.terms.values()), default=0)
 
     def _pack(self, width, nbytes=8):
         """Evaluate at t = 2^(8*nbytes), s = t^width: a ring homomorphism,
-        injective back to terms while every coefficient stays below
-        2^(8*nbytes - 2) in absolute value and every t-degree below width."""
-        if self._packs is None:
-            self._packs = {}
-        got = self._packs.get((width, nbytes))
-        if got is None:
-            top = self.deg_s() * width + self.deg_t()
-            pos = bytearray(nbytes * (top + 1))
-            neg = bytearray(nbytes * (top + 1))
-            for (i, j), c in self.terms.items():
-                off = nbytes * (i * width + j)
-                if c > 0:
-                    pos[off:off + nbytes] = c.to_bytes(nbytes, "little")
-                else:
-                    neg[off:off + nbytes] = (-c).to_bytes(nbytes, "little")
-            got = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-            self._packs[(width, nbytes)] = got
+        injective back to terms (see _unpack) while every coefficient stays
+        below 2^(8*nbytes - 2) in absolute value and every t-degree below
+        width.  Each term is shifted to its digit and the terms summed; the
+        zero polynomial packs to 0."""
+        bits = 8 * nbytes
+        got = 0
+        for (i, j), c in self.terms.items():
+            got += c << (bits * (i * width + j))
         return got
 
     @staticmethod
@@ -326,38 +282,24 @@ class BiPoly:
         reaches 2^(8*nbytes - 2), too large for the balanced representation
         to be trustworthy.
 
-        8-byte digits are read through a word view of the bytes on a
-        little-endian host, other widths one int.from_bytes each.  A zero
-        digit is skipped unless a carry from the digit below enters it."""
+        Adding half a digit at every digit position turns each balanced
+        digit into a plain one, so every digit is read with int.from_bytes
+        and the half taken off again."""
         bits = 8 * nbytes
-        full = 1 << bits
-        half = full >> 1
+        half = 1 << (bits - 1)
         safe = half >> 1
-        neg = val < 0
-        if neg:
-            val = -val
-        count = (val.bit_length() + bits - 1) // bits + 1
-        raw = val.to_bytes(nbytes * count, "little")
-        if nbytes == 8 and _LITTLE_ENDIAN:
-            digits = memoryview(raw).cast("Q")
-        else:
-            digits = [int.from_bytes(raw[off:off + nbytes], "little")
-                      for off in range(0, nbytes * count, nbytes)]
+        count = (abs(val).bit_length() + bits - 1) // bits + 1
+        bias = int.from_bytes(half.to_bytes(nbytes, "little") * count,
+                              "little")
+        raw = (val + bias).to_bytes(nbytes * count, "little")
         out = {}
-        carry = 0
-        for idx, digit in enumerate(digits):
-            if not digit and not carry:
-                continue
-            digit += carry
-            if digit >= half:
-                digit -= full
-                carry = 1
-            else:
-                carry = 0
+        for idx in range(count):
+            off = idx * nbytes
+            digit = int.from_bytes(raw[off:off + nbytes], "little") - half
             if digit:
                 if not -safe < digit < safe:
                     return None
-                out[divmod(idx, width)] = -digit if neg else digit
+                out[divmod(idx, width)] = digit
         return out
 
     def __mul__(self, other):
@@ -376,9 +318,6 @@ class BiPoly:
             if len(a) != 1:
                 a, b = b, a
             ((i, j), c), = a.items()
-            if c == 1:
-                return BiPoly._raw({(i + k, j + l): v
-                                    for (k, l), v in b.items()})
             return BiPoly._raw({(i + k, j + l): c * v
                                 for (k, l), v in b.items()})
         bound = min(len(a), len(b)) * self.maxabs() * other.maxabs()
@@ -417,14 +356,10 @@ class BiPoly:
         return out
 
     def deg_s(self):
-        if self._degs is None:
-            self._degs = max((i for i, _ in self.terms), default=-1)
-        return self._degs
+        return max((i for i, _ in self.terms), default=-1)
 
     def deg_t(self):
-        if self._degt is None:
-            self._degt = max((j for _, j in self.terms), default=-1)
-        return self._degt
+        return max((j for _, j in self.terms), default=-1)
 
     def coeff(self, i, j):
         return self.terms.get((i, j), 0)

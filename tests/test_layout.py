@@ -3,7 +3,10 @@ class of `src/oihilbert` is referenced somewhere in the package outside
 its own definition, is exported by `oihilbert.__all__`, or is looked up
 by name by the benchmark's tracing (`perfbench/spans.py`).  Oracles that
 only the tests use live in `tests/`.  Dunder hooks such as a module's
-`__getattr__` are called by the interpreter and count as used."""
+`__getattr__` are called by the interpreter and count as used.  Likewise
+every module-level import and assignment is read somewhere in its own
+module, unless it is exported by `oihilbert.__all__`, a dunder name, or a
+`from __future__` import."""
 
 import ast
 from pathlib import Path
@@ -16,14 +19,14 @@ PACKAGE = ROOT / "src" / "oihilbert"
 
 def _references(tree, skip):
     """Names loaded or read as attributes in tree, outside the nodes of
-    skip."""
+    skip; a name that is only assigned is not read."""
     out = set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node in skip:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -63,3 +66,36 @@ def test_every_module_level_definition_is_used():
                    for tree in trees.values()):
             unused.append(f"{module}:{node.lineno} {node.name}")
     assert not unused, unused
+
+
+def _bound_names(node):
+    """The names a module-level import or assignment binds."""
+    if isinstance(node, ast.ImportFrom):
+        if node.module == "__future__":
+            return []
+        return [a.asname or a.name for a in node.names]
+    if isinstance(node, ast.Import):
+        return [a.asname or a.name.split(".")[0] for a in node.names]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)]
+
+
+def test_every_module_level_import_and_assignment_is_read():
+    allowed = set(oihilbert.__all__)
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            names = [name for name in _bound_names(node)
+                     if name not in allowed
+                     and not (name.startswith("__") and name.endswith("__"))]
+            read = _references(tree, {node}) if names else set()
+            unread += [f"{path.name}:{node.lineno} {name}"
+                       for name in names if name not in read]
+    assert not unread, unread

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 import sympy
 
-from oihilbert import polyarith
 from oihilbert.errors import NonDivisible, SingularAtOrigin
 from oihilbert.polyarith import (
     BiPoly,
@@ -140,12 +139,26 @@ class TestBiPoly:
             for x, y in ((a, m), (m, a), (a, a), (m, m), (a, zero), (zero, m)):
                 assert (x * y).terms == schoolbook(x, y), (x, y)
 
-    @pytest.mark.parametrize("little", [True, False])
     @pytest.mark.parametrize("nbytes", [8, 9, 16])
-    def test_unpack_against_per_digit_decoder(self, monkeypatch, nbytes,
-                                              little):
-        # little=False forces the per-digit path for 8-byte digits too
-        monkeypatch.setattr(polyarith, "_LITTLE_ENDIAN", little)
+    def test_pack_unpack_round_trip(self, nbytes):
+        # negative coefficients, runs of zero digits between terms and
+        # coefficients one short of the digit bound on either side
+        rng = random.Random(1700 + nbytes)
+        safe = 1 << (8 * nbytes - 2)
+        pool = (1, -1, 7, -7, safe - 1, 1 - safe)
+        for width in range(1, 6):
+            assert BiPoly.zero()._pack(width, nbytes) == 0
+            assert BiPoly._unpack(0, width, nbytes) == {}
+            for _ in range(60):
+                p = BiPoly({(rng.randint(0, 6), rng.randrange(width)):
+                            rng.choice(pool) if rng.random() < 0.6
+                            else rng.randint(1 - safe, safe - 1)
+                            for _ in range(rng.randint(1, 8))})
+                assert BiPoly._unpack(p._pack(width, nbytes), width,
+                                      nbytes) == p.terms, p
+
+    @pytest.mark.parametrize("nbytes", [8, 9, 16])
+    def test_unpack_against_per_digit_decoder(self, nbytes):
         rng = random.Random(nbytes)
         safe = 1 << (8 * nbytes - 2)
         pool = (0, 0, 0, 1, -1, 2, -2, safe - 1, 1 - safe)
