@@ -7,9 +7,7 @@ from functools import lru_cache
 from itertools import count, islice
 
 from .errors import NonDivisible, NotConformant
-from .polyarith import BiPoly, UniPoly, one_minus_t_order
-
-_ONE_MINUS_T = BiPoly({(0, 0): 1, (0, 1): -1})
+from .polyarith import ONE_MINUS_T, BiPoly, UniPoly, one_minus_t_order
 
 
 class ShapeReport(namedtuple("ShapeReport", "conformant one_minus_t_power "
@@ -27,7 +25,7 @@ class ShapeReport(namedtuple("ShapeReport", "conformant one_minus_t_power "
 
 def factor_base(t_power, growth):
     """The denominator factor (1-t)^t_power - s*growth(t)."""
-    return _ONE_MINUS_T ** t_power - BiPoly.s() * BiPoly.from_uni_t(growth)
+    return ONE_MINUS_T ** t_power - BiPoly.s() * BiPoly.from_uni_t(growth)
 
 
 def _classify_factor(b, c):
@@ -64,7 +62,7 @@ def validate_shape(result, c):
     linear = []
     leftover = None
     for b, mult in reduced.factors:
-        if b == _ONE_MINUS_T:
+        if b == ONE_MINUS_T:
             power += mult
             continue
         cf = _classify_factor(b, c)

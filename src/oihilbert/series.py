@@ -10,6 +10,7 @@ from collections import namedtuple
 
 from .automata import generating_function, module_dfa
 from .polyarith import (
+    ONE_MINUS_T,
     BiPoly,
     FactoredRational,
     expand_series,
@@ -20,7 +21,7 @@ from .polyarith import (
 def free_series(c, d):
     """Series of the free module on one rank-d generator in degree 0:
     s^d (1-t)^c / ((1-t)^c - s)^(d+1)."""
-    om = (BiPoly.one() - BiPoly.t()) ** c
+    om = ONE_MINUS_T ** c
     return FactoredRational(
         BiPoly.term(d, 0) * om, ((om - BiPoly.s(), d + 1),))
 

@@ -4,6 +4,7 @@ DFA on one word, the unpruned subset construction, the greatest
 simulation as a pairwise fixpoint, Moore minimization, equality of
 rational functions by cross-multiplication, the geometric polynomial,
 the schoolbook product and per-digit unpacking of bivariate polynomials,
+reduction of a factored rational function by trial division alone,
 the paper's pseudo-division criterion for eventual finite length,
 written with sympy rather than the package's own polynomial
 arithmetic, the width-wise Krull dimension, multiplicity and size
@@ -236,6 +237,24 @@ def schoolbook(a, b):
         for (k, l), y in b.terms.items():
             out[(i + k, j + l)] = out.get((i + k, j + l), 0) + x * y
     return {kl: c for kl, c in out.items() if c}
+
+
+def trial_reduce(r):
+    """FactoredRational.reduce by trial exact division alone: every
+    factor, 1 - t included, cancels one power at a time while the
+    numerator stays divisible."""
+    num = r.num
+    if num.is_zero():
+        return FactoredRational.zero()
+    kept = []
+    for base, e in r.factors:
+        while e:
+            q = num.try_div(base)
+            if q is None:
+                break
+            num, e = q, e - 1
+        kept.append((base, e))
+    return FactoredRational(num, kept)
 
 
 def unpack_digits(val, width, nbytes):

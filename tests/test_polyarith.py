@@ -6,19 +6,28 @@ from hypothesis import given, settings, strategies as st
 
 import sympy
 
+from oihilbert import polyarith
 from oihilbert.errors import NonDivisible, SingularAtOrigin
 from oihilbert.polyarith import (
+    ONE_MINUS_T,
     BiPoly,
     FactoredRational,
     UniPoly,
     expand_series,
+    one_minus_t_order,
     render_poly,
     render_rational,
     split_content,
     uni_gcd,
 )
 
-from oracles import equals_cross_mul, geometric, schoolbook, unpack_digits
+from oracles import (
+    equals_cross_mul,
+    geometric,
+    schoolbook,
+    trial_reduce,
+    unpack_digits,
+)
 
 S, T = sympy.symbols("s t")
 
@@ -58,6 +67,26 @@ class TestUniPoly:
         assert f.exact_div(UniPoly([1, -1])).coeffs == (2, 0, 3)
         with pytest.raises(NonDivisible):
             UniPoly([1, 1]).exact_div(UniPoly([1, -1]))
+
+    def test_one_minus_t_order_against_repeated_division(self):
+        # leading zeros, negative coefficients, and powers of 1 - t up to
+        # the whole polynomial
+        def divide(u):
+            k = 0
+            while u and u(1) == 0:
+                u = u.exact_div(UniPoly((1, -1)))
+                k += 1
+            return u, k
+
+        rng = random.Random(1801)
+        zero = UniPoly()
+        assert one_minus_t_order(zero) == (zero, 0)
+        for _ in range(300):
+            low = [0] * rng.choice((0, 0, 1, 3))
+            u = UniPoly(low + [rng.randint(-6, 6)
+                               for _ in range(rng.randint(1, 6))])
+            u = u * UniPoly((1, -1)) ** rng.randint(0, 5)
+            assert one_minus_t_order(u) == divide(u), u
 
     @given(small_unis, small_unis)
     @settings(max_examples=120, deadline=None)
@@ -122,7 +151,8 @@ class TestBiPoly:
 
     def test_product_against_schoolbook(self):
         # one-term operands on either side, with coefficients 1, -1 and
-        # past the 8-byte digits, against packed and term-by-term products
+        # past the 8-byte digits; with 8 terms or fewer, every other
+        # product here stays below _TERMWISE_PAIRS and goes term by term
         rng = random.Random(1202)
         big = (1 << 62) + 5
         monomials = [BiPoly.term(i, j, c)
@@ -138,6 +168,54 @@ class TestBiPoly:
             zero = BiPoly.zero()
             for x, y in ((a, m), (m, a), (a, a), (m, m), (a, zero), (zero, m)):
                 assert (x * y).terms == schoolbook(x, y), (x, y)
+
+    def test_product_routes_against_schoolbook(self, monkeypatch):
+        # term-pair counts from well below _TERMWISE_PAIRS to well above
+        # it; above it, dense operands with small coefficients must pack,
+        # while sparse high-degree operands (more digits than term pairs)
+        # and coefficients past 2^62 (the bound fallback) go term by term
+        packs = []
+        pack = BiPoly._pack
+
+        def counted(self, *args):
+            packs.append(self)
+            return pack(self, *args)
+
+        monkeypatch.setattr(BiPoly, "_pack", counted)
+        limit = polyarith._TERMWISE_PAIRS
+        rng = random.Random(1802)
+
+        def draw(n, ds, dt, mag):
+            cells = rng.sample([(i, j) for i in range(ds + 1)
+                                for j in range(dt + 1)], n)
+            return BiPoly({c: rng.choice((-1, 1)) * rng.randint(1, mag)
+                           for c in cells})
+
+        sizes = [(1, 1), (2, 3), (8, 6), (16, 24), (24, 17), (33, 35),
+                 (35, 35)]
+        sizes += [(rng.randint(1, 35), rng.randint(1, 35)) for _ in range(40)]
+        mono, zero = BiPoly.term(3, 1, -7), BiPoly.zero()
+        for na, nb in sizes:
+            pairs = na * nb
+            for kind in ("dense", "sparse", "big"):
+                if kind == "sparse":
+                    a = draw(na, 60, 60, 9)
+                    b = draw(nb, 60, 60, 9)
+                else:
+                    mag = (1 << 62) + 9 if kind == "big" else 1 << 28
+                    a, b = draw(na, 4, 6, mag), draw(nb, 4, 6, mag)
+                if kind == "sparse" and min(na, nb) > 1:
+                    assert ((a.deg_s() + b.deg_s() + 1)
+                            * (a.deg_t() + b.deg_t() + 1) > pairs)
+                packed = kind == "dense" and pairs > limit
+                for x, y in ((a, b), (b, a)):
+                    del packs[:]
+                    assert (x * y).terms == schoolbook(x, y), (x, y)
+                    assert packs == ([x, y] if packed else []), (x, y)
+                for x, y in ((a, mono), (mono, a), (a, zero), (zero, b)):
+                    del packs[:]
+                    assert (x * y).terms == schoolbook(x, y), (x, y)
+                    assert packs == []
 
     @pytest.mark.parametrize("nbytes", [8, 9, 16])
     def test_pack_unpack_round_trip(self, nbytes):
@@ -269,6 +347,44 @@ class TestFactoredRational:
     def test_reduce_zero(self):
         r = FactoredRational(BiPoly.zero(), [(self.one_minus_t, 3)])
         assert r.reduce().factors == ()
+
+    def test_reduce_against_trial_division(self):
+        # numerators N * (1-t)^k for k = 0 .. e + 2 over (1-t)^e and other
+        # factors; N has negative coefficients and s-rows starting above
+        # t^0, and sometimes exactly one s-row whose sum is nonzero
+        rng = random.Random(1803)
+        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.t()
+        pool = [self.one_minus_t_minus_s, one - s * (one + t),
+                ONE_MINUS_T ** 2 - s, one + t]
+        assert ONE_MINUS_T == self.one_minus_t
+
+        def draw_num():
+            terms = {}
+            for i in rng.sample(range(5), rng.randint(1, 4)):
+                start = rng.choice((0, 0, 1, 4))
+                for j in range(start, start + rng.randint(1, 4)):
+                    terms[(i, j)] = rng.randint(-5, 5)
+            num = BiPoly(terms)
+            if rng.random() < 0.5:
+                # every row divisible by 1 - t but one
+                i, j = rng.randrange(5), rng.randrange(4)
+                num = num * ONE_MINUS_T + BiPoly.term(i, j, rng.choice((1, -3)))
+            if rng.random() < 0.3:
+                num = num * rng.choice(pool)
+            return num
+
+        for _ in range(60):
+            e = rng.randint(1, 4)
+            others = [(b, rng.randint(1, 2))
+                      for b in rng.sample(pool, rng.randint(0, 3))]
+            num = draw_num()
+            for k in range(e + 3):
+                r = FactoredRational(num * ONE_MINUS_T ** k,
+                                     [(ONE_MINUS_T, e)] + others)
+                got, want = r.reduce(), trial_reduce(r)
+                assert (got.num, got.factors) == (want.num, want.factors), r
+        zero = FactoredRational(BiPoly.zero(), [(ONE_MINUS_T, 2)] + others)
+        assert zero.reduce().factors == trial_reduce(zero).factors == ()
 
 
 class TestSeries:
