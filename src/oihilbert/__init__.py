@@ -22,6 +22,7 @@ from .oicore import (
     ModulePresentation,
     Monomial,
     hilbert_width,
+    hilbert_widths,
     symmetrize_fi_ideal,
 )
 from .schema import InputDocument, load_document, parse_document
@@ -64,6 +65,7 @@ __all__ = [
     "fixed_degree_polynomial",
     "free_series",
     "hilbert_width",
+    "hilbert_widths",
     "load_document",
     "module_series",
     "parse_document",

@@ -18,7 +18,7 @@ from .analysis import (
     validate_shape,
 )
 from .errors import NotInLanguage, OihError, SchemaError
-from .oicore import Monomial, hilbert_width
+from .oicore import Monomial, hilbert_widths
 from .polyarith import render_poly
 from .schema import _parse_exponents, _parse_pi, load_document, monomial_to_obj
 from .series import module_series
@@ -103,9 +103,8 @@ def cmd_oracle(args):
                           "shifts")
     res = module_series(p, quotient=doc.quotient)
     rows = res.window(args.N, args.J)
-    memo = {}
-    tables = [hilbert_width(p, n, doc.quotient, memo).dims(args.J)
-              for n in range(args.N + 1)]
+    tables = [ws.dims(args.J)
+              for ws in hilbert_widths(p, args.N, doc.quotient)]
     mismatches = [(n, j, series, widthwise)
                   for n, (row, dims) in enumerate(zip(rows, tables))
                   for j, (series, widthwise) in enumerate(zip(row, dims))

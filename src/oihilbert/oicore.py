@@ -188,25 +188,37 @@ class ModulePresentation:
 
 def _images(p, n):
     """Every order-embedding image of each generator at width n, in
-    generator order, as (summand, basis tuple, list of columns).  An image
-    of a valid generator is valid by construction, so nothing is checked
+    generator order, as (summand, basis tuple, last column, degree, flat
+    tuple).  The flat tuple is the image's exponent matrix column-major;
+    only the generator's nonzero columns are written into a copy of the
+    zero list.  The last column is the largest one the embedding uses
+    (0 for a width-0 generator): the image is one at every width from
+    there on, its flat tuple padded with zero columns.  An image of a
+    valid generator is valid by construction, so nothing is checked
     again here."""
-    zero = (0,) * p.c
+    c = p.c
+    zero = [0] * (c * n)
     for g in p.generators:
+        nonzero = [(k, col) for k, col in enumerate(g.cols) if any(col)]
+        degree = g.degree
         for values in itertools.combinations(range(n), g.width):
-            cols = [zero] * n
-            for v, col in zip(values, g.cols):
-                cols[v] = col
-            yield g.summand, tuple(values[k - 1] + 1 for k in g.pi), cols
+            flat = zero.copy()
+            for k, col in nonzero:
+                at = values[k] * c
+                flat[at:at + c] = col
+            yield (g.summand, tuple(values[k - 1] + 1 for k in g.pi),
+                   values[-1] + 1 if values else 0, degree, tuple(flat))
 
 
 def expand_to_width(p, n):
     """Width-n generating set of the submodule: every distinct
     order-embedding image of the presentation's generators, in generator
     order.  The set need not be minimal; pass it to `minimalize` for that."""
+    c = p.c
     return list(dict.fromkeys(
-        Monomial(p.c, n, cols, pi, summand)
-        for summand, pi, cols in _images(p, n)))
+        Monomial(c, n, [flat[at:at + c] for at in range(0, c * n, c)],
+                 pi, summand)
+        for summand, pi, _, _, flat in _images(p, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,50 +358,127 @@ class WidthSeries:
         self.den_pow = den_pow
 
     def dims(self, j_max):
-        """Coefficients of the series for degrees 0..j_max."""
-        inv = [comb(self.den_pow + k - 1, k) if self.den_pow else (1 if k == 0 else 0)
-               for k in range(j_max + 1)]
-        cs = self.num.coeffs
-        return [
-            sum(cs[a] * inv[j - a] for a in range(min(j, len(cs) - 1) + 1))
-            for j in range(j_max + 1)
-        ]
+        """Coefficients of the series for degrees 0..j_max: the
+        numerator's, through den_pow running sums."""
+        out = list(self.num.coeffs[:j_max + 1])
+        out += [0] * (j_max + 1 - len(out))
+        for _ in range(self.den_pow):
+            out = list(itertools.accumulate(out))
+        return out
 
     def __repr__(self):
         return f"WidthSeries({self.num!r} / (1-t)^{self.den_pow})"
 
 
-def _free_width_numerator(p, n):
-    num = UniPoly.zero()
-    for d, shift in p.summands:
-        num = num + UniPoly((comb(n, d),)).shift(shift)
-    return num
+class _Group:
+    """The images of one (summand, basis tuple) at the top width: distinct
+    flat tuples ordered by the smallest last column that gives each, the
+    length of their leading run of one degree, and the numerator of the
+    prefix the last width used (1 for none: no image, a free summand)."""
+
+    __slots__ = ("shift", "flats", "uniform", "num")
+
+    def __init__(self, shift, images):
+        self.shift = shift
+        self.flats = [flat for _, _, flat in images]
+        degrees = [degree for _, degree, _ in images]
+        self.uniform = next((k for k, deg in enumerate(degrees)
+                             if deg != degrees[0]), len(degrees))
+        self.num = UniPoly.one()
+
+    def numerator(self, k, memo):
+        """kpoly of the first k images.  Images of one degree cannot
+        properly divide each other and the flat tuples are distinct, so
+        such a prefix is its own minimal generating set."""
+        if k <= self.uniform:
+            return _kpoly(frozenset(self.flats[:k]), memo)
+        return kpoly(self.flats[:k], memo)
+
+
+def _image_groups(p, n_top):
+    """The images at width n_top per (summand, basis tuple), and for each
+    width n <= n_top the groups whose prefix of images with last column
+    <= n grows there, as (group, prefix length) pairs."""
+    firsts = {}
+    for summand, pi, last, degree, flat in _images(p, n_top):
+        seen = firsts.setdefault((summand, pi), {})
+        if flat not in seen or last < seen[flat][0]:
+            seen[flat] = (last, degree)
+    grows = [[] for _ in range(n_top + 1)]
+    for (summand, _), seen in firsts.items():
+        images = sorted(((last, degree, flat)
+                         for flat, (last, degree) in seen.items()),
+                        key=lambda image: image[0])
+        group = _Group(p.shift_of(summand), images)
+        for k, (last, _, _) in enumerate(images, 1):
+            if k == len(images) or images[k][0] != last:
+                grows[last].append((group, k))
+    return grows
+
+
+def _add_shifted(out, poly, shift, sign):
+    """out += sign * t^shift * poly, on a coefficient list."""
+    need = shift + len(poly.coeffs) - len(out)
+    if need > 0:
+        out.extend([0] * need)
+    for i, cf in enumerate(poly.coeffs, shift):
+        out[i] += sign * cf
+
+
+def _width_series(p, n_top, widths, quotient, memo):
+    """WidthSeries at each of the ascending widths <= n_top, from one
+    enumeration of the images at n_top.  Width n takes, per group, the
+    images whose last column is <= n: the padded zero columns are unused
+    variables, which leave a numerator over (1-t)^(#variables) unchanged.
+    A group's numerator is recomputed only at a width where its prefix
+    grows, and the ideal's numerator, every shift applied, is kept as one
+    coefficient list that such a width updates by old minus new."""
+    if any(shift < 0 for _, shift in p.summands):
+        raise WidthMismatch("width-wise series needs nonnegative shifts")
+    if memo is None:
+        memo = {}
+    grows = _image_groups(p, n_top)
+    wanted = set(widths)
+    pending = {}
+    ideal = []
+    out = []
+    for n in range(n_top + 1):
+        pending.update(grows[n])
+        if n not in wanted:
+            continue
+        for group, k in pending.items():
+            num = group.numerator(k, memo)
+            _add_shifted(ideal, group.num, group.shift, 1)
+            _add_shifted(ideal, num, group.shift, -1)
+            group.num = num
+        pending.clear()
+        if quotient:
+            num = [-cf for cf in ideal]
+            for d, shift in p.summands:
+                _add_shifted(num, UniPoly((comb(n, d),)), shift, 1)
+        else:
+            num = ideal
+        out.append(WidthSeries(UniPoly(num), p.c * n))
+    return out
+
+
+def hilbert_widths(p, n_max, quotient=True, memo=None):
+    """Classical Hilbert series at every width 0..n_max, as the oracle
+    route computes them: enumerate the generators' images once, at
+    n_max, as flat exponent tuples, group them per (summand, basis tuple),
+    and recurse on each group's monomial ideal with one `kpoly` memo, the
+    given one or a new one for the call.  At one width the only
+    order-embedding is the identity, so OI-divisibility inside a group is
+    divisibility of exponent tuples, which `kpoly` minimalizes.  A basis
+    tuple with no image is a free summand, numerator 1."""
+    return _width_series(p, n_max, range(n_max + 1), quotient, memo)
 
 
 def hilbert_width(p, n, quotient=True, memo=None):
-    """Classical Hilbert series at width n, as the oracle route computes it:
-    enumerate the generators' images as flat exponent tuples, group them
-    per (summand, basis tuple), and recurse on each group's monomial ideal
-    with one `kpoly` memo, the given one or a new one for the call; pass
-    one dict to the calls for several widths of one presentation, whose
-    ideals share canonical forms.  Each group is minimalized once,
-    in `kpoly`: at one width the only order-embedding is the identity, so
-    OI-divisibility inside a group is divisibility of exponent tuples.
-    A basis tuple with no generator is a free summand, numerator 1."""
-    if any(shift < 0 for _, shift in p.summands):
-        raise WidthMismatch("width-wise series needs nonnegative shifts")
-    comps = {}
-    for summand, pi, cols in _images(p, n):
-        comps.setdefault((summand, pi), set()).add(
-            tuple(itertools.chain.from_iterable(cols)))
-    if memo is None:
-        memo = {}
-    ideal = UniPoly.zero()
-    for (k, _), gens in comps.items():
-        ideal = ideal + (UniPoly.one() - kpoly(gens, memo)).shift(p.shift_of(k))
-    if quotient:
-        return WidthSeries(_free_width_numerator(p, n) - ideal, p.c * n)
-    return WidthSeries(ideal, p.c * n)
+    """Classical Hilbert series at width n alone: `hilbert_widths`'s
+    engine asked for one width."""
+    (ws,) = _width_series(p, n, (n,), quotient, memo)
+    return ws
 
 
 def colon_width(p, e, n):

@@ -659,38 +659,60 @@ def render_rational(r, t_prefactor=0):
     return f"{num}/" + "*".join(fs)
 
 
-def _truncate(p, n_max, j_max):
-    """The terms of p with s-degree <= n_max and t-degree <= j_max."""
-    return BiPoly._raw({(i, j): c for (i, j), c in p.terms.items()
-                        if i <= n_max and j <= j_max})
-
-
 def expand_series(r, n_max, j_max, t_prefactor=0):
     """Expand a FactoredRational into its exact coefficients: a tuple of
     rows indexed by s-degree n, each a tuple indexed by t-degree j.
 
     t_prefactor k means the function is t^-k times `r`; the window reports
-    coefficients of nonnegative t-degrees only.  The denominator is
-    multiplied out only inside the window, which is all the division
-    reads; it must be 1 at s = t = 0, as every factor the pipeline makes
-    is, so the division stays in the integers.
+    coefficients of nonnegative t-degrees only.  The denominator must be 1
+    at s = t = 0, as every factor the pipeline makes is, so the division
+    stays in the integers.
+
+    The window holds the numerator's rows as lists and is divided by one
+    factor at a time, once per power, reading only terms inside the
+    window.  Dividing by F, row by row: row n minus, for each term
+    v s^k t^l of F with 1 <= k <= n, v times the quotient's row n - k
+    shifted by l, then divided by F's s^0 part, whose 1 - t powers are
+    running sums.
     """
-    jj = j_max + t_prefactor
-    den = BiPoly.one()
+    unit = 1
     for base, e in r.factors:
-        base = _truncate(base, n_max, jj)
-        for _ in range(e):
-            den = _truncate(den * base, n_max, jj)
-    if den.coeff(0, 0) != 1:
+        unit *= base.coeff(0, 0) ** e
+    if unit != 1:
         raise SingularAtOrigin("denominator is not 1 at s = t = 0")
-    rest = [(kl, v) for kl, v in den.terms.items() if kl != (0, 0)]
-    w = {}
-    for n in range(n_max + 1):
-        for j in range(jj + 1):
-            acc = r.num.coeff(n, j)
-            for (k, l), v in rest:
-                if k <= n and l <= j:
-                    acc -= v * w[(n - k, j - l)]
-            w[(n, j)] = acc
-    return tuple(tuple(w[(n, j + t_prefactor)] for j in range(j_max + 1))
-                 for n in range(n_max + 1))
+    jj = j_max + t_prefactor
+    rows = [[0] * (jj + 1) for _ in range(n_max + 1)]
+    for (n, j), v in r.num.terms.items():
+        if n <= n_max and j <= jj:
+            rows[n][j] = v
+    for base, e in r.factors:
+        across = sorted((k, l, v) for (k, l), v in base.terms.items()
+                        if 0 < k <= n_max and l <= jj)
+        col = [0] * (1 + max(l for k, l in base.terms if not k))
+        for (k, l), v in base.terms.items():
+            if not k:
+                col[l] = v
+        rest, ones = one_minus_t_order(UniPoly(col))
+        # the product of the constant terms is 1, so each one is 1 or -1
+        lead = rest.coeffs[0]
+        along = [(l, v) for l, v in enumerate(rest.coeffs[1:jj + 1], 1)
+                 if v]
+        for _ in range(e):
+            for n, row in enumerate(rows):
+                for k, l, v in across:
+                    if k > n:
+                        break
+                    row[l:] = [a - v * b
+                               for a, b in zip(row[l:], rows[n - k])]
+                for _ in range(ones):
+                    row[:] = accumulate(row)
+                if lead == 1 and not along:
+                    continue
+                for j in range(jj + 1):
+                    acc = row[j]
+                    for l, v in along:
+                        if l > j:
+                            break
+                        acc -= v * row[j - l]
+                    row[j] = acc * lead
+    return tuple(tuple(row[t_prefactor:]) for row in rows)

@@ -7,23 +7,33 @@ the schoolbook product and per-digit unpacking of bivariate polynomials,
 reduction of a factored rational function by trial division alone,
 the paper's pseudo-division criterion for eventual finite length,
 written with sympy rather than the package's own polynomial
-arithmetic, the width-wise Krull dimension, multiplicity and size
-invariants, and the decomposition identities: the width-n slice
+arithmetic, the series window cell by cell against the product
+denominator, the width-wise series by a fresh enumeration of the
+images at each width, the width-wise Krull dimension, multiplicity and
+size invariants, and the decomposition identities: the width-n slice
 identity and the repeated-division identity."""
 
-from itertools import combinations, product
+from itertools import chain, combinations, product
+from math import comb
 from math import inf
 
 import sympy
 
 from oihilbert.automata import Dfa, empty_dfa
 from oihilbert.decomposition import compute_decomposition
-from oihilbert.errors import NotInLanguage, OihError, WidthMismatch
+from oihilbert.errors import (
+    NotInLanguage,
+    OihError,
+    SingularAtOrigin,
+    WidthMismatch,
+)
 from oihilbert.oicore import (
     Monomial,
+    WidthSeries,
     colon_width,
     expand_to_width,
     hilbert_width,
+    kpoly,
     minimalize,
 )
 from oihilbert.polyarith import (
@@ -300,8 +310,69 @@ def paper_artinian(rep):
     return sympy.rem(rem, (1 - T) ** a, T) == 0
 
 
+def _truncate(p, n_max, j_max):
+    """The terms of p with s-degree <= n_max and t-degree <= j_max."""
+    return BiPoly({(i, j): c for (i, j), c in p.terms.items()
+                   if i <= n_max and j <= j_max})
+
+
+def expand_cellwise(r, n_max, j_max, t_prefactor=0):
+    """The series window cell by cell: the denominator multiplied out
+    inside the window, and each cell (n, j) the numerator's coefficient
+    minus every denominator term's product with an earlier cell."""
+    jj = j_max + t_prefactor
+    den = BiPoly.one()
+    for base, e in r.factors:
+        base = _truncate(base, n_max, jj)
+        for _ in range(e):
+            den = _truncate(den * base, n_max, jj)
+    if den.coeff(0, 0) != 1:
+        raise SingularAtOrigin("denominator is not 1 at s = t = 0")
+    rest = [(kl, v) for kl, v in den.terms.items() if kl != (0, 0)]
+    w = {}
+    for n in range(n_max + 1):
+        for j in range(jj + 1):
+            acc = r.num.coeff(n, j)
+            for (k, l), v in rest:
+                if k <= n and l <= j:
+                    acc -= v * w[(n - k, j - l)]
+            w[(n, j)] = acc
+    return tuple(tuple(w[(n, j + t_prefactor)] for j in range(j_max + 1))
+                 for n in range(n_max + 1))
+
+
 # ---------------------------------------------------------------------------
-# width-wise invariants
+# width-wise series and invariants
+
+
+def images_at_width(p, n):
+    """Every order-embedding image of each generator at width n, walked
+    afresh for this width, as (summand, basis tuple, list of columns)."""
+    zero = (0,) * p.c
+    for g in p.generators:
+        for values in combinations(range(n), g.width):
+            cols = [zero] * n
+            for v, col in zip(values, g.cols):
+                cols[v] = col
+            yield g.summand, tuple(values[k - 1] + 1 for k in g.pi), cols
+
+
+def hilbert_width_reference(p, n, quotient=True):
+    """The width-n series from the images at width n alone: one exponent
+    tuple set per (summand, basis tuple), each minimalized by `kpoly`,
+    and the shifted numerators added one group at a time."""
+    comps = {}
+    for summand, pi, cols in images_at_width(p, n):
+        comps.setdefault((summand, pi), set()).add(tuple(chain(*cols)))
+    ideal = UniPoly.zero()
+    for (k, _), gens in comps.items():
+        ideal = ideal + (UniPoly.one() - kpoly(gens)).shift(p.shift_of(k))
+    if not quotient:
+        return WidthSeries(ideal, p.c * n)
+    free = UniPoly.zero()
+    for d, shift in p.summands:
+        free = free + UniPoly((comb(n, d),)).shift(shift)
+    return WidthSeries(free - ideal, p.c * n)
 
 
 class ZeroModule(OihError):

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oihilbert import analysis, cli
+from oihilbert import analysis, cli, oicore
 from oihilbert.errors import SchemaError
 from oihilbert.oicore import Monomial, ModulePresentation
 from oihilbert.schema import (
@@ -244,26 +244,40 @@ class TestCommands:
     def test_oracle_reports_every_mismatch(self, capsys, tmp_path,
                                            monkeypatch):
         doc = write_doc(tmp_path, minimal())
-        real = cli.hilbert_width
+        real = cli.hilbert_widths
 
-        def corrupted(p, n, quotient, memo=None):
-            dims = real(p, n, quotient, memo).dims
+        def corrupted(p, n_max, quotient, memo=None):
+            def bumped(n, dims):
+                def bumped_dims(j_max):
+                    out = dims(j_max)
+                    for cn, cj in [(1, 0), (3, 2)]:
+                        if cn == n:
+                            out[cj] += 1
+                    return out
+                return SimpleNamespace(dims=bumped_dims)
 
-            def bumped(j_max):
-                out = dims(j_max)
-                for cn, cj in [(1, 0), (3, 2)]:
-                    if cn == n:
-                        out[cj] += 1
-                return out
+            return [bumped(n, ws.dims)
+                    for n, ws in enumerate(real(p, n_max, quotient, memo))]
 
-            return SimpleNamespace(dims=bumped)
-
-        monkeypatch.setattr(cli, "hilbert_width", corrupted)
+        monkeypatch.setattr(cli, "hilbert_widths", corrupted)
         code, out, _ = run(capsys, "oracle", doc, "-N", "4", "-J", "4")
         assert code == 3
         assert out.splitlines() == [
             "mismatch at n=1 j=0: series gives 1, width-wise gives 2",
             "mismatch at n=3 j=2: series gives 0, width-wise gives 1"]
+
+    def test_only_oracle_runs_the_width_wise_route(self, capsys,
+                                                   monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("width-wise route entered")
+
+        monkeypatch.setattr(oicore, "_width_series", refuse)
+        doc = str(INPUTS / "two_summands.json")
+        for argv in (["hilbert", doc, "--json"], ["analyze", doc],
+                     ["expand", doc, "-N", "3", "-J", "3"]):
+            assert run(capsys, *argv)[0] == 0, argv
+        code, _, err = run(capsys, "oracle", doc, "-N", "3", "-J", "3")
+        assert code == 3 and "width-wise route entered" in err
 
     def test_analyze_text(self, capsys):
         code, out, _ = run(capsys, "analyze",

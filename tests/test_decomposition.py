@@ -64,6 +64,7 @@ class TestComputeDecomposition:
             raise AssertionError("hilbert_width called")
 
         monkeypatch.setattr(oicore, "hilbert_width", refuse)
+        monkeypatch.setattr(oicore, "hilbert_widths", refuse)
         # x[1,1] divides the width-2 generator, which leaves no mark on m
         p = ideal(1, [((1,),), ((2,), (1,))])
         assert compute_decomposition(p, (1,)).m == 1

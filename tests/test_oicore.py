@@ -18,6 +18,7 @@ from oihilbert.oicore import (
     expand_to_width,
     find_embedding,
     hilbert_width,
+    hilbert_widths,
     kpoly,
     leading_monomial,
     minimalize,
@@ -29,7 +30,12 @@ from oihilbert.schema import parse_document
 from oihilbert.series import module_series
 
 from enumerate_small import OIMorphism, all_monomials, apply_morphism, brute_divides
-from oracles import ZeroModule, dim_deg_width, size_invariants
+from oracles import (
+    ZeroModule,
+    dim_deg_width,
+    hilbert_width_reference,
+    size_invariants,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -362,6 +368,10 @@ class TestHilbertWidth:
             for n in range(size + 1):
                 got = hilbert_width(p, n, doc.quotient, memo).dims(size)
                 assert got == entry["ref"][n], (entry["id"], n, "shared")
+            # every width from one enumeration, as `oih oracle` asks
+            got = [ws.dims(size)
+                   for ws in hilbert_widths(p, size, doc.quotient)]
+            assert got == entry["ref"], (entry["id"], "all widths")
 
     def test_high_pivot_power_within_recursion_limit(self):
         # the quotient by x[1,1]^e x[1,2] and x[1,1] x[1,2]^e: one split
@@ -378,6 +388,98 @@ class TestHilbertWidth:
         p = principal(1, 1, ((1,),), shift=-1)
         with pytest.raises(WidthMismatch):
             hilbert_width(p, 2)
+
+
+def random_widths_presentation(rng):
+    """Up to 3 summands of d = 0..2 and shift 0..2, and up to 4
+    generators, some of them with zero columns only or of width 0."""
+    c = rng.randint(1, 2)
+    summands = [(rng.randint(0, 2), rng.randint(0, 2))
+                for _ in range(rng.randint(1, 3))]
+    gens = []
+    for _ in range(rng.randint(0, 4)):
+        k = rng.randrange(len(summands))
+        d = summands[k][0]
+        width = rng.randint(d, 4)
+        pi = sorted(rng.sample(range(1, width + 1), d))
+        cols = [[0] * c for _ in range(width)]
+        for _ in range(rng.choice((0, 1, 2, 3, 4))):
+            if width:
+                cols[rng.randrange(width)][rng.randrange(c)] += 1
+        gens.append(Monomial(c, width, cols, pi, k))
+    return ModulePresentation(c, summands, gens)
+
+
+class TestHilbertWidths:
+    """The all-widths engine against a fresh enumeration at each width."""
+
+    def assert_matches(self, p, n_max, quotient):
+        got = hilbert_widths(p, n_max, quotient)
+        assert len(got) == n_max + 1
+        for n, ws in enumerate(got):
+            want = hilbert_width_reference(p, n, quotient)
+            assert (ws.num, ws.den_pow) == (want.num, want.den_pow), (p, n)
+            assert ws.dims(6) == want.dims(6), (p, n)
+            one = hilbert_width(p, n, quotient)
+            assert (one.num, one.den_pow) == (want.num, want.den_pow), (p, n)
+
+    def test_random_presentations(self):
+        rng = random.Random(1919)
+        for _ in range(120):
+            p = random_widths_presentation(rng)
+            self.assert_matches(p, rng.randint(0, 6), rng.random() < 0.5)
+
+    def test_edge_presentations(self):
+        cases = [
+            # a zero-column generator: the whole summand from width 2 on
+            ModulePresentation(1, [(0, 1)], [Monomial(1, 2, ((0,), (0,)))]),
+            # a width-0 generator kills its summand at every width
+            ModulePresentation(2, [(0, 2), (1, 0)], [
+                Monomial(2, 0, (), (), 0),
+                Monomial(2, 2, ((1, 0), (0, 0)), (2,), 1)]),
+            # d = 2 with an unused trailing column, and a shifted d = 0
+            ModulePresentation(1, [(2, 1), (0, 2)], [
+                Monomial(1, 3, ((0,), (2,), (0,)), (1, 2), 0),
+                Monomial(1, 2, ((1,), (1,)), (1, 2), 0),
+                Monomial(1, 1, ((3,),), (), 1)]),
+            # one image reached from two generators at different widths
+            ModulePresentation(1, [(0, 0)], [
+                Monomial(1, 2, ((1,), (0,))), Monomial(1, 1, ((1,),))]),
+            # no generators: the free module
+            ModulePresentation(2, [(1, 0), (2, 1)], []),
+        ]
+        for p in cases:
+            for quotient in (True, False):
+                for n_max in range(6):
+                    self.assert_matches(p, n_max, quotient)
+
+    def test_width_below_every_generator(self):
+        p = ModulePresentation(1, [(1, 0)], [
+            Monomial(1, 4, ((1,), (0,), (2,), (0,)), (3,))])
+        for n_max in (0, 1, 3):
+            for quotient in (True, False):
+                self.assert_matches(p, n_max, quotient)
+        assert [ws.dims(2) for ws in hilbert_widths(p, 0, False)] == [
+            [0, 0, 0]]
+
+    def test_shared_memo(self):
+        rng = random.Random(77)
+        memo = {}
+        for _ in range(30):
+            p = random_widths_presentation(rng)
+            got = hilbert_widths(p, 4, True, memo)
+            assert [ws.dims(5) for ws in got] == [
+                hilbert_width_reference(p, n).dims(5) for n in range(5)]
+        # a group skips `_min_tuples` only when it is minimal already, so
+        # every ideal in the memo is held minimal
+        for key in memo:
+            for a, b in itertools.permutations(key, 2):
+                assert not all(x <= y for x, y in zip(a, b)), key
+
+    def test_negative_shift_rejected(self):
+        p = principal(1, 1, ((1,),), shift=-1)
+        with pytest.raises(WidthMismatch):
+            hilbert_widths(p, 2)
 
 
 class TestDimDeg:

@@ -23,6 +23,7 @@ from oihilbert.polyarith import (
 
 from oracles import (
     equals_cross_mul,
+    expand_cellwise,
     geometric,
     schoolbook,
     trial_reduce,
@@ -435,6 +436,60 @@ class TestSeries:
         r = FactoredRational(num)
         w = expand_series(r, 1, 1, t_prefactor=2)
         assert w[0][0] == 1 and w[1][1] == 4
+
+    def test_rows_against_cells(self):
+        # the row-wise window against the cell-by-cell loop over the
+        # multiplied-out denominator
+        rng = random.Random(1920)
+
+        def poly(terms, lo=0):
+            return BiPoly({(rng.randint(lo, 3), rng.randint(0, 4)):
+                           rng.randint(-3, 3) for _ in range(terms)})
+
+        def factor():
+            kind = rng.randrange(5)
+            if kind == 0:  # 1 - t
+                return ONE_MINUS_T
+            if kind == 1:  # (1-t)^c - s f(t), as the pipeline's factors
+                f = BiPoly({(1, j): -rng.randint(1, 2)
+                            for j in range(rng.randint(0, 3))})
+                return ONE_MINUS_T ** rng.randint(0, 2) + f
+            if kind == 2:  # a t-only piece such as a split content
+                return BiPoly.one() + BiPoly.t() ** rng.randint(1, 3)
+            if kind == 3:  # constant -1, squared below
+                return BiPoly.term(0, 0, -1) + poly(3, lo=1)
+            # past the window: s^6, t^7 and beyond
+            return BiPoly({(0, 0): 1, (6, 0): -1, (1, 7): 3, (0, 9): 2})
+
+        for case in range(150):
+            factors = []
+            for _ in range(rng.randint(0, 3)):
+                base = factor()
+                e = rng.randint(1, 3)
+                if base.coeff(0, 0) == -1:
+                    e = 2 * e
+                factors.append((base, e))
+            r = FactoredRational(poly(rng.randint(0, 6)), factors)
+            n_max, j_max = rng.randint(0, 5), rng.randint(0, 5)
+            if case % 7 == 0:
+                n_max = 0
+            if case % 7 == 1:
+                j_max = 0
+            tp = rng.randint(0, 2)
+            assert expand_series(r, n_max, j_max, tp) == expand_cellwise(
+                r, n_max, j_max, tp), (r.num, r.factors, n_max, j_max, tp)
+
+    def test_singular_like_the_cells(self):
+        # a denominator other than 1 at the origin raises on both routes,
+        # also when each factor's constant is a unit: (-1 + s)^3
+        for factors in ([(BiPoly.term(0, 0, -1) + BiPoly.s(), 3)],
+                        [(BiPoly.term(0, 0, 3) - BiPoly.t(), 1),
+                         (ONE_MINUS_T, 2)],
+                        [(BiPoly.s() + BiPoly.t(), 1)]):
+            r = FactoredRational(BiPoly.one(), factors)
+            for route in (expand_series, expand_cellwise):
+                with pytest.raises(SingularAtOrigin):
+                    route(r, 3, 3)
 
     def test_singular_at_origin(self):
         with pytest.raises(SingularAtOrigin):
