@@ -53,8 +53,9 @@ def validate_shape(result, c):
     and 0 <= k <= c; for c=1 only 1-t-s and 1-s(1+t+...+t^e) may occur.
     Each factor is classified as it stands: the pipeline splits every
     determinant where it is made (polyarith.split_content), so a factor
-    other than 1-t is a primitive part, irreducible when linear in s, or
-    the rest of a content, which lands whole in leftover.  A series whose
+    other than 1-t is the rest of a determinant, irreducible when linear
+    in s; a rest that is not (a higher s-degree, or content left by a
+    hand-built automaton) lands whole in leftover.  A series whose
     `reduced` flag is set is not reduced again.
     """
     reduced = result.rational if result.reduced else result.rational.reduce()

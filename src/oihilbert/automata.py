@@ -616,8 +616,8 @@ def generating_function(dfa):
     s do, so each leading principal minor of I - T_CC is 1 there: no pivot
     vanishes and every determinant has constant term 1.  Each determinant
     enters the denominator split by split_content, so every factor is
-    1-t, the rest of a content or a primitive part, each with constant
-    term 1.  A component of one state
+    1-t or the rest of a determinant after its (1-t)-power, each with
+    constant term 1.  A component of one state
     needs no elimination; a larger one is eliminated on packed integers
     (_solve_component) after the monomial common to its right-hand side
     is divided out.  Components of one automaton repeat their cofactor

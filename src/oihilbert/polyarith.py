@@ -10,25 +10,8 @@ t-degree, both ascending.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import gcd as _int_gcd
 
 from .errors import NonDivisible, SingularAtOrigin
-
-# Kronecker packing: coefficients ride in signed digits of one big integer,
-# so a product becomes a single int op.  __mul__ uses 8-byte digits; the
-# transfer-matrix solve sizes its digits from a coefficient bound.  _KSAFE
-# leaves a factor-of-two margin under the 8-byte half-digit boundary.
-_KSAFE = 1 << 62
-
-# Products of at most this many term pairs go term by term: below it the
-# packed route's fixed cost (degree and bound scans, two packs, the bias
-# and the unpack) outweighs the pairs it saves.  Measured by replaying the
-# 4,813 multi-term products generating_function makes on the solve-heavy
-# corpus (9.5 x 6.0 terms on average; CPython 3.11 on a 2-core Xeon
-# host, best of 15), term by term against packed: 4.0 vs 6.2 ms at
-# 257-320 pairs (41 products), 5.6 vs 7.3 ms at 321-384 (37) and 3.3 vs
-# 3.1 ms at 385-448 (18).  Larger coefficients move the crossover up.
-_TERMWISE_PAIRS = 384
 
 
 class UniPoly:
@@ -116,19 +99,6 @@ class UniPoly:
             return self
         return UniPoly((0,) * k + self.coeffs)
 
-    def content(self):
-        g = 0
-        for c in self.coeffs:
-            g = _int_gcd(g, c)
-        return g
-
-    def primitive(self):
-        """Divide out the (positive) integer content; zero stays zero."""
-        g = self.content()
-        if g in (0, 1):
-            return self
-        return UniPoly(tuple(c // g for c in self.coeffs))
-
     def exact_div(self, other):
         """Exact quotient self / other; raises NonDivisible otherwise."""
         if other.is_zero():
@@ -155,34 +125,6 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)})"
-
-
-def uni_prem(f, g):
-    """Pseudo-remainder of f by g over Z: lc(g)^(deg f - deg g + 1) f mod g."""
-    dg = g.degree
-    l = g.lc()
-    r = f
-    e = f.degree - dg + 1
-    while not r.is_zero() and r.degree >= dg:
-        k = r.degree - dg
-        c = r.lc()
-        r = r * l - UniPoly((0,) * k + (c,)) * g
-        e -= 1
-    if e > 0:
-        r = r * (l ** e)
-    return r
-
-
-def uni_gcd(f, g):
-    """Gcd over Z, with a positive leading coefficient: the gcd of the
-    contents times the last nonzero member of the primitive remainder
-    sequence, each pseudo-remainder made primitive before the next step."""
-    cont = _int_gcd(f.content(), g.content())
-    a, b = f.primitive(), g.primitive()
-    while b:
-        a, b = b, uni_prem(a, b).primitive()
-    out = a * cont
-    return out if out.lc() >= 0 else -out
 
 
 class BiPoly:
@@ -272,15 +214,14 @@ class BiPoly:
     def __sub__(self, other):
         return self + (-other)
 
-    def maxabs(self):
-        return max((abs(v) for v in self.terms.values()), default=0)
-
-    def _pack(self, width, nbytes=8):
+    def _pack(self, width, nbytes):
         """Evaluate at t = 2^(8*nbytes), s = t^width: a ring homomorphism,
         injective back to terms (see _unpack) while every coefficient stays
         below 2^(8*nbytes - 2) in absolute value and every t-degree below
         width.  Each term is shifted to its digit and the terms summed; the
-        zero polynomial packs to 0."""
+        zero polynomial packs to 0.  Only the transfer-matrix solve packs
+        (automata._solve_component), with digits sized from a coefficient
+        bound of its results."""
         bits = 8 * nbytes
         got = 0
         for (i, j), c in self.terms.items():
@@ -288,7 +229,7 @@ class BiPoly:
         return got
 
     @staticmethod
-    def _unpack(val, width, nbytes=8):
+    def _unpack(val, width, nbytes):
         """Signed digits of nbytes bytes back to terms; None if any digit
         reaches 2^(8*nbytes - 2), too large for the balanced representation
         to be trustworthy.
@@ -314,13 +255,9 @@ class BiPoly:
         return out
 
     def __mul__(self, other):
-        """Product with a BiPoly or an int.  A one-term operand shifts the
-        other's exponents and scales its coefficients.  Up to
-        _TERMWISE_PAIRS term pairs the product goes term by term; above
-        it, operands are multiplied as one packed integer (see _pack)
-        while the product's coefficients fit the 8-byte digits and its
-        degree box has no more digits than there are term pairs, else
-        term by term."""
+        """Product with a BiPoly or an int, term by term.  A one-term
+        operand shifts the other's exponents and scales its
+        coefficients."""
         if isinstance(other, int):
             if other == 0:
                 return BiPoly()
@@ -334,19 +271,6 @@ class BiPoly:
             ((i, j), c), = a.items()
             return BiPoly._raw({(i + k, j + l): c * v
                                 for (k, l), v in b.items()})
-        pairs = len(a) * len(b)
-        if pairs > _TERMWISE_PAIRS:
-            bound = min(len(a), len(b)) * self.maxabs() * other.maxabs()
-            width = self.deg_t() + other.deg_t() + 1
-            # the packed product spans every digit of the product's degree
-            # box, zero or not, so sparse operands of high degree are
-            # cheaper term by term
-            digits = (self.deg_s() + other.deg_s() + 1) * width
-            if bound < _KSAFE and digits <= pairs:
-                prod = self._pack(width) * other._pack(width)
-                out = BiPoly._unpack(prod, width)
-                if out is not None:
-                    return BiPoly._raw(out)
         out = {}
         for (i, j), av in a.items():
             for (k, l), bv in b.items():
@@ -464,30 +388,27 @@ def one_minus_t_order(u):
 
 def split_content(p):
     """Split p, with p(0, 0) = 1, into (piece, exponent) pairs whose
-    product is p; every piece has constant term 1.
+    product is p: (1-t)^k, k as large as divides every s-row (found by
+    running sums), and the rest unless it is 1; each has constant term 1.
 
-    Read as a polynomial in s over Z[t], p is its content (the gcd of its
-    s-coefficients) times its primitive part.  The pieces are the
-    content's (1-t)-power, the rest of the content unless it is 1, and
-    the primitive part unless it is 1.  A primitive part linear in s is
-    irreducible over Z by Gauss's lemma, since a factor of s-degree 0
-    would divide its content 1.
+    On a determinant of generating_function the pieces are p's content
+    over Z[t] and its primitive part.  In a minimal module DFA every
+    cycle of variable letters is a one-letter self-loop: for one, w, at a
+    live state q with access word u and accepted continuation v, u w w v
+    is standard, so w = a^k; then u a v is standard too, with u v's
+    monomial times a variable, so L(q) <= L(qa) <= ... <= L(qa^k) = L(q)
+    and q a = q.  Two loop letters at a state would make an unsorted run.
+    So at s = 0, I - T_CC is triangular after reordering, det = (1-t)^m,
+    and the content, a divisor, is a power of 1 - t.  A rest linear in s
+    is then irreducible over Z by Gauss's lemma.  A hand-built automaton
+    may break the premise; its rest keeps the extra content.
     """
-    coeffs = p.as_s_coeffs()
-    content = UniPoly()
-    for u in coeffs:
-        content = uni_gcd(content, u)
-        if content == UniPoly.one():
-            break
-    if content(0) < 0:
-        content = -content
-    primitive = BiPoly.from_s_coeffs([u.exact_div(content) for u in coeffs])
-    content, k = one_minus_t_order(content)
-    pieces = [(ONE_MINUS_T, k)] if k else []
-    for piece in (BiPoly.from_uni_t(content), primitive):
-        if not piece.is_one():
-            pieces.append((piece, 1))
-    return pieces
+    rows, k = _divide_one_minus_t([u.coeffs for u in p.as_s_coeffs()],
+                                  p.deg_t())
+    if not k:
+        return [] if p.is_one() else [(p, 1)]
+    rest = BiPoly.from_s_coeffs(map(UniPoly, rows))
+    return [(ONE_MINUS_T, k)] + ([] if rest.is_one() else [(rest, 1)])
 
 
 def common_denominator(factor_tuples, memo=None):
@@ -575,10 +496,9 @@ class FactoredRational:
         exponent; every other factor by trial exact division, one factor
         power at a time.
 
-        The result is reduced over Q[s,t] when every factor is irreducible,
-        as 1-t and a primitive factor linear in s are (see split_content),
-        and no two factors are associates; any other factor cancels only
-        as a whole.
+        The result is reduced over Q[s,t] when every factor is irreducible
+        and no two are associates, as 1-t and a primitive rest of
+        split_content linear in s are; any other factor cancels whole.
         """
         num = self.num
         if num.is_zero():

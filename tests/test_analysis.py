@@ -62,6 +62,14 @@ def sympy_pieces(b):
     return out
 
 
+def product_of(pieces):
+    prod = BiPoly.one()
+    for piece, mult in pieces:
+        assert piece.coeff(0, 0) == 1
+        prod = prod * piece ** mult
+    return prod
+
+
 def hand_series(num_terms, den_terms):
     return SeriesResult(
         FactoredRational(BiPoly(num_terms), ((BiPoly(den_terms), 1),)),
@@ -94,20 +102,17 @@ class TestShape:
         assert not rep.conformant
         assert rep.leftover == BiPoly({(0, 0): 1, (2, 1): -1})
 
-    @given(st.lists(st.integers(-3, 3), max_size=3),
+    @given(st.integers(0, 3),
            st.lists(st.integers(-3, 3), max_size=4),
            st.integers(0, 3))
     @settings(max_examples=60, deadline=None)
-    def test_split_of_s_linear_base(self, tail, growth, k):
-        # b = (1-t)^k * (u0(t) + s*u1(t)) with u0(0) = 1
-        b = BiPoly.from_s_coeffs([UniPoly([1] + tail), UniPoly(growth)]) \
+    def test_split_of_s_linear_base(self, j, growth, k):
+        # b = (1-t)^k * ((1-t)^j + s*u1(t)): at s = 0 a power of 1 - t,
+        # as every determinant of a minimal module DFA is
+        b = BiPoly.from_s_coeffs([UniPoly((1, -1)) ** j, UniPoly(growth)]) \
             * ONE_MINUS_T ** k
         pieces = split_content(b)
-        prod = BiPoly.one()
-        for piece, mult in pieces:
-            assert piece.coeff(0, 0) == 1
-            prod = prod * piece ** mult
-        assert prod == b
+        assert product_of(pieces) == b
         theirs = sympy_pieces(b)
 
         def power(ps):
@@ -119,6 +124,17 @@ class TestShape:
         assert power(pieces) == power(theirs)
         assert s_linear(pieces) == s_linear(theirs)
         assert all(q.deg_s() <= 1 for q, _ in pieces)
+
+    def test_split_keeps_other_content_in_the_rest(self):
+        # (1+t)(1-t)^2(1-t-s): content (1+t)(1-t)^2 over Z[t], which no
+        # minimal module DFA makes; the rest keeps the 1 + t
+        one_plus_t = BiPoly.one() + BiPoly.t()
+        linear = ONE_MINUS_T - BiPoly.s()
+        b = one_plus_t * ONE_MINUS_T ** 2 * linear
+        pieces = split_content(b)
+        assert pieces == [(ONE_MINUS_T, 2), (one_plus_t * linear, 1)]
+        assert product_of(pieces) == b
+        assert split_content(one_plus_t * linear) == [(one_plus_t * linear, 1)]
 
     def test_single_row_refinement(self):
         # (1-t) - s(1+t) conforms for two rows but not for one

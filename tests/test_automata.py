@@ -7,6 +7,7 @@ from pathlib import Path
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from oihilbert import automata
 from oihilbert.automata import (
     Dfa,
     Nfa,
@@ -25,14 +26,16 @@ from oihilbert.oicore import Monomial, ModulePresentation, hilbert_width, oi_div
 from oihilbert.polyarith import (
     BiPoly,
     FactoredRational,
+    UniPoly,
     common_denominator,
     expand_series,
+    one_minus_t_order,
 )
 from oihilbert.schema import load_document, parse_document
 from oihilbert.series import module_series
 from oihilbert.words import alphabet, decode, is_in_lstd, is_xi
 
-from corpus import random_presentation
+from corpus import random_monomial, random_presentation
 from enumerate_small import all_monomials, lstd_words
 from oracles import (equals_cross_mul, moore_minimize, pairwise_simulation,
                      run_dfa, subset_dfa)
@@ -497,7 +500,7 @@ class TestGeneratingFunction:
                 {0: -big, 2: one - marker}]
         rhs = [one, zero, zero]
         det, nums = sympy_solve(rows, rhs)
-        assert det.maxabs() > 2 ** 64
+        assert max(map(abs, det.terms.values())) > 2 ** 64
         assert _solve_component(rows, rhs, 0) == (det, nums)
 
     def test_counts_wider_than_eight_byte_digits(self):
@@ -520,7 +523,7 @@ class TestGeneratingFunction:
         width, bound = _pack_size(rows, rhs)
         det, nums = sympy_solve(rows, rhs)
         for p in [det] + nums:
-            assert p.maxabs() <= bound
+            assert max(map(abs, p.terms.values()), default=0) <= bound
             assert p.deg_t() < width
         assert _solve_component(rows, rhs, 0) == (det, nums)
 
@@ -674,6 +677,59 @@ class TestGeneratingFunction:
                     coeffs = sympy.Poly(to_sympy(base), S).all_coeffs()
                     assert sympy.gcd_list(coeffs) in (1, -1), base
         assert seen > 50
+
+    def test_variable_cycles_are_self_loops(self, monkeypatch):
+        # the lemma behind split_content: in a minimal module DFA every
+        # cycle of variable letters is a self-loop, one letter per state,
+        # so every determinant is a power of 1 - t at s = 0
+        docs = [load_document(str(path)).effective_presentation()
+                for path in sorted(INPUTS.glob("*.json"))]
+        rng = random.Random(2719)
+        docs += [random_presentation(rng) for _ in range(40)]
+        for _ in range(40):
+            d = rng.randint(0, 2)
+            gens = [random_monomial(rng, 2, rng.randint(max(d, 1), 4), d,
+                                    0, 4)
+                    for _ in range(rng.randint(2, 4))]
+            docs.append(ModulePresentation(2, [(d, 0)], gens))
+        dets = []
+        monkeypatch.setattr(automata, "split_content",
+                            lambda det: dets.append(det) or [(det, 1)])
+        loops = edges = 0
+        for p in docs:
+            for idx, (d, _) in enumerate(p.summands):
+                gens = [g for g in p.generators if g.summand == idx]
+                dfa = module_dfa(p.c, d, gens)
+                looped = set()
+                succ = {}
+                for (q, a), r in dfa.trans.items():
+                    if not is_xi(a):
+                        continue
+                    if q == r:
+                        assert q not in looped, (p, d, q)
+                        looped.add(q)
+                    else:
+                        succ.setdefault(q, set()).add(r)
+                        edges += 1
+                loops += len(looped)
+                # Kahn's algorithm: the other variable edges are acyclic
+                indeg = {}
+                for rs in succ.values():
+                    for r in rs:
+                        indeg[r] = indeg.get(r, 0) + 1
+                ready = [q for q in succ if q not in indeg]
+                while ready:
+                    for r in succ.get(ready.pop(), ()):
+                        indeg[r] -= 1
+                        if not indeg[r]:
+                            ready.append(r)
+                assert not any(indeg.values()), (p, d)
+                generating_function(dfa)
+        assert loops > 100 and edges > 100
+        assert len(dets) > 100
+        for det in dets:
+            rest, _ = one_minus_t_order(det.as_s_coeffs()[0])
+            assert rest == UniPoly.one(), det
 
     def test_empty_language_is_zero(self):
         assert generating_function(module_dfa(1, 0, [])).is_zero()

@@ -3,10 +3,12 @@ class of `src/oihilbert` is referenced somewhere in the package outside
 its own definition, is exported by `oihilbert.__all__`, or is looked up
 by name by the benchmark's tracing (`perfbench/spans.py`).  Oracles that
 only the tests use live in `tests/`.  Dunder hooks such as a module's
-`__getattr__` are called by the interpreter and count as used.  Likewise
-every module-level import and assignment is read somewhere in its own
-module, unless it is exported by `oihilbert.__all__`, a dunder name, or a
-`from __future__` import."""
+`__getattr__` are called by the interpreter and count as used.  Every
+method of a package class that `oihilbert.__all__` does not export,
+dunders aside, is read somewhere in the package outside its own
+definition too, so a method does not outlive its last caller.  Likewise every module-level import and assignment is read somewhere
+in its own module, unless it is exported by `oihilbert.__all__`, a dunder
+name, or a `from __future__` import."""
 
 import ast
 from pathlib import Path
@@ -49,9 +51,17 @@ def test_patched_names_found():
             "kpoly"} <= _patched_names()
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _package_trees():
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_every_module_level_definition_is_used():
-    trees = {path.name: ast.parse(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _package_trees()
     defs = [(name, node) for name, tree in trees.items()
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -59,12 +69,33 @@ def test_every_module_level_definition_is_used():
     allowed = set(oihilbert.__all__) | _patched_names()
     unused = []
     for module, node in defs:
-        if node.name in allowed or (node.name.startswith("__")
-                                    and node.name.endswith("__")):
+        if node.name in allowed or _is_dunder(node.name):
             continue
         if not any(node.name in _references(tree, {node})
                    for tree in trees.values()):
             unused.append(f"{module}:{node.lineno} {node.name}")
+    assert not unused, unused
+
+
+def test_every_method_of_an_unexported_class_is_used():
+    # a method counts as used when its name is read anywhere in the
+    # package outside its own definition, by any receiver
+    trees = _package_trees()
+    unused = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if (not isinstance(cls, ast.ClassDef)
+                    or cls.name in oihilbert.__all__):
+                continue
+            for node in cls.body:
+                if (not isinstance(node, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+                        or _is_dunder(node.name)):
+                    continue
+                if not any(node.name in _references(t, {node})
+                           for t in trees.values()):
+                    unused.append(
+                        f"{module}:{node.lineno} {cls.name}.{node.name}")
     assert not unused, unused
 
 
@@ -94,7 +125,7 @@ def test_every_module_level_import_and_assignment_is_read():
         for node in tree.body:
             names = [name for name in _bound_names(node)
                      if name not in allowed
-                     and not (name.startswith("__") and name.endswith("__"))]
+                     and not _is_dunder(name)]
             read = _references(tree, {node}) if names else set()
             unread += [f"{path.name}:{node.lineno} {name}"
                        for name in names if name not in read]
