@@ -474,53 +474,89 @@ def _shift(p, a, b):
     return BiPoly._raw({(i + a, j + b): c for (i, j), c in p.terms.items()})
 
 
+def _pack(p, width, nbytes):
+    """Evaluate p at t = 2^(8*nbytes), s = t^width: a ring homomorphism,
+    injective back to terms (see _unpack) while every coefficient stays
+    below 2^(8*nbytes - 2) in absolute value and every t-degree below
+    width.  Each term is shifted to its digit and the terms summed; the
+    zero polynomial packs to 0."""
+    bits = 8 * nbytes
+    got = 0
+    for (i, j), c in p.terms.items():
+        got += c << (bits * (i * width + j))
+    return got
+
+
+def _unpack(val, width, nbytes):
+    """The polynomial whose signed digits of nbytes bytes make val;
+    raises OihError if any digit reaches 2^(8*nbytes - 2), too large for
+    the balanced representation to be trustworthy.
+
+    Adding half a digit at every digit position turns each balanced
+    digit into a plain one, so every digit is read with int.from_bytes
+    and the half taken off again."""
+    bits = 8 * nbytes
+    half = 1 << (bits - 1)
+    safe = half >> 1
+    count = (abs(val).bit_length() + bits - 1) // bits + 1
+    bias = int.from_bytes(half.to_bytes(nbytes, "little") * count, "little")
+    raw = (val + bias).to_bytes(nbytes * count, "little")
+    out = {}
+    for idx in range(count):
+        off = idx * nbytes
+        digit = int.from_bytes(raw[off:off + nbytes], "little") - half
+        if digit:
+            if not -safe < digit < safe:
+                raise OihError("solve result exceeds its digit bound")
+            out[divmod(idx, width)] = digit
+    return BiPoly._raw(out)
+
+
 def _pack_size(rows, rhs):
     """Stride and coefficient bound for packing one component's system.
 
     Only det(M) and Cramer numerators det(M) * x_i must unpack; the bounds
     cover every x_i, a superset of the entry rows' that unpack.  Each
-    takes one entry per row and per column, the right-hand side standing
-    in for at most one column.  With r the top right-hand-side t-degree,
-    their t-degree is at most r plus the rows' top t-degrees, and at most
-    the columns' top t-degrees plus the excess of r over the smallest.
-    On |s| = |t| = 1 each entry is at most its l1 norm, so by Hadamard and
-    Parseval no coefficient of det(M) exceeds
+    takes one entry per column, the right-hand side standing in for at
+    most one column, so with r the top right-hand-side t-degree, their
+    t-degree is at most the columns' top t-degrees plus the excess of r
+    over the smallest.  On |s| = |t| = 1 each entry is at most its l1
+    norm, so by Hadamard and Parseval no coefficient of det(M) exceeds
     H = isqrt(prod_i sum_j l1(m_ij)^2) + 1, and, expanding along the
     replaced column, none of a numerator exceeds sum_i l1(b_i) * H (each
     row's sum is at least 1, as each diagonal entry has constant term 1).
-    Returns the stride, one past the smaller degree bound, and
+    Returns the stride, one past the degree bound, and
     (1 + sum_i l1(b_i)) * H.
     """
     top = max(b.deg_t() for b in rhs)
-    by_rows = top
     cols = {}
     square = 1
     for row in rows:
-        by_rows += max(p.deg_t() for p in row.values())
         square *= sum(_l1(p) ** 2 for p in row.values())
         for j, p in row.items():
             cols[j] = max(cols.get(j, 0), p.deg_t())
-    by_cols = sum(cols.values()) + max(0, top - min(cols.values()))
+    degree = sum(cols.values()) + max(0, top - min(cols.values()))
     bound = (1 + sum(_l1(b) for b in rhs)) * (isqrt(square) + 1)
-    return 1 + min(by_rows, by_cols), bound
+    return 1 + degree, bound
 
 
 def _solve_component(rows, rhs, first):
     """det(M) and the numerators det(M) * x_i, i >= first, of M x = rhs.
 
     rows[i] maps column to entry of row i of M; rhs[i] is a polynomial.
-    Every entry is packed once (BiPoly._pack, stride and digits sized by
-    _pack_size; a digit holds four times the coefficient bound, as _unpack
-    needs), fraction-free elimination runs on the integers, and only the
-    results are unpacked.  A pivot k < first updates only the rows below
-    it; from first on, Gauss-Jordan runs among rows first.. alone.  Every
-    row from first on is thus updated as a full Gauss-Jordan would update
-    it, and the rows above first, whose unknowns are not wanted, are left
-    half reduced; first = 0 is the full solve.  Packing is a ring
-    homomorphism and, by Sylvester's identity, every entry after step k is
-    a minor of order k + 1, so the Bareiss divisions are exact on the
-    packed integers too (a remainder raises); the intermediates may wrap
-    digits, but the results fit theirs, and _unpack checks every digit.
+    Every entry is packed once (_pack; the stride comes from _pack_size,
+    and a digit is the fewest bytes that hold four times its coefficient
+    bound, as _unpack needs), fraction-free elimination runs on the
+    integers, and only the results are unpacked.  A pivot k < first
+    updates only the rows below it; from first on, Gauss-Jordan runs
+    among rows first.. alone.  Every row from first on is thus updated as
+    a full Gauss-Jordan would update it, and the rows above first, whose
+    unknowns are not wanted, are left half reduced; first = 0 is the full
+    solve.  Packing is a ring homomorphism and, by Sylvester's identity,
+    every entry after step k is a minor of order k + 1, so the Bareiss
+    divisions are exact on the packed integers too (a remainder raises);
+    the intermediates may wrap digits, but the results fit theirs, and
+    _unpack checks every digit.
 
     Rows are rescaled lazily.  At each step Bareiss multiplies each updated
     row by the new pivot and divides it by the previous one; over a run of
@@ -539,11 +575,12 @@ def _solve_component(rows, rhs, first):
     """
     size = len(rows)
     width, bound = _pack_size(rows, rhs)
-    nbytes = max(8, -(-(4 * bound).bit_length() // 8))
-    mat = [{j: p._pack(width, nbytes) for j, p in row.items()} for row in rows]
+    nbytes = -(-(4 * bound).bit_length() // 8)
+    mat = [{j: _pack(p, width, nbytes) for j, p in row.items()}
+           for row in rows]
     for row, b in zip(mat, rhs):
         if b:
-            row[size] = b._pack(width, nbytes)
+            row[size] = _pack(b, width, nbytes)
     pivots = [1]
     lvl = [0] * size
 
@@ -582,14 +619,8 @@ def _solve_component(rows, rhs, first):
             mat[i] = new
             lvl[i] = k + 1
 
-    def unpack(val):
-        terms = BiPoly._unpack(val, width, nbytes)
-        if terms is None:
-            raise OihError("solve result exceeds its digit bound")
-        return BiPoly._raw(terms)
-
-    return unpack(pivots[size]), [
-        unpack(lift(mat[i].get(size, 0), lvl[i], size))
+    return _unpack(pivots[size], width, nbytes), [
+        _unpack(lift(mat[i].get(size, 0), lvl[i], size), width, nbytes)
         for i in range(first, size)]
 
 

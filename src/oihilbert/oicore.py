@@ -425,7 +425,7 @@ def _add_shifted(out, poly, shift, sign):
         out[i] += sign * cf
 
 
-def _width_series(p, n_top, widths, quotient, memo):
+def _width_series(p, n_top, widths, quotient):
     """WidthSeries at each of the ascending widths <= n_top, from one
     enumeration of the images at n_top.  Width n takes, per group, the
     images whose last column is <= n: the padded zero columns are unused
@@ -435,8 +435,7 @@ def _width_series(p, n_top, widths, quotient, memo):
     coefficient list that such a width updates by old minus new."""
     if any(shift < 0 for _, shift in p.summands):
         raise WidthMismatch("width-wise series needs nonnegative shifts")
-    if memo is None:
-        memo = {}
+    memo = {}
     grows = _image_groups(p, n_top)
     wanted = set(widths)
     pending = {}
@@ -462,22 +461,22 @@ def _width_series(p, n_top, widths, quotient, memo):
     return out
 
 
-def hilbert_widths(p, n_max, quotient=True, memo=None):
+def hilbert_widths(p, n_max, quotient=True):
     """Classical Hilbert series at every width 0..n_max, as the oracle
     route computes them: enumerate the generators' images once, at
     n_max, as flat exponent tuples, group them per (summand, basis tuple),
-    and recurse on each group's monomial ideal with one `kpoly` memo, the
-    given one or a new one for the call.  At one width the only
-    order-embedding is the identity, so OI-divisibility inside a group is
-    divisibility of exponent tuples, which `kpoly` minimalizes.  A basis
-    tuple with no image is a free summand, numerator 1."""
-    return _width_series(p, n_max, range(n_max + 1), quotient, memo)
+    and recurse on each group's monomial ideal with one `kpoly` memo for
+    the call.  At one width the only order-embedding is the identity, so
+    OI-divisibility inside a group is divisibility of exponent tuples,
+    which `kpoly` minimalizes.  A basis tuple with no image is a free
+    summand, numerator 1."""
+    return _width_series(p, n_max, range(n_max + 1), quotient)
 
 
-def hilbert_width(p, n, quotient=True, memo=None):
+def hilbert_width(p, n, quotient=True):
     """Classical Hilbert series at width n alone: `hilbert_widths`'s
     engine asked for one width."""
-    (ws,) = _width_series(p, n, (n,), quotient, memo)
+    (ws,) = _width_series(p, n, (n,), quotient)
     return ws
 
 

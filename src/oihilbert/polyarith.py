@@ -214,46 +214,6 @@ class BiPoly:
     def __sub__(self, other):
         return self + (-other)
 
-    def _pack(self, width, nbytes):
-        """Evaluate at t = 2^(8*nbytes), s = t^width: a ring homomorphism,
-        injective back to terms (see _unpack) while every coefficient stays
-        below 2^(8*nbytes - 2) in absolute value and every t-degree below
-        width.  Each term is shifted to its digit and the terms summed; the
-        zero polynomial packs to 0.  Only the transfer-matrix solve packs
-        (automata._solve_component), with digits sized from a coefficient
-        bound of its results."""
-        bits = 8 * nbytes
-        got = 0
-        for (i, j), c in self.terms.items():
-            got += c << (bits * (i * width + j))
-        return got
-
-    @staticmethod
-    def _unpack(val, width, nbytes):
-        """Signed digits of nbytes bytes back to terms; None if any digit
-        reaches 2^(8*nbytes - 2), too large for the balanced representation
-        to be trustworthy.
-
-        Adding half a digit at every digit position turns each balanced
-        digit into a plain one, so every digit is read with int.from_bytes
-        and the half taken off again."""
-        bits = 8 * nbytes
-        half = 1 << (bits - 1)
-        safe = half >> 1
-        count = (abs(val).bit_length() + bits - 1) // bits + 1
-        bias = int.from_bytes(half.to_bytes(nbytes, "little") * count,
-                              "little")
-        raw = (val + bias).to_bytes(nbytes * count, "little")
-        out = {}
-        for idx in range(count):
-            off = idx * nbytes
-            digit = int.from_bytes(raw[off:off + nbytes], "little") - half
-            if digit:
-                if not -safe < digit < safe:
-                    return None
-                out[divmod(idx, width)] = digit
-        return out
-
     def __mul__(self, other):
         """Product with a BiPoly or an int, term by term.  A one-term
         operand shifts the other's exponents and scales its
@@ -285,6 +245,15 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """self^n: a two-term base, such as 1 - t, from one row of
+        binomial coefficients, any other by repeated squaring."""
+        if len(self.terms) == 2:
+            ((i, j), a), ((k, l), b) = self.terms.items()
+            row = accumulate(range(n), lambda c, r: c * (n - r) // (r + 1),
+                             initial=1)
+            return BiPoly._raw({
+                (i * (n - r) + k * r, j * (n - r) + l * r):
+                c * a ** (n - r) * b ** r for r, c in enumerate(row)})
         out = BiPoly.one()
         base = self
         while n:

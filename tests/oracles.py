@@ -268,7 +268,7 @@ def trial_reduce(r):
 
 
 def unpack_digits(val, width, nbytes):
-    """BiPoly._unpack one digit at a time, every digit visited: the terms
+    """automata._unpack one digit at a time, every digit visited: the terms
     of the balanced nbytes-byte digits of val, or None if a digit reaches
     2^(8*nbytes - 2) in absolute value."""
     full = 1 << (8 * nbytes)

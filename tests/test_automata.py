@@ -516,6 +516,24 @@ class TestGeneratingFunction:
         assert list(win[0]) == [c ** j if j % n == 0 else 0
                           for j in range(3 * n + 1)]
 
+    def test_small_bound_packs_narrow_digits(self, monkeypatch):
+        # a bound of 18 needs 7 bits for four times itself: one byte per
+        # digit, not eight
+        sizes = []
+        pack = automata._pack
+
+        def recorded(p, width, nbytes):
+            sizes.append(nbytes)
+            return pack(p, width, nbytes)
+
+        monkeypatch.setattr(automata, "_pack", recorded)
+        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.t()
+        rows = [{0: one - t, 1: -s}, {0: -s, 1: one - t}]
+        rhs = [one, t]
+        assert _pack_size(rows, rhs)[1] == 18
+        assert _solve_component(rows, rhs, 0) == sympy_solve(rows, rhs)
+        assert sizes == [1] * 6
+
     @given(augmented_systems())
     @settings(max_examples=40, deadline=None)
     def test_packed_solve_bounds_and_values(self, system):

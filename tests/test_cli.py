@@ -246,7 +246,7 @@ class TestCommands:
         doc = write_doc(tmp_path, minimal())
         real = cli.hilbert_widths
 
-        def corrupted(p, n_max, quotient, memo=None):
+        def corrupted(p, n_max, quotient):
             def bumped(n, dims):
                 def bumped_dims(j_max):
                     out = dims(j_max)
@@ -257,7 +257,7 @@ class TestCommands:
                 return SimpleNamespace(dims=bumped_dims)
 
             return [bumped(n, ws.dims)
-                    for n, ws in enumerate(real(p, n_max, quotient, memo))]
+                    for n, ws in enumerate(real(p, n_max, quotient))]
 
         monkeypatch.setattr(cli, "hilbert_widths", corrupted)
         code, out, _ = run(capsys, "oracle", doc, "-N", "4", "-J", "4")

@@ -363,11 +363,6 @@ class TestHilbertWidth:
             for n in range(size + 1):
                 got = hilbert_width(p, n, doc.quotient).dims(size)
                 assert got == entry["ref"][n], (entry["id"], n)
-            # one memo for every width, as `oih oracle` passes it
-            memo = {}
-            for n in range(size + 1):
-                got = hilbert_width(p, n, doc.quotient, memo).dims(size)
-                assert got == entry["ref"][n], (entry["id"], n, "shared")
             # every width from one enumeration, as `oih oracle` asks
             got = [ws.dims(size)
                    for ws in hilbert_widths(p, size, doc.quotient)]
@@ -462,19 +457,32 @@ class TestHilbertWidths:
         assert [ws.dims(2) for ws in hilbert_widths(p, 0, False)] == [
             [0, 0, 0]]
 
-    def test_shared_memo(self):
+    def test_shared_memo(self, monkeypatch):
+        # one call shares one kpoly memo across its widths: it gives what
+        # per-width calls give
+        memos = {}
+        inner = oicore._kpoly
+
+        def recorded(gens, memo):
+            memos[id(memo)] = memo
+            return inner(gens, memo)
+
+        monkeypatch.setattr(oicore, "_kpoly", recorded)
         rng = random.Random(77)
-        memo = {}
         for _ in range(30):
             p = random_widths_presentation(rng)
-            got = hilbert_widths(p, 4, True, memo)
-            assert [ws.dims(5) for ws in got] == [
+            memos.clear()
+            got = [ws.dims(5) for ws in hilbert_widths(p, 4, True)]
+            assert len(memos) <= 1
+            assert got == [hilbert_width(p, n).dims(5) for n in range(5)]
+            assert got == [
                 hilbert_width_reference(p, n).dims(5) for n in range(5)]
-        # a group skips `_min_tuples` only when it is minimal already, so
-        # every ideal in the memo is held minimal
-        for key in memo:
-            for a, b in itertools.permutations(key, 2):
-                assert not all(x <= y for x, y in zip(a, b)), key
+            # a group skips `_min_tuples` only when it is minimal already,
+            # so every ideal in a memo is held minimal
+            for memo in memos.values():
+                for key in memo:
+                    for a, b in itertools.permutations(key, 2):
+                        assert not all(x <= y for x, y in zip(a, b)), key
 
     def test_negative_shift_rejected(self):
         p = principal(1, 1, ((1,),), shift=-1)

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import sympy
 
-from oihilbert.errors import NonDivisible, SingularAtOrigin
+from oihilbert.automata import _pack, _unpack
+from oihilbert.errors import NonDivisible, OihError, SingularAtOrigin
 from oihilbert.polyarith import (
     ONE_MINUS_T,
     BiPoly,
@@ -110,17 +111,33 @@ class TestBiPoly:
         assert (a * b).exact_div(b) == a
         assert (a * b).try_div(a) == b
         assert a.try_div(b) is None
-        # t*(1-t) = t - t^2: the packed quotient t must not alias onto s
+        # long division in s over Z[t]: the s-row -1 of t - s is no
+        # multiple of 1 - t
         with pytest.raises(NonDivisible):
             (BiPoly.t() - BiPoly.s()).exact_div(BiPoly.one() - BiPoly.t())
 
     def test_exact_div_sparse_high_degree(self):
-        # 402 * 401 packed digits against 2 * 2 term pairs: long division
+        # long division in s over Z[t] at s-degree 400: every s-row but
+        # the top one is zero, and that one has t-degree 401
         one_minus_t = BiPoly.one() - BiPoly.t()
         big = BiPoly.term(400, 400) * one_minus_t
         assert big.exact_div(one_minus_t) == BiPoly.term(400, 400)
         with pytest.raises(NonDivisible):
             big.exact_div(BiPoly.one() - BiPoly.s())
+
+    def test_powers_against_repeated_products(self):
+        # two-term bases are written from a binomial row, with
+        # coefficients past 2^62 from n = 66 on; the others square
+        s, t = BiPoly.s(), BiPoly.t()
+        bases = [(ONE_MINUS_T, 80), (BiPoly.one() + t, 80),
+                 (s - BiPoly.term(0, 3, 2), 80),
+                 (BiPoly.term(2, 1, -3) + BiPoly.term(1, 4, 5), 30),
+                 (ONE_MINUS_T - s, 12), (BiPoly.term(1, 1, 7), 12)]
+        for base, top in bases:
+            acc = BiPoly.one()
+            for n in range(top + 1):
+                assert base ** n == acc, (base, n)
+                acc = acc * base
 
     def test_s_coeff_views(self):
         p = BiPoly({(0, 0): 1, (0, 2): 5, (2, 1): -3})
@@ -156,19 +173,14 @@ class TestBiPoly:
             for x, y in ((a, m), (m, a), (a, a), (m, m), (a, zero), (zero, m)):
                 assert (x * y).terms == schoolbook(x, y), (x, y)
 
-    def test_product_routes_against_schoolbook(self, monkeypatch):
+    def test_product_routes_against_schoolbook(self):
         # term-pair counts from 1 to 1,225: dense operands with small
         # coefficients, sparse high-degree operands (more cells in the
         # degree box than term pairs) and coefficients past 2^62, in both
-        # orders; every product goes term by term and never packs
-        packs = []
-        pack = BiPoly._pack
-
-        def counted(self, *args):
-            packs.append(self)
-            return pack(self, *args)
-
-        monkeypatch.setattr(BiPoly, "_pack", counted)
+        # orders; every product goes term by term, and BiPoly has no
+        # packed format: only the transfer-matrix solve packs
+        assert not hasattr(BiPoly, "_pack")
+        assert not hasattr(BiPoly, "_unpack")
         rng = random.Random(1802)
 
         def draw(n, ds, dt, mag):
@@ -196,27 +208,27 @@ class TestBiPoly:
                 for x, y in ((a, b), (b, a), (a, mono), (mono, a),
                              (a, zero), (zero, b)):
                     assert (x * y).terms == schoolbook(x, y), (x, y)
-        assert packs == []
 
-    @pytest.mark.parametrize("nbytes", [8, 9, 16])
+    @pytest.mark.parametrize("nbytes", [1, 2, 3, 8, 9, 16])
     def test_pack_unpack_round_trip(self, nbytes):
+        # automata's packed format, at digit sizes from one byte up:
         # negative coefficients, runs of zero digits between terms and
         # coefficients one short of the digit bound on either side
         rng = random.Random(1700 + nbytes)
         safe = 1 << (8 * nbytes - 2)
         pool = (1, -1, 7, -7, safe - 1, 1 - safe)
         for width in range(1, 6):
-            assert BiPoly.zero()._pack(width, nbytes) == 0
-            assert BiPoly._unpack(0, width, nbytes) == {}
+            assert _pack(BiPoly.zero(), width, nbytes) == 0
+            assert _unpack(0, width, nbytes) == BiPoly.zero()
             for _ in range(60):
                 p = BiPoly({(rng.randint(0, 6), rng.randrange(width)):
                             rng.choice(pool) if rng.random() < 0.6
                             else rng.randint(1 - safe, safe - 1)
                             for _ in range(rng.randint(1, 8))})
-                assert BiPoly._unpack(p._pack(width, nbytes), width,
-                                      nbytes) == p.terms, p
+                assert _unpack(_pack(p, width, nbytes), width,
+                               nbytes) == p, p
 
-    @pytest.mark.parametrize("nbytes", [8, 9, 16])
+    @pytest.mark.parametrize("nbytes", [1, 2, 3, 8, 9, 16])
     def test_unpack_against_per_digit_decoder(self, nbytes):
         rng = random.Random(nbytes)
         safe = 1 << (8 * nbytes - 2)
@@ -238,10 +250,12 @@ class TestBiPoly:
             want = unpack_digits(val, width, nbytes)
             if case % 4 == 1:
                 assert want is None
-            else:
-                assert want == {(i // width, i % width): d
-                                for i, d in enumerate(digits) if d}
-            assert BiPoly._unpack(val, width, nbytes) == want, digits
+                with pytest.raises(OihError):
+                    _unpack(val, width, nbytes)
+                continue
+            assert want == {(i // width, i % width): d
+                            for i, d in enumerate(digits) if d}
+            assert _unpack(val, width, nbytes).terms == want, digits
 
 
 class TestFactoredRational:
