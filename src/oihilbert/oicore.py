@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from functools import cmp_to_key
 from math import comb
-from operator import le
 
 from .errors import (
     NotAnIdeal,
@@ -186,28 +185,21 @@ class ModulePresentation:
         )
 
 
-def _images(p, n):
+def _images(p, n, place):
     """Every order-embedding image of each generator at width n, in
-    generator order, as (summand, basis tuple, last column, degree, flat
-    tuple).  The flat tuple is the image's exponent matrix column-major;
-    only the generator's nonzero columns are written into a copy of the
-    zero list.  The last column is the largest one the embedding uses
-    (0 for a width-0 generator): the image is one at every width from
-    there on, its flat tuple padded with zero columns.  An image of a
-    valid generator is valid by construction, so nothing is checked
-    again here."""
-    c = p.c
-    zero = [0] * (c * n)
+    generator order, as (summand, basis tuple, last column, image).
+    place(g) gives the function that writes g's image from the columns
+    (values, 1-based) the embedding sends g's columns to.  The last
+    column is the largest one the embedding uses (0 for a width-0
+    generator): the image is one at every width from there on, padded
+    with zero columns.  An image of a valid generator is valid by
+    construction, so nothing is checked again here."""
     for g in p.generators:
-        nonzero = [(k, col) for k, col in enumerate(g.cols) if any(col)]
-        degree = g.degree
-        for values in itertools.combinations(range(n), g.width):
-            flat = zero.copy()
-            for k, col in nonzero:
-                at = values[k] * c
-                flat[at:at + c] = col
-            yield (g.summand, tuple(values[k - 1] + 1 for k in g.pi),
-                   values[-1] + 1 if values else 0, degree, tuple(flat))
+        write = place(g)
+        basis = [k - 1 for k in g.pi]
+        for values in itertools.combinations(range(1, n + 1), g.width):
+            yield (g.summand, tuple(map(values.__getitem__, basis)),
+                   values[-1] if values else 0, write(values))
 
 
 def expand_to_width(p, n):
@@ -215,137 +207,166 @@ def expand_to_width(p, n):
     order-embedding image of the presentation's generators, in generator
     order.  The set need not be minimal; pass it to `minimalize` for that."""
     c = p.c
+    zero = (0,) * c
+
+    def place(g):
+        def write(values):
+            cols = [zero] * n
+            for v, col in zip(values, g.cols):
+                cols[v - 1] = col
+            return cols
+        return write
+
     return list(dict.fromkeys(
-        Monomial(c, n, [flat[at:at + c] for at in range(0, c * n, c)],
-                 pi, summand)
-        for summand, pi, _, _, flat in _images(p, n)))
+        Monomial(c, n, cols, pi, summand)
+        for summand, pi, _, cols in _images(p, n, place)))
 
 
 # ---------------------------------------------------------------------------
 # width-wise Hilbert machinery (the slow oracle)
 #
-# A monomial ideal of the polynomial ring is held as a frozenset of flat
-# exponent tuples; its support mask has bit i set when variable i occurs.
-
-def _masks(gens):
-    """Support mask of each tuple of the list, in order."""
-    bits = [1 << i for i in range(len(gens[0]))] if gens else []
-    return [sum(itertools.compress(bits, g)) for g in gens]
+# A monomial of the polynomial ring is held as one int, its exponents in
+# bit fields (`MaskLayout`): the exponent e is its field's e low bits.  The
+# int is the monomial's polarization, so h divides g exactly when
+# h & ~g == 0, two monomials share a variable exactly when they share a
+# bit, and a variable's exponent is the popcount of its field.
 
 
-def _min_tuples(gens):
-    """Minimal generating set of the ideal the exponent tuples generate.
+class MaskLayout:
+    """Bit fields of the variables of `ncols` columns of c rows.  Row i's
+    field is widths[i] bits wide (0 for a row no generator uses); the
+    fields of a column follow each other, and column j starts at bit
+    j * stride.  fields lists every nonempty field, lowest bits first."""
 
-    Tuples are visited by degree, so every divisor of a tuple is seen
-    before it.  A kept tuple h can divide g only when h's support lies in
-    g's, which the support masks test before any exponent is compared."""
-    gens = sorted(gens, key=lambda t: (sum(t), t))
-    kept = []
-    for m, g in zip(_masks(gens), gens):
-        for hm, h in kept:
-            if not hm & ~m and all(map(le, h, g)):
+    __slots__ = ("stride", "offsets", "fields")
+
+    def __init__(self, widths, ncols):
+        offsets = list(itertools.accumulate(widths, initial=0))
+        self.stride = offsets.pop()
+        self.offsets = offsets
+        self.fields = tuple(((1 << w) - 1) << (j * self.stride + at)
+                            for j in range(ncols)
+                            for at, w in zip(offsets, widths) if w)
+
+    def column(self, col):
+        """The mask of one column's exponents, written at column 0."""
+        out = 0
+        for at, e in zip(self.offsets, col):
+            out |= ((1 << e) - 1) << at
+        return out
+
+
+def _extend_minimal(gens, new):
+    """The minimal generating set of gens and new, gens minimal.  Each
+    new mask a kept one divides is dropped; one that stays drops every
+    kept mask it divides.  gens itself comes back when nothing is added."""
+    out = gens
+    for h in new:
+        outside = ~h
+        for k in out:
+            if not k & outside:
                 break
         else:
-            kept.append((m, g))
-    return frozenset(g for _, g in kept)
-
-
-def _components(gens):
-    """Partition generators into groups with disjoint variable support.
-
-    Groups are kept with the union of their members' masks; each new
-    generator merges every group its mask meets, so the groups stay
-    pairwise disjoint."""
-    gens = list(gens)
-    groups = []
-    for m, g in zip(_masks(gens), gens):
-        members = [g]
-        rest = []
-        for gm, gs in groups:
-            if gm & m:
-                m |= gm
-                members += gs
-            else:
-                rest.append((gm, gs))
-        rest.append((m, members))
-        groups = rest
-    return [gs for _, gs in groups]
-
-
-def _canonical(gens):
-    """The ideal with the variables no generator uses dropped and the
-    others reordered: the nonzero columns of the sorted generators,
-    sorted.  Equal forms mean equal numerators, as a permutation of the
-    variables or an unused variable leaves the numerator over
-    (1-t)^(#variables) unchanged; ideals that differ only so may still
-    get different forms."""
-    cols = sorted(col for col in zip(*sorted(gens)) if any(col))
-    return frozenset(zip(*cols))
-
-
-def kpoly(gens, memo=None):
-    """Numerator of the quotient's Hilbert series over (1-t)^(#variables),
-    for the monomial ideal generated by the given exponent tuples.
-
-    The recursion splits on a pivot variable x over all its powers at
-    once (`_split`), so it only enters ideals without x.  memo maps
-    minimal generating sets to numerators, each set under its own key and
-    under its canonical form (`_canonical`), on which the recursion runs;
-    pass one dict to share it across calls, as ideals of different widths
-    share canonical forms."""
-    return _kpoly(_min_tuples(gens), {} if memo is None else memo)
-
-
-def _kpoly(gens, memo):
-    if not gens:
-        return UniPoly.one()
-    out = memo.get(gens)
-    if out is not None:
-        return out
-    if (0,) * len(next(iter(gens))) in gens:
-        out = UniPoly.zero()
-    else:
-        key = _canonical(gens)
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = _split(key, memo)
-    memo[gens] = out
+            out = [k for k in out if k & h != h]
+            out.append(h)
     return out
 
 
-def _split(gens, memo):
-    """The numerator of a proper nonzero ideal, from its components or
-    its pivot split.
+def kpoly(gens, layout, memo=None):
+    """Numerator of the quotient's Hilbert series over (1-t)^(#variables),
+    for the monomial ideal minimally generated by the masks gens, laid
+    out by layout.
 
-    Unrolling H(I) = H(I + <x>) + t H(I : x) over the powers of the
-    pivot x gives H(I) = sum_(i<k) t^i H((I : x^i) + <x>) + t^k H(I : x^k),
-    k the pivot's top exponent, so the recursion enters only ideals
-    without x and its depth is bounded by the number of variables.
-    (I : x^i) + <x> is generated by x and the g with g[piv] <= i, their
-    x-exponent dropped, and changes only where i reaches such a g[piv];
-    each run of equal terms is one product with t^lo + ... + t^(hi-1)."""
-    comps = _components(gens)
+    The recursion splits on a pivot variable over all its powers at once
+    (`_split`), so it only enters ideals without that variable, and nests
+    at most once per variable.  memo maps each ideal of two or more
+    generators it meets, shifted down by whole columns to the first
+    column in use, to its numerator; pass one dict to share it across
+    calls.  A mask set is the polarization of every ideal it can stand
+    for, and polarization keeps the numerator, so one memo may serve
+    different layouts."""
+    return _kpoly(list(gens), layout, {} if memo is None else memo)
+
+
+def _kpoly(gens, layout, memo):
+    if not gens:
+        return UniPoly.one()
+    union = 0
+    for g in gens:
+        union |= g
+    if not union:
+        return UniPoly.zero()
+    if len(gens) == 1:
+        return UniPoly((1,) + (0,) * (union.bit_count() - 1) + (-1,))
+    low = (union & -union).bit_length() - 1
+    shift = low - low % layout.stride
+    if shift:
+        gens = [g >> shift for g in gens]
+        union >>= shift
+    key = frozenset(gens)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = _split(gens, union, layout, memo)
+    return out
+
+
+def _split(gens, union, layout, memo):
+    """The numerator of a minimal ideal of two or more masks, from its
+    components or its pivot split.
+
+    Components of disjoint support are merged by OR-ing masks.  A
+    connected ideal splits on its most used field x.  Its levels
+    l_0 = 0 < l_1 < ... < l_top are 0 and the x-exponents that occur;
+    with J_l the minimal set of the generators of x-exponent <= l, x
+    dropped, N(I) = sum_i (t^l_i - t^l_(i+1)) N(J_l_i)
+    + t^l_top N(J_l_top): H(I) = H(I + <x>) + t H(I : x) unrolled over
+    the powers of x."""
+    comps = []
+    for g in gens:
+        members = [g]
+        rest = []
+        for cm, cs in comps:
+            if cm & g:
+                g |= cm
+                members += cs
+            else:
+                rest.append((cm, cs))
+        rest.append((g, members))
+        comps = rest
     if len(comps) > 1:
         out = UniPoly.one()
-        for comp in comps:
-            out = out * _kpoly(frozenset(comp), memo)
-        return out
-    if len(gens) == 1:
-        (g,) = gens
-        return UniPoly.one() - UniPoly.one().shift(sum(g))
-    nvars = len(next(iter(gens)))
-    counts = [len(col) - col.count(0) for col in zip(*gens)]
-    piv = max(range(nvars), key=counts.__getitem__)
-    unit = (0,) * piv + (1,) + (0,) * (nvars - piv - 1)
-    levels = sorted({g[piv] for g in gens} | {0})
-    out = UniPoly.zero()
-    for lo, hi in zip(levels, levels[1:]):
-        plus = _min_tuples(g[:piv] + (0,) + g[piv + 1:]
-                           for g in gens if g[piv] <= lo) | {unit}
-        run = UniPoly((0,) * lo + (1,) * (hi - lo))
-        out = out + _kpoly(plus, memo) * run
-    colon = _min_tuples(g[:piv] + (0,) + g[piv + 1:] for g in gens)
-    return out + _kpoly(colon, memo).shift(levels[-1])
+        ones = [1]
+        for _, cs in comps:
+            if len(cs) > 1:
+                out = _kpoly(cs, layout, memo) * out
+                continue
+            # a lone generator of degree d: ones times 1 - t^d, in place
+            d = cs[0].bit_count()
+            ones += [0] * d
+            for i in range(len(ones) - 1, d - 1, -1):
+                ones[i] -= ones[i - d]
+        return out * UniPoly(ones)
+    best = 0
+    for field in layout.fields:
+        if field > union:
+            break
+        if field & union:
+            count = sum(1 for g in gens if g & field)
+            if count > best:
+                best, piv = count, field
+    levels = {0: []}
+    for g in gens:
+        levels.setdefault((g & piv).bit_count(), []).append(g & ~piv)
+    steps = sorted(levels)
+    kept = levels[0]  # J_0: the generators without x, minimal already
+    out = []
+    for lo, hi in zip(steps, steps[1:]):
+        num = _kpoly(kept, layout, memo).coeffs
+        _add_shifted(out, num, lo, 1)
+        _add_shifted(out, num, hi, -1)
+        kept = _extend_minimal(kept, levels[hi])
+    _add_shifted(out, _kpoly(kept, layout, memo).coeffs, steps[-1], 1)
+    return UniPoly(out)
 
 
 class WidthSeries:
@@ -371,57 +392,57 @@ class WidthSeries:
 
 
 class _Group:
-    """The images of one (summand, basis tuple) at the top width: distinct
-    flat tuples ordered by the smallest last column that gives each, the
-    length of their leading run of one degree, and the numerator of the
-    prefix the last width used (1 for none: no image, a free summand)."""
+    """One (summand, basis tuple)'s minimal mask set at the last width
+    that asked for it, and its numerator (1 for no mask: a free summand)."""
 
-    __slots__ = ("shift", "flats", "uniform", "num")
+    __slots__ = ("shift", "gens", "num")
 
-    def __init__(self, shift, images):
+    def __init__(self, shift):
         self.shift = shift
-        self.flats = [flat for _, _, flat in images]
-        degrees = [degree for _, degree, _ in images]
-        self.uniform = next((k for k, deg in enumerate(degrees)
-                             if deg != degrees[0]), len(degrees))
+        self.gens = []
         self.num = UniPoly.one()
 
-    def numerator(self, k, memo):
-        """kpoly of the first k images.  Images of one degree cannot
-        properly divide each other and the flat tuples are distinct, so
-        such a prefix is its own minimal generating set."""
-        if k <= self.uniform:
-            return _kpoly(frozenset(self.flats[:k]), memo)
-        return kpoly(self.flats[:k], memo)
 
+def _image_groups(p, n_top, layout):
+    """For each width n <= n_top, the images whose smallest last column
+    over all embeddings and generators is n, as (group, masks) pairs, one
+    per (summand, basis tuple)."""
+    stride = layout.stride
 
-def _image_groups(p, n_top):
-    """The images at width n_top per (summand, basis tuple), and for each
-    width n <= n_top the groups whose prefix of images with last column
-    <= n grows there, as (group, prefix length) pairs."""
+    def place(g):
+        parts = [(k, layout.column(col))
+                 for k, col in enumerate(g.cols) if any(col)]
+
+        def write(values):
+            # column v (1-based) starts at bit (v - 1) * stride
+            out = 0
+            for k, mask in parts:
+                out |= mask << values[k] * stride
+            return out >> stride
+        return write
+
     firsts = {}
-    for summand, pi, last, degree, flat in _images(p, n_top):
+    for summand, pi, last, mask in _images(p, n_top, place):
         seen = firsts.setdefault((summand, pi), {})
-        if flat not in seen or last < seen[flat][0]:
-            seen[flat] = (last, degree)
+        if last < seen.get(mask, last + 1):
+            seen[mask] = last
     grows = [[] for _ in range(n_top + 1)]
     for (summand, _), seen in firsts.items():
-        images = sorted(((last, degree, flat)
-                         for flat, (last, degree) in seen.items()),
-                        key=lambda image: image[0])
-        group = _Group(p.shift_of(summand), images)
-        for k, (last, _, _) in enumerate(images, 1):
-            if k == len(images) or images[k][0] != last:
-                grows[last].append((group, k))
+        group = _Group(p.shift_of(summand))
+        news = {}
+        for mask, last in seen.items():
+            news.setdefault(last, []).append(mask)
+        for last, masks in news.items():
+            grows[last].append((group, masks))
     return grows
 
 
-def _add_shifted(out, poly, shift, sign):
-    """out += sign * t^shift * poly, on a coefficient list."""
-    need = shift + len(poly.coeffs) - len(out)
+def _add_shifted(out, coeffs, shift, sign):
+    """out += sign * t^shift * coeffs, on coefficient lists."""
+    need = shift + len(coeffs) - len(out)
     if need > 0:
         out.extend([0] * need)
-    for i, cf in enumerate(poly.coeffs, shift):
+    for i, cf in enumerate(coeffs, shift):
         out[i] += sign * cf
 
 
@@ -430,31 +451,39 @@ def _width_series(p, n_top, widths, quotient):
     enumeration of the images at n_top.  Width n takes, per group, the
     images whose last column is <= n: the padded zero columns are unused
     variables, which leave a numerator over (1-t)^(#variables) unchanged.
-    A group's numerator is recomputed only at a width where its prefix
-    grows, and the ideal's numerator, every shift applied, is kept as one
-    coefficient list that such a width updates by old minus new."""
+    Each group adds a width's new images to its minimal set, and its
+    numerator is recomputed only when that set changes; the ideal's
+    numerator, every shift applied, is kept as one coefficient list that
+    such a width updates by old minus new."""
     if any(shift < 0 for _, shift in p.summands):
         raise WidthMismatch("width-wise series needs nonnegative shifts")
+    layout = MaskLayout(
+        [max((col[i] for g in p.generators for col in g.cols), default=0)
+         for i in range(p.c)], n_top)
     memo = {}
-    grows = _image_groups(p, n_top)
+    grows = _image_groups(p, n_top, layout)
     wanted = set(widths)
     pending = {}
     ideal = []
     out = []
     for n in range(n_top + 1):
-        pending.update(grows[n])
+        for group, masks in grows[n]:
+            pending.setdefault(group, []).extend(masks)
         if n not in wanted:
             continue
-        for group, k in pending.items():
-            num = group.numerator(k, memo)
-            _add_shifted(ideal, group.num, group.shift, 1)
-            _add_shifted(ideal, num, group.shift, -1)
-            group.num = num
+        for group, new in pending.items():
+            gens = _extend_minimal(group.gens, new)
+            if gens is group.gens:
+                continue
+            num = kpoly(gens, layout, memo)
+            _add_shifted(ideal, group.num.coeffs, group.shift, 1)
+            _add_shifted(ideal, num.coeffs, group.shift, -1)
+            group.gens, group.num = gens, num
         pending.clear()
         if quotient:
             num = [-cf for cf in ideal]
             for d, shift in p.summands:
-                _add_shifted(num, UniPoly((comb(n, d),)), shift, 1)
+                _add_shifted(num, (comb(n, d),), shift, 1)
         else:
             num = ideal
         out.append(WidthSeries(UniPoly(num), p.c * n))
@@ -464,12 +493,11 @@ def _width_series(p, n_top, widths, quotient):
 def hilbert_widths(p, n_max, quotient=True):
     """Classical Hilbert series at every width 0..n_max, as the oracle
     route computes them: enumerate the generators' images once, at
-    n_max, as flat exponent tuples, group them per (summand, basis tuple),
-    and recurse on each group's monomial ideal with one `kpoly` memo for
-    the call.  At one width the only order-embedding is the identity, so
-    OI-divisibility inside a group is divisibility of exponent tuples,
-    which `kpoly` minimalizes.  A basis tuple with no image is a free
-    summand, numerator 1."""
+    n_max, as masks of one `MaskLayout`, group them per (summand, basis
+    tuple), and recurse on each group's minimal mask set with one `kpoly`
+    memo for the call.  At one width the only order-embedding is the
+    identity, so OI-divisibility inside a group is divisibility of
+    masks.  A basis tuple with no image is a free summand, numerator 1."""
     return _width_series(p, n_max, range(n_max + 1), quotient)
 
 

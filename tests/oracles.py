@@ -9,13 +9,15 @@ the paper's pseudo-division criterion for eventual finite length,
 written with sympy rather than the package's own polynomial
 arithmetic, the series window cell by cell against the product
 denominator, the width-wise series by a fresh enumeration of the
-images at each width, the width-wise Krull dimension, multiplicity and
-size invariants, and the decomposition identities: the width-n slice
-identity and the repeated-division identity."""
+images at each width and a numerator recursion on exponent tuples, the
+width-wise Krull dimension, multiplicity and size invariants, and the
+decomposition identities: the width-n slice identity and the
+repeated-division identity."""
 
-from itertools import chain, combinations, product
+from itertools import chain, combinations, compress, product
 from math import comb
 from math import inf
+from operator import le
 
 import sympy
 
@@ -33,7 +35,6 @@ from oihilbert.oicore import (
     colon_width,
     expand_to_width,
     hilbert_width,
-    kpoly,
     minimalize,
 )
 from oihilbert.polyarith import (
@@ -345,6 +346,108 @@ def expand_cellwise(r, n_max, j_max, t_prefactor=0):
 # width-wise series and invariants
 
 
+# The reference numerator kernel: the recursion on exponent tuples that
+# the package used before its masks, sharing no code with `oicore.kpoly`.
+# A monomial ideal is a frozenset of flat exponent tuples; its support
+# mask has bit i set when variable i occurs.
+
+def _supports(gens):
+    """Support mask of each tuple of the list, in order."""
+    bits = [1 << i for i in range(len(gens[0]))] if gens else []
+    return [sum(compress(bits, g)) for g in gens]
+
+
+def _min_tuples(gens):
+    """Minimal generating set of the ideal the exponent tuples generate,
+    visiting tuples by degree so every divisor of a tuple comes first."""
+    gens = sorted(gens, key=lambda t: (sum(t), t))
+    kept = []
+    for m, g in zip(_supports(gens), gens):
+        for hm, h in kept:
+            if not hm & ~m and all(map(le, h, g)):
+                break
+        else:
+            kept.append((m, g))
+    return frozenset(g for _, g in kept)
+
+
+def _tuple_components(gens):
+    """Partition generators into groups with disjoint variable support."""
+    gens = list(gens)
+    groups = []
+    for m, g in zip(_supports(gens), gens):
+        members = [g]
+        rest = []
+        for gm, gs in groups:
+            if gm & m:
+                m |= gm
+                members += gs
+            else:
+                rest.append((gm, gs))
+        rest.append((m, members))
+        groups = rest
+    return [gs for _, gs in groups]
+
+
+def _canonical(gens):
+    """The ideal with unused variables dropped and the other columns of
+    the sorted generators sorted: equal forms, equal numerators."""
+    cols = sorted(col for col in zip(*sorted(gens)) if any(col))
+    return frozenset(zip(*cols))
+
+
+def kpoly_reference(gens, memo=None):
+    """Numerator of the quotient's Hilbert series over (1-t)^(#variables)
+    for the monomial ideal the exponent tuples generate, by the tuple
+    recursion H(I) = sum_(i<k) t^i H((I : x^i) + <x>) + t^k H(I : x^k)
+    over the powers of a pivot x (k its top exponent), components of
+    disjoint support multiplied, and a memo keyed by minimal generating
+    sets and their canonical forms."""
+    return _tuple_kpoly(_min_tuples(gens), {} if memo is None else memo)
+
+
+def _tuple_kpoly(gens, memo):
+    if not gens:
+        return UniPoly.one()
+    out = memo.get(gens)
+    if out is not None:
+        return out
+    if (0,) * len(next(iter(gens))) in gens:
+        out = UniPoly.zero()
+    else:
+        key = _canonical(gens)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = _tuple_split(key, memo)
+    memo[gens] = out
+    return out
+
+
+def _tuple_split(gens, memo):
+    comps = _tuple_components(gens)
+    if len(comps) > 1:
+        out = UniPoly.one()
+        for comp in comps:
+            out = out * _tuple_kpoly(frozenset(comp), memo)
+        return out
+    if len(gens) == 1:
+        (g,) = gens
+        return UniPoly.one() - UniPoly.one().shift(sum(g))
+    nvars = len(next(iter(gens)))
+    counts = [len(col) - col.count(0) for col in zip(*gens)]
+    piv = max(range(nvars), key=counts.__getitem__)
+    unit = (0,) * piv + (1,) + (0,) * (nvars - piv - 1)
+    levels = sorted({g[piv] for g in gens} | {0})
+    out = UniPoly.zero()
+    for lo, hi in zip(levels, levels[1:]):
+        plus = _min_tuples(g[:piv] + (0,) + g[piv + 1:]
+                           for g in gens if g[piv] <= lo) | {unit}
+        run = UniPoly((0,) * lo + (1,) * (hi - lo))
+        out = out + _tuple_kpoly(plus, memo) * run
+    colon = _min_tuples(g[:piv] + (0,) + g[piv + 1:] for g in gens)
+    return out + _tuple_kpoly(colon, memo).shift(levels[-1])
+
+
 def images_at_width(p, n):
     """Every order-embedding image of each generator at width n, walked
     afresh for this width, as (summand, basis tuple, list of columns)."""
@@ -359,14 +462,16 @@ def images_at_width(p, n):
 
 def hilbert_width_reference(p, n, quotient=True):
     """The width-n series from the images at width n alone: one exponent
-    tuple set per (summand, basis tuple), each minimalized by `kpoly`,
-    and the shifted numerators added one group at a time."""
+    tuple set per (summand, basis tuple), each minimalized by
+    `kpoly_reference`, and the shifted numerators added one group at a
+    time."""
     comps = {}
     for summand, pi, cols in images_at_width(p, n):
         comps.setdefault((summand, pi), set()).add(tuple(chain(*cols)))
     ideal = UniPoly.zero()
     for (k, _), gens in comps.items():
-        ideal = ideal + (UniPoly.one() - kpoly(gens)).shift(p.shift_of(k))
+        ideal = ideal + (UniPoly.one() - kpoly_reference(gens)).shift(
+            p.shift_of(k))
     if not quotient:
         return WidthSeries(ideal, p.c * n)
     free = UniPoly.zero()

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from oihilbert import oicore
 from oihilbert.errors import SummandMismatch, WidthMismatch, ZeroElement, NotAnIdeal
 from oihilbert.oicore import (
+    MaskLayout,
     Monomial,
     ModulePresentation,
     WidthSeries,
@@ -34,6 +35,7 @@ from oracles import (
     ZeroModule,
     dim_deg_width,
     hilbert_width_reference,
+    kpoly_reference,
     size_invariants,
 )
 
@@ -99,6 +101,34 @@ def random_ideal(rng, nvars, case):
         gens.append((0,) * nvars)
     rng.shuffle(gens)
     return gens
+
+
+def tuple_masks(gens, ncols=1):
+    """The minimal mask set and the `MaskLayout` of the ideal that the
+    exponent tuples generate, each tuple read column by column as ncols
+    columns of equal height, the fields sized to the tuples."""
+    gens = list(gens)
+    c = len(gens[0]) // ncols if gens else 0
+    layout = MaskLayout(
+        [max((g[j * c + i] for g in gens for j in range(ncols)), default=0)
+         for i in range(c)], ncols)
+    masks = {sum(layout.column(g[j * c:(j + 1) * c]) << j * layout.stride
+                 for j in range(ncols)) for g in gens}
+    minimal = [m for m in masks
+               if not any(h != m and not h & ~m for h in masks)]
+    return minimal, layout
+
+
+def kpoly_of(gens, memo=None, ncols=1):
+    """`kpoly` of the ideal the exponent tuples generate."""
+    return kpoly(*tuple_masks(gens, ncols), memo)
+
+
+def assert_keys_minimal(memo):
+    # no key holds a mask that divides another of its masks
+    for key in memo:
+        for a, b in itertools.permutations(key, 2):
+            assert a & ~b, key
 
 
 class TestMorphisms:
@@ -230,18 +260,18 @@ class TestExpansion:
 
 class TestKpoly:
     def test_base_cases(self):
-        assert kpoly([]) == UniPoly.one()
-        assert kpoly([(0, 0)]) == UniPoly.zero()
-        assert kpoly([(2, 0)]) == UniPoly((1, 0, -1))
+        assert kpoly_of([]) == UniPoly.one()
+        assert kpoly_of([(0, 0)]) == UniPoly.zero()
+        assert kpoly_of([(2, 0)]) == UniPoly((1, 0, -1))
 
     def test_coprime_product(self):
         # x^2, y^3 disjoint: (1 - t^2)(1 - t^3)
-        got = kpoly([(2, 0), (0, 3)])
+        got = kpoly_of([(2, 0), (0, 3)])
         assert got == UniPoly((1, 0, -1)) * UniPoly((1, 0, 0, -1))
 
     def test_overlapping(self):
         # <x^2, xy>: numerator 1 - t^2 - t^2 + t^3
-        got = kpoly([(2, 0), (1, 1)])
+        got = kpoly_of([(2, 0), (1, 1)])
         assert got == UniPoly((1, 0, -2, 1))
 
     def test_dims_against_enumeration(self):
@@ -251,7 +281,7 @@ class TestKpoly:
             [(3, 0, 0)],
         ]
         for gens in ideals:
-            dims = WidthSeries(kpoly(gens), 3).dims(6)
+            dims = WidthSeries(kpoly_of(gens), 3).dims(6)
             assert dims == [outside_count(gens, 3, j) for j in range(7)]
 
     def test_random_ideals_against_enumeration(self):
@@ -261,18 +291,16 @@ class TestKpoly:
             nvars = rng.randint(2, 5)
             gens = random_ideal(rng, nvars, case)
             want = [outside_count(gens, nvars, j) for j in range(7)]
-            assert WidthSeries(kpoly(gens), nvars).dims(6) == want, gens
+            assert WidthSeries(kpoly_of(gens), nvars).dims(6) == want, gens
             # a memo shared across ideals gives the same numerators
-            assert WidthSeries(kpoly(gens, shared), nvars).dims(6) == want, gens
-        # every ideal the recursion visits is held minimal, the "plus"
-        # ideals included
-        for key in shared:
-            for a, b in itertools.permutations(key, 2):
-                assert not all(x <= y for x, y in zip(a, b)), key
+            assert WidthSeries(kpoly_of(gens, shared),
+                               nvars).dims(6) == want, gens
+        # every ideal the recursion visits is held minimal
+        assert_keys_minimal(shared)
 
     def test_padded_and_permuted_ideals(self):
         # an unused variable or a permutation of the variables leaves the
-        # numerator unchanged; the memo shares it through canonical forms
+        # numerator unchanged, with or without a shared memo
         rng = random.Random(1212)
         shared = {}
         for case in range(200):
@@ -284,13 +312,59 @@ class TestKpoly:
                             for i in range(total)) for g in gens]
             perm = rng.sample(range(nvars), nvars)
             permuted = [tuple(g[i] for i in perm) for g in gens]
-            want = kpoly(gens)
+            want = kpoly_of(gens)
             for ideal_, size in ((gens, nvars), (padded, total),
                                  (permuted, nvars)):
-                assert kpoly(ideal_) == want, (gens, ideal_)
-                assert kpoly(ideal_, shared) == want, (gens, ideal_)
+                assert kpoly_of(ideal_) == want, (gens, ideal_)
+                assert kpoly_of(ideal_, shared) == want, (gens, ideal_)
                 assert WidthSeries(want, size).dims(5) == [
                     outside_count(ideal_, size, j) for j in range(6)], ideal_
+
+    def test_masks_against_reference_kernel(self):
+        # 1-6 variables, exponents 0-6, read as one or several columns, so
+        # the memo is shared across layouts and column translations
+        rng = random.Random(4711)
+        shared = {}
+        for _ in range(150):
+            nvars = rng.randint(1, 6)
+            ncols = rng.choice([k for k in range(1, nvars + 1)
+                                if nvars % k == 0])
+            gens = [tuple(rng.choice((0, 0, 1, 2, 3, 4, 5, 6))
+                          for _ in range(nvars))
+                    for _ in range(rng.randint(0, 6))]
+            want = kpoly_reference(gens)
+            assert kpoly_of(gens, ncols=ncols) == want, (gens, ncols)
+            assert kpoly_of(gens, shared, ncols) == want, (gens, ncols)
+            j_max = 7 if nvars <= 4 else 5
+            assert WidthSeries(want, nvars).dims(j_max) == [
+                outside_count(gens, nvars, j)
+                for j in range(j_max + 1)], gens
+        assert_keys_minimal(shared)
+
+    def test_exponent_800_within_recursion_limit(self):
+        # <x^800 y, x y^800>: the recursion nests once per variable, not
+        # once per unit of an exponent
+        e = 800
+        gens = [(e, 1), (1, e)]
+        # 1 - 2 t^(e+1) + t^(2e), the lcm having degree 2e
+        want = UniPoly([1] + [0] * e + [-2] + [0] * (e - 2) + [1])
+        assert kpoly_reference(gens) == want
+        for ncols in (1, 2):
+            assert kpoly_of(gens, ncols=ncols) == want
+
+    def test_translated_pattern_shares_one_entry(self):
+        # a group holding one pattern at columns 1-2 and again at columns
+        # 3-4: both components reach the memo under the same key
+        layout = MaskLayout([2], 4)
+        x = [layout.column((e,)) for e in range(3)]
+        pattern = [x[2], x[1] | x[1] << layout.stride, x[2] << layout.stride]
+        moved = [m << 2 * layout.stride for m in pattern]
+        alone = {}
+        want = kpoly(pattern, layout, alone)
+        memo = {}
+        assert kpoly(pattern + moved, layout, memo) == want * want
+        assert kpoly(moved, layout, {}) == want
+        assert set(memo) == set(alone) | {frozenset(pattern + moved)}
 
 
 class TestHilbertWidth:
@@ -340,7 +414,7 @@ class TestHilbertWidth:
         assert dims == [0, 0] + base
 
     def test_never_minimalizes(self, monkeypatch):
-        # kpoly's per-group minimalization is the only one on this route
+        # each group's own mask minimalization is the only one on this route
         def forbidden(mons):
             raise AssertionError("hilbert_width called minimalize")
 
@@ -463,9 +537,9 @@ class TestHilbertWidths:
         memos = {}
         inner = oicore._kpoly
 
-        def recorded(gens, memo):
+        def recorded(gens, layout, memo):
             memos[id(memo)] = memo
-            return inner(gens, memo)
+            return inner(gens, layout, memo)
 
         monkeypatch.setattr(oicore, "_kpoly", recorded)
         rng = random.Random(77)
@@ -477,12 +551,9 @@ class TestHilbertWidths:
             assert got == [hilbert_width(p, n).dims(5) for n in range(5)]
             assert got == [
                 hilbert_width_reference(p, n).dims(5) for n in range(5)]
-            # a group skips `_min_tuples` only when it is minimal already,
-            # so every ideal in a memo is held minimal
+            # every group and every ideal of the recursion is held minimal
             for memo in memos.values():
-                for key in memo:
-                    for a, b in itertools.permutations(key, 2):
-                        assert not all(x <= y for x, y in zip(a, b)), key
+                assert_keys_minimal(memo)
 
     def test_negative_shift_rejected(self):
         p = principal(1, 1, ((1,),), shift=-1)
