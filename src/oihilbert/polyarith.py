@@ -380,6 +380,35 @@ def split_content(p):
     return [(ONE_MINUS_T, k)] + ([] if rest.is_one() else [(rest, 1)])
 
 
+def _rows_at_two(p):
+    """p's s-rows evaluated at t = 2, index = s-degree."""
+    rows = [0] * (p.deg_s() + 1)
+    for (i, j), c in p.terms.items():
+        rows[i] += c << j
+    return rows
+
+
+def _s_root_at_two(base):
+    """(b0(2), b1(2)) for a base b0(t) - s*b1(t) with b1(2) != 0, whose
+    root in s at t = 2 is b0(2)/b1(2); None for any other base."""
+    rows = _rows_at_two(base)
+    if len(rows) != 2 or not rows[1]:
+        return None
+    return rows[0], -rows[1]
+
+
+def _misses_root(num, b0, b1):
+    """True when num does not vanish at s = b0/b1, t = 2: the integer
+    sum_i N_i(2) b0^i b1^(n-i) over num's s-rows N_i, n its s-degree,
+    is not 0.  Horner's rule in b0, each step one more power of b1."""
+    rows = _rows_at_two(num)
+    acc, power = rows[-1], 1
+    for row in reversed(rows[:-1]):
+        power *= b1
+        acc = acc * b0 + row * power
+    return acc != 0
+
+
 def common_denominator(factor_tuples, memo=None):
     """The multiset maximum of a sequence of factor tuples, and each
     tuple's cofactor: the product of the factor powers it lacks against
@@ -447,6 +476,14 @@ class FactoredRational:
         return out
 
     def __add__(self, other):
+        """Sum over the multiset maximum of both factor lists, each
+        numerator times its cofactor.  A zero operand gives the other
+        operand itself: that is the sum's numerator over its own
+        factors, and no FactoredRational is ever mutated."""
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
         merged, (cs, co) = common_denominator((self.factors, other.factors))
         return FactoredRational(self.num * cs + other.num * co, merged)
 
@@ -465,6 +502,14 @@ class FactoredRational:
         exponent; every other factor by trial exact division, one factor
         power at a time.
 
+        A factor linear in s, b0(t) - s*b1(t) with b1(2) != 0, is first
+        screened at t = 2: if it divides the numerator N, then N
+        vanishes at s = b0(2)/b1(2), so h = sum_i N_i(2) b0(2)^i
+        b1(2)^(n-i), over N's s-rows N_i up to its s-degree n, is 0.
+        h != 0 rules the factor out with no division; h = 0 proves
+        nothing, and the division decides.  Every pipeline factor
+        (1-t)^k - s*f(t) has f(0) = 1, so f(2) is odd and never 0.
+
         The result is reduced over Q[s,t] when every factor is irreducible
         and no two are associates, as 1-t and a primitive rest of
         split_content linear in s are; any other factor cancels whole.
@@ -481,7 +526,10 @@ class FactoredRational:
                     num = BiPoly.from_s_coeffs(map(UniPoly, rows))
                     e -= k
             else:
+                root = _s_root_at_two(base)
                 while e:
+                    if root and _misses_root(num, *root):
+                        break
                     q = num.try_div(base)
                     if q is None:
                         break

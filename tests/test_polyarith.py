@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import sympy
 
+from oihilbert import polyarith
 from oihilbert.automata import _pack, _unpack
 from oihilbert.errors import NonDivisible, OihError, SingularAtOrigin
 from oihilbert.polyarith import (
@@ -13,6 +14,7 @@ from oihilbert.polyarith import (
     BiPoly,
     FactoredRational,
     UniPoly,
+    common_denominator,
     expand_series,
     one_minus_t_order,
     render_poly,
@@ -274,24 +276,25 @@ class TestFactoredRational:
         # 1/(1-t)^2 + 1/((1-t)(1-t-s)) has numerator (1-t-s) + (1-t)
         assert c.num == self.one_minus_t_minus_s + self.one_minus_t
 
-    def test_sums_and_differences_match_cross_multiplication(self):
-        # random factor multisets drawn from one pool, so operands share
-        # some bases and not others; the reference keeps the product of
-        # both denominators, the sum their multiset maximum
+    @staticmethod
+    def draw_summand(rng):
+        """A random numerator over a factor multiset drawn from one pool,
+        so two draws share some bases and not others."""
         one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.t()
         pool = [one - t, one + t, one - s, one - s * t - t * t,
                 one - s - s * t * 2]
+        num = BiPoly({(rng.randint(0, 2), rng.randint(0, 2)):
+                      rng.randint(-4, 4) for _ in range(rng.randint(0, 3))})
+        return FactoredRational(num, [
+            (b, rng.randint(1, 3))
+            for b in rng.sample(pool, rng.randint(0, len(pool)))])
+
+    def test_sums_and_differences_match_cross_multiplication(self):
+        # the reference keeps the product of both denominators, the sum
+        # their multiset maximum
         rng = random.Random(1509)
-
-        def draw():
-            num = BiPoly({(rng.randint(0, 2), rng.randint(0, 2)):
-                          rng.randint(-4, 4) for _ in range(rng.randint(0, 3))})
-            return FactoredRational(num, [
-                (b, rng.randint(1, 3))
-                for b in rng.sample(pool, rng.randint(0, len(pool)))])
-
         for _ in range(200):
-            a, b = draw(), draw()
+            a, b = self.draw_summand(rng), self.draw_summand(rng)
             for got, sign in ((a + b, 1), (a - b, -1)):
                 want = FactoredRational(
                     a.num * b.den_expanded()
@@ -304,6 +307,26 @@ class TestFactoredRational:
                 for base, e in a.factors + b.factors:
                     most[base.key()] = max(e, most.get(base.key(), 0))
                 assert {base.key(): e for base, e in got.factors} == most
+
+    def test_zero_operand_sums_expand_no_denominator(self, monkeypatch):
+        # a sum with a zero operand is the other operand, factors and all,
+        # and builds no common denominator to multiply by the zero
+        calls = []
+
+        def counted(factor_tuples, memo=None):
+            calls.append(factor_tuples)
+            return common_denominator(factor_tuples, memo)
+
+        monkeypatch.setattr(polyarith, "common_denominator", counted)
+        zero = FactoredRational.zero()
+        rng = random.Random(1509)
+        for _ in range(200):
+            r = self.draw_summand(rng)
+            for got, sign in ((zero + r, 1), (r + zero, 1), (zero - r, -1)):
+                want = FactoredRational(r.num * sign, r.factors)
+                assert equals_cross_mul(got, want), (r, sign)
+                assert got.factors == r.factors, (r, sign)
+        assert calls == []
 
     def test_cross_mul_equality(self):
         half = FactoredRational(self.one_minus_t, [(self.one_minus_t, 2)])
@@ -343,7 +366,7 @@ class TestFactoredRational:
         r = FactoredRational(BiPoly.zero(), [(self.one_minus_t, 3)])
         assert r.reduce().factors == ()
 
-    def test_reduce_against_trial_division(self):
+    def test_reduce_against_trial_division(self, monkeypatch):
         # numerators N * (1-t)^k for k = 0 .. e + 2 over (1-t)^e and other
         # factors; N has negative coefficients and s-rows starting above
         # t^0, and sometimes exactly one s-row whose sum is nonzero
@@ -368,18 +391,80 @@ class TestFactoredRational:
                 num = num * rng.choice(pool)
             return num
 
+        divisions = []
+        real_try_div = BiPoly.try_div
+
+        def counted(num, base):
+            divisions.append((num, base))
+            return real_try_div(num, base)
+
+        monkeypatch.setattr(BiPoly, "try_div", counted)
+
+        def ruled_out(num, base):
+            # num(b0(2)/b1(2), 2) != 0 for base = b0(t) - s*b1(t), in
+            # exact fractions
+            if base.deg_s() != 1:
+                return False
+            b0 = sum(c * 2 ** j for (i, j), c in base.terms.items() if not i)
+            b1 = -sum(c * 2 ** j for (i, j), c in base.terms.items() if i)
+            if not b1:
+                return False
+            x = Fraction(b0, b1)
+            return sum(c * x ** i * 2 ** j
+                       for (i, j), c in num.terms.items()) != 0
+
+        def check(r):
+            divisions.clear()
+            got = r.reduce()
+            tried = list(divisions)
+            want = trial_reduce(r)
+            assert (got.num, got.factors) == (want.num, want.factors), r
+            assert not [d for d in tried if ruled_out(*d)], r
+            return got, tried
+
         for _ in range(60):
             e = rng.randint(1, 4)
             others = [(b, rng.randint(1, 2))
                       for b in rng.sample(pool, rng.randint(0, 3))]
             num = draw_num()
             for k in range(e + 3):
-                r = FactoredRational(num * ONE_MINUS_T ** k,
-                                     [(ONE_MINUS_T, e)] + others)
-                got, want = r.reduce(), trial_reduce(r)
-                assert (got.num, got.factors) == (want.num, want.factors), r
+                check(FactoredRational(num * ONE_MINUS_T ** k,
+                                       [(ONE_MINUS_T, e)] + others))
         zero = FactoredRational(BiPoly.zero(), [(ONE_MINUS_T, 2)] + others)
         assert zero.reduce().factors == trial_reduce(zero).factors == ()
+
+        # pipeline-shaped factors (1-t)^k - s*f(t), f(0) = 1: N * b^m
+        # over b^e reduces to N over b^(e-m) when b does not divide N,
+        # and N * b^m plus one term keeps b^e without a division, since
+        # no monomial is a multiple of b
+        for _ in range(60):
+            f = UniPoly([1] + [rng.randint(-3, 3)
+                               for _ in range(rng.randint(0, 3))])
+            b = ONE_MINUS_T ** rng.randint(0, 3) - s * BiPoly.from_uni_t(f)
+            num, e = draw_num(), rng.randint(1, 3)
+            m = rng.randint(0, e)
+            got, _ = check(FactoredRational(num * b ** m, [(b, e)]))
+            if num.try_div(b) is None:
+                want = FactoredRational(num, [(b, e - m)])
+                assert (got.num, got.factors) == (want.num, want.factors)
+            near = num * b ** m + BiPoly.term(rng.randrange(5),
+                                              rng.randrange(5),
+                                              rng.choice((1, -2)))
+            got, tried = check(FactoredRational(near, [(b, e)]))
+            assert got.factors == ((b, e),) and tried == [], b
+
+        # hand-built bases the screen cannot judge: b1(2) = 0, and
+        # s-degree 2; each is divided, and still cancels exactly
+        for b in (ONE_MINUS_T - s * (BiPoly.term(0, 0, 2) - t),
+                  one - s * 2 + s * s):
+            for _ in range(10):
+                num, e = draw_num(), rng.randint(1, 3)
+                m = rng.randint(1, e)
+                got, tried = check(FactoredRational(num * b ** m, [(b, e)]))
+                if num.is_zero():
+                    continue
+                assert tried and all(base == b for _, base in tried)
+                assert got.factors == () or got.factors[0][1] <= e - m
 
 
 class TestSeries:
