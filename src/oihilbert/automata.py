@@ -469,28 +469,24 @@ def _l1(p):
     return sum(map(abs, p.terms.values()))
 
 
-def _shift(p, a, b):
-    """p * s^a * t^b, for exponents that keep every term nonnegative."""
-    return BiPoly._raw({(i + a, j + b): c for (i, j), c in p.terms.items()})
-
-
-def _pack(p, width, nbytes):
-    """Evaluate p at t = 2^(8*nbytes), s = t^width: a ring homomorphism,
-    injective back to terms (see _unpack) while every coefficient stays
-    below 2^(8*nbytes - 2) in absolute value and every t-degree below
-    width.  Each term is shifted to its digit and the terms summed; the
-    zero polynomial packs to 0."""
+def _pack(p, width, nbytes, sa=0, tb=0):
+    """Evaluate p / (s^sa t^tb) at t = 2^(8*nbytes), s = t^width, for
+    offsets no larger than p's least s- and t-degrees: a ring
+    homomorphism, injective back to terms (see _unpack) while every
+    coefficient stays below 2^(8*nbytes - 2) in absolute value and every
+    t-degree less tb below width.  Each term is shifted to its digit and
+    the terms summed; the zero polynomial packs to 0."""
     bits = 8 * nbytes
     got = 0
     for (i, j), c in p.terms.items():
-        got += c << (bits * (i * width + j))
+        got += c << (bits * ((i - sa) * width + j - tb))
     return got
 
 
-def _unpack(val, width, nbytes):
-    """The polynomial whose signed digits of nbytes bytes make val;
-    raises OihError if any digit reaches 2^(8*nbytes - 2), too large for
-    the balanced representation to be trustworthy.
+def _unpack(val, width, nbytes, sa=0, tb=0):
+    """The polynomial whose signed digits of nbytes bytes make val, times
+    s^sa t^tb; raises OihError if any digit reaches 2^(8*nbytes - 2), too
+    large for the balanced representation to be trustworthy.
 
     Adding half a digit at every digit position turns each balanced
     digit into a plain one, so every digit is read with int.from_bytes
@@ -508,27 +504,28 @@ def _unpack(val, width, nbytes):
         if digit:
             if not -safe < digit < safe:
                 raise OihError("solve result exceeds its digit bound")
-            out[divmod(idx, width)] = digit
+            out[idx // width + sa, idx % width + tb] = digit
     return BiPoly._raw(out)
 
 
-def _pack_size(rows, rhs):
-    """Stride and coefficient bound for packing one component's system.
+def _pack_size(rows, rhs, tb=0):
+    """Stride and coefficient bound for packing one component's system,
+    whose right-hand side packs divided by t^tb.
 
     Only det(M) and Cramer numerators det(M) * x_i must unpack; the bounds
     cover every x_i, a superset of the entry rows' that unpack.  Each
     takes one entry per column, the right-hand side standing in for at
-    most one column, so with r the top right-hand-side t-degree, their
-    t-degree is at most the columns' top t-degrees plus the excess of r
-    over the smallest.  On |s| = |t| = 1 each entry is at most its l1
-    norm, so by Hadamard and Parseval no coefficient of det(M) exceeds
-    H = isqrt(prod_i sum_j l1(m_ij)^2) + 1, and, expanding along the
-    replaced column, none of a numerator exceeds sum_i l1(b_i) * H (each
-    row's sum is at least 1, as each diagonal entry has constant term 1).
-    Returns the stride, one past the degree bound, and
+    most one column, so with r the top right-hand-side t-degree less tb,
+    their packed t-degree is at most the columns' top t-degrees plus the
+    excess of r over the smallest.  On |s| = |t| = 1 each entry is at most
+    its l1 norm, so by Hadamard and Parseval no coefficient of det(M)
+    exceeds H = isqrt(prod_i sum_j l1(m_ij)^2) + 1, and, expanding along
+    the replaced column, none of a numerator exceeds sum_i l1(b_i) * H
+    (each row's sum is at least 1, as each diagonal entry has constant
+    term 1).  Returns the stride, one past the degree bound, and
     (1 + sum_i l1(b_i)) * H.
     """
-    top = max(b.deg_t() for b in rhs)
+    top = max(b.deg_t() for b in rhs) - tb
     cols = {}
     square = 1
     for row in rows:
@@ -543,20 +540,21 @@ def _pack_size(rows, rhs):
 def _solve_component(rows, rhs, first):
     """det(M) and the numerators det(M) * x_i, i >= first, of M x = rhs.
 
-    rows[i] maps column to entry of row i of M; rhs[i] is a polynomial.
-    Every entry is packed once (_pack; the stride comes from _pack_size,
-    and a digit is the fewest bytes that hold four times its coefficient
-    bound, as _unpack needs), fraction-free elimination runs on the
-    integers, and only the results are unpacked.  A pivot k < first
-    updates only the rows below it; from first on, Gauss-Jordan runs
-    among rows first.. alone.  Every row from first on is thus updated as
-    a full Gauss-Jordan would update it, and the rows above first, whose
-    unknowns are not wanted, are left half reduced; first = 0 is the full
-    solve.  Packing is a ring homomorphism and, by Sylvester's identity,
-    every entry after step k is a minor of order k + 1, so the Bareiss
-    divisions are exact on the packed integers too (a remainder raises);
-    the intermediates may wrap digits, but the results fit theirs, and
-    _unpack checks every digit.
+    rows[i] maps column to entry of row i of M; rhs[i] is a polynomial,
+    not all zero.  Every entry is packed once (_pack; the stride comes
+    from _pack_size, and a digit is the fewest bytes that hold four times
+    its coefficient bound, as _unpack needs), the right-hand side divided
+    by its common monomial s^sa t^tb, which the numerators get back as
+    they unpack.  Fraction-free elimination runs on the integers, and only
+    the results are unpacked.  A pivot k < first updates only the rows
+    below it; from first on, Gauss-Jordan runs among rows first.. alone.
+    Every row from first on is thus updated as a full Gauss-Jordan would
+    update it, and the rows above first, whose unknowns are not wanted,
+    are left half reduced; first = 0 is the full solve.  Packing is a ring
+    homomorphism and, by Sylvester's identity, every entry after step k
+    is a minor of order k + 1, so the Bareiss divisions are exact on the
+    packed integers too (a remainder raises); the intermediates may wrap
+    digits, but the results fit theirs, and _unpack checks every digit.
 
     Rows are rescaled lazily.  At each step Bareiss multiplies each updated
     row by the new pivot and divides it by the previous one; over a run of
@@ -570,17 +568,19 @@ def _solve_component(rows, rhs, first):
     up by det / pivots[level].
 
     The packed integers span the spread of the right-hand side: a sparse
-    right-hand side with terms far apart in both s and t, and no common
-    monomial to divide out first, makes every integer long.
+    right-hand side with terms far apart in both s and t makes every
+    integer long.
     """
     size = len(rows)
-    width, bound = _pack_size(rows, rhs)
+    sa = min(i for b in rhs for i, _ in b.terms)
+    tb = min(j for b in rhs for _, j in b.terms)
+    width, bound = _pack_size(rows, rhs, tb)
     nbytes = -(-(4 * bound).bit_length() // 8)
     mat = [{j: _pack(p, width, nbytes) for j, p in row.items()}
            for row in rows]
     for row, b in zip(mat, rhs):
         if b:
-            row[size] = _pack(b, width, nbytes)
+            row[size] = _pack(b, width, nbytes, sa, tb)
     pivots = [1]
     lvl = [0] * size
 
@@ -620,8 +620,8 @@ def _solve_component(rows, rhs, first):
             lvl[i] = k + 1
 
     return _unpack(pivots[size], width, nbytes), [
-        _unpack(lift(mat[i].get(size, 0), lvl[i], size), width, nbytes)
-        for i in range(first, size)]
+        _unpack(lift(mat[i].get(size, 0), lvl[i], size), width, nbytes,
+                sa, tb) for i in range(first, size)]
 
 
 def generating_function(dfa):
@@ -629,43 +629,41 @@ def generating_function(dfa):
     rational in s and t.
 
     A variable letter weighs t and a marker letter s; the edges from one
-    state to another are bundled into one entry, the first letter's weight
-    itself plus the later ones.  The values x = e_accept + T x are solved
-    one strongly connected component C at a time, sinks first:
+    state to another are bundled as two letter counts, a variables and b
+    markers.  The values x = e_accept + T x are solved one strongly
+    connected component C at a time, sinks first:
     (I - T_CC) x_C = e_C + T_C,out x_out
-    with x_out already known.  A solved state keeps its numerator over its
-    component's one factor tuple.  C's denominator is the multiset maximum
-    of the tuples of the components its states reach: a state's terms are
-    summed per successor component and multiplied by that component's
-    cofactor, and the denominator is expanded only for an accepting state.
-    Only entry states are read: the start, and the targets of edges from
-    other components.  Each component orders its other states first, in
-    Tarjan order, and solves for its entry states alone
-    (_solve_component); the others keep no numerator.  The elimination
-    leaves det(I - T_CC) times the wanted unknowns, so det(I - T) arrives
-    component by component.  Edge weights vanish at the origin, as t and
-    s do, so each leading principal minor of I - T_CC is 1 there: no pivot
-    vanishes and every determinant has constant term 1.  Each determinant
-    enters the denominator split by split_content, so every factor is
-    1-t or the rest of a determinant after its (1-t)-power, each with
-    constant term 1.  A component of one state
-    needs no elimination; a larger one is eliminated on packed integers
-    (_solve_component) after the monomial common to its right-hand side
-    is divided out.  Components of one automaton repeat their cofactor
-    products and determinants, so the call memoizes both: cofactors by
-    their lacking factor powers (common_denominator), splits by the
-    determinant.
+    with x_out already known.  An entry of I - T_CC is d - a*t - b*s, d = 1
+    on the diagonal, built once per distinct (d, a, b) in a call; an exit
+    term x_r * (a*t + b*s) is written from x_r's terms, one pass per letter
+    kind present, with no polynomial product.  A solved state keeps its
+    numerator over its component's one factor tuple.  C's denominator is
+    the multiset maximum of the tuples of the components its states reach:
+    a state's terms are summed per successor component and multiplied by
+    that component's cofactor, and the denominator is expanded only for an
+    accepting state.  Only entry states are read: the start, and the
+    targets of edges from other components.  Each component orders its
+    other states first, in Tarjan order, and solves for its entry states
+    alone (_solve_component); the others keep no numerator.  The
+    elimination leaves det(I - T_CC) times the wanted unknowns, so
+    det(I - T) arrives component by component.  Edge weights vanish at the
+    origin, as t and s do, so each leading principal minor of I - T_CC is
+    1 there: no pivot vanishes and every determinant has constant term 1.
+    Each determinant enters the denominator split by split_content, so
+    every factor is 1-t or the rest of a determinant after its
+    (1-t)-power, each with constant term 1.  A component of one state
+    needs no elimination: its determinant is its one entry.  Components of
+    one automaton repeat their cofactor products and determinants, so the
+    call memoizes both: cofactors by their lacking factor powers
+    (common_denominator), splits by the determinant.
     """
     if dfa.n == 0 or not dfa.accepts:
         return FactoredRational.zero()
     zero, one = BiPoly.zero(), BiPoly.one()
-    weights = {a: BiPoly.t() if is_xi(a) else BiPoly.s()
-               for a in dfa.alphabet}
+    marker = {a: int(not is_xi(a)) for a in dfa.alphabet}
     succ = {}
     for (q, a), r in dfa.trans.items():
-        row = succ.setdefault(q, {})
-        w = weights[a]
-        row[r] = row[r] + w if r in row else w
+        succ.setdefault(q, {}).setdefault(r, [0, 0])[marker[a]] += 1
     sccs = _sccs(dfa.start, succ)
     where = {q: i for i, comp in enumerate(sccs) for q in comp}
     entry = {dfa.start}
@@ -676,6 +674,7 @@ def generating_function(dfa):
     tuples = []
     cofactors = {}
     splits = {}
+    entries = {}  # (d, a, b) -> d - a*t - b*s
     for comp in sccs:
         inner = [q for q in comp if q not in entry]
         first = len(inner)
@@ -686,14 +685,22 @@ def generating_function(dfa):
         for k, q in enumerate(comp):
             row = {k: one}
             part = {}
-            for r, w in succ.get(q, {}).items():
+            for r, (a, b) in succ.get(q, {}).items():
                 j = pos.get(r)
                 if j is not None:
-                    row[j] = row.get(j, zero) - w
+                    key = (int(j == k), a, b)
+                    if key not in entries:
+                        entries[key] = BiPoly(
+                            {(0, 0): key[0], (0, 1): -a, (1, 0): -b})
+                    row[j] = entries[key]
                 elif x[r]:
                     c = home[r]
-                    term = x[r] * w
-                    part[c] = part[c] + term if c in part else term
+                    for di, dl, m in ((0, 1, a), (1, 0, b)):
+                        if m:
+                            term = BiPoly._raw({
+                                (i + di, l + dl): m * v
+                                for (i, l), v in x[r].terms.items()})
+                            part[c] = part[c] + term if c in part else term
             rows.append(row)
             parts.append(part)
         reached = list(set().union(*parts))
@@ -707,7 +714,8 @@ def generating_function(dfa):
         for q, part in zip(comp, parts):
             num = den if q in dfa.accepts else zero
             for c, p in part.items():
-                num = num + (p if cofs[c].is_one() else p * cofs[c])
+                p = p if cofs[c].is_one() else p * cofs[c]
+                num = num + p if num else p
             nums.append(num)
         if not any(nums):
             det = one
@@ -715,11 +723,7 @@ def generating_function(dfa):
         elif len(comp) == 1:
             det = rows[0][0]
         else:
-            sa = min(i for b in nums for i, _ in b.terms)
-            tb = min(j for b in nums for _, j in b.terms)
-            det, nums = _solve_component(
-                rows, [_shift(b, -sa, -tb) for b in nums], first)
-            nums = [_shift(b, sa, tb) for b in nums]
+            det, nums = _solve_component(rows, nums, first)
         pieces = splits.get(det.key())
         if pieces is None:
             pieces = splits[det.key()] = tuple(split_content(det))

@@ -167,10 +167,6 @@ class BiPoly:
         return cls({(1, 0): 1})
 
     @classmethod
-    def t(cls):
-        return cls({(0, 1): 1})
-
-    @classmethod
     def term(cls, i, j, coeff=1):
         return cls({(i, j): coeff})
 

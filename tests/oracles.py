@@ -1,8 +1,9 @@
 """Reference routes that the runtime does not need, kept for the tests:
 the right-to-left decoder of words (eta, by shift operators), running a
-DFA on one word, the unpruned subset construction, the greatest
-simulation as a pairwise fixpoint, Moore minimization, equality of
-rational functions by cross-multiplication, the geometric polynomial,
+DFA on one word, counting a DFA's accepted words by path counts, the
+unpruned subset construction, the greatest simulation as a pairwise
+fixpoint, Moore minimization, equality of rational functions by
+cross-multiplication, the geometric polynomial,
 the schoolbook product and per-digit unpacking of bivariate polynomials,
 reduction of a factored rational function by trial division alone,
 the paper's pseudo-division criterion for eventual finite length,
@@ -90,6 +91,39 @@ def run_dfa(dfa, word):
         if q is None:
             return False
     return q in dfa.accepts
+
+
+def word_count_window(dfa, n_max, j_max):
+    """The number of words dfa accepts with n markers and j variable
+    letters, for n <= n_max and j <= j_max, as rows indexed by n, by
+    counting paths: ways[q][n][j] paths from the start reach q reading n
+    markers and j variable letters.  A marker raises n and a variable
+    letter j, so filling the cells in order of (n, j) completes each cell
+    before any edge reads it; the work is linear in the states times the
+    window."""
+    out = [[0] * (j_max + 1) for _ in range(n_max + 1)]
+    if dfa.n == 0:
+        return tuple(map(tuple, out))
+    moves = {}
+    for (q, a), r in dfa.trans.items():
+        moves.setdefault(q, []).append((0 if is_xi(a) else 1, r))
+    ways = [[[0] * (j_max + 1) for _ in range(n_max + 1)]
+            for _ in range(dfa.n)]
+    ways[dfa.start][0][0] = 1
+    for n in range(n_max + 1):
+        for j in range(j_max + 1):
+            for q in range(dfa.n):
+                w = ways[q][n][j]
+                if not w:
+                    continue
+                if q in dfa.accepts:
+                    out[n][j] += w
+                for marker, r in moves.get(q, ()):
+                    if marker and n < n_max:
+                        ways[r][n + 1][j] += w
+                    elif not marker and j < j_max:
+                        ways[r][n][j + 1] += w
+    return tuple(map(tuple, out))
 
 
 def subset_dfa(nfa):
@@ -579,7 +613,7 @@ def division_exponent_bound(p):
 def _as_rational(num, den_pow):
     """num / (1-t)^den_pow, num a UniPoly in t, as a FactoredRational."""
     return FactoredRational(BiPoly.from_uni_t(num),
-                            ((BiPoly.one() - BiPoly.t(), den_pow),))
+                            ((BiPoly.one() - BiPoly.term(0, 1), den_pow),))
 
 
 def repeated_division_sides(p, n):

@@ -45,7 +45,7 @@ def report_of(p, quotient=True):
     return shape_of(p, quotient)[1]
 
 
-ONE_MINUS_T = BiPoly.one() - BiPoly.t()
+ONE_MINUS_T = BiPoly.one() - BiPoly.term(0, 1)
 S, T = sympy.symbols("s t")
 
 
@@ -128,7 +128,7 @@ class TestShape:
     def test_split_keeps_other_content_in_the_rest(self):
         # (1+t)(1-t)^2(1-t-s): content (1+t)(1-t)^2 over Z[t], which no
         # minimal module DFA makes; the rest keeps the 1 + t
-        one_plus_t = BiPoly.one() + BiPoly.t()
+        one_plus_t = BiPoly.one() + BiPoly.term(0, 1)
         linear = ONE_MINUS_T - BiPoly.s()
         b = one_plus_t * ONE_MINUS_T ** 2 * linear
         pieces = split_content(b)
@@ -154,9 +154,9 @@ class TestShape:
                       1, [(1, 0)],
                       [Monomial(1, 2, ((1,), (1,)), (2,))])]:
             res, rep = shape_of(p)
-            den = (BiPoly.one() - BiPoly.t()) ** rep.one_minus_t_power
+            den = (BiPoly.one() - BiPoly.term(0, 1)) ** rep.one_minus_t_power
             for tp, f in rep.factors:
-                den = den * ((BiPoly.one() - BiPoly.t()) ** tp
+                den = den * ((BiPoly.one() - BiPoly.term(0, 1)) ** tp
                              - BiPoly.s() * BiPoly.from_uni_t(f))
             assert equals_cross_mul(
                 res.rational, FactoredRational(rep.numerator, ((den, 1),)))

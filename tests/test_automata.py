@@ -38,7 +38,7 @@ from oihilbert.words import alphabet, decode, is_in_lstd, is_xi
 from corpus import random_monomial, random_presentation
 from enumerate_small import all_monomials, lstd_words
 from oracles import (equals_cross_mul, moore_minimize, pairwise_simulation,
-                     run_dfa, subset_dfa)
+                     run_dfa, subset_dfa, word_count_window)
 
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "inputs"
@@ -48,7 +48,7 @@ S, T = sympy.symbols("s t")
 
 
 def one_minus_t_pow(c):
-    return (BiPoly.one() - BiPoly.t()) ** c
+    return (BiPoly.one() - BiPoly.term(0, 1)) ** c
 
 
 def to_sympy(p):
@@ -125,18 +125,6 @@ def elimination_levels(rows):
     return moves
 
 
-def brute_window(dfa, n_max, j_max):
-    """Number of accepted words with n markers and j variable letters, for
-    n <= n_max and j <= j_max, by enumeration."""
-    out = [[0] * (j_max + 1) for _ in range(n_max + 1)]
-    for length in range(n_max + j_max + 1):
-        for word in itertools.product(dfa.alphabet, repeat=length):
-            j = sum(map(is_xi, word))
-            if j <= j_max and length - j <= n_max and run_dfa(dfa, word):
-                out[length - j][j] += 1
-    return out
-
-
 def sympy_solve(rows, rhs):
     """det(M) and the Cramer numerators det(M) * x_i of M x = rhs, by
     sympy: the reference for _solve_component."""
@@ -189,6 +177,31 @@ def random_partial_dfa(rng, letters=None):
              if rng.random() < present}
     accepts = {q for q in range(n) if rng.random() < accepting}
     return Dfa(letters, n, rng.randrange(n), accepts, trans)
+
+
+def bundled_dfa(rng, letters):
+    """Two to four blocks of one to three states, each block a cycle,
+    state 0 first.  Each state sends its letters to its successor in its
+    block's cycle and to up to two states of later blocks, so one edge
+    bundles several letters of both kinds, and a later block is entered
+    at one or more of its states.  One to three accepting states, so
+    some cycles reach none."""
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+    n = sum(sizes)
+    trans = {}
+    lo = 0
+    for size in sizes:
+        hi = lo + size
+        for q in range(lo, hi):
+            targets = [lo + (q - lo + 1) % size]
+            targets += [rng.randrange(hi, n) for _ in range(rng.randint(0, 2))
+                        if hi < n]
+            for a in letters:
+                if rng.random() < 0.7:
+                    trans[(q, a)] = rng.choice(targets)
+        lo = hi
+    accepts = rng.sample(range(n), rng.randint(1, min(3, n)))
+    return Dfa(letters, n, 0, accepts, trans)
 
 
 def closure(seeds, edges):
@@ -439,8 +452,8 @@ class TestGeneratingFunction:
     def test_principal_module_closed_form(self):
         # <x_{1,1}>: st / ((1-t-s)(1-s))
         gf = generating_function(module_dfa(1, 0, [Monomial(1, 1, ((1,),))]))
-        st = BiPoly.s() * BiPoly.t()
-        d1 = BiPoly.one() - BiPoly.t() - BiPoly.s()
+        st = BiPoly.s() * BiPoly.term(0, 1)
+        d1 = BiPoly.one() - BiPoly.term(0, 1) - BiPoly.s()
         d2 = BiPoly.one() - BiPoly.s()
         assert equals_cross_mul(gf, FactoredRational(st, ((d1, 1), (d2, 1))))
         # one determinant per strongly connected component, not expanded
@@ -453,7 +466,7 @@ class TestGeneratingFunction:
         trans[(n - 1, 1)] = n - 1
         gf = generating_function(Dfa(alphabet(1, 0), n, 0, {n - 1}, trans))
         assert gf.num == BiPoly.term(549, 550)
-        assert gf.factors == ((BiPoly.one() - BiPoly.t(), 1),)
+        assert gf.factors == ((BiPoly.one() - BiPoly.term(0, 1), 1),)
 
     def test_cycle_ahead_of_long_chain(self):
         # the chain above, with 1 -x1-> 0 closing a 2-cycle at its start:
@@ -465,7 +478,7 @@ class TestGeneratingFunction:
         t0 = time.monotonic()
         gf = generating_function(Dfa(alphabet(1, 0), n, 0, {n - 1}, trans))
         assert time.monotonic() - t0 < 1.0
-        one, t = BiPoly.one(), BiPoly.t()
+        one, t = BiPoly.one(), BiPoly.term(0, 1)
         assert gf.num == BiPoly.term(549, 550)
         # the chain's 1 - t times the cycle's 1 - t^2, split
         assert set(gf.factors) == {(one - t, 2), (one + t, 1)}
@@ -486,7 +499,7 @@ class TestGeneratingFunction:
         # x0 = s + t*x1, x1 = t*x0 + s^301*t^300
         assert gf.num == BiPoly({(1, 0): 1, (301, 301): 1})
         # the cycle's 1 - t^2, split
-        one, t = BiPoly.one(), BiPoly.t()
+        one, t = BiPoly.one(), BiPoly.term(0, 1)
         assert set(gf.factors) == {(one - t, 1), (one + t, 1)}
 
     def test_entries_wider_than_eight_byte_digits(self):
@@ -516,18 +529,35 @@ class TestGeneratingFunction:
         assert list(win[0]) == [c ** j if j % n == 0 else 0
                           for j in range(3 * n + 1)]
 
+    def test_common_monomial_packs_as_offsets(self):
+        # right-hand sides sharing s^300 t^300, as the exits of
+        # test_cycle_with_wide_spread_exits share s: they pack divided by
+        # it, at the stride and digit size of the system shifted down,
+        # and every numerator gets it back
+        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.term(0, 1)
+        shared = BiPoly.term(300, 300)
+        rows = [{0: one - t, 1: -s}, {0: -t, 1: one, 2: -s},
+                {0: -(s * t), 2: one - t - s}]
+        rest = [one + s * t * 2, BiPoly.zero(), t * t - s]
+        rhs = [shared * b for b in rest]
+        assert _pack_size(rows, rhs, 300) == _pack_size(rows, rest)
+        det, nums = sympy_solve(rows, rhs)
+        assert nums[0].terms and min(nums[0].terms) == (300, 300)
+        assert _solve_component(rows, rhs, 0) == (det, nums)
+        assert _solve_component(rows, rhs, 2) == (det, nums[2:])
+
     def test_small_bound_packs_narrow_digits(self, monkeypatch):
         # a bound of 18 needs 7 bits for four times itself: one byte per
         # digit, not eight
         sizes = []
         pack = automata._pack
 
-        def recorded(p, width, nbytes):
+        def recorded(p, width, nbytes, sa=0, tb=0):
             sizes.append(nbytes)
-            return pack(p, width, nbytes)
+            return pack(p, width, nbytes, sa, tb)
 
         monkeypatch.setattr(automata, "_pack", recorded)
-        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.t()
+        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.term(0, 1)
         rows = [{0: one - t, 1: -s}, {0: -s, 1: one - t}]
         rhs = [one, t]
         assert _pack_size(rows, rhs)[1] == 18
@@ -595,7 +625,7 @@ class TestGeneratingFunction:
         assert all(cases.values()), cases
 
     def test_column_stride_cases(self):
-        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.t()
+        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.term(0, 1)
         cases = [
             # columns of t-degree 0 and 3, right-hand side t^2: replacing
             # the degree-0 column lifts a Cramer numerator to t-degree 5,
@@ -632,21 +662,19 @@ class TestGeneratingFunction:
                  (2, 1): 2, (2, 0): 4, (3, 0): 3, (3, 1): 4, (4, 1): 4}
         dfa = Dfa(alphabet(1, 0), 5, 0, {0, 4}, trans)
         gf = generating_function(dfa)
-        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.t()
+        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.term(0, 1)
         # the cycle's 1 - t^2 splits into 1 - t and 1 + t
         want = FactoredRational(
             one, [(one - t, 3), (one + t, 1), (one - s, 1)]).factors
         assert gf.factors == want
-        win = expand_series(gf, 4, 4)
-        assert [[win[n][j] for j in range(5)] for n in range(5)] == \
-            brute_window(dfa, 4, 4)
+        assert expand_series(gf, 4, 4) == word_count_window(dfa, 4, 4)
 
     def test_cofactor_memo_matches_direct_product(self):
         # one memo across many (top, factors) pairs, as one
         # generating_function call shares it across components; a factor
         # power past top's raises the maximum and adds nothing to the
         # cofactor of factors
-        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.t()
+        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.term(0, 1)
         pool = [one - t, one + t, one - s, one - s * t - t * t,
                 one - s - s * t * 2]
         rng = random.Random(505)
@@ -681,7 +709,7 @@ class TestGeneratingFunction:
                 for path in sorted(INPUTS.glob("*.json"))]
         rng = random.Random(2718)
         docs += [random_presentation(rng) for _ in range(40)]
-        one_minus_t = BiPoly.one() - BiPoly.t()
+        one_minus_t = BiPoly.one() - BiPoly.term(0, 1)
         seen = 0
         for p in docs:
             for idx, (d, _) in enumerate(p.summands):
@@ -748,6 +776,65 @@ class TestGeneratingFunction:
         for det in dets:
             rest, _ = one_minus_t_order(det.as_s_coeffs()[0])
             assert rest == UniPoly.one(), det
+
+    def test_path_count_oracle_against_enumeration(self):
+        # word_count_window against running every word of up to six
+        # letters on random partial DFAs over two colors and rank one
+        rng = random.Random(4242)
+        letters = alphabet(2, 1)
+        for _ in range(30):
+            dfa = random_partial_dfa(rng, letters)
+            want = [[0] * 4 for _ in range(4)]
+            for length in range(7):
+                for word in itertools.product(letters, repeat=length):
+                    j = sum(map(is_xi, word))
+                    if j <= 3 and length - j <= 3 and run_dfa(dfa, word):
+                        want[length - j][j] += 1
+            assert word_count_window(dfa, 3, 3) == tuple(map(tuple, want))
+
+    def test_random_dfas_against_path_counts(self):
+        # random partial DFAs over c = 2 and c = 3 colors whose edges
+        # bundle letters of both kinds into one target, against counting
+        # the accepted words path by path
+        rng = random.Random(2006)
+        cases = {"2 variables and a marker": 0, "3 variables and a marker": 0,
+                 "loop of both kinds": 0, "dead cycle": 0,
+                 "several accepting": 0, "1 entry": 0, "2 entries": 0,
+                 "3 entries": 0}
+        entry_cases = {1: "1 entry", 2: "2 entries", 3: "3 entries"}
+        for c in (2, 3):
+            letters = alphabet(c, 1)
+            for _ in range(40):
+                dfa = bundled_dfa(rng, letters)
+                counts = {}
+                for (q, a), r in dfa.trans.items():
+                    kinds = counts.setdefault((q, r), [0, 0])
+                    kinds[not is_xi(a)] += 1
+                for (q, r), (xs, markers) in counts.items():
+                    if markers:
+                        cases["loop of both kinds"] += q == r and xs > 0
+                        if xs in (2, 3):
+                            cases[f"{xs} variables and a marker"] += 1
+                succ = {}
+                for q, r in counts:
+                    succ.setdefault(q, {})[r] = True
+                comps = automata._sccs(dfa.start, succ)
+                where = {q: i for i, comp in enumerate(comps) for q in comp}
+                live = closure(dfa.accepts, [
+                    ((r, None), q) for q, r in counts])
+                cases["several accepting"] += len(dfa.accepts & set(where)) > 1
+                for i, comp in enumerate(comps):
+                    cyclic = len(comp) > 1 or (comp[0], comp[0]) in counts
+                    cases["dead cycle"] += cyclic and comp[0] not in live
+                    entries = {r for (q, r) in counts
+                               if r in comp and where.get(q, i) != i}
+                    entries |= {dfa.start} & set(comp)
+                    if len(comp) > 1 and len(entries) <= 3:
+                        cases[entry_cases[len(entries)]] += 1
+                gf = generating_function(dfa)
+                assert expand_series(gf, 6, 6) == word_count_window(
+                    dfa, 6, 6), (c, dfa.trans, dfa.accepts)
+        assert all(cases.values()), cases
 
     def test_empty_language_is_zero(self):
         assert generating_function(module_dfa(1, 0, [])).is_zero()

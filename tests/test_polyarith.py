@@ -115,13 +115,14 @@ class TestBiPoly:
         assert a.try_div(b) is None
         # long division in s over Z[t]: the s-row -1 of t - s is no
         # multiple of 1 - t
+        t = BiPoly.term(0, 1)
         with pytest.raises(NonDivisible):
-            (BiPoly.t() - BiPoly.s()).exact_div(BiPoly.one() - BiPoly.t())
+            (t - BiPoly.s()).exact_div(BiPoly.one() - t)
 
     def test_exact_div_sparse_high_degree(self):
         # long division in s over Z[t] at s-degree 400: every s-row but
         # the top one is zero, and that one has t-degree 401
-        one_minus_t = BiPoly.one() - BiPoly.t()
+        one_minus_t = BiPoly.one() - BiPoly.term(0, 1)
         big = BiPoly.term(400, 400) * one_minus_t
         assert big.exact_div(one_minus_t) == BiPoly.term(400, 400)
         with pytest.raises(NonDivisible):
@@ -130,7 +131,7 @@ class TestBiPoly:
     def test_powers_against_repeated_products(self):
         # two-term bases are written from a binomial row, with
         # coefficients past 2^62 from n = 66 on; the others square
-        s, t = BiPoly.s(), BiPoly.t()
+        s, t = BiPoly.s(), BiPoly.term(0, 1)
         bases = [(ONE_MINUS_T, 80), (BiPoly.one() + t, 80),
                  (s - BiPoly.term(0, 3, 2), 80),
                  (BiPoly.term(2, 1, -3) + BiPoly.term(1, 4, 5), 30),
@@ -215,20 +216,46 @@ class TestBiPoly:
     def test_pack_unpack_round_trip(self, nbytes):
         # automata's packed format, at digit sizes from one byte up:
         # negative coefficients, runs of zero digits between terms and
-        # coefficients one short of the digit bound on either side
+        # coefficients one short of the digit bound on either side, with
+        # and without offsets s^sa t^tb below the least degrees
         rng = random.Random(1700 + nbytes)
         safe = 1 << (8 * nbytes - 2)
         pool = (1, -1, 7, -7, safe - 1, 1 - safe)
         for width in range(1, 6):
             assert _pack(BiPoly.zero(), width, nbytes) == 0
             assert _unpack(0, width, nbytes) == BiPoly.zero()
-            for _ in range(60):
-                p = BiPoly({(rng.randint(0, 6), rng.randrange(width)):
+            for case in range(60):
+                sa, tb = ((0, 0) if case % 2 else
+                          (rng.randint(0, 300), rng.randint(0, 300)))
+                p = BiPoly({(sa + rng.randint(0, 6),
+                             tb + rng.randrange(width)):
                             rng.choice(pool) if rng.random() < 0.6
                             else rng.randint(1 - safe, safe - 1)
                             for _ in range(rng.randint(1, 8))})
-                assert _unpack(_pack(p, width, nbytes), width,
-                               nbytes) == p, p
+                assert _unpack(_pack(p, width, nbytes, sa, tb), width,
+                               nbytes, sa, tb) == p, (p, sa, tb)
+                if (sa, tb) == (0, 0):
+                    assert _unpack(_pack(p, width, nbytes), width,
+                                   nbytes) == p, p
+
+    def test_pack_offsets_divide_out_a_monomial(self):
+        # _pack(p, ..., sa, tb) packs p / (s^sa t^tb), and _unpack with
+        # the same offsets multiplies it back: the packed integer is the
+        # one of the polynomial shifted down, as short as its spread
+        rng = random.Random(1701)
+        for _ in range(200):
+            width = rng.randint(1, 6)
+            nbytes = rng.choice((1, 2, 8, 9))
+            safe = 1 << (8 * nbytes - 2)
+            rest = BiPoly({(rng.randint(0, 5), rng.randrange(width)):
+                           rng.randint(1 - safe, safe - 1)
+                           for _ in range(rng.randint(1, 6))})
+            sa, tb = rng.randint(0, 400), rng.randint(0, 400)
+            p = rest * BiPoly.term(sa, tb)
+            packed = _pack(p, width, nbytes, sa, tb)
+            assert packed == _pack(rest, width, nbytes)
+            assert _unpack(packed, width, nbytes, sa, tb) == p
+            assert _unpack(packed, width, nbytes) == rest
 
     @pytest.mark.parametrize("nbytes", [1, 2, 3, 8, 9, 16])
     def test_unpack_against_per_digit_decoder(self, nbytes):
@@ -280,7 +307,7 @@ class TestFactoredRational:
     def draw_summand(rng):
         """A random numerator over a factor multiset drawn from one pool,
         so two draws share some bases and not others."""
-        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.t()
+        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.term(0, 1)
         pool = [one - t, one + t, one - s, one - s * t - t * t,
                 one - s - s * t * 2]
         num = BiPoly({(rng.randint(0, 2), rng.randint(0, 2)):
@@ -342,7 +369,7 @@ class TestFactoredRational:
         red = r.reduce()
         assert red.num == self.one_minus_t * BiPoly.s()
         assert red.factors == ((self.one_minus_t_minus_s, 1),)
-        coprime = FactoredRational(BiPoly.t() - BiPoly.s(),
+        coprime = FactoredRational(BiPoly.term(0, 1) - BiPoly.s(),
                                    [(self.one_minus_t, 1)])
         red = coprime.reduce()
         assert (red.num, red.factors) == (coprime.num, coprime.factors)
@@ -371,7 +398,7 @@ class TestFactoredRational:
         # factors; N has negative coefficients and s-rows starting above
         # t^0, and sometimes exactly one s-row whose sum is nonzero
         rng = random.Random(1803)
-        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.t()
+        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.term(0, 1)
         pool = [self.one_minus_t_minus_s, one - s * (one + t),
                 ONE_MINUS_T ** 2 - s, one + t]
         assert ONE_MINUS_T == self.one_minus_t
@@ -534,7 +561,7 @@ class TestSeries:
                             for j in range(rng.randint(0, 3))})
                 return ONE_MINUS_T ** rng.randint(0, 2) + f
             if kind == 2:  # a t-only piece such as a split content
-                return BiPoly.one() + BiPoly.t() ** rng.randint(1, 3)
+                return BiPoly.one() + BiPoly.term(0, 1) ** rng.randint(1, 3)
             if kind == 3:  # constant -1, squared below
                 return BiPoly.term(0, 0, -1) + poly(3, lo=1)
             # past the window: s^6, t^7 and beyond
@@ -562,9 +589,9 @@ class TestSeries:
         # a denominator other than 1 at the origin raises on both routes,
         # also when each factor's constant is a unit: (-1 + s)^3
         for factors in ([(BiPoly.term(0, 0, -1) + BiPoly.s(), 3)],
-                        [(BiPoly.term(0, 0, 3) - BiPoly.t(), 1),
+                        [(BiPoly.term(0, 0, 3) - BiPoly.term(0, 1), 1),
                          (ONE_MINUS_T, 2)],
-                        [(BiPoly.s() + BiPoly.t(), 1)]):
+                        [(BiPoly.s() + BiPoly.term(0, 1), 1)]):
             r = FactoredRational(BiPoly.one(), factors)
             for route in (expand_series, expand_cellwise):
                 with pytest.raises(SingularAtOrigin):
@@ -572,7 +599,8 @@ class TestSeries:
 
     def test_singular_at_origin(self):
         with pytest.raises(SingularAtOrigin):
-            expand_series(FactoredRational(BiPoly.one(), [(BiPoly.t(), 1)]), 2, 2)
+            expand_series(
+                FactoredRational(BiPoly.one(), [(BiPoly.term(0, 1), 1)]), 2, 2)
         # a constant term other than 1 would leave the integers
         with pytest.raises(SingularAtOrigin):
             expand_series(FactoredRational(
