@@ -50,14 +50,16 @@ def compute_decomposition(p, e):
     m = wi if wi >= 1 else max(1, d)
 
     # generators with a column-1 variable are swallowed once the column-1
-    # variables are adjoined; the rest lose their empty first column
+    # variables are adjoined; the rest lose their empty first column.
+    # colon_width's set is minimal and sorted, and res_monomial shifts
+    # every kept basis tuple alike, so both lists stay minimal and sorted
     marked = None
     if d >= 1:
         gens = [res_monomial(g) for g in colon_width(p, tuple(e), m)
                 if g.pi[0] == 1 and not any(g.cols[0])]
-        marked = ModulePresentation(p.c, [(d - 1, 0)], minimalize(gens))
+        marked = ModulePresentation(p.c, [(d - 1, 0)], gens)
 
     gens = [res_monomial(g) for g in colon_width(p, tuple(e), m + 1)
             if not (d >= 1 and g.pi[0] == 1) and not any(g.cols[0])]
-    unmarked = ModulePresentation(p.c, [(d, 0)], minimalize(gens))
+    unmarked = ModulePresentation(p.c, [(d, 0)], gens)
     return Decomposition(tuple(e), m, marked, unmarked)

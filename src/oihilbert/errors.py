@@ -21,10 +21,6 @@ class SummandMismatch(OihError):
     """Free-module summand indices of the objects involved differ."""
 
 
-class ZeroElement(OihError):
-    """The operation is undefined for the zero element."""
-
-
 class NotAnIdeal(OihError):
     """The operation needs rank-zero free summands (an ideal), or FI data it supports."""
 

@@ -11,14 +11,12 @@ polynomial-ring summand per strictly increasing tuple [d] -> [n].
 from __future__ import annotations
 
 import itertools
-from functools import cmp_to_key
 from math import comb
 
 from .errors import (
     NotAnIdeal,
     SummandMismatch,
     WidthMismatch,
-    ZeroElement,
 )
 from .polyarith import UniPoly
 
@@ -56,10 +54,6 @@ class Monomial:
     @property
     def degree(self):
         return sum(e for col in self.cols for e in col)
-
-    def exp(self, i, j):
-        """Exponent of the variable in row i, column j (both 1-based)."""
-        return self.cols[j - 1][i - 1]
 
     def key(self):
         return (self.summand, self.width, self.pi, self.cols)
@@ -392,8 +386,8 @@ class WidthSeries:
 
 
 class _Group:
-    """One (summand, basis tuple)'s minimal mask set at the last width
-    that asked for it, and its numerator (1 for no mask: a free summand)."""
+    """One (summand, basis tuple)'s minimal mask set at the width last
+    reached, and its numerator (1 for no mask: a free summand)."""
 
     __slots__ = ("shift", "gens", "num")
 
@@ -446,32 +440,32 @@ def _add_shifted(out, coeffs, shift, sign):
         out[i] += sign * cf
 
 
-def _width_series(p, n_top, widths, quotient):
-    """WidthSeries at each of the ascending widths <= n_top, from one
-    enumeration of the images at n_top.  Width n takes, per group, the
-    images whose last column is <= n: the padded zero columns are unused
-    variables, which leave a numerator over (1-t)^(#variables) unchanged.
-    Each group adds a width's new images to its minimal set, and its
-    numerator is recomputed only when that set changes; the ideal's
-    numerator, every shift applied, is kept as one coefficient list that
-    such a width updates by old minus new."""
+def hilbert_widths(p, n_max, quotient=True):
+    """Classical Hilbert series at every width 0..n_max, as the oracle
+    route computes them: enumerate the generators' images once, at
+    n_max, as masks of one `MaskLayout`, group them per (summand, basis
+    tuple), and recurse on each group's minimal mask set with one `kpoly`
+    memo for the call.  At one width the only order-embedding is the
+    identity, so OI-divisibility inside a group is divisibility of
+    masks.  A basis tuple with no image is a free summand, numerator 1.
+
+    Width n takes, per group, the images whose last column is <= n: the
+    padded zero columns are unused variables, which leave a numerator
+    over (1-t)^(#variables) unchanged.  Each group adds a width's new
+    images to its minimal set, and its numerator is recomputed only when
+    that set changes; the ideal's numerator, every shift applied, is
+    kept as one coefficient list that such a width updates by old minus
+    new."""
     if any(shift < 0 for _, shift in p.summands):
         raise WidthMismatch("width-wise series needs nonnegative shifts")
     layout = MaskLayout(
         [max((col[i] for g in p.generators for col in g.cols), default=0)
-         for i in range(p.c)], n_top)
+         for i in range(p.c)], n_max)
     memo = {}
-    grows = _image_groups(p, n_top, layout)
-    wanted = set(widths)
-    pending = {}
     ideal = []
     out = []
-    for n in range(n_top + 1):
-        for group, masks in grows[n]:
-            pending.setdefault(group, []).extend(masks)
-        if n not in wanted:
-            continue
-        for group, new in pending.items():
+    for n, grown in enumerate(_image_groups(p, n_max, layout)):
+        for group, new in grown:
             gens = _extend_minimal(group.gens, new)
             if gens is group.gens:
                 continue
@@ -479,7 +473,6 @@ def _width_series(p, n_top, widths, quotient):
             _add_shifted(ideal, group.num.coeffs, group.shift, 1)
             _add_shifted(ideal, num.coeffs, group.shift, -1)
             group.gens, group.num = gens, num
-        pending.clear()
         if quotient:
             num = [-cf for cf in ideal]
             for d, shift in p.summands:
@@ -490,22 +483,10 @@ def _width_series(p, n_top, widths, quotient):
     return out
 
 
-def hilbert_widths(p, n_max, quotient=True):
-    """Classical Hilbert series at every width 0..n_max, as the oracle
-    route computes them: enumerate the generators' images once, at
-    n_max, as masks of one `MaskLayout`, group them per (summand, basis
-    tuple), and recurse on each group's minimal mask set with one `kpoly`
-    memo for the call.  At one width the only order-embedding is the
-    identity, so OI-divisibility inside a group is divisibility of
-    masks.  A basis tuple with no image is a free summand, numerator 1."""
-    return _width_series(p, n_max, range(n_max + 1), quotient)
-
-
 def hilbert_width(p, n, quotient=True):
-    """Classical Hilbert series at width n alone: `hilbert_widths`'s
-    engine asked for one width."""
-    (ws,) = _width_series(p, n, (n,), quotient)
-    return ws
+    """Classical Hilbert series at width n alone: the last row of
+    `hilbert_widths`."""
+    return hilbert_widths(p, n, quotient)[n]
 
 
 def colon_width(p, e, n):
@@ -523,30 +504,13 @@ def colon_width(p, e, n):
 # ---------------------------------------------------------------------------
 # monomial order
 
-def compare_monomials(a, b):
-    """Total order: basis part first (smaller summand index wins; then the
-    (width, pi) tuple lexicographically), then the coefficient monomial in
-    lexicographic order with variables sorted by column, then row."""
-    if a.summand != b.summand:
-        return 1 if a.summand < b.summand else -1
-    ka = (a.width,) + a.pi
-    kb = (b.width,) + b.pi
-    if ka != kb:
-        return 1 if ka > kb else -1
-    for j in range(a.width, 0, -1):
-        for i in range(a.c, 0, -1):
-            ea, eb = a.exp(i, j), b.exp(i, j)
-            if ea != eb:
-                return 1 if ea > eb else -1
-    return 0
-
-
-def leading_monomial(terms):
-    """Largest monomial among (coeff, Monomial) pairs with nonzero coeff."""
-    live = [m for cf, m in terms if cf]
-    if not live:
-        raise ZeroElement("no nonzero term")
-    return max(live, key=cmp_to_key(compare_monomials))
+def order_key(m):
+    """Sort key of the monomial order: basis part first (smaller summand
+    index wins; then the (width, pi) tuple lexicographically), then the
+    coefficient monomial in lexicographic order with variables sorted by
+    column, then row, the last column and row highest."""
+    return (-m.summand, (m.width,) + m.pi,
+            tuple(col[::-1] for col in m.cols[::-1]))
 
 
 def symmetrize_fi_ideal(p):

@@ -9,11 +9,11 @@ the offending field by JSON path.
 import json
 from collections import namedtuple
 
-from .errors import SchemaError, ZeroElement
+from .errors import SchemaError
 from .oicore import (
     Monomial,
     ModulePresentation,
-    leading_monomial,
+    order_key,
     symmetrize_fi_ideal,
 )
 
@@ -113,15 +113,15 @@ def _parse_element(obj, path, c, summands):
         pi = _parse_pi(term, tp, d, width)
         cols = _parse_exponents(term, tp, c, width)
         parsed.append((coeff, Monomial(c, width, cols, pi, summand)))
+    live = [m for coeff, m in parsed if coeff]
     # the series is defined for graded modules only
-    degrees = sorted({m.degree for coeff, m in parsed if coeff})
+    degrees = sorted({m.degree for m in live})
     if len(degrees) > 1:
         _fail(f"{path}.terms",
               f"terms must share one total degree, got degrees {degrees}")
-    try:
-        return leading_monomial(parsed)
-    except ZeroElement:
+    if not live:
         _fail(path, "element has no nonzero term")
+    return max(live, key=order_key)
 
 
 class InputDocument(namedtuple("InputDocument",

@@ -11,11 +11,12 @@ The words that correspond bijectively to width-m monomials are the standard
 members of the marker-structured language: variable runs sorted ascending,
 marker indices weakly increasing over 1..d then 0 from there on, every index
 in 1..d present, and the word ending in a marker (empty allowed when d = 0).
+`decode` accepts exactly the words that `encode` gives back.
 """
 
 from __future__ import annotations
 
-from .errors import NotInLanguage
+from .errors import NotInLanguage, WidthMismatch
 from .oicore import Monomial
 
 
@@ -75,52 +76,24 @@ def word_from_str(text):
     return tuple(out)
 
 
-def is_standard(word):
-    """Variable letters weakly increase inside every marker-free run."""
-    last = 0
-    for a in word:
-        if is_tau(a):
-            last = 0
-        else:
-            if a < last:
-                return False
-            last = a
-    return True
-
-
-def _marker_structure_ok(word, d):
-    indices = [tau_index(a) for a in word if is_tau(a)]
-    if not indices:
-        return d == 0 and not word
-    if word and is_xi(word[-1]):
-        return False
-    level = 0
-    zeros = False
-    for j in indices:
-        if j == 0:
-            if level != d:
-                return False
-            zeros = True
-        else:
-            if zeros or j < level or j > level + 1:
-                return False
-            level = j
-    return level == d
-
-
-def is_in_lstd(word, c, d):
-    """Membership in the standard marker-structured language."""
-    if any(is_xi(a) and a > c for a in word):
-        return False
-    if any(is_tau(a) and tau_index(a) > d for a in word):
-        return False
-    return _marker_structure_ok(word, d) and is_standard(word)
-
-
 def decode(word, c, d, summand=0):
-    """The monomial a standard word stands for; its width is the marker count."""
-    if not is_in_lstd(word, c, d):
-        raise NotInLanguage(f"word {word_to_str(word)!r} is not standard for c={c}, d={d}")
+    """The monomial a standard word stands for; its width is the marker
+    count.  A word is standard exactly when it is the encoding of the
+    monomial it reads, so that round trip is the membership test."""
+    word = tuple(word)
+    mon = _read(word, c, d, summand)
+    if mon is None or encode(mon) != word:
+        raise NotInLanguage(
+            f"word {word_to_str(word)!r} is not standard for c={c}, d={d}")
+    return mon
+
+
+def _read(word, c, d, summand):
+    """The monomial a word reads, or None when a letter is out of range,
+    a variable letter follows the last marker, or the markers give no
+    valid basis tuple."""
+    if not all(-d <= a <= c for a in word) or word and is_xi(word[-1]):
+        return None
     width = sum(1 for a in word if is_tau(a))
     cols = [[0] * c for _ in range(width)]
     pi = [0] * d
@@ -134,7 +107,10 @@ def decode(word, c, d, summand=0):
                 for k in range(j, d + 1):
                     pi[k - 1] += 1
             seen += 1
-    return Monomial(c, width, [tuple(col) for col in cols], tuple(pi), summand)
+    try:
+        return Monomial(c, width, cols, pi, summand)
+    except WidthMismatch:
+        return None
 
 
 def encode(mon):

@@ -1,9 +1,10 @@
 """Reference routes that the runtime does not need, kept for the tests:
-the right-to-left decoder of words (eta, by shift operators), running a
-DFA on one word, counting a DFA's accepted words by path counts, the
-unpruned subset construction, the greatest simulation as a pairwise
-fixpoint, Moore minimization, equality of rational functions by
-cross-multiplication, the geometric polynomial,
+the right-to-left decoder of words (eta, by shift operators), membership
+in the standard-word language, running a DFA on one word, counting a
+DFA's accepted words by path counts, the unpruned subset construction,
+the greatest simulation as a pairwise fixpoint, Moore minimization,
+equality of rational functions by cross-multiplication, the geometric
+polynomial,
 the schoolbook product and per-digit unpacking of bivariate polynomials,
 reduction of a factored rational function by trial division alone,
 the paper's pseudo-division criterion for eventual finite length,
@@ -44,7 +45,7 @@ from oihilbert.polyarith import (
     UniPoly,
     one_minus_t_order,
 )
-from oihilbert.words import is_xi, tau_index
+from oihilbert.words import decode, is_xi, tau_index
 
 S, T = sympy.symbols("s t")
 
@@ -79,6 +80,15 @@ def eta(word, c, d):
                 raise NotInLanguage(f"marker letter t{j} exceeds d = {d}")
             exps, positions = apply_shift(j, exps, positions)
     return exps, positions
+
+
+def in_lstd(word, c, d):
+    """Whether the word is standard for c and d: whether it decodes."""
+    try:
+        decode(word, c, d)
+    except NotInLanguage:
+        return False
+    return True
 
 
 def run_dfa(dfa, word):

@@ -19,6 +19,7 @@ from oracles import (
     ZeroModule,
     dim_deg_width,
     equals_cross_mul,
+    in_lstd,
     paper_artinian,
     repeated_division_sides,
     run_dfa,
@@ -43,7 +44,7 @@ from oihilbert.oicore import (
 )
 from oihilbert.polyarith import BiPoly, FactoredRational
 from oihilbert.series import module_series
-from oihilbert.words import alphabet, decode, encode, is_in_lstd, is_tau
+from oihilbert.words import alphabet, decode, encode, is_tau
 
 S = BiPoly.term(1, 0)
 T = BiPoly.term(0, 1)
@@ -180,7 +181,7 @@ def test_criterion_04_bijection_suite():
                 taus = sum(1 for a in w if is_tau(a))
                 if taus > 4 or length - taus > 4:
                     continue
-                if not is_in_lstd(w, c, d):
+                if not in_lstd(w, c, d):
                     continue
                 in_language += 1
                 m = decode(w, c, d)

@@ -33,12 +33,13 @@ from oihilbert.polyarith import (
 )
 from oihilbert.schema import load_document, parse_document
 from oihilbert.series import module_series
-from oihilbert.words import alphabet, decode, is_in_lstd, is_xi
+from oihilbert.words import alphabet, decode, is_xi
 
 from corpus import random_monomial, random_presentation
 from enumerate_small import all_monomials, lstd_words
-from oracles import (equals_cross_mul, moore_minimize, pairwise_simulation,
-                     run_dfa, subset_dfa, word_count_window)
+from oracles import (equals_cross_mul, in_lstd, moore_minimize,
+                     pairwise_simulation, run_dfa, subset_dfa,
+                     word_count_window)
 
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "inputs"
@@ -147,7 +148,7 @@ class TestLstdDfa:
             letters = alphabet(c, d)
             for length in range(max_len + 1):
                 for word in itertools.product(letters, repeat=length):
-                    assert run_dfa(dfa, word) == is_in_lstd(word, c, d), word
+                    assert run_dfa(dfa, word) == in_lstd(word, c, d), word
 
     def test_empty_word(self):
         assert run_dfa(lstd_dfa(1, 0), ())

@@ -1,6 +1,7 @@
 import contextlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import shlex
@@ -21,6 +22,9 @@ from oihilbert.schema import (
     parse_document,
 )
 from oihilbert.series import free_series
+from oihilbert.words import alphabet, word_to_str
+
+from enumerate_small import lstd_words
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 README = INPUTS.parent / "README.md"
@@ -127,6 +131,20 @@ class TestSchema:
         assert len(doc.groebner_leads) == 1
         p = doc.effective_presentation()
         assert doc.groebner_leads == p.generators
+
+    def test_groebner_lead_skips_zero_terms(self):
+        # x[1,2]^2 is the larger term and leads unless its coefficient is
+        # 0, when x[1,1]*x[1,2] does; a zero term of another degree counts
+        # neither for the lead nor for the one-degree rule
+        big = [[0], [2]]
+        small = [[1], [1]]
+        for big_coeff, lead in ((1, big), (0, small)):
+            doc = parse_document(minimal(generators=[], asserted_groebner=[{
+                "width": 2,
+                "terms": [{"coeff": big_coeff, "exponents": big},
+                          {"coeff": 2, "exponents": small},
+                          {"coeff": 0, "exponents": [[3], [0]]}]}]))
+            assert doc.groebner_leads == (Monomial(1, 2, lead),)
 
     def test_fi_document_symmetrizes(self):
         doc = parse_document({
@@ -271,7 +289,7 @@ class TestCommands:
         def refuse(*args, **kwargs):
             raise AssertionError("width-wise route entered")
 
-        monkeypatch.setattr(oicore, "_width_series", refuse)
+        monkeypatch.setattr(oicore, "_image_groups", refuse)
         doc = str(INPUTS / "two_summands.json")
         for argv in (["hilbert", doc, "--json"], ["analyze", doc],
                      ["expand", doc, "-N", "3", "-J", "3"]):
@@ -554,24 +572,35 @@ class TestCommands:
     def test_benchmark_hooks_install(self):
         # perfbench/spans.py wraps the package's entry points by name; a
         # fresh interpreter shows that every name it looks up still exists
-        # and that the wrapped commands still run
+        # and that the wrapped commands still run, the width-wise route
+        # too: oracle prints OK, and check.py's reference table, built
+        # through the wrapped hilbert_width (whose parameters the wrapper
+        # binds by name), equals the one built before the hooks went in
         root = Path(__file__).resolve().parent.parent
         doc = str(INPUTS / "squarefree_pair.json")
         script = (
-            "import contextlib, io, sys\n"
-            "import spans\n"
-            "spans.install(spans.Recorder())\n"
+            "import contextlib, io, json\n"
+            "import check, spans\n"
+            f"obj = json.load(open({doc!r}))\n"
+            "plain = check.reference_table(obj, 6)\n"
+            "rec = spans.Recorder()\n"
+            "spans.install(rec)\n"
             "from oihilbert import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    codes = [cli.main([c, {doc!r}]) for c in ('hilbert', 'analyze')]\n"
-            "print(codes)\n")
+            "oracle = io.StringIO()\n"
+            "with contextlib.redirect_stdout(oracle):\n"
+            f"    codes.append(cli.main(['oracle', {doc!r}, '-N', '3', '-J', '3']))\n"
+            "hooked = check.reference_table(obj, 6)\n"
+            "print(codes, oracle.getvalue().strip(), hooked == plain,\n"
+            "      len(rec.keys['oicore.hilbert_width']))\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(root / "src"), str(root / "perfbench"),
              os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, timeout=120)
-        assert (out.returncode, out.stdout.strip()) == (0, "[0, 0]"), \
-            out.stderr
+        assert (out.returncode, out.stdout.strip()) == (
+            0, "[0, 0, 0] OK True 7"), out.stderr
 
     def test_readme_sessions(self, capsys, monkeypatch):
         # every `$ oih ...` line of README.md, run from the repository
@@ -697,3 +726,25 @@ class TestExitContract:
         path = tmp_path / "doc.json"
         path.write_bytes(data)
         self.check(path, command)
+
+    def test_words_decode(self):
+        # every word of up to five letters over the alphabet and one
+        # out-of-range letter of each kind: exit 0 exactly on the words
+        # the standard-word enumerator builds, else exit 2 and one line
+        for c, d in [(1, 0), (1, 1), (2, 1), (1, 2)]:
+            standard = {w for w in lstd_words(c, d, 5, 5) if len(w) <= 5}
+            letters = alphabet(c, d) + (c + 1, -(d + 1))
+            for length in range(6):
+                for w in itertools.product(letters, repeat=length):
+                    text = word_to_str(w)
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), \
+                            contextlib.redirect_stderr(err):
+                        code = cli.main(["words", "decode", "--c", str(c),
+                                         "--d", str(d), text])
+                    if w in standard:
+                        assert (code, err.getvalue()) == (0, ""), text
+                    else:
+                        assert (code, out.getvalue(), err.getvalue()) == (
+                            2, "", f"error: words decode: word {text!r} is "
+                            f"not standard for c={c}, d={d}\n"), text

@@ -1,10 +1,16 @@
+import random
+from itertools import product
+from pathlib import Path
+
 import pytest
 
 from oihilbert import oicore
 from oihilbert.decomposition import compute_decomposition, res_monomial
 from oihilbert.errors import Column1NotEmpty, WidthMismatch
-from oihilbert.oicore import Monomial, ModulePresentation
+from oihilbert.oicore import Monomial, ModulePresentation, minimalize
+from oihilbert.schema import load_document
 
+from corpus import random_single_summand
 from oracles import (
     division_exponent_bound,
     repeated_division_sides,
@@ -71,6 +77,26 @@ class TestComputeDecomposition:
         assert compute_decomposition(ideal(1, []), (0,)).m == 1
         free = ModulePresentation(1, [(2, 0)], [])
         assert compute_decomposition(free, (0,)).m == 2
+
+    def test_generators_come_out_minimal_and_sorted(self):
+        # both generator lists are their own minimalize, element for
+        # element: colon_width's set at one width stays minimal and sorted
+        # through the filter and res_monomial
+        inputs = Path(__file__).resolve().parent.parent / "inputs"
+        cases = [load_document(path).effective_presentation()
+                 for path in sorted(inputs.glob("*.json"))]
+        cases = [p for p in cases if p.summands[0][1] == 0
+                 and len(p.summands) == 1]
+        assert cases
+        rng = random.Random(7)
+        cases += [random_single_summand(rng) for _ in range(60)]
+        for p in cases:
+            for e in product(range(3), repeat=p.c):
+                dec = compute_decomposition(p, e)
+                for part in (dec.marked, dec.unmarked):
+                    if part is not None:
+                        gens = list(part.generators)
+                        assert minimalize(gens) == gens, (p, e)
 
     def test_validation(self):
         p = ModulePresentation(1, [(0, 0), (0, 0)], [])

@@ -8,22 +8,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oihilbert import oicore
-from oihilbert.errors import SummandMismatch, WidthMismatch, ZeroElement, NotAnIdeal
+from oihilbert.errors import SummandMismatch, WidthMismatch, NotAnIdeal
 from oihilbert.oicore import (
     MaskLayout,
     Monomial,
     ModulePresentation,
     WidthSeries,
     colon_width,
-    compare_monomials,
     expand_to_width,
     find_embedding,
     hilbert_width,
     hilbert_widths,
     kpoly,
-    leading_monomial,
     minimalize,
     oi_divides,
+    order_key,
     symmetrize_fi_ideal,
 )
 from oihilbert.polyarith import UniPoly
@@ -634,31 +633,23 @@ class TestOrder:
         # wider basis element is larger
         a = Monomial(1, 1, ((1,),), (1,))
         b = Monomial(1, 2, ((0,), (0,)), (2,))
-        assert compare_monomials(b, a) == 1
+        assert order_key(b) > order_key(a)
         # smaller summand index wins
         s0 = Monomial(1, 1, ((0,),), (1,), summand=0)
         s1 = Monomial(1, 3, ((0,), (0,), (0,)), (3,), summand=1)
-        assert compare_monomials(s0, s1) == 1
+        assert order_key(s0) > order_key(s1)
         # same basis data: lex on exponents, higher column dominates
         u = Monomial(2, 2, ((0, 0), (1, 0)), ())
         v = Monomial(2, 2, ((9, 9), (0, 1)), ())
-        assert compare_monomials(v, u) == 1
-        assert compare_monomials(u, u) == 0
+        assert order_key(v) > order_key(u)
+        assert order_key(u) == order_key(Monomial(2, 2, ((0, 0), (1, 0)), ()))
 
     def test_order_refines_divisibility(self):
         pool = all_monomials(1, 1, 1, 2) + all_monomials(1, 1, 2, 2)
         for g in pool:
             for m in pool:
                 if g != m and oi_divides(g, m):
-                    assert compare_monomials(m, g) == 1
-
-    def test_leading_monomial(self):
-        a = Monomial(1, 1, ((1,),))
-        b = Monomial(1, 1, ((2,),))
-        assert leading_monomial([(1, a), (1, b)]) == b
-        assert leading_monomial([(0, b), (2, a)]) == a
-        with pytest.raises(ZeroElement):
-            leading_monomial([(0, a)])
+                    assert order_key(m) > order_key(g)
 
 
 class TestSymmetrize:
