@@ -4,9 +4,10 @@ degree, and the eventual-finite-length verdict."""
 
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import count, islice
+from itertools import accumulate, count, islice, zip_longest
+from math import lcm
 
-from .errors import NonDivisible, NotConformant
+from .errors import NotConformant
 from .polyarith import ONE_MINUS_T, BiPoly, UniPoly, one_minus_t_order
 
 
@@ -76,49 +77,104 @@ def validate_shape(result, c):
         linear, key=lambda p: (p[0], p[1].coeffs))), leftover, reduced.num)
 
 
+def _mul_into(acc, a, b, sign=1):
+    """acc + sign * a * b, extending the list acc in place."""
+    if a and b:
+        acc.extend([0] * (len(a) + len(b) - 1 - len(acc)))
+        for i, u in enumerate(a):
+            if u:
+                u *= sign
+                for j, v in enumerate(b, i):
+                    acc[j] += u * v
+    return acc
+
+
 def _expand(num, den):
     """Yield A_0, A_1, ... with num/den = sum_k A_k / den_0^(k+1) * x^k,
-    for coefficient lists in x over Z or Z[y]: A_k = num_k den_0^k -
-    sum_(i>=1) den_i A_(k-i) den_0^(i-1) stays in the coefficient ring."""
-    out = []
+    for lists in x of coefficient lists in y: A_k = num_k den_0^k - sum_(i
+    >= 1) (den_i den_0^(i-1), formed once) A_(k-i) stays in Z[y]."""
+    power, scaled, out = [1], [], []
     for k in count():
-        acc = (num[k] if k < len(num) else 0) * den[0] ** k
-        for i in range(1, min(k, len(den) - 1) + 1):
-            acc = acc - den[i] * out[k - i] * den[0] ** (i - 1)
+        acc = _mul_into([], num[k], power) if k < len(num) else []
+        for i, e in enumerate(scaled, 1):
+            _mul_into(acc, e, out[k - i], -1)
+        while acc and not acc[-1]:  # so that len(acc) - 1 is its degree
+            acc.pop()
         out.append(acc)
         yield acc
+        if k + 1 < len(den):
+            scaled.append(_mul_into([], den[k + 1], power))
+        power = _mul_into([], power, den[0])
 
 
 def _at_one_minus(u):
-    """u(1 - x) as a UniPoly in x."""
-    out = UniPoly()
-    for c in reversed(u.coeffs):
-        out = out * UniPoly((1, -1)) + UniPoly((c,))
+    """u(1 - x) by Horner's rule: times 1 - x is a running difference."""
+    out = []
+    for c in reversed(u):
+        out = [a - b for a, b in zip(out + [0], [0] + out)]
+        out[0] += c
     return out
 
 
 def _subst(p, b):
-    """p(sigma x^b, 1 - x) as a BiPoly in (x, sigma), so that as_s_coeffs
-    gives its coefficients in x."""
-    return BiPoly({(b * i + k, i): c for i, u in enumerate(p.as_s_coeffs())
-                   for k, c in enumerate(_at_one_minus(u).coeffs)})
+    """p(sigma x^b, 1 - x) as a list in x of coefficient tuples in sigma,
+    and its sigma-rows x^(b i) p_i(1 - x) as lists in x."""
+    rows = [[0] * (b * i) + _at_one_minus(u.coeffs) if u else []
+            for i, u in enumerate(p.as_s_coeffs())]
+    return list(zip_longest(*rows, fillvalue=0)), rows
+
+
+def _times_factor(den, off, g):
+    """den (1 - sigma x^off g(x)), den a list in x of lists in sigma."""
+    out = [list(r) for r in den] + [[] for _ in range(off + len(g) - 1)]
+    for i, r in enumerate(den):
+        for k, v in enumerate(g, i + off):
+            _mul_into(out[k], (0, v), r, -1)
+    return out
+
+
+def _over(p, c):
+    """p / (1 - c y) to len(p) terms: the running q_j = p_j + c q_(j-1)."""
+    if c == 1:
+        return list(accumulate(p))
+    q, acc = [], 0
+    for v in p:
+        acc = v + c * acc
+        q.append(acc)
+    return q
+
+
+def _cancel(p, bases):
+    """(q, lowest), p = q prod (1 - c y)^(m - l) over the (c, m) in bases
+    and (c, l) in lowest, each power as high as divides up to m: _over is
+    exact when it ends in 0 (or p is 0)."""
+    lowest = []
+    for c, m in bases:
+        while m:
+            q = _over(p, c)
+            if q and q[-1]:
+                break
+            p, m = q[:-1], m - 1
+        lowest.append((c, m))
+    return p, lowest
 
 
 def _solve(rows, rhs):
-    """The solution of a square, invertible linear system over Q."""
+    """Solution of a square, invertible integer system, as Fractions, by
+    fraction-free Gauss-Jordan: row := (pivot * row - row[k] * pivot row)
+    / previous pivot is exact (a minor); det(M) ends on the diagonal."""
     from fractions import Fraction  # here: hilbert and oracle never solve
 
-    m = [[Fraction(v) for v in row] + [Fraction(b)]
-         for row, b in zip(rows, rhs)]
-    for col in range(len(m)):
-        piv = next(r for r in range(col, len(m)) if m[r][col])
-        m[col], m[piv] = m[piv], m[col]
-        m[col] = [v / m[col][col] for v in m[col]]
-        for r in range(len(m)):
-            f = m[r][col]
-            if r != col and f:
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [row[-1] for row in m]
+    m = [list(row) + [b] for row, b in zip(rows, rhs)]
+    prev = 1
+    for k in range(len(m)):
+        piv = next(r for r in range(k, len(m)) if m[r][k])
+        m[k], m[piv] = m[piv], m[k]
+        top, p = m[k], m[k][k]
+        m = [row if row is top else [(p * v - row[k] * w) // prev
+                                     for v, w in zip(row, top)] for row in m]
+        prev = p
+    return [Fraction(row[-1], prev) for row in m]
 
 
 def _poly_at(coeffs, n):
@@ -137,17 +193,16 @@ def _closed_form(a, bases):
     polynomial part adds in.  The c^n n^e (e < m) span the solutions of
     the denominator's recurrence, and deg den consecutive values fix one
     as no c is 0, so the solve is exact."""
-    lowest, den = [], UniPoly.one()
-    for c, m in bases:  # cancel 1 - c*y while a(1/c) = 0: lowest terms
-        while m and UniPoly(a.coeffs[::-1])(c) == 0:
-            a, m = a.exact_div(UniPoly((1, -c))), m - 1
-        lowest.append((c, m))
-        den = den * UniPoly((1, -c)) ** m
-    start = max(0, a.degree - den.degree + 1)
-    values = list(islice(_expand(a.coeffs, den.coeffs), start + den.degree))
+    a, lowest = _cancel(a, bases)  # lowest terms
+    degree = sum(m for _, m in lowest)
+    start = max(0, len(a) - degree)
+    values = (a + [0] * (start + degree))[:start + degree]
+    for c, m in lowest:
+        for _ in range(m):
+            values = _over(values, c)
     cols = [(c, e) for c, m in lowest for e in range(m)]
     sol = _solve([[c ** n * n ** e for c, e in cols]
-                  for n in range(start, start + den.degree)], values[start:])
+                  for n in range(start, start + degree)], values[start:])
     terms = {}
     for (c, _), v in zip(cols, sol):
         terms.setdefault(c, []).append(v)
@@ -158,13 +213,18 @@ def _closed_form(a, bases):
 def _last_zero(terms, start):
     """Largest n >= start where sum_c c^n P_c(n) vanishes, else start - 1.
 
-    Only n below a proven bound N is searched.  With P = P_top of degree d,
-    lead |l| and lower coefficients of absolute sum h, |P(n)| >= |l| n^d/2
-    once n |l| >= 2h; the rest is at most H c2^n n^f for n >= 1 (c2 the
-    next base, H and f the others' absolute coefficient sum and top degree).
-    N is the first n with |l| top^n n^d > 2 H c2^n n^f and top n^g >=
-    c2 (n+1)^g, g = f - d, so the ratio of the sides no longer falls.  With
-    one base (H = 0) it bounds the integer roots of P."""
+    Scaled by their common denominator, which moves no sign or zero, the
+    coefficients are ints.  Only n below a proven bound N is searched.
+    With P = P_top of degree d, lead |l| and lower coefficients of
+    absolute sum h, |P(n)| >= |l| n^d/2 once n |l| >= 2h; the rest is at
+    most H c2^n n^f for n >= 1 (c2 the next base, H and f the others'
+    absolute coefficient sum and top degree).  N is the first n with |l|
+    top^n n^d > 2 H c2^n n^f and top n^g >= c2 (n+1)^g, g = f - d, so the
+    ratio of the sides no longer falls.  With one base (H = 0) it bounds
+    the integer roots of P."""
+    scale = lcm(*(v.denominator for _, p in terms for v in p))
+    terms = [(c, [v.numerator * (scale // v.denominator) for v in p])
+             for c, p in terms]
     (top, p), rest = terms[0], terms[1:]
     d, lead, low = len(p) - 1, abs(p[-1]), sum(abs(v) for v in p[:-1])
     big = sum(abs(v) for _, q in rest for v in q)
@@ -216,30 +276,31 @@ def _growth(rep):
         return 0, 0, (), rep.numerator.deg_s() + 1
     big_b = max(tp for tp, _ in rep.factors)
     t_powers = sum(tp for tp, _ in rep.factors)
-    num = _subst(rep.numerator, big_b)
-    den = BiPoly.one()
+    num, rows = _subst(rep.numerator, big_b)
+    # a factor is x^tp (1 - sigma x^(B-tp) g(x)), g = f(1-x): x_den drops x^tp
+    gs = {f: _at_one_minus(f.coeffs) for _, f in rep.factors}
+    x_den = [[1]]
     for tp, f in rep.factors:
-        den = den * factor_base(tp, f)
-    # each factor becomes x^tp (1 - sigma x^(B-tp) f(1-x)): drop the x^tp
-    x_den = _subst(den, big_b).as_s_coeffs()[t_powers:]
+        x_den = _times_factor(x_den, big_b - tp, gs[f])
     # k0 <= ord_x N(1/g(x), x) for g(x) = f(1-x) of a factor of t-power B,
-    # finite because the series is reduced
-    g = _at_one_minus(next(f for tp, f in rep.factors if tp == big_b))
-    on_curve = UniPoly()
-    for (k, i), c in num.terms.items():
-        on_curve = on_curve + (g ** (num.deg_t() - i) * c).shift(k)
-    bound = next((k for k, c in enumerate(on_curve.coeffs) if c), -1)
+    # finite because the series is reduced: g^D N(1/g, x) by Horner in g
+    g = gs[next(f for tp, f in rep.factors if tp == big_b)]
+    on_curve = []
+    for row in rows:
+        on_curve = _mul_into(list(row), on_curve, g)
+    bound = next((k for k, c in enumerate(on_curve) if c), -1)
+    # x_den[0] = U(sigma, 0) is the product of these 1 - c sigma
+    bases = sorted(Counter(f(1) for tp, f in rep.factors
+                           if tp == big_b).items())
     onset = 0
-    for k0, a in zip(range(bound + 1), _expand(num.as_s_coeffs(), x_den)):
-        try:
-            onset = max(onset, a.exact_div(x_den[0] ** (k0 + 1)).degree + 1)
-        except NonDivisible:
+    for k0, a in zip(range(bound + 1), _expand(num, x_den)):
+        q, left = _cancel(a, [(c, m * (k0 + 1)) for c, m in bases])
+        if any(m for _, m in left):
             break
+        onset = max(onset, len(q))
     else:
         raise NotConformant("series is not reduced")
-    bases = Counter(f(1) for tp, f in rep.factors if tp == big_b)
-    start, terms = _closed_form(
-        a, [(c, m * (k0 + 1)) for c, m in sorted(bases.items())])
+    start, terms = _closed_form(a, [(c, m * (k0 + 1)) for c, m in bases])
     onset = max(onset, start, _last_zero(terms, start) + 1)
     return big_b, rep.one_minus_t_power + t_powers - k0, terms, onset
 
@@ -294,6 +355,7 @@ def fixed_degree_polynomial(result, j):
         raise NotConformant(f"denominator at t = 0 is not a power of 1-s: "
                             f"{den[0]}")
     k = j + result.t_prefactor
-    c = next(islice(_expand(t_coeffs(rat.num), den), k, None))
+    c = next(islice(_expand([u.coeffs for u in t_coeffs(rat.num)],
+                            [u.coeffs for u in den]), k, None))
     start, terms = _closed_form(c, [(1, power * (k + 1))])
     return DegreeFit(j, start, terms[0][1] if terms else (0,))

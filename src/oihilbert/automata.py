@@ -9,6 +9,7 @@ determinizing yields a DFA whose transfer matrix gives the bivariate
 Hilbert series exactly.
 """
 
+from functools import cache
 from math import isqrt
 
 from .errors import NonDivisible, OihError
@@ -60,11 +61,13 @@ def empty_dfa(letters):
     return Dfa(letters, 0, -1, EMPTY_ACCEPTS, {})
 
 
+@cache
 def lstd_dfa(c, d):
     """DFA for the language of standard words with c colors, rank d.
 
     State = (highest marker index so far, zero-markers started, last color
-    in the current variable run; 0 right after a marker).
+    in the current variable run; 0 right after a marker).  It depends on
+    (c, d) alone and nothing mutates a Dfa, so each pair is built once.
     """
     letters = alphabet(c, d)
     start = (0, False, 0)
@@ -525,16 +528,25 @@ def _pack_size(rows, rhs, tb=0):
     term 1).  Returns the stride, one past the degree bound, and
     (1 + sum_i l1(b_i)) * H.
     """
-    top = max(b.deg_t() for b in rhs) - tb
+    top, norm = -1, 0
+    for b in rhs:
+        for (_, j), v in b.terms.items():
+            top, norm = max(top, j), norm + abs(v)
+    seen = {}  # id of a shared entry -> (l1 norm squared, t-degree)
     cols = {}
     square = 1
     for row in rows:
-        square *= sum(_l1(p) ** 2 for p in row.values())
+        total = 0
         for j, p in row.items():
-            cols[j] = max(cols.get(j, 0), p.deg_t())
-    degree = sum(cols.values()) + max(0, top - min(cols.values()))
-    bound = (1 + sum(_l1(b) for b in rhs)) * (isqrt(square) + 1)
-    return 1 + degree, bound
+            got = seen.get(id(p))
+            if got is None:
+                got = seen[id(p)] = (_l1(p) ** 2, p.deg_t())
+            total += got[0]
+            if got[1] >= cols.get(j, 0):
+                cols[j] = got[1]
+        square *= total
+    degree = sum(cols.values()) + max(0, top - tb - min(cols.values()))
+    return 1 + degree, (1 + norm) * (isqrt(square) + 1)
 
 
 def _solve_component(rows, rhs, first):
@@ -652,9 +664,11 @@ def generating_function(dfa):
     Each determinant enters the denominator split by split_content, so
     every factor is 1-t or the rest of a determinant after its
     (1-t)-power, each with constant term 1.  A component of one state
-    needs no elimination: its determinant is its one entry.  Components of
-    one automaton repeat their cofactor products and determinants, so the
-    call memoizes both: cofactors by their lacking factor powers
+    needs no elimination: its determinant is its one entry.  A factor
+    tuple is a dict {id: exponent}, each split piece numbered as it first
+    appears; the answer's FactoredRational is built at the end.  Components
+    of one automaton repeat their cofactor products and determinants, so
+    the call memoizes both: cofactors by their lacking factor powers
     (common_denominator), splits by the determinant.
     """
     if dfa.n == 0 or not dfa.accepts:
@@ -671,9 +685,11 @@ def generating_function(dfa):
         entry.update(r for r in succ.get(q, ()) if where[r] != i)
     x = {}
     home = {}
-    tuples = []
-    cofactors = {}
-    splits = {}
+    tuples = []  # per component: {factor id: exponent}
+    bases = {}  # factor id -> base
+    ids = {}  # base key -> factor id
+    products = {}  # sorted (factor id, exponent) pairs -> their product
+    splits = {}  # determinant key -> its (factor id, exponent) pairs
     entries = {}  # (d, a, b) -> d - a*t - b*s
     for comp in sccs:
         inner = [q for q in comp if q not in entry]
@@ -707,7 +723,7 @@ def generating_function(dfa):
         accepting = not dfa.accepts.isdisjoint(comp)
         # the empty tuple's cofactor is the expanded denominator
         top, cofs = common_denominator(
-            [tuples[c] for c in reached] + [()] * accepting, cofactors)
+            [tuples[c] for c in reached] + [{}] * accepting, bases, products)
         den = cofs.pop() if accepting else zero
         cofs = dict(zip(reached, cofs))
         nums = []
@@ -726,9 +742,16 @@ def generating_function(dfa):
             det, nums = _solve_component(rows, nums, first)
         pieces = splits.get(det.key())
         if pieces is None:
-            pieces = splits[det.key()] = tuple(split_content(det))
-        tuples.append(FactoredRational(one, top + pieces).factors)
+            pieces = splits[det.key()] = []
+            for base, e in split_content(det):
+                i = ids.setdefault(base.key(), len(ids))
+                bases[i] = base
+                pieces.append((i, e))
+        for i, e in pieces:
+            top[i] = top.get(i, 0) + e
+        tuples.append(top)
         for q, num in zip(comp[first:], nums):
             x[q] = num
             home[q] = len(tuples) - 1
-    return FactoredRational(x[dfa.start], tuples[home[dfa.start]])
+    return FactoredRational(x[dfa.start], [
+        (bases[i], e) for i, e in tuples[home[dfa.start]].items()])

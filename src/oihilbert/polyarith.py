@@ -93,12 +93,6 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def shift(self, k):
-        """Multiply by t^k (k >= 0)."""
-        if self.is_zero():
-            return self
-        return UniPoly((0,) * k + self.coeffs)
-
     def exact_div(self, other):
         """Exact quotient self / other; raises NonDivisible otherwise."""
         if other.is_zero():
@@ -405,33 +399,29 @@ def _misses_root(num, b0, b1):
     return acc != 0
 
 
-def common_denominator(factor_tuples, memo=None):
-    """The multiset maximum of a sequence of factor tuples, and each
-    tuple's cofactor: the product of the factor powers it lacks against
-    that maximum.  memo maps a tuple of lacking (key, exponent) pairs, in
-    the maximum's order, to their product; pass one dict to calls whose
-    cofactors repeat."""
+def common_denominator(factor_tuples, bases, memo):
+    """The multiset maximum of a sequence of factor tuples, each a dict
+    {id: exponent} with bases[id] the factor and ids sortable, as a new
+    dict, and each tuple's cofactor: the product of the factor powers it
+    lacks against that maximum.  memo maps a cofactor's sorted (id,
+    exponent) pairs to it; pass one dict to calls whose cofactors repeat."""
     top = {}
     for factors in factor_tuples:
-        for base, e in factors:
-            got = top.get(base.key())
-            if got is None or got[1] < e:
-                top[base.key()] = (base, e)
-    if memo is None:
-        memo = {}
+        for i, e in factors.items():
+            if top.get(i, 0) < e:
+                top[i] = e
     cofactors = []
     for factors in factor_tuples:
-        have = {b.key(): e for b, e in factors}
-        lack = tuple((key, e - have.get(key, 0))
-                     for key, (_, e) in top.items() if e > have.get(key, 0))
+        lack = tuple(sorted((i, e - factors.get(i, 0))
+                            for i, e in top.items() if e > factors.get(i, 0)))
         out = memo.get(lack)
         if out is None:
             out = BiPoly.one()
-            for key, e in lack:
-                out = out * top[key][0] ** e
+            for i, e in lack:
+                out = out * bases[i] ** e
             memo[lack] = out
         cofactors.append(out)
-    return tuple(top.values()), cofactors
+    return top, cofactors
 
 
 class FactoredRational:
@@ -480,8 +470,12 @@ class FactoredRational:
             return other
         if other.is_zero():
             return self
-        merged, (cs, co) = common_denominator((self.factors, other.factors))
-        return FactoredRational(self.num * cs + other.num * co, merged)
+        bases = {b.key(): b for b, _ in self.factors + other.factors}
+        top, (cs, co) = common_denominator(
+            [{b.key(): e for b, e in r.factors} for r in (self, other)],
+            bases, {})
+        return FactoredRational(self.num * cs + other.num * co,
+                                [(bases[k], e) for k, e in top.items()])
 
     def __sub__(self, other):
         return self + (-other)

@@ -4,28 +4,34 @@ in the standard-word language, running a DFA on one word, counting a
 DFA's accepted words by path counts, the unpruned subset construction,
 the greatest simulation as a pairwise fixpoint, Moore minimization,
 equality of rational functions by cross-multiplication, the geometric
-polynomial,
+polynomial and t^k,
 the schoolbook product and per-digit unpacking of bivariate polynomials,
 reduction of a factored rational function by trial division alone,
 the paper's pseudo-division criterion for eventual finite length,
 written with sympy rather than the package's own polynomial
-arithmetic, the series window cell by cell against the product
-denominator, the width-wise series by a fresh enumeration of the
-images at each width and a numerator recursion on exponent tuples, the
-width-wise Krull dimension, multiplicity and size invariants, and the
-decomposition identities: the width-n slice identity and the
-repeated-division identity."""
+arithmetic, the eventual growth and fixed-degree readouts on UniPoly
+and BiPoly with a Fraction solve, the series window cell by cell
+against the product denominator, the width-wise series by a fresh
+enumeration of the images at each width and a numerator recursion on
+exponent tuples, the width-wise Krull dimension, multiplicity and size
+invariants, and the decomposition identities: the width-n slice
+identity and the repeated-division identity."""
 
-from itertools import chain, combinations, compress, product
+from collections import Counter
+from fractions import Fraction
+from itertools import chain, combinations, compress, count, islice, product
 from math import comb
 from math import inf
 from operator import le
 
 import sympy
 
+from oihilbert.analysis import factor_base
 from oihilbert.automata import Dfa, empty_dfa
 from oihilbert.decomposition import compute_decomposition
 from oihilbert.errors import (
+    NonDivisible,
+    NotConformant,
     NotInLanguage,
     OihError,
     SingularAtOrigin,
@@ -280,6 +286,11 @@ def equals_cross_mul(a, b):
     return a.num * b.den_expanded() == b.num * a.den_expanded()
 
 
+def t_power(k):
+    """t^k as a UniPoly."""
+    return UniPoly((0,) * k + (1,))
+
+
 def geometric(e):
     """1 + t + ... + t^e."""
     return UniPoly((1,) * (e + 1))
@@ -353,6 +364,149 @@ def paper_artinian(rep):
     rem = sympy.prem(_expr(rep.numerator), den, S)
     a = rep.one_minus_t_power
     return sympy.rem(rem, (1 - T) ** a, T) == 0
+
+
+def _ref_expand(num, den):
+    """A_0, A_1, ... with num/den = sum_k A_k / den_0^(k+1) * x^k, for
+    coefficient lists in x over Z or Z[y], each A_k from scratch."""
+    out = []
+    for k in count():
+        acc = (num[k] if k < len(num) else 0) * den[0] ** k
+        for i in range(1, min(k, len(den) - 1) + 1):
+            acc = acc - den[i] * out[k - i] * den[0] ** (i - 1)
+        out.append(acc)
+        yield acc
+
+
+def _ref_at_one_minus(u):
+    """u(1 - x) as a UniPoly in x, one product per coefficient."""
+    out = UniPoly()
+    for c in reversed(u.coeffs):
+        out = out * UniPoly((1, -1)) + UniPoly((c,))
+    return out
+
+
+def _ref_subst(p, b):
+    """p(sigma x^b, 1 - x) as a BiPoly keyed (x-degree, sigma-degree)."""
+    return BiPoly({(b * i + k, i): c for i, u in enumerate(p.as_s_coeffs())
+                   for k, c in enumerate(_ref_at_one_minus(u).coeffs)})
+
+
+def _ref_solve(rows, rhs):
+    """Gauss-Jordan over Q, on Fractions throughout."""
+    m = [[Fraction(v) for v in row] + [Fraction(b)]
+         for row, b in zip(rows, rhs)]
+    for col in range(len(m)):
+        piv = next(r for r in range(col, len(m)) if m[r][col])
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [v / m[col][col] for v in m[col]]
+        for r in range(len(m)):
+            f = m[r][col]
+            if r != col and f:
+                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    return [row[-1] for row in m]
+
+
+def _ref_closed_form(a, bases):
+    """(start, terms) of [y^n] a(y) / prod (1 - c*y)^m, a a UniPoly:
+    cancel by trial exact division, then solve on Fractions."""
+    lowest, den = [], UniPoly.one()
+    for c, m in bases:
+        while m and UniPoly(a.coeffs[::-1])(c) == 0:
+            a, m = a.exact_div(UniPoly((1, -c))), m - 1
+        lowest.append((c, m))
+        den = den * UniPoly((1, -c)) ** m
+    start = max(0, a.degree - den.degree + 1)
+    values = list(islice(_ref_expand(a.coeffs, den.coeffs),
+                         start + den.degree))
+    cols = [(c, e) for c, m in lowest for e in range(m)]
+    sol = _ref_solve([[c ** n * n ** e for c, e in cols]
+                      for n in range(start, start + den.degree)],
+                     values[start:])
+    terms = {}
+    for (c, _), v in zip(cols, sol):
+        terms.setdefault(c, []).append(v)
+    return start, tuple(
+        (c, tuple(p)) for c, p in sorted(terms.items(), reverse=True))
+
+
+def _ref_exp_poly_at(terms, n):
+    return sum(c ** n * sum(v * n ** e for e, v in enumerate(p))
+               for c, p in terms)
+
+
+def _ref_last_zero(terms, start):
+    """The last zero of sum_c c^n P_c(n) from start on, else start - 1,
+    searched below the bound of analysis._last_zero on the Fractions."""
+    (top, p), rest = terms[0], terms[1:]
+    d, lead, low = len(p) - 1, abs(p[-1]), sum(abs(v) for v in p[:-1])
+    big = sum(abs(v) for _, q in rest for v in q)
+    c2 = max((c for c, _ in rest), default=1)
+    f = max((len(q) - 1 for _, q in rest), default=0)
+    n = 1
+    while not (n * lead >= 2 * low
+               and lead * top ** n * n ** d > 2 * big * c2 ** n * n ** f
+               and top * n ** max(f - d, 0) >= c2 * (n + 1) ** max(f - d, 0)):
+        n += 1
+    return next((m for m in range(n - 1, start - 1, -1)
+                 if _ref_exp_poly_at(terms, m) == 0), start - 1)
+
+
+def growth_reference(rep):
+    """(slope, intercept, terms, onset) as analysis._growth gives them,
+    on UniPoly and BiPoly throughout: the denominator as a BiPoly product
+    substituted with its first x-rows dropped, the curve term by term with
+    one power of g each, divisibility by UniPoly.exact_div and the closed
+    form solved on Fractions."""
+    if not rep.conformant:
+        raise NotConformant(f"unrecognized factor: {rep.leftover}")
+    if not rep.factors:
+        return 0, 0, (), rep.numerator.deg_s() + 1
+    big_b = max(tp for tp, _ in rep.factors)
+    t_powers = sum(tp for tp, _ in rep.factors)
+    num = _ref_subst(rep.numerator, big_b)
+    den = BiPoly.one()
+    for tp, f in rep.factors:
+        den = den * factor_base(tp, f)
+    x_den = _ref_subst(den, big_b).as_s_coeffs()[t_powers:]
+    g = _ref_at_one_minus(next(f for tp, f in rep.factors if tp == big_b))
+    on_curve = UniPoly()
+    for (k, i), c in num.terms.items():
+        on_curve = on_curve + UniPoly(
+            (0,) * k + (g ** (num.deg_t() - i) * c).coeffs)
+    bound = next((k for k, c in enumerate(on_curve.coeffs) if c), -1)
+    onset = 0
+    for k0, a in zip(range(bound + 1), _ref_expand(num.as_s_coeffs(), x_den)):
+        try:
+            onset = max(onset, a.exact_div(x_den[0] ** (k0 + 1)).degree + 1)
+        except NonDivisible:
+            break
+    else:
+        raise NotConformant("series is not reduced")
+    bases = Counter(f(1) for tp, f in rep.factors if tp == big_b)
+    start, terms = _ref_closed_form(
+        a, [(c, m * (k0 + 1)) for c, m in sorted(bases.items())])
+    onset = max(onset, start, _ref_last_zero(terms, start) + 1)
+    return big_b, rep.one_minus_t_power + t_powers - k0, terms, onset
+
+
+def fixed_degree_reference(result, j):
+    """(onset, coefficients) of analysis.fixed_degree_polynomial, on
+    UniPoly throughout."""
+    rat = result.rational
+
+    def t_coeffs(p):
+        return BiPoly({(b, a): v for (a, b), v in p.terms.items()}).as_s_coeffs()
+
+    den = t_coeffs(rat.den_expanded())
+    rest, power = one_minus_t_order(den[0])
+    if rest != UniPoly.one():
+        raise NotConformant(f"denominator at t = 0 is not a power of 1-s: "
+                            f"{den[0]}")
+    k = j + result.t_prefactor
+    c = next(islice(_ref_expand(t_coeffs(rat.num), den), k, None))
+    start, terms = _ref_closed_form(c, [(1, power * (k + 1))])
+    return start, terms[0][1] if terms else (0,)
 
 
 def _truncate(p, n_max, j_max):
@@ -476,7 +630,7 @@ def _tuple_split(gens, memo):
         return out
     if len(gens) == 1:
         (g,) = gens
-        return UniPoly.one() - UniPoly.one().shift(sum(g))
+        return UniPoly.one() - t_power(sum(g))
     nvars = len(next(iter(gens)))
     counts = [len(col) - col.count(0) for col in zip(*gens)]
     piv = max(range(nvars), key=counts.__getitem__)
@@ -489,7 +643,7 @@ def _tuple_split(gens, memo):
         run = UniPoly((0,) * lo + (1,) * (hi - lo))
         out = out + _tuple_kpoly(plus, memo) * run
     colon = _min_tuples(g[:piv] + (0,) + g[piv + 1:] for g in gens)
-    return out + _tuple_kpoly(colon, memo).shift(levels[-1])
+    return out + _tuple_kpoly(colon, memo) * t_power(levels[-1])
 
 
 def images_at_width(p, n):
@@ -514,13 +668,13 @@ def hilbert_width_reference(p, n, quotient=True):
         comps.setdefault((summand, pi), set()).add(tuple(chain(*cols)))
     ideal = UniPoly.zero()
     for (k, _), gens in comps.items():
-        ideal = ideal + (UniPoly.one() - kpoly_reference(gens)).shift(
+        ideal = ideal + (UniPoly.one() - kpoly_reference(gens)) * t_power(
             p.shift_of(k))
     if not quotient:
         return WidthSeries(ideal, p.c * n)
     free = UniPoly.zero()
     for d, shift in p.summands:
-        free = free + UniPoly((comb(n, d),)).shift(shift)
+        free = free + UniPoly((comb(n, d),)) * t_power(shift)
     return WidthSeries(free - ideal, p.c * n)
 
 
@@ -644,5 +798,5 @@ def repeated_division_sides(p, n):
         gens = colon_width(p, e, n) + col1
         part = hilbert_width(p.with_generators(minimalize(gens)), n)
         gamma = sum(1 for x in e if x == r)
-        rhs = rhs + _as_rational(part.num.shift(sum(e)), part.den_pow + gamma)
+        rhs = rhs + _as_rational(part.num * t_power(sum(e)), part.den_pow + gamma)
     return lhs, rhs

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -10,6 +12,8 @@ from oihilbert.analysis import (
     DimensionGrowth,
     MultiplicityGrowth,
     ShapeReport,
+    _exp_poly_at,
+    _growth,
     _last_zero,
     artinian_test,
     asymptotic_dimension,
@@ -18,13 +22,17 @@ from oihilbert.analysis import (
     validate_shape,
 )
 from oihilbert.decomposition import Decomposition
+from oihilbert.errors import NotConformant
 from oihilbert.oicore import Monomial, ModulePresentation
 from oihilbert.polyarith import BiPoly, FactoredRational, UniPoly, split_content
-from oihilbert.schema import InputDocument, parse_document
+from oihilbert.schema import InputDocument, load_document, parse_document
 from oihilbert.series import SeriesResult, free_series, module_series
 
 from corpus import random_presentation
-from oracles import ZeroModule, dim_deg_width, equals_cross_mul, paper_artinian
+from oracles import (ZeroModule, dim_deg_width, equals_cross_mul,
+                     fixed_degree_reference, growth_reference, paper_artinian)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def ideal(c, *gens):
@@ -324,6 +332,22 @@ class TestExactGrowth:
         assert _last_zero(((3, (one,)), (2, (0 * one, -one))), 0) == -1
         assert _last_zero(((2, (one, -one)), (1, (4 * one,))), 0) == 2
 
+    @pytest.mark.parametrize("terms,start,last", [
+        # (2 n^2 - 15 n + 18) / 6 = (n - 6)(2 n - 3) / 6
+        (((1, (Fraction(3), Fraction(-5, 2), Fraction(1, 3))),), 2, 6),
+        (((1, (Fraction(3), Fraction(-5, 2), Fraction(1, 3))),), 7, 6),
+        # 2^n / 3 - n / 2 - 55 / 3, zero at n = 6
+        (((2, (Fraction(1, 3),)), (1, (Fraction(-55, 3), Fraction(-1, 2)))),
+         1, 6),
+    ])
+    def test_last_zero_with_mixed_denominators(self, terms, start, last):
+        # scaling by the common denominator moves no zero: direct
+        # evaluation on Fractions, well past the proven bound, agrees
+        assert _exp_poly_at(terms, 6) == 0
+        direct = max((n for n in range(start, 200)
+                      if _exp_poly_at(terms, n) == 0), default=start - 1)
+        assert _last_zero(terms, start) == direct == last
+
 
 class TestMultiplicityGrowth:
     def test_principal_powers(self):
@@ -409,6 +433,53 @@ class TestFixedDegree:
                     depth += 1
                 assert row and len(row) >= 2, (f.coeffs, j)
                 assert depth <= j + 1
+
+
+def _outcome(fn, *args):
+    """repr of fn(*args), or the NotConformant it raises."""
+    try:
+        return repr(fn(*args))
+    except NotConformant as err:
+        return f"NotConformant: {err}"
+
+
+def _readout_documents():
+    """(presentation, quotient) of every oracle-analyze corpus document,
+    each shipped input and 100 seeded random presentations."""
+    corpus = json.loads((ROOT / "perfbench" / "corpus" /
+                         "oracle-analyze.json").read_text())
+    docs = [parse_document(e["doc"]) for e in corpus["docs"]]
+    docs += [load_document(str(path))
+             for path in sorted((ROOT / "inputs").glob("*.json"))]
+    out = [(d.effective_presentation(), d.quotient) for d in docs]
+    rng = random.Random(3030)
+    return out + [(random_presentation(rng), True) for _ in range(100)]
+
+
+class TestReadoutReference:
+    def test_growth_matches_reference(self):
+        # the integer-list kernels against the UniPoly readout of
+        # oracles.growth_reference, on the reduced shape reports; repr
+        # also pins the Fraction coefficients of the terms.  The shape
+        # of each unreduced series, taken as it stands, reaches "series
+        # is not reduced" too
+        docs = _readout_documents()
+        assert len(docs) == 480 + 7 + 100
+        raised = 0
+        for n, (p, quotient) in enumerate(docs):
+            res = module_series(p, quotient=quotient, reduce=True)
+            raw = module_series(p, quotient=quotient)._replace(reduced=True)
+            for rep in (validate_shape(res, p.c), validate_shape(raw, p.c)):
+                got = _outcome(_growth, rep)
+                assert got == _outcome(growth_reference, rep), n
+                raised += got == "NotConformant: series is not reduced"
+            if n < 100:  # the first 100 corpus documents
+                for j in range(5):
+                    got = _outcome(lambda: tuple(
+                        fixed_degree_polynomial(res, j))[1:])
+                    assert got == _outcome(
+                        fixed_degree_reference, res, j), (n, j)
+        assert raised > 100
 
 
 _FREE = free_series(1, 0)

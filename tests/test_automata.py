@@ -164,6 +164,27 @@ class TestLstdDfa:
             for word in itertools.product(alphabet(c, d), repeat=4):
                 assert run_dfa(small, word) == run_dfa(dfa, word)
 
+    def test_built_once_per_pair(self):
+        for c, d in [(1, 0), (1, 1), (2, 1), (2, 2)]:
+            assert lstd_dfa(c, d) is lstd_dfa(c, d)
+        assert lstd_dfa(1, 1) is not lstd_dfa(1, 2)
+
+    def test_module_dfa_leaves_it_unchanged(self):
+        # the memo hands every summand of one (c, d) the same object
+        rng = random.Random(4242)
+        docs = [random_presentation(rng) for _ in range(40)]
+        pairs = {(p.c, d) for p in docs for d, _ in p.summands}
+        before = {cd: (dict(lstd_dfa(*cd).trans), lstd_dfa(*cd).accepts,
+                       lstd_dfa(*cd).start) for cd in pairs}
+        for p in docs:
+            for idx, (d, _) in enumerate(p.summands):
+                gens = [g for g in p.generators if g.summand == idx]
+                module_dfa(p.c, d, gens)
+        for cd, (trans, accepts, start) in before.items():
+            dfa = lstd_dfa(*cd)
+            assert (dfa.trans, dfa.accepts, dfa.start) == (
+                trans, accepts, start), cd
+
 
 def random_partial_dfa(rng, letters=None):
     """1-3 letters unless given, up to 40 states, a random start, each
@@ -671,29 +692,31 @@ class TestGeneratingFunction:
         assert expand_series(gf, 4, 4) == word_count_window(dfa, 4, 4)
 
     def test_cofactor_memo_matches_direct_product(self):
-        # one memo across many (top, factors) pairs, as one
-        # generating_function call shares it across components; a factor
-        # power past top's raises the maximum and adds nothing to the
-        # cofactor of factors
+        # one product memo across many draws, as one generating_function
+        # call shares it across components; factor tuples are dicts
+        # {factor id: exponent} over one list of bases, and a factor power
+        # past another tuple's raises the maximum and adds nothing to that
+        # tuple's cofactor
         one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.term(0, 1)
-        pool = [one - t, one + t, one - s, one - s * t - t * t,
-                one - s - s * t * 2]
+        bases = [one - t, one + t, one - s, one - s * t - t * t,
+                 one - s - s * t * 2]
         rng = random.Random(505)
-        memo = {}
+        products = {}
         for _ in range(300):
-            top = {b.key(): (b, rng.randint(1, 3))
-                   for b in rng.sample(pool, rng.randint(0, len(pool)))}
-            factors = tuple((b, rng.randint(1, 3)) for b, _ in rng.sample(
-                list(top.values()), rng.randint(0, len(top))))
-            have = {b.key(): e for b, e in factors}
-            want = one
-            for key, (b, e) in top.items():
-                for _ in range(e - have.get(key, 0)):
-                    want = want * b
-            _, (_, cofactor) = common_denominator(
-                (tuple(top.values()), factors), memo)
-            assert cofactor == want
-        assert len(memo) < 300
+            tuples = [{i: rng.randint(1, 3) for i in rng.sample(
+                range(len(bases)), rng.randint(0, len(bases)))}
+                for _ in range(rng.randint(1, 3))]
+            top, cofactors = common_denominator(tuples, bases, products)
+            assert top == {i: max(f.get(i, 0) for f in tuples)
+                           for f in tuples for i in f}
+            for factors, cofactor in zip(tuples, cofactors):
+                want = one
+                for i, e in top.items():
+                    for _ in range(e - factors.get(i, 0)):
+                        want = want * bases[i]
+                assert cofactor == want, (tuples, factors)
+            assert all(top is not f for f in tuples)
+        assert len(products) < 300
 
     def test_dead_cycle_contributes_nothing(self):
         # 1 <-x1-> 2 reaches no accepting state: a component whose

@@ -340,9 +340,9 @@ class TestFactoredRational:
         # and builds no common denominator to multiply by the zero
         calls = []
 
-        def counted(factor_tuples, memo=None):
+        def counted(factor_tuples, bases, memo):
             calls.append(factor_tuples)
-            return common_denominator(factor_tuples, memo)
+            return common_denominator(factor_tuples, bases, memo)
 
         monkeypatch.setattr(polyarith, "common_denominator", counted)
         zero = FactoredRational.zero()
