@@ -8,7 +8,7 @@ from itertools import accumulate, count, islice, zip_longest
 from math import lcm
 
 from .errors import NotConformant
-from .polyarith import ONE_MINUS_T, BiPoly, UniPoly, one_minus_t_order
+from .polyarith import ONE_MINUS_T, BiPoly, mul_into, one_minus_t_order
 
 
 class ShapeReport(namedtuple("ShapeReport", "conformant one_minus_t_power "
@@ -18,33 +18,34 @@ class ShapeReport(namedtuple("ShapeReport", "conformant one_minus_t_power "
     Anything unclassifiable is multiplied into `leftover`.
 
     conformant: bool; one_minus_t_power: int; factors: tuple of
-    (t_power, growth: UniPoly), repeated by multiplicity; leftover: BiPoly,
-    or None when everything classified; numerator: BiPoly."""
+    (t_power, growth), growth a coefficient tuple in t without trailing
+    zeros, repeated by multiplicity; leftover: BiPoly, or None when
+    everything classified; numerator: BiPoly."""
 
     __slots__ = ()
 
 
 def factor_base(t_power, growth):
     """The denominator factor (1-t)^t_power - s*growth(t)."""
-    return ONE_MINUS_T ** t_power - BiPoly.s() * BiPoly.from_uni_t(growth)
+    return ONE_MINUS_T ** t_power - BiPoly.from_s_coeffs([(), growth])
 
 
 def _classify_factor(b, c):
     """(t_power, growth) for a conforming factor, else None."""
     if b.deg_s() != 1:
         return None
-    coeffs = b.as_s_coeffs()
-    b0, b1 = coeffs[0], -coeffs[1]
-    tp = b0.degree
-    if not (0 <= tp <= c) or b0 != UniPoly((1, -1)) ** tp:
+    b0, b1 = b.as_s_coeffs()
+    tp = len(b0) - 1
+    if not (0 <= tp <= c) or b0 != _at_one_minus([0] * tp + [1]):
         return None
-    if not b1.coeffs or b1.coeffs[0] != 1 or b1(1) <= 0:
+    f = tuple(-v for v in b1)
+    if f[0] != 1 or sum(f) <= 0:
         return None
     if c == 1:
         # single-row refinement: only 1-t-s and 1-s(1+t+...+t^e) occur
-        if any(fc != 1 for fc in b1.coeffs) or (tp == 1 and b1.degree > 0):
+        if any(fc != 1 for fc in f) or (tp == 1 and len(f) > 1):
             return None
-    return tp, b1
+    return tp, f
 
 
 def validate_shape(result, c):
@@ -73,20 +74,8 @@ def validate_shape(result, c):
             leftover = piece if leftover is None else leftover * piece
         else:
             linear.extend([cf] * mult)
-    return ShapeReport(leftover is None, power, tuple(sorted(
-        linear, key=lambda p: (p[0], p[1].coeffs))), leftover, reduced.num)
-
-
-def _mul_into(acc, a, b, sign=1):
-    """acc + sign * a * b, extending the list acc in place."""
-    if a and b:
-        acc.extend([0] * (len(a) + len(b) - 1 - len(acc)))
-        for i, u in enumerate(a):
-            if u:
-                u *= sign
-                for j, v in enumerate(b, i):
-                    acc[j] += u * v
-    return acc
+    return ShapeReport(leftover is None, power, tuple(sorted(linear)),
+                       leftover, reduced.num)
 
 
 def _expand(num, den):
@@ -95,16 +84,16 @@ def _expand(num, den):
     >= 1) (den_i den_0^(i-1), formed once) A_(k-i) stays in Z[y]."""
     power, scaled, out = [1], [], []
     for k in count():
-        acc = _mul_into([], num[k], power) if k < len(num) else []
+        acc = mul_into([], num[k], power) if k < len(num) else []
         for i, e in enumerate(scaled, 1):
-            _mul_into(acc, e, out[k - i], -1)
+            mul_into(acc, e, out[k - i], -1)
         while acc and not acc[-1]:  # so that len(acc) - 1 is its degree
             acc.pop()
         out.append(acc)
         yield acc
         if k + 1 < len(den):
-            scaled.append(_mul_into([], den[k + 1], power))
-        power = _mul_into([], power, den[0])
+            scaled.append(mul_into([], den[k + 1], power))
+        power = mul_into([], power, den[0])
 
 
 def _at_one_minus(u):
@@ -119,7 +108,7 @@ def _at_one_minus(u):
 def _subst(p, b):
     """p(sigma x^b, 1 - x) as a list in x of coefficient tuples in sigma,
     and its sigma-rows x^(b i) p_i(1 - x) as lists in x."""
-    rows = [[0] * (b * i) + _at_one_minus(u.coeffs) if u else []
+    rows = [[0] * (b * i) + _at_one_minus(u) if u else []
             for i, u in enumerate(p.as_s_coeffs())]
     return list(zip_longest(*rows, fillvalue=0)), rows
 
@@ -129,7 +118,7 @@ def _times_factor(den, off, g):
     out = [list(r) for r in den] + [[] for _ in range(off + len(g) - 1)]
     for i, r in enumerate(den):
         for k, v in enumerate(g, i + off):
-            _mul_into(out[k], (0, v), r, -1)
+            mul_into(out[k], (0, v), r, -1)
     return out
 
 
@@ -278,7 +267,7 @@ def _growth(rep):
     t_powers = sum(tp for tp, _ in rep.factors)
     num, rows = _subst(rep.numerator, big_b)
     # a factor is x^tp (1 - sigma x^(B-tp) g(x)), g = f(1-x): x_den drops x^tp
-    gs = {f: _at_one_minus(f.coeffs) for _, f in rep.factors}
+    gs = {f: _at_one_minus(f) for _, f in rep.factors}
     x_den = [[1]]
     for tp, f in rep.factors:
         x_den = _times_factor(x_den, big_b - tp, gs[f])
@@ -287,10 +276,10 @@ def _growth(rep):
     g = gs[next(f for tp, f in rep.factors if tp == big_b)]
     on_curve = []
     for row in rows:
-        on_curve = _mul_into(list(row), on_curve, g)
+        on_curve = mul_into(list(row), on_curve, g)
     bound = next((k for k, c in enumerate(on_curve) if c), -1)
     # x_den[0] = U(sigma, 0) is the product of these 1 - c sigma
-    bases = sorted(Counter(f(1) for tp, f in rep.factors
+    bases = sorted(Counter(sum(f) for tp, f in rep.factors
                            if tp == big_b).items())
     onset = 0
     for k0, a in zip(range(bound + 1), _expand(num, x_den)):
@@ -351,11 +340,10 @@ def fixed_degree_polynomial(result, j):
 
     den = t_coeffs(rat.den_expanded())
     rest, power = one_minus_t_order(den[0])
-    if rest != UniPoly.one():
+    if rest != [1]:
         raise NotConformant(f"denominator at t = 0 is not a power of 1-s: "
                             f"{den[0]}")
     k = j + result.t_prefactor
-    c = next(islice(_expand([u.coeffs for u in t_coeffs(rat.num)],
-                            [u.coeffs for u in den]), k, None))
+    c = next(islice(_expand(t_coeffs(rat.num), den), k, None))
     start, terms = _closed_form(c, [(1, power * (k + 1))])
     return DegreeFit(j, start, terms[0][1] if terms else (0,))

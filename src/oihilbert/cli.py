@@ -44,7 +44,7 @@ def _shape_obj(rep):
         "conformant": rep.conformant,
         "one_minus_t_power": rep.one_minus_t_power,
         "factors": [
-            {"t_power": tp, "growth": list(f.coeffs)}
+            {"t_power": tp, "growth": list(f)}
             for tp, f in rep.factors
         ],
         "leftover": None if rep.leftover is None else render_poly(rep.leftover),

@@ -18,7 +18,7 @@ from .errors import (
     SummandMismatch,
     WidthMismatch,
 )
-from .polyarith import UniPoly
+from .polyarith import mul_into
 
 
 class Monomial:
@@ -284,14 +284,14 @@ def kpoly(gens, layout, memo=None):
 
 def _kpoly(gens, layout, memo):
     if not gens:
-        return UniPoly.one()
+        return (1,)
     union = 0
     for g in gens:
         union |= g
     if not union:
-        return UniPoly.zero()
+        return ()
     if len(gens) == 1:
-        return UniPoly((1,) + (0,) * (union.bit_count() - 1) + (-1,))
+        return (1,) + (0,) * (union.bit_count() - 1) + (-1,)
     low = (union & -union).bit_length() - 1
     shift = low - low % layout.stride
     if shift:
@@ -328,18 +328,17 @@ def _split(gens, union, layout, memo):
         rest.append((g, members))
         comps = rest
     if len(comps) > 1:
-        out = UniPoly.one()
-        ones = [1]
+        out = [1]
         for _, cs in comps:
             if len(cs) > 1:
-                out = _kpoly(cs, layout, memo) * out
+                out = mul_into([], _kpoly(cs, layout, memo), out)
                 continue
-            # a lone generator of degree d: ones times 1 - t^d, in place
+            # a lone generator of degree d: out times 1 - t^d, in place
             d = cs[0].bit_count()
-            ones += [0] * d
-            for i in range(len(ones) - 1, d - 1, -1):
-                ones[i] -= ones[i - d]
-        return out * UniPoly(ones)
+            out += [0] * d
+            for i in range(len(out) - 1, d - 1, -1):
+                out[i] -= out[i - d]
+        return tuple(out)
     best = 0
     for field in layout.fields:
         if field > union:
@@ -355,16 +354,19 @@ def _split(gens, union, layout, memo):
     kept = levels[0]  # J_0: the generators without x, minimal already
     out = []
     for lo, hi in zip(steps, steps[1:]):
-        num = _kpoly(kept, layout, memo).coeffs
+        num = _kpoly(kept, layout, memo)
         _add_shifted(out, num, lo, 1)
         _add_shifted(out, num, hi, -1)
         kept = _extend_minimal(kept, levels[hi])
-    _add_shifted(out, _kpoly(kept, layout, memo).coeffs, steps[-1], 1)
-    return UniPoly(out)
+    _add_shifted(out, _kpoly(kept, layout, memo), steps[-1], 1)
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 class WidthSeries:
-    """A width-n Hilbert series held as numerator over (1-t)^den_pow."""
+    """A width-n Hilbert series held as numerator over (1-t)^den_pow; num
+    is a coefficient tuple in t without trailing zeros."""
 
     __slots__ = ("num", "den_pow")
 
@@ -375,7 +377,7 @@ class WidthSeries:
     def dims(self, j_max):
         """Coefficients of the series for degrees 0..j_max: the
         numerator's, through den_pow running sums."""
-        out = list(self.num.coeffs[:j_max + 1])
+        out = list(self.num[:j_max + 1])
         out += [0] * (j_max + 1 - len(out))
         for _ in range(self.den_pow):
             out = list(itertools.accumulate(out))
@@ -394,7 +396,7 @@ class _Group:
     def __init__(self, shift):
         self.shift = shift
         self.gens = []
-        self.num = UniPoly.one()
+        self.num = (1,)
 
 
 def _image_groups(p, n_top, layout):
@@ -470,16 +472,18 @@ def hilbert_widths(p, n_max, quotient=True):
             if gens is group.gens:
                 continue
             num = kpoly(gens, layout, memo)
-            _add_shifted(ideal, group.num.coeffs, group.shift, 1)
-            _add_shifted(ideal, num.coeffs, group.shift, -1)
+            _add_shifted(ideal, group.num, group.shift, 1)
+            _add_shifted(ideal, num, group.shift, -1)
             group.gens, group.num = gens, num
         if quotient:
             num = [-cf for cf in ideal]
             for d, shift in p.summands:
                 _add_shifted(num, (comb(n, d),), shift, 1)
         else:
-            num = ideal
-        out.append(WidthSeries(UniPoly(num), p.c * n))
+            num = ideal  # trimmed in place below, which keeps its value
+        while num and not num[-1]:
+            num.pop()
+        out.append(WidthSeries(tuple(num), p.c * n))
     return out
 
 

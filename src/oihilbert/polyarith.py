@@ -2,9 +2,13 @@
 rational functions with factored denominators, and truncated series windows.
 
 Everything is arbitrary-precision integer arithmetic; the
-pipeline contains no floating point. Bivariate terms are keyed by (s-degree,
-t-degree). The canonical term order used for rendering sorts by s-degree, then
-t-degree, both ascending.
+pipeline contains no floating point. A univariate polynomial is a sequence
+of ints, index = degree: the kernels here work on lists, and a value that
+is kept (a shape report's growth, a width's numerator, a `kpoly` result)
+is a tuple without trailing zeros, so its equality and hash are those of
+the polynomial. Bivariate terms are keyed by (s-degree, t-degree). The
+canonical term order used for rendering sorts by s-degree, then t-degree,
+both ascending.
 """
 
 from __future__ import annotations
@@ -14,111 +18,40 @@ from itertools import accumulate
 from .errors import NonDivisible, SingularAtOrigin
 
 
-class UniPoly:
-    """Dense univariate integer polynomial; coefficient index = degree."""
+def mul_into(acc, a, b, sign=1):
+    """acc + sign * a * b for coefficient lists, extending the list acc in
+    place."""
+    if a and b:
+        acc.extend([0] * (len(a) + len(b) - 1 - len(acc)))
+        for i, u in enumerate(a):
+            if u:
+                u *= sign
+                for j, v in enumerate(b, i):
+                    acc[j] += u * v
+    return acc
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls((1,))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def lc(self):
-        return self.coeffs[-1] if self.coeffs else 0
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __neg__(self):
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return UniPoly(tuple(c * other for c in self.coeffs))
-        if self.is_zero() or other.is_zero():
-            return UniPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        out = UniPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def exact_div(self, other):
-        """Exact quotient self / other; raises NonDivisible otherwise."""
-        if other.is_zero():
-            raise NonDivisible("division by zero polynomial")
-        if self.is_zero():
-            return UniPoly()
-        rem = list(self.coeffs)
-        dd = other.degree
-        dl = other.lc()
-        q = [0] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if c == 0:
-                continue
+def _exact_quotient(num, den):
+    """num / den for coefficient lists, den ending in a nonzero
+    coefficient, as a list that ends in one too (empty for num = 0);
+    raises NonDivisible unless den divides num over Z.  num may end in
+    zeros and is left as it was."""
+    rem = list(num)
+    while rem and not rem[-1]:
+        rem.pop()
+    dd, dl = len(den) - 1, den[-1]
+    q = [0] * max(len(rem) - dd, 0)
+    for k in range(len(rem) - 1, dd - 1, -1):
+        c = rem[k]
+        if c:
             if c % dl:
                 raise NonDivisible("leading coefficient does not divide")
-            f = c // dl
-            q[k - dd] = f
-            for i, b in enumerate(other.coeffs):
-                rem[k - dd + i] -= f * b
-        if any(rem):
-            raise NonDivisible("nonzero remainder")
-        return UniPoly(q)
-
-    def __repr__(self):
-        return f"UniPoly({list(self.coeffs)})"
+            f = q[k - dd] = c // dl
+            for i, b in enumerate(den, k - dd):
+                rem[i] -= f * b
+    if any(rem):
+        raise NonDivisible("nonzero remainder")
+    return q
 
 
 class BiPoly:
@@ -163,10 +96,6 @@ class BiPoly:
     @classmethod
     def term(cls, i, j, coeff=1):
         return cls({(i, j): coeff})
-
-    @classmethod
-    def from_uni_t(cls, u):
-        return cls({(0, j): c for j, c in enumerate(u.coeffs)})
 
     def key(self):
         if self._key is None:
@@ -264,49 +193,46 @@ class BiPoly:
         return self.terms.get((i, j), 0)
 
     def as_s_coeffs(self):
-        """Coefficients of s^k as UniPoly in t, index k."""
-        d = self.deg_s()
-        rows = [{} for _ in range(d + 1)]
+        """Coefficients of s^k as dense lists in t, index k; each ends in
+        a nonzero coefficient or is empty."""
+        rows = [[] for _ in range(self.deg_s() + 1)]
         for (i, j), c in self.terms.items():
-            rows[i][j] = c
-        out = []
-        for row in rows:
-            jm = max(row, default=-1)
-            out.append(UniPoly(tuple(row.get(j, 0) for j in range(jm + 1))))
-        return out
+            row = rows[i]
+            if len(row) <= j:
+                row.extend([0] * (j + 1 - len(row)))
+            row[j] = c
+        return rows
 
     @classmethod
     def from_s_coeffs(cls, coeffs):
-        terms = {}
-        for i, u in enumerate(coeffs):
-            for j, c in enumerate(u.coeffs):
-                if c:
-                    terms[(i, j)] = c
-        return cls(terms)
+        """The polynomial whose s^k coefficient is coeffs[k], a
+        coefficient list in t."""
+        return cls._raw({(i, j): c for i, u in enumerate(coeffs)
+                         for j, c in enumerate(u) if c})
 
     def exact_div(self, other):
-        """Exact quotient in Z[s,t], dividing as polynomials in s over Z[t]."""
+        """Exact quotient in Z[s,t], dividing as polynomials in s over
+        Z[t], row by row in place on the s-rows' lists."""
         if other.is_zero():
             raise NonDivisible("division by zero polynomial")
         if self.is_zero():
             return BiPoly()
         num = self.as_s_coeffs()
-        den = other.as_s_coeffs()
-        dd = len(den) - 1
-        dl = den[-1]
-        q = [UniPoly() for _ in range(max(len(num) - dd, 0))]
+        *low, top = other.as_s_coeffs()
+        dd = len(low)
+        q = [[] for _ in range(max(len(num) - dd, 0))]
         while True:
-            while num and num[-1].is_zero():
+            while num and not any(num[-1]):
                 num.pop()
             if not num:
                 break
             dn = len(num) - 1
             if dn < dd:
                 raise NonDivisible("nonzero remainder")
-            qc = num[-1].exact_div(dl)
-            q[dn - dd] = qc
-            for i, dc in enumerate(den):
-                num[dn - dd + i] = num[dn - dd + i] - qc * dc
+            # an exact quotient leaves the top row zero: it is dropped
+            qc = q[dn - dd] = _exact_quotient(num.pop(), top)
+            for i, dc in enumerate(low, dn - dd):
+                mul_into(num[i], qc, dc, -1)
         return BiPoly.from_s_coeffs(q)
 
     def try_div(self, other):
@@ -337,12 +263,13 @@ def _divide_one_minus_t(rows, most):
 
 
 def one_minus_t_order(u):
-    """(q, k) with u = (1-t)^k * q and k as large as it goes, cancelled by
+    """(q, k) with u = (1-t)^k * q and k as large as it goes, for a
+    coefficient list u that ends in a nonzero coefficient, cancelled by
     running sums; the zero polynomial gives (u, 0)."""
     if not u:
         return u, 0
-    (q,), k = _divide_one_minus_t([u.coeffs], u.degree)
-    return UniPoly(q), k
+    (q,), k = _divide_one_minus_t([u], len(u) - 1)
+    return q, k
 
 
 def split_content(p):
@@ -362,11 +289,10 @@ def split_content(p):
     is then irreducible over Z by Gauss's lemma.  A hand-built automaton
     may break the premise; its rest keeps the extra content.
     """
-    rows, k = _divide_one_minus_t([u.coeffs for u in p.as_s_coeffs()],
-                                  p.deg_t())
+    rows, k = _divide_one_minus_t(p.as_s_coeffs(), p.deg_t())
     if not k:
         return [] if p.is_one() else [(p, 1)]
-    rest = BiPoly.from_s_coeffs(map(UniPoly, rows))
+    rest = BiPoly.from_s_coeffs(rows)
     return [(ONE_MINUS_T, k)] + ([] if rest.is_one() else [(rest, 1)])
 
 
@@ -510,10 +436,9 @@ class FactoredRational:
         kept = []
         for base, e in self.factors:
             if base == ONE_MINUS_T:
-                rows, k = _divide_one_minus_t(
-                    [u.coeffs for u in num.as_s_coeffs()], e)
+                rows, k = _divide_one_minus_t(num.as_s_coeffs(), e)
                 if k:
-                    num = BiPoly.from_s_coeffs(map(UniPoly, rows))
+                    num = BiPoly.from_s_coeffs(rows)
                     e -= k
             else:
                 root = _s_root_at_two(base)
@@ -619,10 +544,10 @@ def expand_series(r, n_max, j_max, t_prefactor=0):
         for (k, l), v in base.terms.items():
             if not k:
                 col[l] = v
-        rest, ones = one_minus_t_order(UniPoly(col))
+        rest, ones = one_minus_t_order(col)
         # the product of the constant terms is 1, so each one is 1 or -1
-        lead = rest.coeffs[0]
-        along = [(l, v) for l, v in enumerate(rest.coeffs[1:jj + 1], 1)
+        lead = rest[0]
+        along = [(l, v) for l, v in enumerate(rest[1:jj + 1], 1)
                  if v]
         for _ in range(e):
             for n, row in enumerate(rows):

@@ -3,8 +3,7 @@ the right-to-left decoder of words (eta, by shift operators), membership
 in the standard-word language, running a DFA on one word, counting a
 DFA's accepted words by path counts, the unpruned subset construction,
 the greatest simulation as a pairwise fixpoint, Moore minimization,
-equality of rational functions by cross-multiplication, the geometric
-polynomial and t^k,
+equality of rational functions by cross-multiplication, t^k,
 the schoolbook product and per-digit unpacking of bivariate polynomials,
 reduction of a factored rational function by trial division alone,
 the paper's pseudo-division criterion for eventual finite length,
@@ -15,7 +14,14 @@ against the product denominator, the width-wise series by a fresh
 enumeration of the images at each width and a numerator recursion on
 exponent tuples, the width-wise Krull dimension, multiplicity and size
 invariants, and the decomposition identities: the width-n slice
-identity and the repeated-division identity."""
+identity and the repeated-division identity.
+
+The references' univariate arithmetic lives here, in `UniPoly`: the
+package holds a univariate polynomial as a list or tuple of ints and
+multiplies and divides it with `polyarith.mul_into` and
+`polyarith._exact_quotient`, which no reference calls.  A reference
+takes and returns coefficient tuples, so the tests compare them with the
+package's values directly."""
 
 from collections import Counter
 from fractions import Fraction
@@ -45,12 +51,7 @@ from oihilbert.oicore import (
     hilbert_width,
     minimalize,
 )
-from oihilbert.polyarith import (
-    BiPoly,
-    FactoredRational,
-    UniPoly,
-    one_minus_t_order,
-)
+from oihilbert.polyarith import BiPoly, FactoredRational
 from oihilbert.words import decode, is_xi, tau_index
 
 S, T = sympy.symbols("s t")
@@ -286,14 +287,109 @@ def equals_cross_mul(a, b):
     return a.num * b.den_expanded() == b.num * a.den_expanded()
 
 
+class UniPoly:
+    """Dense univariate integer polynomial, index = degree, trailing zeros
+    stripped: the references' arithmetic, one operation at a time."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = list(coeffs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def one(cls):
+        return cls((1,))
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __neg__(self):
+        return UniPoly(tuple(-c for c in self.coeffs))
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return UniPoly(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return UniPoly(tuple(c * other for c in self.coeffs))
+        if not self or not other:
+            return UniPoly()
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        return UniPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        out = UniPoly.one()
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __call__(self, x):
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def exact_div(self, other):
+        """Exact quotient self / other; raises NonDivisible otherwise."""
+        if not other:
+            raise NonDivisible("division by zero polynomial")
+        if not self:
+            return UniPoly()
+        rem = list(self.coeffs)
+        dd = other.degree
+        dl = other.coeffs[-1]
+        q = [0] * (len(rem) - dd)
+        for k in range(len(rem) - 1, dd - 1, -1):
+            c = rem[k]
+            if c == 0:
+                continue
+            if c % dl:
+                raise NonDivisible("leading coefficient does not divide")
+            f = c // dl
+            q[k - dd] = f
+            for i, b in enumerate(other.coeffs):
+                rem[k - dd + i] -= f * b
+        if any(rem):
+            raise NonDivisible("nonzero remainder")
+        return UniPoly(q)
+
+
+def one_minus_t_divide(u):
+    """(q, k) with u = (1-t)^k * q and k as large as it goes, by repeated
+    exact division by 1 - t while q(1) = 0; the zero polynomial gives
+    (0, 0)."""
+    k = 0
+    while u and u(1) == 0:
+        u = u.exact_div(UniPoly((1, -1)))
+        k += 1
+    return u, k
+
+
 def t_power(k):
     """t^k as a UniPoly."""
     return UniPoly((0,) * k + (1,))
-
-
-def geometric(e):
-    """1 + t + ... + t^e."""
-    return UniPoly((1,) * (e + 1))
 
 
 def schoolbook(a, b):
@@ -360,7 +456,7 @@ def paper_artinian(rep):
     if any(tp for tp, _ in rep.factors):
         return False
     den = sympy.Mul(*(1 - S * sympy.Add(*(c * T**k for k, c in enumerate(
-        f.coeffs))) for _, f in rep.factors))
+        f))) for _, f in rep.factors))
     rem = sympy.prem(_expr(rep.numerator), den, S)
     a = rep.one_minus_t_power
     return sympy.rem(rem, (1 - T) ** a, T) == 0
@@ -388,8 +484,16 @@ def _ref_at_one_minus(u):
 
 def _ref_subst(p, b):
     """p(sigma x^b, 1 - x) as a BiPoly keyed (x-degree, sigma-degree)."""
-    return BiPoly({(b * i + k, i): c for i, u in enumerate(p.as_s_coeffs())
+    return BiPoly({(b * i + k, i): c for i, u in enumerate(_s_rows(p))
                    for k, c in enumerate(_ref_at_one_minus(u).coeffs)})
+
+
+def _s_rows(p):
+    """p's s-rows as UniPolys in t, index = s-degree."""
+    rows = [[0] * (p.deg_t() + 1) for _ in range(p.deg_s() + 1)]
+    for (i, j), c in p.terms.items():
+        rows[i][j] = c
+    return [UniPoly(row) for row in rows]
 
 
 def _ref_solve(rows, rhs):
@@ -468,22 +572,23 @@ def growth_reference(rep):
     den = BiPoly.one()
     for tp, f in rep.factors:
         den = den * factor_base(tp, f)
-    x_den = _ref_subst(den, big_b).as_s_coeffs()[t_powers:]
-    g = _ref_at_one_minus(next(f for tp, f in rep.factors if tp == big_b))
+    x_den = _s_rows(_ref_subst(den, big_b))[t_powers:]
+    g = _ref_at_one_minus(UniPoly(next(f for tp, f in rep.factors
+                                       if tp == big_b)))
     on_curve = UniPoly()
     for (k, i), c in num.terms.items():
         on_curve = on_curve + UniPoly(
             (0,) * k + (g ** (num.deg_t() - i) * c).coeffs)
     bound = next((k for k, c in enumerate(on_curve.coeffs) if c), -1)
     onset = 0
-    for k0, a in zip(range(bound + 1), _ref_expand(num.as_s_coeffs(), x_den)):
+    for k0, a in zip(range(bound + 1), _ref_expand(_s_rows(num), x_den)):
         try:
             onset = max(onset, a.exact_div(x_den[0] ** (k0 + 1)).degree + 1)
         except NonDivisible:
             break
     else:
         raise NotConformant("series is not reduced")
-    bases = Counter(f(1) for tp, f in rep.factors if tp == big_b)
+    bases = Counter(UniPoly(f)(1) for tp, f in rep.factors if tp == big_b)
     start, terms = _ref_closed_form(
         a, [(c, m * (k0 + 1)) for c, m in sorted(bases.items())])
     onset = max(onset, start, _ref_last_zero(terms, start) + 1)
@@ -496,13 +601,13 @@ def fixed_degree_reference(result, j):
     rat = result.rational
 
     def t_coeffs(p):
-        return BiPoly({(b, a): v for (a, b), v in p.terms.items()}).as_s_coeffs()
+        return _s_rows(BiPoly({(b, a): v for (a, b), v in p.terms.items()}))
 
     den = t_coeffs(rat.den_expanded())
-    rest, power = one_minus_t_order(den[0])
-    if rest != UniPoly.one():
+    rest, power = one_minus_t_divide(den[0])
+    if rest.coeffs != (1,):
         raise NotConformant(f"denominator at t = 0 is not a power of 1-s: "
-                            f"{den[0]}")
+                            f"{list(den[0].coeffs)}")
     k = j + result.t_prefactor
     c = next(islice(_ref_expand(t_coeffs(rat.num), den), k, None))
     start, terms = _ref_closed_form(c, [(1, power * (k + 1))])
@@ -600,8 +705,9 @@ def kpoly_reference(gens, memo=None):
     recursion H(I) = sum_(i<k) t^i H((I : x^i) + <x>) + t^k H(I : x^k)
     over the powers of a pivot x (k its top exponent), components of
     disjoint support multiplied, and a memo keyed by minimal generating
-    sets and their canonical forms."""
-    return _tuple_kpoly(_min_tuples(gens), {} if memo is None else memo)
+    sets and their canonical forms; a coefficient tuple."""
+    return _tuple_kpoly(_min_tuples(gens),
+                        {} if memo is None else memo).coeffs
 
 
 def _tuple_kpoly(gens, memo):
@@ -611,7 +717,7 @@ def _tuple_kpoly(gens, memo):
     if out is not None:
         return out
     if (0,) * len(next(iter(gens))) in gens:
-        out = UniPoly.zero()
+        out = UniPoly()
     else:
         key = _canonical(gens)
         out = memo.get(key)
@@ -636,7 +742,7 @@ def _tuple_split(gens, memo):
     piv = max(range(nvars), key=counts.__getitem__)
     unit = (0,) * piv + (1,) + (0,) * (nvars - piv - 1)
     levels = sorted({g[piv] for g in gens} | {0})
-    out = UniPoly.zero()
+    out = UniPoly()
     for lo, hi in zip(levels, levels[1:]):
         plus = _min_tuples(g[:piv] + (0,) + g[piv + 1:]
                            for g in gens if g[piv] <= lo) | {unit}
@@ -666,16 +772,16 @@ def hilbert_width_reference(p, n, quotient=True):
     comps = {}
     for summand, pi, cols in images_at_width(p, n):
         comps.setdefault((summand, pi), set()).add(tuple(chain(*cols)))
-    ideal = UniPoly.zero()
+    ideal = UniPoly()
     for (k, _), gens in comps.items():
-        ideal = ideal + (UniPoly.one() - kpoly_reference(gens)) * t_power(
-            p.shift_of(k))
+        ideal = ideal + (UniPoly.one() - UniPoly(kpoly_reference(gens))) \
+            * t_power(p.shift_of(k))
     if not quotient:
-        return WidthSeries(ideal, p.c * n)
-    free = UniPoly.zero()
+        return WidthSeries(ideal.coeffs, p.c * n)
+    free = UniPoly()
     for d, shift in p.summands:
         free = free + UniPoly((comb(n, d),)) * t_power(shift)
-    return WidthSeries(free - ideal, p.c * n)
+    return WidthSeries((free - ideal).coeffs, p.c * n)
 
 
 class ZeroModule(OihError):
@@ -687,8 +793,8 @@ def dim_deg_width(p, n, quotient=True):
     pole order at t = 1 of its width-wise series, and the numerator's
     value there once the root t = 1 is removed."""
     ws = hilbert_width(p, n, quotient)
-    num, k = one_minus_t_order(ws.num)
-    if num.is_zero():
+    num, k = one_minus_t_divide(UniPoly(ws.num))
+    if not num:
         raise ZeroModule(f"width-{n} component is zero")
     return ws.den_pow - k, num(1)
 
@@ -775,8 +881,9 @@ def division_exponent_bound(p):
 
 
 def _as_rational(num, den_pow):
-    """num / (1-t)^den_pow, num a UniPoly in t, as a FactoredRational."""
-    return FactoredRational(BiPoly.from_uni_t(num),
+    """num / (1-t)^den_pow, num a coefficient tuple in t, as a
+    FactoredRational."""
+    return FactoredRational(BiPoly({(0, j): c for j, c in enumerate(num)}),
                             ((BiPoly.one() - BiPoly.term(0, 1), den_pow),))
 
 
@@ -798,5 +905,6 @@ def repeated_division_sides(p, n):
         gens = colon_width(p, e, n) + col1
         part = hilbert_width(p.with_generators(minimalize(gens)), n)
         gamma = sum(1 for x in e if x == r)
-        rhs = rhs + _as_rational(part.num * t_power(sum(e)), part.den_pow + gamma)
+        rhs = rhs + _as_rational((0,) * sum(e) + part.num,
+                                 part.den_pow + gamma)
     return lhs, rhs

@@ -25,12 +25,12 @@ from oihilbert.oicore import (
     order_key,
     symmetrize_fi_ideal,
 )
-from oihilbert.polyarith import UniPoly
 from oihilbert.schema import parse_document
 from oihilbert.series import module_series
 
 from enumerate_small import OIMorphism, all_monomials, apply_morphism, brute_divides
 from oracles import (
+    UniPoly,
     ZeroModule,
     dim_deg_width,
     hilbert_width_reference,
@@ -259,19 +259,19 @@ class TestExpansion:
 
 class TestKpoly:
     def test_base_cases(self):
-        assert kpoly_of([]) == UniPoly.one()
-        assert kpoly_of([(0, 0)]) == UniPoly.zero()
-        assert kpoly_of([(2, 0)]) == UniPoly((1, 0, -1))
+        assert kpoly_of([]) == (1,)
+        assert kpoly_of([(0, 0)]) == ()
+        assert kpoly_of([(2, 0)]) == (1, 0, -1)
 
     def test_coprime_product(self):
         # x^2, y^3 disjoint: (1 - t^2)(1 - t^3)
         got = kpoly_of([(2, 0), (0, 3)])
-        assert got == UniPoly((1, 0, -1)) * UniPoly((1, 0, 0, -1))
+        assert got == (1, 0, -1, -1, 0, 1)
 
     def test_overlapping(self):
         # <x^2, xy>: numerator 1 - t^2 - t^2 + t^3
         got = kpoly_of([(2, 0), (1, 1)])
-        assert got == UniPoly((1, 0, -2, 1))
+        assert got == (1, 0, -2, 1)
 
     def test_dims_against_enumeration(self):
         ideals = [
@@ -346,7 +346,7 @@ class TestKpoly:
         e = 800
         gens = [(e, 1), (1, e)]
         # 1 - 2 t^(e+1) + t^(2e), the lcm having degree 2e
-        want = UniPoly([1] + [0] * e + [-2] + [0] * (e - 2) + [1])
+        want = (1,) + (0,) * e + (-2,) + (0,) * (e - 2) + (1,)
         assert kpoly_reference(gens) == want
         for ncols in (1, 2):
             assert kpoly_of(gens, ncols=ncols) == want
@@ -361,7 +361,8 @@ class TestKpoly:
         alone = {}
         want = kpoly(pattern, layout, alone)
         memo = {}
-        assert kpoly(pattern + moved, layout, memo) == want * want
+        assert kpoly(pattern + moved, layout, memo) == (
+            UniPoly(want) * UniPoly(want)).coeffs
         assert kpoly(moved, layout, {}) == want
         assert set(memo) == set(alone) | {frozenset(pattern + moved)}
 

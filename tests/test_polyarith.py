@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sympy
 
@@ -13,9 +13,10 @@ from oihilbert.polyarith import (
     ONE_MINUS_T,
     BiPoly,
     FactoredRational,
-    UniPoly,
+    _exact_quotient,
     common_denominator,
     expand_series,
+    mul_into,
     one_minus_t_order,
     render_poly,
     render_rational,
@@ -23,9 +24,10 @@ from oihilbert.polyarith import (
 )
 
 from oracles import (
+    UniPoly,
     equals_cross_mul,
     expand_cellwise,
-    geometric,
+    one_minus_t_divide,
     schoolbook,
     trial_reduce,
     unpack_digits,
@@ -38,7 +40,7 @@ def to_sympy(p):
     return sympy.Add(*(c * S**i * T**j for (i, j), c in p.terms.items()))
 
 
-small_unis = st.lists(st.integers(-6, 6), min_size=0, max_size=5).map(UniPoly)
+small_unis = st.lists(st.integers(-6, 6), min_size=0, max_size=5)
 
 small_bis = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)),
@@ -48,50 +50,50 @@ small_bis = st.dictionaries(
 
 
 class TestUniPoly:
-    def test_normalization_strips_trailing_zeros(self):
-        assert UniPoly([1, 2, 0, 0]).coeffs == (1, 2)
-        assert UniPoly([0, 0]).is_zero()
-
-    def test_arith(self):
-        f = UniPoly([1, -1])  # 1 - t
-        assert (f * f).coeffs == (1, -2, 1)
-        assert (f + UniPoly([0, 1])).coeffs == (1,)
-        assert (f - f).is_zero()
-        assert (f ** 3)(1) == 0
-        assert geometric(2).coeffs == (1, 1, 1)
+    # the list kernels on univariate polynomials, against the reference
+    # arithmetic of tests/oracles.py
 
     def test_exact_div(self):
-        f = UniPoly([1, -1]) * UniPoly([2, 0, 3])
-        assert f.exact_div(UniPoly([1, -1])).coeffs == (2, 0, 3)
-        with pytest.raises(NonDivisible):
-            UniPoly([1, 1]).exact_div(UniPoly([1, -1]))
+        f = mul_into([], [1, -1], [2, 0, 3])
+        assert _exact_quotient(f, [1, -1]) == [2, 0, 3]
+        # trailing zeros, as BiPoly.exact_div hands a row over after a
+        # subtraction; the input is left as it was
+        padded = f + [0, 0]
+        assert _exact_quotient(padded, [1, -1]) == [2, 0, 3]
+        assert padded == f + [0, 0]
+        assert _exact_quotient([0, 0], [1, -1]) == []
+        with pytest.raises(NonDivisible, match="remainder"):
+            _exact_quotient([1, 1], [1, -1])
+        # a top coefficient that the divisor's lead does not divide stops
+        # the division there, before a remainder is formed
+        with pytest.raises(NonDivisible, match="leading coefficient"):
+            _exact_quotient([0, 3, 1], [1, 2])
 
     def test_one_minus_t_order_against_repeated_division(self):
         # leading zeros, negative coefficients, and powers of 1 - t up to
         # the whole polynomial
-        def divide(u):
-            k = 0
-            while u and u(1) == 0:
-                u = u.exact_div(UniPoly((1, -1)))
-                k += 1
-            return u, k
-
         rng = random.Random(1801)
-        zero = UniPoly()
-        assert one_minus_t_order(zero) == (zero, 0)
+        assert one_minus_t_order([]) == ([], 0)
         for _ in range(300):
             low = [0] * rng.choice((0, 0, 1, 3))
             u = UniPoly(low + [rng.randint(-6, 6)
                                for _ in range(rng.randint(1, 6))])
             u = u * UniPoly((1, -1)) ** rng.randint(0, 5)
-            assert one_minus_t_order(u) == divide(u), u
+            q, k = one_minus_t_divide(u)
+            assert one_minus_t_order(list(u.coeffs)) == (list(q.coeffs),
+                                                         k), u.coeffs
 
-    @given(small_unis, small_unis)
+    @given(small_unis, small_unis, small_unis)
     @settings(max_examples=80, deadline=None)
-    def test_product_divisible_by_factor(self, f, g):
-        if f.is_zero():
-            return
-        assert (f * g).exact_div(f) == g
+    def test_product_divisible_by_factor(self, f, g, h):
+        # g and so the product may end in zeros; f may not, as a divisor
+        f = list(UniPoly(f).coeffs)
+        prod = mul_into([], f, g)
+        assert UniPoly(prod).coeffs == (UniPoly(f) * UniPoly(g)).coeffs
+        assert UniPoly(mul_into(list(h), f, g, -1)).coeffs == (
+            UniPoly(h) - UniPoly(f) * UniPoly(g)).coeffs
+        if f:
+            assert _exact_quotient(prod, f) == list(UniPoly(g).coeffs)
 
 
 class TestBiPoly:
@@ -145,17 +147,35 @@ class TestBiPoly:
     def test_s_coeff_views(self):
         p = BiPoly({(0, 0): 1, (0, 2): 5, (2, 1): -3})
         cs = p.as_s_coeffs()
-        assert cs[0].coeffs == (1, 0, 5)
-        assert cs[1].is_zero()
-        assert cs[2].coeffs == (0, -3)
+        assert cs == [[1, 0, 5], [], [0, -3]]
         assert BiPoly.from_s_coeffs(cs) == p
+        assert BiPoly.zero().as_s_coeffs() == []
 
-    @given(small_bis, small_bis)
+    @given(small_bis, small_bis, st.integers(0, 4), st.integers(0, 4),
+           st.sampled_from((-2, -1, 1, 3)))
     @settings(max_examples=80, deadline=None)
-    def test_product_divisible_by_factor(self, a, b):
+    # a top s-row no multiple of the divisor's, a dividend of lower
+    # s-degree, and a remainder left in Z[t]
+    @example(BiPoly.term(1, 0, 2), BiPoly.zero(), 1, 0, 1)
+    @example(BiPoly.s(), BiPoly.zero(), 0, 1, 1)
+    @example(ONE_MINUS_T, BiPoly.zero(), 0, 1, 1)
+    def test_product_divisible_by_factor(self, a, b, i, j, c):
         if a.is_zero():
             return
         assert (a * b).exact_div(a) == b
+        # one term more: divisible over Z exactly when sympy's quotient
+        # over Q leaves no remainder and has integer coefficients (on s
+        # / 2s it reports remainder 0 and quotient 1/2, even over ZZ)
+        near = a * b + BiPoly.term(i, j, c)
+        q, r = sympy.div(to_sympy(near), to_sympy(a), S, T, domain="QQ")
+        q = sympy.Poly(q, S, T)
+        if r == 0 and all(v.is_integer for v in q.coeffs()):
+            assert near.exact_div(a) == BiPoly(
+                {(int(m), int(n)): int(v)
+                 for (m, n), v in zip(q.monoms(), q.coeffs())})
+        else:
+            with pytest.raises(NonDivisible):
+                near.exact_div(a)
 
     def test_product_against_schoolbook(self):
         # one-term operands on either side, with coefficients 1, -1 and
@@ -465,9 +485,9 @@ class TestFactoredRational:
         # and N * b^m plus one term keeps b^e without a division, since
         # no monomial is a multiple of b
         for _ in range(60):
-            f = UniPoly([1] + [rng.randint(-3, 3)
-                               for _ in range(rng.randint(0, 3))])
-            b = ONE_MINUS_T ** rng.randint(0, 3) - s * BiPoly.from_uni_t(f)
+            f = [1] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
+            b = ONE_MINUS_T ** rng.randint(0, 3) - s * BiPoly(
+                {(0, j): v for j, v in enumerate(f)})
             num, e = draw_num(), rng.randint(1, 3)
             m = rng.randint(0, e)
             got, _ = check(FactoredRational(num * b ** m, [(b, e)]))
