@@ -10,13 +10,14 @@ Hilbert series exactly.
 """
 
 from functools import cache
-from math import isqrt
+from math import isqrt, prod
 
 from .errors import NonDivisible, OihError
 from .polyarith import (
     BiPoly,
     FactoredRational,
     common_denominator,
+    power_product,
     split_content,
 )
 from .words import alphabet, encode, is_xi, tau, tau_index
@@ -468,10 +469,6 @@ def _sccs(start, succ):
     return out
 
 
-def _l1(p):
-    return sum(map(abs, p.terms.values()))
-
-
 def _pack(p, width, nbytes, sa=0, tb=0):
     """Evaluate p / (s^sa t^tb) at t = 2^(8*nbytes), s = t^width, for
     offsets no larger than p's least s- and t-degrees: a ring
@@ -488,111 +485,59 @@ def _pack(p, width, nbytes, sa=0, tb=0):
 
 def _unpack(val, width, nbytes, sa=0, tb=0):
     """The polynomial whose signed digits of nbytes bytes make val, times
-    s^sa t^tb; raises OihError if any digit reaches 2^(8*nbytes - 2), too
-    large for the balanced representation to be trustworthy.
-
-    Adding half a digit at every digit position turns each balanced
-    digit into a plain one, so every digit is read with int.from_bytes
-    and the half taken off again."""
+    s^sa t^tb; raises OihError if a digit reaches 2^(8*nbytes - 2), too
+    large for the balanced representation to be trustworthy.  Adding half
+    a digit at every position makes each digit plain; digits of up to 8
+    bytes are padded to 1, 2, 4 or 8, a byte column at a time, and read as
+    one array of machine words, wider ones one by one."""
     bits = 8 * nbytes
     half = 1 << (bits - 1)
-    safe = half >> 1
     count = (abs(val).bit_length() + bits - 1) // bits + 1
     bias = int.from_bytes(half.to_bytes(nbytes, "little") * count, "little")
     raw = (val + bias).to_bytes(nbytes * count, "little")
-    out = {}
-    for idx in range(count):
-        off = idx * nbytes
-        digit = int.from_bytes(raw[off:off + nbytes], "little") - half
-        if digit:
-            if not -safe < digit < safe:
-                raise OihError("solve result exceeds its digit bound")
-            out[idx // width + sa, idx % width + tb] = digit
-    return BiPoly._raw(out)
+    if nbytes > 8:
+        digits = [int.from_bytes(raw[k:k + nbytes], "little")
+                  for k in range(0, len(raw), nbytes)]
+    else:
+        size = 1 << (nbytes - 1).bit_length()
+        if size != nbytes:
+            pad = bytearray(size * count)
+            for k in range(nbytes):
+                pad[k::size] = raw[k::nbytes]
+            raw = pad
+        digits = memoryview(raw).cast("BHIQ"[size.bit_length() - 1])
+    if not half - half // 2 < min(digits) <= max(digits) < half + half // 2:
+        raise OihError("solve result exceeds its digit bound")
+    return BiPoly._raw({(k // width + sa, k % width + tb): w - half
+                        for k, w in enumerate(digits) if w != half})
 
 
-def _pack_size(rows, rhs, tb=0):
-    """Stride and coefficient bound for packing one component's system,
-    whose right-hand side packs divided by t^tb.
-
-    Only det(M) and Cramer numerators det(M) * x_i must unpack; the bounds
-    cover every x_i, a superset of the entry rows' that unpack.  Each
-    takes one entry per column, the right-hand side standing in for at
-    most one column, so with r the top right-hand-side t-degree less tb,
-    their packed t-degree is at most the columns' top t-degrees plus the
-    excess of r over the smallest.  On |s| = |t| = 1 each entry is at most
-    its l1 norm, so by Hadamard and Parseval no coefficient of det(M)
-    exceeds H = isqrt(prod_i sum_j l1(m_ij)^2) + 1, and, expanding along
-    the replaced column, none of a numerator exceeds sum_i l1(b_i) * H
-    (each row's sum is at least 1, as each diagonal entry has constant
-    term 1).  Returns the stride, one past the degree bound, and
-    (1 + sum_i l1(b_i)) * H.
-    """
-    top, norm = -1, 0
-    for b in rhs:
-        for (_, j), v in b.terms.items():
-            top, norm = max(top, j), norm + abs(v)
-    seen = {}  # id of a shared entry -> (l1 norm squared, t-degree)
-    cols = {}
-    square = 1
-    for row in rows:
-        total = 0
-        for j, p in row.items():
-            got = seen.get(id(p))
-            if got is None:
-                got = seen[id(p)] = (_l1(p) ** 2, p.deg_t())
-            total += got[0]
-            if got[1] >= cols.get(j, 0):
-                cols[j] = got[1]
-        square *= total
-    degree = sum(cols.values()) + max(0, top - tb - min(cols.values()))
-    return 1 + degree, (1 + norm) * (isqrt(square) + 1)
+def _pack_size(square, cols, norm, top):
+    """Stride and coefficient bound for packing a component's M x = b:
+    square is the product over M's rows of their entries' summed squared
+    l1 norms, cols each column's top t-degree, norm a bound on sum_i
+    l1(b_i), top one on b's top t-degree less b's packing offset.  det(M)
+    and each Cramer numerator take one entry per column, b standing in
+    for at most one; on |s| = |t| = 1 Hadamard and Parseval bound their
+    coefficients by H = isqrt(square) + 1 and norm * H."""
+    return (1 + sum(cols) + max(0, top - min(cols)),
+            (1 + norm) * (isqrt(square) + 1))
 
 
-def _solve_component(rows, rhs, first):
-    """det(M) and the numerators det(M) * x_i, i >= first, of M x = rhs.
+def _bareiss(mat, first):
+    """det(M) and det(M) * x_i, i >= first, for M x = b on integers: mat[i]
+    maps column to entry of row i, zeros left out, column len(mat) to b_i.
 
-    rows[i] maps column to entry of row i of M; rhs[i] is a polynomial,
-    not all zero.  Every entry is packed once (_pack; the stride comes
-    from _pack_size, and a digit is the fewest bytes that hold four times
-    its coefficient bound, as _unpack needs), the right-hand side divided
-    by its common monomial s^sa t^tb, which the numerators get back as
-    they unpack.  Fraction-free elimination runs on the integers, and only
-    the results are unpacked.  A pivot k < first updates only the rows
-    below it; from first on, Gauss-Jordan runs among rows first.. alone.
-    Every row from first on is thus updated as a full Gauss-Jordan would
-    update it, and the rows above first, whose unknowns are not wanted,
-    are left half reduced; first = 0 is the full solve.  Packing is a ring
-    homomorphism and, by Sylvester's identity, every entry after step k
-    is a minor of order k + 1, so the Bareiss divisions are exact on the
-    packed integers too (a remainder raises); the intermediates may wrap
-    digits, but the results fit theirs, and _unpack checks every digit.
-
-    Rows are rescaled lazily.  At each step Bareiss multiplies each updated
-    row by the new pivot and divides it by the previous one; over a run of
-    steps those factors telescope to the last pivot over the one before
-    the first.  So each row keeps its level, the number of steps as of
-    which its stored entries are exact, and pivots[l] is the pivot of step
-    l - 1 (pivots[0] = 1).  A row with nothing in the pivot column is
-    skipped.  A touched row becomes (pivot * row - row[k] * top) /
-    pivots[level], top being the pivot row brought up to date first by
-    pivots[k] / pivots[level]; at the end each right-hand side is brought
-    up by det / pivots[level].
-
-    The packed integers span the spread of the right-hand side: a sparse
-    right-hand side with terms far apart in both s and t makes every
-    integer long.
-    """
-    size = len(rows)
-    sa = min(i for b in rhs for i, _ in b.terms)
-    tb = min(j for b in rhs for _, j in b.terms)
-    width, bound = _pack_size(rows, rhs, tb)
-    nbytes = -(-(4 * bound).bit_length() // 8)
-    mat = [{j: _pack(p, width, nbytes) for j, p in row.items()}
-           for row in rows]
-    for row, b in zip(mat, rhs):
-        if b:
-            row[size] = _pack(b, width, nbytes, sa, tb)
+    Fraction-free forward elimination without pivot search; by Sylvester's
+    identity each entry after step k is a minor of order k + 1, so the
+    divisions are exact.  Pivot row i reads sum_(j >= i) a_ij x_j = b_i,
+    a_ii the leading minor of order i + 1, so the last b is det * x_last
+    and back-substitution gives det * x_i = (det * b_i - sum_(j > i) a_ij
+    det x_j) / a_ii, exact by Cramer.  Rows are rescaled lazily, as the
+    per-step factors telescope: a row's level counts the steps as of which
+    it is exact, pivots[l] is step l - 1's pivot, and a touched row becomes
+    (pivot * row - row[k] * top) / pivots[level]."""
+    size = len(mat)
     pivots = [1]
     lvl = [0] * size
 
@@ -604,22 +549,17 @@ def _solve_component(rows, rhs, first):
             raise NonDivisible("pivot does not divide a minor")
         return val
 
-    def lift(val, level, step):
-        if level == step:
-            return val
-        return exact(val * pivots[step], pivots[level])
-
     for k in range(size):
         top = mat[k]
         if lvl[k] < k:
-            top = mat[k] = {j: lift(v, lvl[k], k) for j, v in top.items()}
-        lvl[k] = k + 1
+            top = mat[k] = {j: exact(v * pivots[k], pivots[lvl[k]])
+                            for j, v in top.items()}
         pivot = top[k]
         pivots.append(pivot)
-        for i in range(k + 1 if k < first else first, size):
+        for i in range(k + 1, size):
             row = mat[i]
             left = row.get(k)
-            if i == k or left is None:
+            if left is None:
                 continue
             by = pivots[lvl[i]]
             new = {}
@@ -630,50 +570,147 @@ def _solve_component(rows, rhs, first):
                         new[j] = exact(val, by)
             mat[i] = new
             lvl[i] = k + 1
+    det = pivots[size]
+    got = {size - 1: mat[-1].get(size, 0)}
+    for i in range(size - 2, first - 1, -1):
+        val = det * mat[i].get(size, 0)
+        for j, v in mat[i].items():
+            if i < j < size:
+                val -= v * got[j]
+        got[i] = exact(val, mat[i][i])
+    return det, [got[i] for i in range(first, size)]
 
-    return _unpack(pivots[size], width, nbytes), [
-        _unpack(lift(mat[i].get(size, 0), lvl[i], size), width, nbytes,
-                sa, tb) for i in range(first, size)]
+
+def _solve_packed(comp, inner, rhs, keep, bits, width):
+    """Packed det(I - T_CC) and det(I - T_CC) * x_q, q in keep, for one
+    component (see generating_function): inner[q] holds (r, a, b) per edge
+    of a variables and b markers from q to r inside it, rhs[q] is packed,
+    t = 2^bits and s = t^width, so an edge weight multiplies by shifts."""
+    one_minus_t = 1 - (1 << bits)
+    up = bits * width
+
+    def times(f, a, b):  # f * (a*t + b*s)
+        return (a * f << bits if a else 0) + (b * f << up if b else 0)
+
+    kset = set(keep) | {r for q in comp for r, a, b in inner.get(q, ())
+                        if b or (r == q and a > 1)}
+    later = {}  # state of V -> its successors in V not yet ordered
+    preds = {}
+    for q in comp:
+        if q not in kset:
+            later[q] = 0
+            for r, _, _ in inner.get(q, ()):
+                if r != q and r not in kset:
+                    later[q] += 1
+                    preds.setdefault(r, []).append(q)
+    order = [q for q, n in later.items() if not n]
+    for v in order:  # Kahn's algorithm, successors first
+        for u in preds.get(v, ()):
+            later[u] -= 1
+            if not later[u]:
+                order.append(u)
+    kset.update(q for q, n in later.items() if n)
+    powers = [1]
+
+    def power(k):
+        while len(powers) <= k:
+            powers.append(powers[-1] * one_minus_t)
+        return powers[k]
+
+    ks = [q for q in comp if q in kset and q not in keep] + list(keep)
+    col = {q: i for i, q in enumerate(ks)}
+    size = len(ks)
+    done = {}  # state of V -> (j_v, e_v)
+
+    def eliminate(q):
+        """(J, q's row over K and the right-hand side (column size) times
+        (1-t)^J, its V successors substituted, J their largest j)."""
+        edges = inner.get(q, ())
+        lift = max((done[r][0] for r, _, _ in edges if r in done),
+                   default=0)
+        scale = power(lift)
+        out = {col[q]: scale} if q in col else {}
+        if rhs[q]:
+            out[size] = scale * rhs[q]
+        for r, a, b in edges:
+            if r in col:
+                out[col[r]] = out.get(col[r], 0) - times(scale, a, b)
+            elif r in done:
+                j, row = done[r]
+                f = power(lift - j)
+                for c, v in row.items():
+                    out[c] = out.get(c, 0) + times(v * f, a, b)
+        return lift, {c: v for c, v in out.items() if v}
+
+    shift = 0  # m - sum J
+    for q in order:
+        lift, row = eliminate(q)
+        loop = any(r == q for r, _, _ in inner.get(q, ()))
+        done[q] = (lift + loop, row)
+        shift += loop
+    rows = [eliminate(q) for q in ks]
+    shift -= sum(lift for lift, _ in rows)
+    det, nums = _bareiss([row for _, row in rows], size - len(keep))
+    f = power(abs(shift))
+    if shift >= 0:
+        return det * f, [v * f for v in nums]
+    out = [divmod(v, f) for v in [det] + nums]
+    if any(rem for _, rem in out):
+        raise NonDivisible("(1-t)-power does not divide")
+    return out[0][0], [v for v, _ in out[1:]]
+
+
+def _sizes(p):
+    """(l1 norm, least s-degree, least t-degree, top t-degree, top
+    s-degree, number of terms) of a nonzero p."""
+    si, tj = zip(*p.terms)
+    return (sum(map(abs, p.terms.values())), min(si), min(tj), max(tj),
+            max(si), len(si))
 
 
 def generating_function(dfa):
     """Sum of s^(markers) t^(variables) over accepted words, as an exact
     rational in s and t.
 
-    A variable letter weighs t and a marker letter s; the edges from one
-    state to another are bundled as two letter counts, a variables and b
-    markers.  The values x = e_accept + T x are solved one strongly
-    connected component C at a time, sinks first:
-    (I - T_CC) x_C = e_C + T_C,out x_out
-    with x_out already known.  An entry of I - T_CC is d - a*t - b*s, d = 1
-    on the diagonal, built once per distinct (d, a, b) in a call; an exit
-    term x_r * (a*t + b*s) is written from x_r's terms, one pass per letter
-    kind present, with no polynomial product.  A solved state keeps its
-    numerator over its component's one factor tuple.  C's denominator is
-    the multiset maximum of the tuples of the components its states reach:
-    a state's terms are summed per successor component and multiplied by
-    that component's cofactor, and the denominator is expanded only for an
-    accepting state.  Only entry states are read: the start, and the
-    targets of edges from other components.  Each component orders its
-    other states first, in Tarjan order, and solves for its entry states
-    alone (_solve_component); the others keep no numerator.  The
-    elimination leaves det(I - T_CC) times the wanted unknowns, so
-    det(I - T) arrives component by component.  Edge weights vanish at the
-    origin, as t and s do, so each leading principal minor of I - T_CC is
-    1 there: no pivot vanishes and every determinant has constant term 1.
-    Each determinant enters the denominator split by split_content, so
-    every factor is 1-t or the rest of a determinant after its
-    (1-t)-power, each with constant term 1.  A component of one state
-    needs no elimination: its determinant is its one entry.  A factor
-    tuple is a dict {id: exponent}, each split piece numbered as it first
-    appears; the answer's FactoredRational is built at the end.  Components
-    of one automaton repeat their cofactor products and determinants, so
-    the call memoizes both: cofactors by their lacking factor powers
-    (common_denominator), splits by the determinant.
+    Edges between two states are bundled as letter counts, a variables
+    (weight t) and b markers (weight s).  x = e_accept + T x is solved one
+    strongly connected component C at a time, sinks first, (I - T_CC) x_C
+    = e_C + T_C,out x_out; only entry states (the start, targets of other
+    components' edges) keep a numerator, with its _sizes, over C's factor
+    tuple {id: exponent}.  C's denominator is the multiset maximum of the
+    tuples it reaches (common_denominator); an exit term x_r * (a*t + b*s)
+    is multiplied by the cofactor its component lacks, and an accepting
+    state adds the whole denominator.  These right-hand sides are built
+    packed (_pack: t = 2^bits, s = t^width) from shifts of packed x_r and
+    powers of packed bases, the whole component's stride and digit bound
+    coming from sizes alone (_pack_size; l1(cofactor) <= prod
+    l1(base)^e).  A one-state component's determinant is its entry and
+    its numerator the right-hand side, summed term by term instead when
+    that takes no more term products than the packed sum has digits.
+
+    In a larger component (_solve_packed), K is the entry states, marker
+    targets (entered by a marker edge inside C), states whose diagonal is
+    neither 1 nor 1 - t, and states on or above a cycle of edges among
+    the rest; V, the rest, is a DAG of variable edges with diagonals 1 or
+    1 - t (in a module DFA the last two sets are empty: split_content).
+    Successors first, x_v = e_v / (1-t)^j_v, e_v a row over K and the
+    right-hand side, j_v the largest j of v's V successors plus one for a
+    diagonal 1 - t.  Row k of K times (1-t)^J_k, J_k the largest j of its
+    V successors, is a scaled row of the Schur complement S on K, and
+    det(I - T_CC) = (1-t)^m det S, m counting V's diagonals 1 - t, as
+    M_VV is triangular.  _bareiss on the scaled rows gives (1-t)^(sum J)
+    det S and numerators over it; both are multiplied by (1-t)^(m - sum
+    J), or divided when that is negative: the polynomial division is
+    exact and packing is a ring homomorphism, so the integer one is too.
+    Intermediates may wrap digits; only the determinant and entry
+    numerators unpack, every digit checked.  Weights vanish at the
+    origin, so no leading principal minor, or pivot, vanishes.  Each
+    determinant joins the denominator split by split_content; one whose
+    right-hand sides vanish is dropped.  Cofactors, their sizes and
+    splits are memoized for the call.
     """
     if dfa.n == 0 or not dfa.accepts:
         return FactoredRational.zero()
-    zero, one = BiPoly.zero(), BiPoly.one()
     marker = {a: int(not is_xi(a)) for a in dfa.alphabet}
     succ = {}
     for (q, a), r in dfa.trans.items():
@@ -683,75 +720,132 @@ def generating_function(dfa):
     entry = {dfa.start}
     for q, i in where.items():
         entry.update(r for r in succ.get(q, ()) if where[r] != i)
-    x = {}
+    x = {}  # entry state -> numerator over its component's factor tuple
+    sizes = {}  # entry state with a nonzero numerator -> its _sizes
     home = {}
     tuples = []  # per component: {factor id: exponent}
     bases = {}  # factor id -> base
+    shapes = {}  # factor id -> the base's _sizes
     ids = {}  # base key -> factor id
-    products = {}  # sorted (factor id, exponent) pairs -> their product
     splits = {}  # determinant key -> its (factor id, exponent) pairs
-    entries = {}  # (d, a, b) -> d - a*t - b*s
-    for comp in sccs:
-        inner = [q for q in comp if q not in entry]
-        first = len(inner)
-        comp = inner + [q for q in comp if q in entry]
-        pos = {q: k for k, q in enumerate(comp)}
-        rows = []
-        parts = []
-        for k, q in enumerate(comp):
-            row = {k: one}
-            part = {}
+    products = {}  # lacking (factor id, exponent) pairs -> their product
+    cofs = {}  # the same -> (l1 bound, t-degree, s-degree, term bound)
+    one = BiPoly.one()
+
+    def cofactor(lack):
+        if lack not in products:
+            products[lack] = power_product((bases[i], e) for i, e in lack)
+        return products[lack]
+
+    for here, comp in enumerate(sccs):
+        inner = {}
+        exits = {}  # (state, successor component) -> [(r, a, b)]
+        for q in comp:
             for r, (a, b) in succ.get(q, {}).items():
-                j = pos.get(r)
-                if j is not None:
-                    key = (int(j == k), a, b)
-                    if key not in entries:
-                        entries[key] = BiPoly(
-                            {(0, 0): key[0], (0, 1): -a, (1, 0): -b})
-                    row[j] = entries[key]
+                if where[r] == here:
+                    inner.setdefault(q, []).append((r, a, b))
                 elif x[r]:
-                    c = home[r]
+                    exits.setdefault((q, home[r]), []).append((r, a, b))
+        reached = list({c for _, c in exits})
+        accepting = [q for q in comp if q in dfa.accepts]
+        top, lacks = common_denominator(
+            [tuples[c] for c in reached] + [{}] * bool(accepting))
+        for lack in lacks:
+            if lack not in cofs:
+                l1, dt, ds, count = 1, 0, 0, 1
+                for i, e in lack:
+                    got = shapes[i]
+                    l1, count = l1 * got[0] ** e, count * got[5] ** e
+                    dt, ds = dt + got[3] * e, ds + got[4] * e
+                cofs[lack] = (l1, dt, ds, min(count, (dt + 1) * (ds + 1)))
+        lacks = dict(zip(reached + [None], lacks))
+        wanted = [q for q in comp if q in entry]
+        norm = pairs = 0
+        hi = ds = -1
+        sa = tb = 1 << 62
+        if accepting:
+            l1, hi, ds, _ = cofs[lacks[None]]
+            norm, sa, tb = l1 * len(accepting), 0, 0
+        for (q, c), outs in exits.items():
+            l1c, dtc, dsc, count = cofs[lacks[c]]
+            for r, a, b in outs:
+                l1, ls, lt, ht, hs, n = sizes[r]
+                norm += l1 * (a + b) * l1c
+                pairs += n * count * ((a > 0) + (b > 0))
+                hi = max(hi, ht + (a > 0) + dtc)
+                ds = max(ds, hs + (b > 0) + dsc)
+                sa, tb = min(sa, ls), min(tb, lt)
+        det, nums = one, [BiPoly.zero()] * len(wanted)
+        if len(comp) == 1:
+            a, b = succ.get(comp[0], {}).get(comp[0], (0, 0))
+            diag = BiPoly({(0, 0): 1, (0, 1): -a, (1, 0): -b})
+        if hi < 0:  # no right-hand side
+            pass
+        elif len(comp) == 1 and pairs <= (ds - sa + 1) * (hi - tb + 1):
+            num = cofactor(lacks[None]) if accepting else BiPoly.zero()
+            for (_, c), outs in exits.items():
+                part = None
+                for r, a, b in outs:
                     for di, dl, m in ((0, 1, a), (1, 0, b)):
                         if m:
                             term = BiPoly._raw({
                                 (i + di, l + dl): m * v
                                 for (i, l), v in x[r].terms.items()})
-                            part[c] = part[c] + term if c in part else term
-            rows.append(row)
-            parts.append(part)
-        reached = list(set().union(*parts))
-        accepting = not dfa.accepts.isdisjoint(comp)
-        # the empty tuple's cofactor is the expanded denominator
-        top, cofs = common_denominator(
-            [tuples[c] for c in reached] + [{}] * accepting, bases, products)
-        den = cofs.pop() if accepting else zero
-        cofs = dict(zip(reached, cofs))
-        nums = []
-        for q, part in zip(comp, parts):
-            num = den if q in dfa.accepts else zero
-            for c, p in part.items():
-                p = p if cofs[c].is_one() else p * cofs[c]
-                num = num + p if num else p
-            nums.append(num)
-        if not any(nums):
-            det = one
-            nums = nums[first:]
-        elif len(comp) == 1:
-            det = rows[0][0]
+                            part = part + term if part else term
+                part = part * cofactor(lacks[c]) if lacks[c] else part
+                num = num + part if num else part
+            if num:
+                det, nums = diag, [num]
         else:
-            det, nums = _solve_component(rows, nums, first)
+            square, cols = 1, dict.fromkeys(comp, 0)
+            for q in comp:
+                total = 1
+                for r, a, b in inner.get(q, ()):
+                    total += (a + b + (r == q)) ** 2 - (r == q)
+                    cols[r] |= a > 0
+                square *= total
+            width, bound = _pack_size(square, cols.values(), norm, hi - tb)
+            nbytes = -(-(4 * bound).bit_length() // 8)
+            bits = 8 * nbytes
+            packed = {i: _pack(bases[i], width, nbytes)
+                      for lack in lacks.values() for i, _ in lack}
+            lifted = {c: prod(packed[i] ** e for i, e in lack)
+                      for c, lack in lacks.items()}  # packed cofactors
+            rhs = dict.fromkeys(comp, 0)
+            for q in accepting:
+                rhs[q] = lifted[None]
+            held = {}  # state -> its packed numerator
+            for (q, c), outs in exits.items():
+                part = 0
+                for r, a, b in outs:
+                    got = held.get(r)
+                    if got is None:
+                        got = held[r] = _pack(x[r], width, nbytes, sa, tb)
+                    part += (a * got << bits if a else 0) + (
+                        b * got << bits * width if b else 0)
+                rhs[q] += part * lifted[c]
+            if any(rhs.values()) and len(comp) == 1:
+                det, nums = diag, [_unpack(rhs[comp[0]], width, nbytes, sa,
+                                           tb)]
+            elif any(rhs.values()):
+                det, nums = _solve_packed(comp, inner, rhs, wanted, bits,
+                                          width)
+                det = _unpack(det, width, nbytes)
+                nums = [_unpack(v, width, nbytes, sa, tb) for v in nums]
         pieces = splits.get(det.key())
         if pieces is None:
             pieces = splits[det.key()] = []
             for base, e in split_content(det):
                 i = ids.setdefault(base.key(), len(ids))
-                bases[i] = base
+                if i not in bases:
+                    bases[i], shapes[i] = base, _sizes(base)
                 pieces.append((i, e))
         for i, e in pieces:
             top[i] = top.get(i, 0) + e
         tuples.append(top)
-        for q, num in zip(comp[first:], nums):
-            x[q] = num
-            home[q] = len(tuples) - 1
+        for q, num in zip(wanted, nums):
+            x[q], home[q] = num, here
+            if num:
+                sizes[q] = _sizes(num)
     return FactoredRational(x[dfa.start], [
         (bases[i], e) for i, e in tuples[home[dfa.start]].items()])

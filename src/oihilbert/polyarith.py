@@ -325,29 +325,30 @@ def _misses_root(num, b0, b1):
     return acc != 0
 
 
-def common_denominator(factor_tuples, bases, memo):
+def common_denominator(factor_tuples):
     """The multiset maximum of a sequence of factor tuples, each a dict
-    {id: exponent} with bases[id] the factor and ids sortable, as a new
-    dict, and each tuple's cofactor: the product of the factor powers it
-    lacks against that maximum.  memo maps a cofactor's sorted (id,
-    exponent) pairs to it; pass one dict to calls whose cofactors repeat."""
+    {id: exponent} with ids sortable, as a new dict, and what each tuple
+    lacks against it: sorted (id, exponent) pairs, the factor powers whose
+    product is the tuple's cofactor."""
+    if len(factor_tuples) == 1:
+        return dict(factor_tuples[0]), [()]
     top = {}
     for factors in factor_tuples:
         for i, e in factors.items():
             if top.get(i, 0) < e:
                 top[i] = e
-    cofactors = []
-    for factors in factor_tuples:
-        lack = tuple(sorted((i, e - factors.get(i, 0))
-                            for i, e in top.items() if e > factors.get(i, 0)))
-        out = memo.get(lack)
-        if out is None:
-            out = BiPoly.one()
-            for i, e in lack:
-                out = out * bases[i] ** e
-            memo[lack] = out
-        cofactors.append(out)
-    return top, cofactors
+    return top, [tuple(sorted((i, e - factors.get(i, 0))
+                              for i, e in top.items()
+                              if e > factors.get(i, 0)))
+                 for factors in factor_tuples]
+
+
+def power_product(factors):
+    """The product of base ** exponent over (base, exponent) pairs."""
+    out = BiPoly.one()
+    for base, e in factors:
+        out = out * base ** e
+    return out
 
 
 class FactoredRational:
@@ -382,10 +383,7 @@ class FactoredRational:
         return self.num.is_zero()
 
     def den_expanded(self):
-        out = BiPoly.one()
-        for base, e in self.factors:
-            out = out * base ** e
-        return out
+        return power_product(self.factors)
 
     def __add__(self, other):
         """Sum over the multiset maximum of both factor lists, each
@@ -398,9 +396,10 @@ class FactoredRational:
             return self
         bases = {b.key(): b for b, _ in self.factors + other.factors}
         top, (cs, co) = common_denominator(
-            [{b.key(): e for b, e in r.factors} for r in (self, other)],
-            bases, {})
-        return FactoredRational(self.num * cs + other.num * co,
+            [{b.key(): e for b, e in r.factors} for r in (self, other)])
+        return FactoredRational(
+            self.num * power_product((bases[k], e) for k, e in cs)
+            + other.num * power_product((bases[k], e) for k, e in co),
                                 [(bases[k], e) for k, e in top.items()])
 
     def __sub__(self, other):

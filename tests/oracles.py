@@ -5,6 +5,7 @@ DFA's accepted words by path counts, the unpruned subset construction,
 the greatest simulation as a pairwise fixpoint, Moore minimization,
 equality of rational functions by cross-multiplication, t^k,
 the schoolbook product and per-digit unpacking of bivariate polynomials,
+the packed solve of a component system given as polynomial rows,
 reduction of a factored rational function by trial division alone,
 the paper's pseudo-division criterion for eventual finite length,
 written with sympy rather than the package's own polynomial
@@ -32,6 +33,7 @@ from operator import le
 
 import sympy
 
+from oihilbert import automata
 from oihilbert.analysis import factor_base
 from oihilbert.automata import Dfa, empty_dfa
 from oihilbert.decomposition import compute_decomposition
@@ -441,6 +443,46 @@ def unpack_digits(val, width, nbytes):
             out[(idx // width, idx % width)] = sign * digit
         idx += 1
     return out
+
+
+def pack_size(rows, rhs, tb=0):
+    """automata._pack_size's stride and bound for M x = rhs, its sizes
+    read off the polynomials themselves: rows[i] maps column to entry of
+    row i of M, and rhs packs divided by t^tb."""
+    top, norm = -1, 0
+    for b in rhs:
+        for (_, j), v in b.terms.items():
+            top, norm = max(top, j), norm + abs(v)
+    cols = {}
+    square = 1
+    for row in rows:
+        square *= sum(sum(map(abs, p.terms.values())) ** 2
+                      for p in row.values())
+        for j, p in row.items():
+            cols[j] = max(cols.get(j, 0), p.deg_t())
+    return automata._pack_size(square, cols.values(), norm, top - tb)
+
+
+def solve_component(rows, rhs, first):
+    """det(M) and the numerators det(M) * x_i, i >= first, of M x = rhs,
+    for rows as in pack_size and rhs not all zero: every entry packed once
+    (automata._pack), the right-hand side divided by its common monomial
+    s^sa t^tb, automata._bareiss on the integers, the results unpacked
+    with the monomial given back.  A digit is the fewest bytes that hold
+    four times the coefficient bound."""
+    size = len(rows)
+    sa = min(i for b in rhs for i, _ in b.terms)
+    tb = min(j for b in rhs for _, j in b.terms)
+    width, bound = pack_size(rows, rhs, tb)
+    nbytes = -(-(4 * bound).bit_length() // 8)
+    mat = [{j: automata._pack(p, width, nbytes) for j, p in row.items()}
+           for row in rows]
+    for row, b in zip(mat, rhs):
+        if b:
+            row[size] = automata._pack(b, width, nbytes, sa, tb)
+    det, nums = automata._bareiss(mat, first)
+    return automata._unpack(det, width, nbytes), [
+        automata._unpack(v, width, nbytes, sa, tb) for v in nums]
 
 
 def _expr(b):

@@ -11,9 +11,10 @@ from oihilbert import automata
 from oihilbert.automata import (
     Dfa,
     Nfa,
-    _pack_size,
+    _pack,
     _simulation,
-    _solve_component,
+    _solve_packed,
+    _unpack,
     determinize,
     generating_function,
     intersect_nfa_dfa,
@@ -29,6 +30,7 @@ from oihilbert.polyarith import (
     common_denominator,
     expand_series,
     one_minus_t_order,
+    power_product,
 )
 from oihilbert.schema import load_document, parse_document
 from oihilbert.series import module_series
@@ -36,9 +38,9 @@ from oihilbert.words import alphabet, decode, is_xi
 
 from corpus import random_monomial, random_presentation
 from enumerate_small import all_monomials, lstd_words
-from oracles import (equals_cross_mul, in_lstd, moore_minimize,
-                     pairwise_simulation, run_dfa, subset_dfa,
-                     word_count_window)
+from oracles import (equals_cross_mul, in_lstd, moore_minimize, pack_size,
+                     pairwise_simulation, run_dfa, solve_component,
+                     subset_dfa, word_count_window)
 
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "inputs"
@@ -104,30 +106,26 @@ def random_sparse_system(rng, size, density):
 
 
 def elimination_levels(rows):
-    """The levels the lazy elimination moves each row through, by the fill
-    pattern (cancellation ignored): per row, (step, level before) for each
-    step that rescales it, its own pivot step included, and the final
-    (size, level) of the right-hand side."""
+    """The levels the lazy forward elimination moves each row through, by
+    the fill pattern (cancellation ignored): per row, (step, level before)
+    for each step that rescales it, its own pivot step last."""
     size = len(rows)
     pattern = [set(row) for row in rows]
     lvl = [0] * size
     moves = [[] for _ in rows]
     for k in range(size):
         moves[k].append((k, lvl[k]))
-        lvl[k] = k + 1
-        for i in range(size):
-            if i != k and k in pattern[i]:
+        for i in range(k + 1, size):
+            if k in pattern[i]:
                 moves[i].append((k, lvl[i]))
                 pattern[i] = {j for j in pattern[i] | pattern[k] if j > k}
                 lvl[i] = k + 1
-    for i in range(size):
-        moves[i].append((size, lvl[i]))
     return moves
 
 
 def sympy_solve(rows, rhs):
     """det(M) and the Cramer numerators det(M) * x_i of M x = rhs, by
-    sympy: the reference for _solve_component."""
+    sympy: the reference for the packed solves."""
     size = len(rows)
     mat = sympy.Matrix(size, size, lambda i, j: to_sympy(
         rows[i].get(j, BiPoly.zero())))
@@ -138,6 +136,62 @@ def sympy_solve(rows, rhs):
         m[:, i] = col
         nums.append(from_sympy(sympy.expand(m.det())))
     return from_sympy(sympy.expand(mat.det())), nums
+
+
+def random_component(rng, size):
+    """The edges of one component as generating_function hands them to
+    _solve_packed: inner[q] lists (r, a, b), a variable and b marker
+    letters from q to r.  A chain of variable edges 0 -> 1 -> ... closed
+    by a marker edge back to 0, and each ordered pair given an edge with
+    probability 1/4: variable self-loops of one to three letters, marker
+    self-loops, and variable edges either way, so variable cycles longer
+    than one edge occur."""
+    counts = {(q, q + 1): [1, 0] for q in range(size - 1)}
+    counts[size - 1, 0] = [0, 1]
+    for q in range(size):
+        for r in range(size):
+            if rng.random() < 0.25:
+                got = counts.setdefault((q, r), [0, 0])
+                if rng.random() < 0.75:
+                    got[0] += rng.randint(1, 3 if q == r else 2)
+                else:
+                    got[1] += 1
+    inner = {}
+    for (q, r), (a, b) in sorted(counts.items()):
+        inner.setdefault(q, []).append((r, a, b))
+    return inner
+
+
+def component_rows(comp, inner):
+    """I - T_CC of a component as polynomial rows, indexed by position in
+    comp."""
+    pos = {q: i for i, q in enumerate(comp)}
+    rows = []
+    for i, q in enumerate(comp):
+        row = {i: BiPoly.one()}
+        for r, a, b in inner.get(q, ()):
+            row[pos[r]] = BiPoly({(0, 0): int(r == q), (0, 1): -a,
+                                  (1, 0): -b})
+        rows.append({j: p for j, p in row.items() if p})
+    return rows
+
+
+def forced_states(comp, inner, keep):
+    """The states the DAG elimination must keep on top of keep, by kind:
+    marker targets, diagonals other than 1 and 1 - t, and the states on
+    or above a cycle of the variable edges among the rest."""
+    targets = {r for q in comp for r, _, b in inner.get(q, ()) if b}
+    loops = {q for q in comp for r, a, b in inner.get(q, ())
+             if r == q and a > 1}
+    rest = set(comp) - set(keep) - targets - loops
+    succ = {q: {r for r, _, _ in inner.get(q, ()) if r != q and r in rest}
+            for q in rest}
+    while True:
+        sinks = {q for q, rs in succ.items() if not rs}
+        if not sinks:
+            break
+        succ = {q: rs - sinks for q, rs in succ.items() if q not in sinks}
+    return targets, loops, set(succ)
 
 
 class TestLstdDfa:
@@ -535,7 +589,7 @@ class TestGeneratingFunction:
         rhs = [one, zero, zero]
         det, nums = sympy_solve(rows, rhs)
         assert max(map(abs, det.terms.values())) > 2 ** 64
-        assert _solve_component(rows, rhs, 0) == (det, nums)
+        assert solve_component(rows, rhs, 0) == (det, nums)
 
     def test_counts_wider_than_eight_byte_digits(self):
         # a 13-cycle whose every edge carries all 40 variable letters:
@@ -561,11 +615,11 @@ class TestGeneratingFunction:
                 {0: -(s * t), 2: one - t - s}]
         rest = [one + s * t * 2, BiPoly.zero(), t * t - s]
         rhs = [shared * b for b in rest]
-        assert _pack_size(rows, rhs, 300) == _pack_size(rows, rest)
+        assert pack_size(rows, rhs, 300) == pack_size(rows, rest)
         det, nums = sympy_solve(rows, rhs)
         assert nums[0].terms and min(nums[0].terms) == (300, 300)
-        assert _solve_component(rows, rhs, 0) == (det, nums)
-        assert _solve_component(rows, rhs, 2) == (det, nums[2:])
+        assert solve_component(rows, rhs, 0) == (det, nums)
+        assert solve_component(rows, rhs, 2) == (det, nums[2:])
 
     def test_small_bound_packs_narrow_digits(self, monkeypatch):
         # a bound of 18 needs 7 bits for four times itself: one byte per
@@ -581,26 +635,26 @@ class TestGeneratingFunction:
         one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.term(0, 1)
         rows = [{0: one - t, 1: -s}, {0: -s, 1: one - t}]
         rhs = [one, t]
-        assert _pack_size(rows, rhs)[1] == 18
-        assert _solve_component(rows, rhs, 0) == sympy_solve(rows, rhs)
+        assert pack_size(rows, rhs)[1] == 18
+        assert solve_component(rows, rhs, 0) == sympy_solve(rows, rhs)
         assert sizes == [1] * 6
 
     @given(augmented_systems())
     @settings(max_examples=40, deadline=None)
     def test_packed_solve_bounds_and_values(self, system):
         rows, rhs = system
-        width, bound = _pack_size(rows, rhs)
+        width, bound = pack_size(rows, rhs)
         det, nums = sympy_solve(rows, rhs)
         for p in [det] + nums:
             assert max(map(abs, p.terms.values()), default=0) <= bound
             assert p.deg_t() < width
-        assert _solve_component(rows, rhs, 0) == (det, nums)
+        assert solve_component(rows, rhs, 0) == (det, nums)
 
     def test_lazy_levels_against_sympy(self):
         rng = random.Random(20261018)
         splits = random.Random(1971)
-        cases = {"skips several": 0, "first touched last": 0,
-                 "rescaled at the end": 0, "zero rhs": 0,
+        cases = {"skips several": 0, "lifted as pivot": 0,
+                 "untouched until its pivot": 0, "zero rhs": 0,
                  "split inside": 0, "last row alone": 0}
         for _ in range(12):
             size = rng.randint(4, 7)
@@ -609,19 +663,15 @@ class TestGeneratingFunction:
                 continue
             moves = elimination_levels(rows)
             for i, steps in enumerate(moves):
-                touched = [k for k, _ in steps[:-1] if k != i]
                 cases["skips several"] += any(k - l >= 2 for k, l in steps)
-                # below the last pivot, its level differs from the
-                # previous pivot's
-                cases["first touched last"] += (
-                    i < size - 2 and touched == [size - 1])
-                cases["rescaled at the end"] += bool(
-                    rhs[i] and steps[-1][1] < size)
+                # brought up to date only when it becomes the pivot row
+                cases["lifted as pivot"] += steps[-1][1] < i
+                cases["untouched until its pivot"] += i > 1 and len(steps) == 1
                 cases["zero rhs"] += not rhs[i]
             mat = sympy.Matrix(size, size, lambda i, j: to_sympy(
                 rows[i].get(j, BiPoly.zero())))
             det = from_sympy(sympy.expand(mat.det(method="berkowitz")))
-            got_det, nums = _solve_component(rows, rhs, 0)
+            got_det, nums = solve_component(rows, rhs, 0)
             assert got_det == det
             # M (det x) = det b determines det x, as det is nonzero
             for row, b in zip(rows, rhs):
@@ -635,7 +685,7 @@ class TestGeneratingFunction:
             cases["split inside"] += 0 < first < size - 1
             cases["last row alone"] += first == size - 1
             col = sympy.Matrix([to_sympy(b) for b in rhs])
-            got_det, entry = _solve_component(rows, rhs, first)
+            got_det, entry = solve_component(rows, rhs, first)
             assert got_det == det
             assert len(entry) == size - first
             for i, num in zip(range(first, size), entry):
@@ -661,7 +711,7 @@ class TestGeneratingFunction:
         ]
         for rows, rhs, want in cases:
             size = len(rows)
-            width, _ = _pack_size(rows, rhs)
+            width, _ = pack_size(rows, rhs)
             assert width == want
             mat = sympy.Matrix(size, size, lambda i, j: to_sympy(
                 rows[i].get(j, BiPoly.zero())))
@@ -672,7 +722,154 @@ class TestGeneratingFunction:
                 m[:, i] = sympy.Matrix([to_sympy(b) for b in rhs])
                 nums.append(from_sympy(sympy.expand(m.det())))
             assert max(p.deg_t() for p in [det] + nums) == want - 1
-            assert _solve_component(rows, rhs, 0) == (det, nums)
+            assert solve_component(rows, rhs, 0) == (det, nums)
+
+    def test_dag_first_solve_against_sympy(self, monkeypatch):
+        # random component systems solved with V eliminated along its DAG
+        # and with every state in K, against sympy; the systems need
+        # states forced into K (marker targets, self-loops of two or three
+        # variables, variable cycles longer than one edge), and some have
+        # a negative Schur exponent m - sum J, seen as a division by a
+        # power of the packed 1 - t
+        divisors = []
+
+        def spied(a, b):
+            divisors.append(b)
+            return divmod(a, b)
+
+        monkeypatch.setattr(automata, "divmod", spied, raising=False)
+        rng = random.Random(1963)
+        cases = {"marker target": 0, "two or three variable loop": 0,
+                 "longer variable cycle": 0, "V eliminated": 0,
+                 "negative exponent": 0}
+        for _ in range(40):
+            size = rng.randint(2, 7)
+            comp = list(range(size))
+            inner = random_component(rng, size)
+            rows = component_rows(comp, inner)
+            rhs = [BiPoly.zero() if rng.random() < 0.3 else
+                   BiPoly({(rng.randint(0, 2), rng.randint(0, 3)):
+                           rng.randint(-3, 3) for _ in range(2)})
+                   for _ in comp]
+            if not any(rhs):
+                rhs[0] = BiPoly.one()
+            mat = sympy.Matrix(size, size, lambda i, j: to_sympy(
+                rows[i].get(j, BiPoly.zero())))
+            det = from_sympy(sympy.expand(mat.det(method="berkowitz")))
+            width, bound = pack_size(rows, rhs)
+            nbytes = -(-(4 * bound).bit_length() // 8)
+            packed = {q: _pack(b, width, nbytes) for q, b in zip(comp, rhs)}
+            keep = sorted(rng.sample(comp, rng.randint(1, min(3, size))))
+            targets, loops, cyclic = forced_states(comp, inner, keep)
+            cases["marker target"] += bool(targets - set(keep))
+            cases["two or three variable loop"] += bool(loops - set(keep))
+            cases["longer variable cycle"] += bool(cyclic)
+            cases["V eliminated"] += (
+                len(set(keep) | targets | loops | cyclic) < size)
+            unit = 1 - (1 << 8 * nbytes)
+            for wanted in (comp, keep):
+                del divisors[:]
+                got_det, got = _solve_packed(comp, inner, packed, wanted,
+                                             8 * nbytes, width)
+                assert _unpack(got_det, width, nbytes) == det
+                got = [_unpack(v, width, nbytes) for v in got]
+                if wanted is comp:
+                    # M (det x) = det b determines det x, as det is nonzero
+                    nums = got
+                    for row, b in zip(rows, rhs):
+                        total = BiPoly.zero()
+                        for j, p in row.items():
+                            total = total + p * nums[j]
+                        assert total == det * b
+                assert got == [nums[q] for q in wanted]
+                cases["negative exponent"] += any(
+                    unit ** k in divisors for k in (1, 2, 3))
+        assert all(cases.values()), cases
+
+    def test_negative_schur_exponent(self, monkeypatch):
+        # states 0 and 1 both reach V = {2}, whose diagonal is 1 - t:
+        # m = 1 and J_0 = J_1 = 1, so det(I - T_CC) is (1-t)^-1 times the
+        # Bareiss determinant of the scaled rows, an exact packed division
+        divisors = []
+
+        def spied(a, b):
+            divisors.append(b)
+            return divmod(a, b)
+
+        monkeypatch.setattr(automata, "divmod", spied, raising=False)
+        inner = {0: [(1, 0, 1), (2, 1, 0)], 1: [(2, 2, 0), (0, 0, 1)],
+                 2: [(2, 1, 0), (0, 1, 0), (1, 0, 1)]}
+        comp = [0, 1, 2]
+        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.term(0, 1)
+        rhs = [one + s, t, s * t]
+        rows = component_rows(comp, inner)
+        det, nums = sympy_solve(rows, rhs)
+        width, bound = pack_size(rows, rhs)
+        nbytes = -(-(4 * bound).bit_length() // 8)
+        packed = {q: _pack(b, width, nbytes) for q, b in zip(comp, rhs)}
+        got_det, got = _solve_packed(comp, inner, packed, [0], 8 * nbytes,
+                                     width)
+        assert 1 - (1 << 8 * nbytes) in divisors
+        assert _unpack(got_det, width, nbytes) == det
+        assert _unpack(got[0], width, nbytes) == nums[0]
+
+    def test_size_bounds_cover_the_right_hand_sides(self, monkeypatch):
+        # the stride and coefficient bound generating_function derives from
+        # the sizes kept with each numerator are never below _pack_size of
+        # the actual system, its right-hand sides unpacked; the bundled
+        # DFAs' components reach successors with different factors, so
+        # cofactors are not all 1
+        sized, solve = automata._pack_size, automata._solve_packed
+        last, seen = [], []
+
+        def recorded(*args):
+            last[:] = [sized(*args)]
+            return last[0]
+
+        def checked(comp, inner, rhs, keep, bits, width):
+            # pack_size calls the recorded _pack_size too: read it first
+            got_width, bound = last[0]
+            assert got_width == width
+            actual = [_unpack(rhs[q], width, bits // 8) for q in comp]
+            want = pack_size(component_rows(comp, inner), actual)
+            assert width >= want[0] and bound >= want[1]
+            seen.append(len(comp))
+            return solve(comp, inner, rhs, keep, bits, width)
+
+        monkeypatch.setattr(automata, "_pack_size", recorded)
+        monkeypatch.setattr(automata, "_solve_packed", checked)
+        corpus = json.loads(
+            (ROOT / "perfbench" / "corpus" / "solve-heavy.json").read_text())
+        rng = random.Random(3607)
+        docs = [parse_document(entry["doc"]).effective_presentation()
+                for entry in corpus["docs"][:40]]
+        docs += [random_presentation(rng) for _ in range(40)]
+        dfas = [module_dfa(p.c, d, [g for g in p.generators
+                                    if g.summand == idx])
+                for p in docs for idx, (d, _) in enumerate(p.summands)]
+        dfas += [bundled_dfa(rng, alphabet(c, 1)) for c in (2, 3)
+                 for _ in range(60)]
+        # the 2-cycle 0 <-> 1 exits to 2, which loops on x1, and to 3,
+        # which loops on t0: x0's right-hand side t*(1-s) + s*(1-t) has l1
+        # norm 4, twice the exit terms' before their cofactors
+        dfas.append(Dfa(alphabet(2, 0), 4, 0, {2, 3}, {
+            (0, 1): 1, (1, 1): 0, (0, 2): 2, (0, 0): 3, (2, 1): 2,
+            (3, 0): 3}))
+        for dfa in dfas:
+            generating_function(dfa)
+        assert len(seen) > 200 and max(seen) > 20
+
+    def test_random_partial_dfas_against_path_counts(self):
+        # random partial DFAs aim every letter anywhere: variable cycles
+        # of any length, self-loops of several letters of both kinds
+        rng = random.Random(1971)
+        for c in (2, 3):
+            letters = alphabet(c, 1)
+            for _ in range(30):
+                dfa = random_partial_dfa(rng, letters)
+                gf = generating_function(dfa)
+                assert expand_series(gf, 5, 5) == word_count_window(
+                    dfa, 5, 5), (c, dfa.trans, dfa.accepts)
 
     def test_successor_components_with_different_factors(self):
         # 0 <-x1-> 1 is a 2-cycle and 0 accepts; 0 -t0-> 2 reaches a
@@ -691,31 +888,33 @@ class TestGeneratingFunction:
         assert expand_series(gf, 4, 4) == word_count_window(dfa, 4, 4)
 
     def test_cofactor_memo_matches_direct_product(self):
-        # one product memo across many draws, as one generating_function
-        # call shares it across components; factor tuples are dicts
-        # {factor id: exponent} over one list of bases, and a factor power
-        # past another tuple's raises the maximum and adds nothing to that
-        # tuple's cofactor
+        # factor tuples are dicts {factor id: exponent} over one list of
+        # bases; each lack names the factor powers a tuple misses against
+        # the maximum, so equal lacks share one cofactor (generating_function
+        # memoizes by them), and a factor power past another tuple's raises
+        # the maximum and adds nothing to that tuple's cofactor
         one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.term(0, 1)
         bases = [one - t, one + t, one - s, one - s * t - t * t,
                  one - s - s * t * 2]
         rng = random.Random(505)
-        products = {}
+        lacks = set()
         for _ in range(300):
             tuples = [{i: rng.randint(1, 3) for i in rng.sample(
                 range(len(bases)), rng.randint(0, len(bases)))}
                 for _ in range(rng.randint(1, 3))]
-            top, cofactors = common_denominator(tuples, bases, products)
+            top, missing = common_denominator(tuples)
             assert top == {i: max(f.get(i, 0) for f in tuples)
                            for f in tuples for i in f}
-            for factors, cofactor in zip(tuples, cofactors):
+            for factors, lack in zip(tuples, missing):
                 want = one
                 for i, e in top.items():
                     for _ in range(e - factors.get(i, 0)):
                         want = want * bases[i]
-                assert cofactor == want, (tuples, factors)
+                assert power_product(
+                    (bases[i], e) for i, e in lack) == want, (tuples, factors)
+                lacks.add(lack)
             assert all(top is not f for f in tuples)
-        assert len(products) < 300
+        assert len(lacks) < 300
 
     def test_dead_cycle_contributes_nothing(self):
         # 1 <-x1-> 2 reaches no accepting state: a component whose

@@ -360,9 +360,9 @@ class TestFactoredRational:
         # and builds no common denominator to multiply by the zero
         calls = []
 
-        def counted(factor_tuples, bases, memo):
+        def counted(factor_tuples):
             calls.append(factor_tuples)
-            return common_denominator(factor_tuples, bases, memo)
+            return common_denominator(factor_tuples)
 
         monkeypatch.setattr(polyarith, "common_denominator", counted)
         zero = FactoredRational.zero()
