@@ -487,29 +487,24 @@ def _unpack(val, width, nbytes, sa=0, tb=0):
     """The polynomial whose signed digits of nbytes bytes make val, times
     s^sa t^tb; raises OihError if a digit reaches 2^(8*nbytes - 2), too
     large for the balanced representation to be trustworthy.  Adding half
-    a digit at every position makes each digit plain; digits of up to 8
-    bytes are padded to 1, 2, 4 or 8, a byte column at a time, and read as
-    one array of machine words, wider ones one by one."""
+    a digit at every position makes each digit plain, so every digit is
+    read with int.from_bytes and the half taken off again."""
     bits = 8 * nbytes
     half = 1 << (bits - 1)
     count = (abs(val).bit_length() + bits - 1) // bits + 1
     bias = int.from_bytes(half.to_bytes(nbytes, "little") * count, "little")
     raw = (val + bias).to_bytes(nbytes * count, "little")
-    if nbytes > 8:
-        digits = [int.from_bytes(raw[k:k + nbytes], "little")
-                  for k in range(0, len(raw), nbytes)]
-    else:
-        size = 1 << (nbytes - 1).bit_length()
-        if size != nbytes:
-            pad = bytearray(size * count)
-            for k in range(nbytes):
-                pad[k::size] = raw[k::nbytes]
-            raw = pad
-        digits = memoryview(raw).cast("BHIQ"[size.bit_length() - 1])
+    digits = [int.from_bytes(raw[k:k + nbytes], "little")
+              for k in range(0, len(raw), nbytes)]
     if not half - half // 2 < min(digits) <= max(digits) < half + half // 2:
         raise OihError("solve result exceeds its digit bound")
     return BiPoly._raw({(k // width + sa, k % width + tb): w - half
                         for k, w in enumerate(digits) if w != half})
+
+
+def _times(f, a, b, bits, width):
+    """Packed f * (a*t + b*s), t = 2^bits and s = t^width."""
+    return (a * f << bits if a else 0) + (b * f << bits * width if b else 0)
 
 
 def _pack_size(square, cols, norm, top):
@@ -587,11 +582,6 @@ def _solve_packed(comp, inner, rhs, keep, bits, width):
     of a variables and b markers from q to r inside it, rhs[q] is packed,
     t = 2^bits and s = t^width, so an edge weight multiplies by shifts."""
     one_minus_t = 1 - (1 << bits)
-    up = bits * width
-
-    def times(f, a, b):  # f * (a*t + b*s)
-        return (a * f << bits if a else 0) + (b * f << up if b else 0)
-
     kset = set(keep) | {r for q in comp for r, a, b in inner.get(q, ())
                         if b or (r == q and a > 1)}
     later = {}  # state of V -> its successors in V not yet ordered
@@ -634,12 +624,13 @@ def _solve_packed(comp, inner, rhs, keep, bits, width):
             out[size] = scale * rhs[q]
         for r, a, b in edges:
             if r in col:
-                out[col[r]] = out.get(col[r], 0) - times(scale, a, b)
+                c = col[r]
+                out[c] = out.get(c, 0) - _times(scale, a, b, bits, width)
             elif r in done:
                 j, row = done[r]
                 f = power(lift - j)
                 for c, v in row.items():
-                    out[c] = out.get(c, 0) + times(v * f, a, b)
+                    out[c] = out.get(c, 0) + _times(v * f, a, b, bits, width)
         return lift, {c: v for c, v in out.items() if v}
 
     shift = 0  # m - sum J
@@ -821,8 +812,7 @@ def generating_function(dfa):
                     got = held.get(r)
                     if got is None:
                         got = held[r] = _pack(x[r], width, nbytes, sa, tb)
-                    part += (a * got << bits if a else 0) + (
-                        b * got << bits * width if b else 0)
+                    part += _times(got, a, b, bits, width)
                 rhs[q] += part * lifted[c]
             if any(rhs.values()) and len(comp) == 1:
                 det, nums = diag, [_unpack(rhs[comp[0]], width, nbytes, sa,

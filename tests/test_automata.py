@@ -859,18 +859,6 @@ class TestGeneratingFunction:
             generating_function(dfa)
         assert len(seen) > 200 and max(seen) > 20
 
-    def test_random_partial_dfas_against_path_counts(self):
-        # random partial DFAs aim every letter anywhere: variable cycles
-        # of any length, self-loops of several letters of both kinds
-        rng = random.Random(1971)
-        for c in (2, 3):
-            letters = alphabet(c, 1)
-            for _ in range(30):
-                dfa = random_partial_dfa(rng, letters)
-                gf = generating_function(dfa)
-                assert expand_series(gf, 5, 5) == word_count_window(
-                    dfa, 5, 5), (c, dfa.trans, dfa.accepts)
-
     def test_successor_components_with_different_factors(self):
         # 0 <-x1-> 1 is a 2-cycle and 0 accepts; 0 -t0-> 2 reaches a
         # component with factors (1-t)^2, 1 -t0-> 3 one with (1-s)(1-t):
@@ -1016,9 +1004,11 @@ class TestGeneratingFunction:
 
     def test_random_dfas_against_path_counts(self):
         # random partial DFAs over c = 2 and c = 3 colors whose edges
-        # bundle letters of both kinds into one target, against counting
-        # the accepted words path by path
-        rng = random.Random(2006)
+        # bundle letters of both kinds into one target, and ones that aim
+        # every letter anywhere (variable cycles of any length, self-loops
+        # of several letters of both kinds), against counting the
+        # accepted words path by path
+        rng, anywhere = random.Random(2006), random.Random(1971)
         cases = {"2 variables and a marker": 0, "3 variables and a marker": 0,
                  "loop of both kinds": 0, "dead cycle": 0,
                  "several accepting": 0, "1 entry": 0, "2 entries": 0,
@@ -1026,8 +1016,9 @@ class TestGeneratingFunction:
         entry_cases = {1: "1 entry", 2: "2 entries", 3: "3 entries"}
         for c in (2, 3):
             letters = alphabet(c, 1)
-            for _ in range(40):
-                dfa = bundled_dfa(rng, letters)
+            dfas = [bundled_dfa(rng, letters) for _ in range(40)]
+            dfas += [random_partial_dfa(anywhere, letters) for _ in range(30)]
+            for dfa in dfas:
                 counts = {}
                 for (q, a), r in dfa.trans.items():
                     kinds = counts.setdefault((q, r), [0, 0])
