@@ -1,6 +1,9 @@
 """Pinned command outputs: the sha256 of exit code plus stdout of every
-shipped input under five command forms and of 40 seeded random
-presentations under two.  A change that claims byte-identical outputs
+shipped input under five command forms, of 40 seeded random
+presentations under two, of `decompose --json` on 30 seeded random
+single-summand documents at three column-1 exponent vectors each (zeros,
+ones and a random one), and of `hilbert --json` on 20 seeded random FI
+ideals.  A change that claims byte-identical outputs
 must pass this test with `golden_outputs.json` as it is; a change that
 alters rendered output on purpose rewrites the table in the same diff:
 
@@ -18,7 +21,7 @@ from pathlib import Path
 from oihilbert import cli
 from oihilbert.schema import monomial_to_obj
 
-from corpus import random_presentation
+from corpus import random_ideal, random_presentation, random_single_summand
 
 HERE = Path(__file__).resolve().parent
 INPUTS = HERE.parent / "inputs"
@@ -31,15 +34,31 @@ SHIPPED_COMMANDS = (
 RANDOM_COMMANDS = (("hilbert", "--json"), ("analyze", "--json"))
 
 
-def _random_documents(count=40, seed=20261019):
-    rng = random.Random(seed)
-    for k in range(count):
-        p = random_presentation(rng)
-        yield f"random-{k:02d}", {
-            "schema_version": 1, "c": p.c,
+def _document(p):
+    return {"schema_version": 1, "c": p.c,
             "summands": [{"d": d, "shift": sh} for d, sh in p.summands],
             "generators": [monomial_to_obj(g) for g in p.generators],
-            "mode": "quotient"}
+            "category": p.category, "mode": "quotient"}
+
+
+def _random_documents(count=40, seed=20261019):
+    """(name, document, commands) triples over every seeded family."""
+    rng = random.Random(seed)
+    for k in range(count):
+        yield f"random-{k:02d}", _document(random_presentation(rng)), \
+            RANDOM_COMMANDS
+    rng = random.Random(seed + 1)
+    for k in range(30):
+        p = random_single_summand(rng, max_gens=4, max_width=4)
+        es = [(0,) * p.c, (1,) * p.c,
+              tuple(rng.randint(0, 3) for _ in range(p.c))]
+        yield f"decompose-{k:02d}", _document(p), tuple(
+            ("decompose", "--e", ",".join(map(str, e)), "--json")
+            for e in es)
+    rng = random.Random(seed + 2)
+    for k in range(20):
+        p = random_ideal(rng, max_gens=4, max_width=4, category="FI")
+        yield f"fi-{k:02d}", _document(p), (("hilbert", "--json"),)
 
 
 def _digest(path, command):
@@ -56,10 +75,10 @@ def outputs(workdir):
     for path in sorted(INPUTS.glob("*.json")):
         for command in SHIPPED_COMMANDS:
             table[f"{path.name} {' '.join(command)}"] = _digest(path, command)
-    for name, doc in _random_documents():
+    for name, doc, commands in _random_documents():
         path = Path(workdir) / f"{name}.json"
         path.write_text(json.dumps(doc))
-        for command in RANDOM_COMMANDS:
+        for command in commands:
             table[f"{name} {' '.join(command)}"] = _digest(path, command)
     return table
 
