@@ -17,10 +17,6 @@ class WidthMismatch(OihError):
     """Widths of the objects involved are incompatible."""
 
 
-class SummandMismatch(OihError):
-    """Free-module summand indices of the objects involved differ."""
-
-
 class NotAnIdeal(OihError):
     """The operation needs rank-zero free summands (an ideal), or FI data it supports."""
 

@@ -13,11 +13,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .errors import (
-    NotAnIdeal,
-    SummandMismatch,
-    WidthMismatch,
-)
+from .errors import NotAnIdeal, WidthMismatch
 from .polyarith import mul_into
 
 
@@ -82,53 +78,42 @@ class Monomial:
                 f"w{self.width} k{self.summand})")
 
 
-def _col_le(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def find_embedding(g, m):
-    """Images (eps(1), ..., eps(g.width)) of an order-embedding eps with
-    eps(g.pi) = m.pi and exponents of g fitting under those of m column by
-    column; None when no such embedding exists."""
-    if g.summand != m.summand:
-        raise SummandMismatch(f"summand {g.summand} vs {m.summand}")
-    if g.width > m.width or len(g.pi) != len(m.pi):
-        return None
-    values = [0] * g.width
-    gp = (0,) + g.pi + (g.width + 1,)
-    mp = (0,) + m.pi + (m.width + 1,)
-    for k, (a, b) in enumerate(zip(g.pi, m.pi)):
-        if not _col_le(g.cols[a - 1], m.cols[b - 1]):
-            return None
-        values[a - 1] = b
-    for seg in range(len(gp) - 1):
-        target = mp[seg] + 1
-        for gc in range(gp[seg] + 1, gp[seg + 1]):
-            col = g.cols[gc - 1]
-            while target < mp[seg + 1] and not _col_le(col, m.cols[target - 1]):
-                target += 1
-            if target >= mp[seg + 1]:
-                return None
-            values[gc - 1] = target
-            target += 1
-    return tuple(values)
-
-
-def oi_divides(g, m):
-    """True iff m lies in the submodule generated by g."""
-    return find_embedding(g, m) is not None
-
-
 def minimalize(mons):
     """Minimal generating set: drop duplicates and anything another generator
-    divides. Monomials in different summands never divide each other."""
-    seen = []
-    for mon in sorted(set(mons), key=lambda g: (g.width, g.degree, g.key())):
-        if not any(
-            k.summand == mon.summand and oi_divides(k, mon) for k in seen
-        ):
-            seen.append(mon)
-    return seen
+    divides, by width, then degree, so a divisor comes first.  Monomials
+    in different summands never divide each other."""
+    mons = sorted(set(mons), key=lambda g: (g.width, g.degree, g.key()))
+    layout = _layout(mons[0].c if mons else 0, mons, 0)
+    kept, out = {}, []
+    for mon in mons:
+        cols = [layout.column(col) for col in mon.cols]
+        outs = [~col for col in cols]
+        group = kept.setdefault((mon.summand, len(mon.pi)), [])
+        if not any(_embeds(g, pi, outs, mon.pi) for g, pi in group):
+            group.append((cols, mon.pi))
+            out.append(mon)
+    return out
+
+
+def _embeds(g, gpi, outs, mpi):
+    """True iff an order-embedding sends gpi to mpi and each column mask
+    of g under its image among m's, given by their complements outs.  A
+    basis column lands on its fixed target, any other on the first column
+    past the last image that holds it: the most room for the rest."""
+    fixed = {a - 1: b - 1 for a, b in zip(gpi, mpi)}
+    last = -1
+    for j, col in enumerate(g):
+        at = fixed.get(j)
+        if at is None:
+            at = last + 1
+            while at < len(outs) and col & outs[at]:
+                at += 1
+            if at == len(outs):
+                return False
+        elif at <= last or col & outs[at]:
+            return False
+        last = at
+    return True
 
 
 class ModulePresentation:
@@ -248,6 +233,13 @@ class MaskLayout:
         for at, e in zip(self.offsets, col):
             out |= ((1 << e) - 1) << at
         return out
+
+
+def _layout(c, mons, ncols):
+    """The `MaskLayout` of ncols columns that holds every exponent of mons."""
+    return MaskLayout(
+        [max((col[i] for g in mons for col in g.cols), default=0)
+         for i in range(c)], ncols)
 
 
 def _extend_minimal(gens, new):
@@ -460,9 +452,7 @@ def hilbert_widths(p, n_max, quotient=True):
     new."""
     if any(shift < 0 for _, shift in p.summands):
         raise WidthMismatch("width-wise series needs nonnegative shifts")
-    layout = MaskLayout(
-        [max((col[i] for g in p.generators for col in g.cols), default=0)
-         for i in range(p.c)], n_max)
+    layout = _layout(p.c, p.generators, n_max)
     memo = {}
     ideal = []
     out = []
@@ -529,10 +519,23 @@ def symmetrize_fi_ideal(p):
         raise NotAnIdeal("presentation is not FI")
     if any(d != 0 for d, _ in p.summands):
         raise NotAnIdeal("FI symmetrization supports rank-zero summands only")
-    gens = []
-    for g in p.generators:
-        for cols in set(itertools.permutations(g.cols)):
-            gens.append(Monomial(g.c, g.width, cols, (), g.summand))
-    gens = minimalize(gens)
+    gens = minimalize([Monomial(g.c, g.width, cols, (), g.summand)
+                       for g in p.generators for cols in _orderings(g.cols)])
     gens.sort(key=lambda m: m.key())
     return ModulePresentation(p.c, p.summands, gens, "OI")
+
+
+def _orderings(cols):
+    """Every distinct ordering of cols, once each, in increasing order:
+    each step makes the next larger one, so repeated columns add none."""
+    cols = sorted(cols)
+    while True:
+        yield tuple(cols)
+        i = len(cols) - 2
+        while i >= 0 and cols[i] >= cols[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = max(k for k in range(i + 1, len(cols)) if cols[k] > cols[i])
+        cols[i], cols[j] = cols[j], cols[i]
+        cols[i + 1:] = cols[:i:-1]

@@ -14,8 +14,10 @@ and BiPoly with a Fraction solve, the series window cell by cell
 against the product denominator, the width-wise series by a fresh
 enumeration of the images at each width and a numerator recursion on
 exponent tuples, the width-wise Krull dimension, multiplicity and size
-invariants, and the decomposition identities: the width-n slice
-identity and the repeated-division identity.
+invariants, OI-divisibility by a scan over column tuples, with the
+minimal generating sets and colon generators it gives, and the
+decomposition identities: the width-n slice identity and the
+repeated-division identity, which minimalize by that scan alone.
 
 The references' univariate arithmetic lives here, in `UniPoly`: the
 package holds a univariate polynomial as a list or tuple of ints and
@@ -48,10 +50,8 @@ from oihilbert.errors import (
 from oihilbert.oicore import (
     Monomial,
     WidthSeries,
-    colon_width,
     expand_to_width,
     hilbert_width,
-    minimalize,
 )
 from oihilbert.polyarith import BiPoly, FactoredRational
 from oihilbert.words import decode, is_xi, tau_index
@@ -841,6 +841,67 @@ def dim_deg_width(p, n, quotient=True):
     return ws.den_pow - k, num(1)
 
 
+# ---------------------------------------------------------------------------
+# OI-divisibility on column tuples
+
+
+def find_embedding(g, m):
+    """Images (eps(1), ..., eps(g.width)) of an order-embedding eps with
+    eps(g.pi) = m.pi and exponents of g fitting under those of m column by
+    column; None when no such embedding exists.  The scan runs segment by
+    segment between the fixed basis targets, each column on the first
+    column of m that holds it."""
+    if g.summand != m.summand:
+        raise ValueError(f"summand {g.summand} vs {m.summand}")
+    if g.width > m.width or len(g.pi) != len(m.pi):
+        return None
+    values = [0] * g.width
+    gp = (0,) + g.pi + (g.width + 1,)
+    mp = (0,) + m.pi + (m.width + 1,)
+    for a, b in zip(g.pi, m.pi):
+        if not all(map(le, g.cols[a - 1], m.cols[b - 1])):
+            return None
+        values[a - 1] = b
+    for seg in range(len(gp) - 1):
+        target = mp[seg] + 1
+        for gc in range(gp[seg] + 1, gp[seg + 1]):
+            col = g.cols[gc - 1]
+            while target < mp[seg + 1] and not all(
+                    map(le, col, m.cols[target - 1])):
+                target += 1
+            if target >= mp[seg + 1]:
+                return None
+            values[gc - 1] = target
+            target += 1
+    return tuple(values)
+
+
+def oi_divides(g, m):
+    """True iff m lies in the submodule generated by g."""
+    return find_embedding(g, m) is not None
+
+
+def minimalize_reference(mons):
+    """The minimal generating set by `oi_divides`, in the order of
+    `oicore.minimalize`: by width, then degree, then key."""
+    seen = []
+    for mon in sorted(set(mons), key=lambda g: (g.width, g.degree, g.key())):
+        if not any(k.summand == mon.summand and oi_divides(k, mon)
+                   for k in seen):
+            seen.append(mon)
+    return seen
+
+
+def colon_reference(p, e, n):
+    """Width-n generators of (M_n : x^e), x^e the column-1 monomial of
+    exponents e, minimalized by `minimalize_reference`."""
+    out = []
+    for m in expand_to_width(p, n):
+        col1 = tuple(max(0, a - b) for a, b in zip(m.cols[0], e))
+        out.append(Monomial(m.c, n, (col1,) + m.cols[1:], m.pi, m.summand))
+    return minimalize_reference(out)
+
+
 class SizeInvariants:
     __slots__ = ("wi_plus", "e_plus", "si")
 
@@ -856,11 +917,11 @@ class SizeInvariants:
 def size_invariants(p):
     """Maximal generator width, maximal degree of a minimal generator at
     that width, and the size count used by the decomposition comparisons."""
-    gens = minimalize(p.generators)
+    gens = minimalize_reference(p.generators)
     if not gens:
         return SizeInvariants(-inf, -inf, inf)
     wi = max(g.width for g in gens)
-    top = minimalize(expand_to_width(p, wi))
+    top = minimalize_reference(expand_to_width(p, wi))
     e_plus = max(g.degree + p.shift_of(g.summand) for g in top)
     dims = hilbert_width(p, wi, quotient=True).dims(e_plus)
     return SizeInvariants(wi, e_plus, sum(dims))
@@ -891,8 +952,8 @@ def _column1_all_summands(p, n):
 
 def sliced_quotient_dims(p, e, n, j_max):
     """Degree dims of F_n / (M_n : x1^e + (column 1)F_n)."""
-    gens = colon_width(p, tuple(e), n) + _column1_all_summands(p, n)
-    pn = p.with_generators(minimalize(gens))
+    gens = colon_reference(p, tuple(e), n) + _column1_all_summands(p, n)
+    pn = p.with_generators(minimalize_reference(gens))
     return hilbert_width(pn, n).dims(j_max)
 
 
@@ -916,7 +977,7 @@ def division_exponent_bound(p):
     """One more than the largest column-1 exponent among minimal
     generators; dividing by that power always clears column 1."""
     r = 0
-    for g in minimalize(p.generators):
+    for g in minimalize_reference(p.generators):
         if g.width >= 1:
             r = max(r, max(g.cols[0]))
     return r + 1
@@ -944,8 +1005,8 @@ def repeated_division_sides(p, n):
     rhs = FactoredRational.zero()
     col1 = _column1_all_summands(p, n)
     for e in product(range(r + 1), repeat=p.c):
-        gens = colon_width(p, e, n) + col1
-        part = hilbert_width(p.with_generators(minimalize(gens)), n)
+        gens = colon_reference(p, e, n) + col1
+        part = hilbert_width(p.with_generators(minimalize_reference(gens)), n)
         gamma = sum(1 for x in e if x == r)
         rhs = rhs + _as_rational((0,) * sum(e) + part.num,
                                  part.den_pow + gamma)

@@ -20,6 +20,7 @@ from oracles import (
     dim_deg_width,
     equals_cross_mul,
     in_lstd,
+    oi_divides,
     paper_artinian,
     repeated_division_sides,
     run_dfa,
@@ -39,7 +40,6 @@ from oihilbert.oicore import (
     ModulePresentation,
     Monomial,
     hilbert_width,
-    oi_divides,
     symmetrize_fi_ideal,
 )
 from oihilbert.polyarith import BiPoly, FactoredRational

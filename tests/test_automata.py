@@ -23,7 +23,7 @@ from oihilbert.automata import (
     module_dfa,
     module_nfa,
 )
-from oihilbert.oicore import Monomial, ModulePresentation, hilbert_width, oi_divides
+from oihilbert.oicore import Monomial, ModulePresentation, hilbert_width
 from oihilbert.polyarith import (
     BiPoly,
     FactoredRational,
@@ -38,9 +38,9 @@ from oihilbert.words import alphabet, decode, is_xi
 
 from corpus import random_monomial, random_presentation
 from enumerate_small import all_monomials, lstd_words
-from oracles import (equals_cross_mul, in_lstd, moore_minimize, pack_size,
-                     pairwise_simulation, run_dfa, solve_component,
-                     subset_dfa, word_count_window)
+from oracles import (equals_cross_mul, in_lstd, moore_minimize, oi_divides,
+                     pack_size, pairwise_simulation, run_dfa,
+                     solve_component, subset_dfa, word_count_window)
 
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "inputs"

@@ -575,9 +575,11 @@ class TestCommands:
         # and that the wrapped commands still run, the width-wise route
         # too: oracle prints OK, and check.py's reference table, built
         # through the wrapped hilbert_width (whose parameters the wrapper
-        # binds by name), equals the one built before the hooks went in
+        # binds by name), equals the one built before the hooks went in;
+        # an FI document and decompose reach the wrapped minimalize
         root = Path(__file__).resolve().parent.parent
         doc = str(INPUTS / "squarefree_pair.json")
+        fi = str(INPUTS / "fi_pair.json")
         script = (
             "import contextlib, io, json\n"
             "import check, spans\n"
@@ -588,19 +590,22 @@ class TestCommands:
             "from oihilbert import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    codes = [cli.main([c, {doc!r}]) for c in ('hilbert', 'analyze')]\n"
+            f"    codes.append(cli.main(['hilbert', {fi!r}]))\n"
+            f"    codes.append(cli.main(['decompose', {doc!r}, '--e', '1']))\n"
             "oracle = io.StringIO()\n"
             "with contextlib.redirect_stdout(oracle):\n"
             f"    codes.append(cli.main(['oracle', {doc!r}, '-N', '3', '-J', '3']))\n"
             "hooked = check.reference_table(obj, 6)\n"
             "print(codes, oracle.getvalue().strip(), hooked == plain,\n"
-            "      len(rec.keys['oicore.hilbert_width']))\n")
+            "      len(rec.keys['oicore.hilbert_width']),\n"
+            "      rec.counts['minimalize.in'] > 0)\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(root / "src"), str(root / "perfbench"),
              os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, timeout=120)
         assert (out.returncode, out.stdout.strip()) == (
-            0, "[0, 0, 0] OK True 7"), out.stderr
+            0, "[0, 0, 0, 0, 0] OK True 7 True"), out.stderr
 
     def test_readme_sessions(self, capsys, monkeypatch):
         # every `$ oih ...` line of README.md, run from the repository

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 from math import comb, inf
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oihilbert import oicore
-from oihilbert.errors import SummandMismatch, WidthMismatch, NotAnIdeal
+from oihilbert.errors import WidthMismatch, NotAnIdeal
 from oihilbert.oicore import (
     MaskLayout,
     Monomial,
@@ -16,25 +17,28 @@ from oihilbert.oicore import (
     WidthSeries,
     colon_width,
     expand_to_width,
-    find_embedding,
     hilbert_width,
     hilbert_widths,
     kpoly,
     minimalize,
-    oi_divides,
     order_key,
     symmetrize_fi_ideal,
 )
 from oihilbert.schema import parse_document
 from oihilbert.series import module_series
 
+from corpus import random_monomial
 from enumerate_small import OIMorphism, all_monomials, apply_morphism, brute_divides
 from oracles import (
     UniPoly,
     ZeroModule,
+    colon_reference,
     dim_deg_width,
+    find_embedding,
     hilbert_width_reference,
     kpoly_reference,
+    minimalize_reference,
+    oi_divides,
     size_invariants,
 )
 
@@ -49,6 +53,16 @@ def ideal(c, gens, shift=0):
 
 def principal(c, width, cols, d=0, pi=(), shift=0):
     return ModulePresentation(c, [(d, shift)], [Monomial(c, width, cols, pi)])
+
+
+def mask_divides(g, m):
+    """The package's divisibility test on one pair: both monomials'
+    columns read as masks of one layout, as `minimalize` reads them."""
+    if g.summand != m.summand or len(g.pi) != len(m.pi):
+        return False
+    layout = oicore._layout(g.c, [g, m], 0)
+    return oicore._embeds([layout.column(col) for col in g.cols], g.pi,
+                          [~layout.column(col) for col in m.cols], m.pi)
 
 
 def degree_j_count(p, n, j, quotient=True):
@@ -173,8 +187,9 @@ class TestDivisibility:
     def test_summand_mismatch_raises(self):
         a = Monomial(1, 1, ((1,),), (), summand=0)
         b = Monomial(1, 1, ((1,),), (), summand=1)
-        with pytest.raises(SummandMismatch):
+        with pytest.raises(ValueError):
             oi_divides(a, b)
+        assert not mask_divides(a, b)
 
     def test_exhaustive_against_brute_force(self):
         for c, d in [(1, 0), (1, 1), (2, 0)]:
@@ -182,7 +197,9 @@ class TestDivisibility:
             big = all_monomials(c, d, d + 2, 2)
             for g in small:
                 for m in big:
-                    assert oi_divides(g, m) == brute_divides(g, m), (g, m)
+                    want = brute_divides(g, m)
+                    assert oi_divides(g, m) == want, (g, m)
+                    assert mask_divides(g, m) == want, (g, m)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -201,10 +218,113 @@ class TestDivisibility:
 
         g, m = mk(wg), mk(wm)
         emb = find_embedding(g, m)
-        assert (emb is not None) == brute_divides(g, m)
+        assert (emb is not None) == brute_divides(g, m) == mask_divides(g, m)
         if emb is not None:
             assert apply_morphism(OIMorphism(g.width, m.width, emb),
                                   g).pi == m.pi
+
+
+class TestMaskDivisibility:
+    """`minimalize`'s leftmost-embedding test on column masks, against the
+    column-tuple reference and the brute force over every embedding."""
+
+    @staticmethod
+    def _pair(rng):
+        c = rng.randint(1, 2)
+        d = rng.randint(0, 2)
+
+        def mk(width, summand):
+            pi = tuple(sorted(rng.sample(range(1, width + 1), d)))
+            cols = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(c))
+                    for _ in range(width)]
+            return Monomial(c, width, cols, pi, summand)
+
+        g = mk(rng.randint(d, 4), 0)
+        return g, mk(rng.randint(max(d, g.width - 1), 6), rng.choice((0, 0, 0, 1)))
+
+    def test_seeded_against_references(self):
+        rng = random.Random(33)
+        hits = 0
+        for _ in range(3000):
+            g, m = self._pair(rng)
+            want = brute_divides(g, m)
+            got = mask_divides(g, m)
+            if g.summand == m.summand:
+                assert oi_divides(g, m) == want, (g, m)
+            assert got == want, (g, m)
+            hits += want
+        assert hits > 300
+
+    def test_minimalize_matches_reference(self):
+        # mixed widths and summands, images of the generators among them
+        rng = random.Random(34)
+        dropped = 0
+        for _ in range(300):
+            c = rng.randint(1, 2)
+            summands = [(rng.randint(0, 2), 0) for _ in range(rng.randint(1, 2))]
+            mons = []
+            for _ in range(rng.randint(1, 6)):
+                k = rng.randrange(len(summands))
+                d = summands[k][0]
+                mons.append(random_monomial(rng, c, rng.randint(max(d, 1), 4),
+                                            d, k))
+            p = ModulePresentation(c, summands, mons)
+            images = expand_to_width(p, 5)
+            mons += rng.sample(images, min(4, len(images)))
+            got = minimalize(mons)
+            assert got == minimalize_reference(mons), mons
+            dropped += len(set(mons)) > len(got)
+        assert dropped > 150
+
+    def test_colon_matches_reference(self):
+        rng = random.Random(35)
+        for _ in range(200):
+            c = rng.randint(1, 2)
+            d = rng.randint(0, 2)
+            gens = [random_monomial(rng, c, rng.randint(max(d, 1), 3), d)
+                    for _ in range(rng.randint(0, 3))]
+            p = ModulePresentation(c, [(d, 0)], gens)
+            e = tuple(rng.randint(0, 3) for _ in range(c))
+            n = rng.randint(max(d, 1), 4)
+            assert colon_width(p, e, n) == colon_reference(p, e, n), (p, e, n)
+
+    def test_width_zero_generator(self):
+        unit = Monomial(2, 0, ())
+        assert mask_divides(unit, unit)
+        assert mask_divides(unit, Monomial(2, 3, ((0, 0), (1, 0), (0, 0))))
+        assert not mask_divides(unit, Monomial(2, 1, ((0, 0),), (), 1))
+        assert minimalize([Monomial(2, 2, ((1, 0), (0, 0))), unit]) == [unit]
+
+    def test_free_columns_between_fixed_targets(self):
+        # the middle column is free; it must land strictly between the
+        # images of columns 1 and 3, which are fixed by the basis tuples
+        g = Monomial(1, 3, ((0,), (1,), (0,)), (1, 3))
+        inside = Monomial(1, 5, ((0,), (0,), (0,), (1,), (0,)), (1, 5))
+        past = Monomial(1, 5, ((0,), (0,), (0,), (1,), (0,)), (1, 3))
+        before = Monomial(1, 5, ((1,), (0,), (0,), (0,), (0,)), (2, 5))
+        for m, want in ((inside, True), (past, False), (before, False)):
+            assert mask_divides(g, m) == want == brute_divides(g, m), m
+
+    def test_trailing_zero_columns(self):
+        # the zero columns still need columns of their own past the image
+        g = Monomial(1, 3, ((1,), (0,), (0,)))
+        assert not mask_divides(g, Monomial(1, 3, ((0,), (1,), (0,))))
+        assert mask_divides(g, Monomial(1, 4, ((0,), (1,), (0,), (0,))))
+
+    def test_equal_exponents_in_different_summands(self):
+        a = Monomial(2, 2, ((1, 0), (0, 1)), (), 0)
+        b = Monomial(2, 2, ((1, 0), (0, 1)), (), 1)
+        assert not mask_divides(a, b) and not mask_divides(b, a)
+        assert minimalize([b, a]) == [a, b]
+
+    def test_only_a_non_identity_embedding(self):
+        # x[1,1] x[2,2] divides x[1,1] x[2,3] only through 1 -> 1, 2 -> 3,
+        # and the greedy pass must skip column 2 for it
+        g = Monomial(2, 2, ((1, 0), (0, 1)))
+        m = Monomial(2, 3, ((1, 1), (1, 0), (0, 1)))
+        assert find_embedding(g, m) == (1, 3)
+        assert mask_divides(g, m)
+        assert minimalize([m, g]) == [g]
 
 
 class TestExpansion:
@@ -681,6 +801,24 @@ class TestSymmetrize:
                         cols[values[j] - 1] = col
                     fi_side.add(Monomial(2, n, cols, (), 0))
             assert oi_side == set(minimalize(fi_side))
+
+    def test_wide_exponent_free_generator(self):
+        # twelve equal columns have one ordering, not 12! permutations
+        g = Monomial(1, 12, ((0,),) * 12)
+        p = ModulePresentation(1, [(0, 0)], [g], category="FI")
+        start = time.process_time()
+        assert symmetrize_fi_ideal(p).generators == (g,)
+        assert time.process_time() - start < 0.5
+
+    def test_orbits_hold_each_distinct_ordering(self):
+        # no generator divides another: the orbits come back whole
+        gens = [Monomial(2, 4, ((1, 0), (1, 0), (0, 2), (0, 0))),
+                Monomial(2, 3, ((0, 1), (0, 1), (3, 0)))]
+        p = ModulePresentation(2, [(0, 0)], gens, category="FI")
+        got = {m.cols for m in symmetrize_fi_ideal(p).generators}
+        assert got == {cols for g in gens
+                       for cols in itertools.permutations(g.cols)}
+        assert len(got) == 12 + 3
 
     def test_rejects_wrong_category_or_rank(self):
         p = ModulePresentation(1, [(0, 0)], [], category="OI")
