@@ -4,11 +4,11 @@ degree, and the eventual-finite-length verdict."""
 
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import accumulate, count, islice, zip_longest
+from itertools import count, islice, zip_longest
 from math import lcm
 
 from .errors import NotConformant
-from .polyarith import ONE_MINUS_T, BiPoly, mul_into, one_minus_t_order
+from .polyarith import ONE_MINUS_T, BiPoly, bareiss, divide_out, mul_into, over
 
 
 class ShapeReport(namedtuple("ShapeReport", "conformant one_minus_t_power "
@@ -122,48 +122,14 @@ def _times_factor(den, off, g):
     return out
 
 
-def _over(p, c):
-    """p / (1 - c y) to len(p) terms: the running q_j = p_j + c q_(j-1)."""
-    if c == 1:
-        return list(accumulate(p))
-    q, acc = [], 0
-    for v in p:
-        acc = v + c * acc
-        q.append(acc)
-    return q
-
-
 def _cancel(p, bases):
     """(q, lowest), p = q prod (1 - c y)^(m - l) over the (c, m) in bases
-    and (c, l) in lowest, each power as high as divides up to m: _over is
-    exact when it ends in 0 (or p is 0)."""
+    and (c, l) in lowest, each power as high as divides up to m."""
     lowest = []
     for c, m in bases:
-        while m:
-            q = _over(p, c)
-            if q and q[-1]:
-                break
-            p, m = q[:-1], m - 1
-        lowest.append((c, m))
+        (p,), k = divide_out([p], m, c)
+        lowest.append((c, m - k))
     return p, lowest
-
-
-def _solve(rows, rhs):
-    """Solution of a square, invertible integer system, as Fractions, by
-    fraction-free Gauss-Jordan: row := (pivot * row - row[k] * pivot row)
-    / previous pivot is exact (a minor); det(M) ends on the diagonal."""
-    from fractions import Fraction  # here: hilbert and oracle never solve
-
-    m = [list(row) + [b] for row, b in zip(rows, rhs)]
-    prev = 1
-    for k in range(len(m)):
-        piv = next(r for r in range(k, len(m)) if m[r][k])
-        m[k], m[piv] = m[piv], m[k]
-        top, p = m[k], m[k][k]
-        m = [row if row is top else [(p * v - row[k] * w) // prev
-                                     for v, w in zip(row, top)] for row in m]
-        prev = p
-    return [Fraction(row[-1], prev) for row in m]
 
 
 def _poly_at(coeffs, n):
@@ -180,21 +146,29 @@ def _closed_form(a, bases):
     coefficients of P_c) by falling c, exactly for n >= start = deg a -
     deg den + 1 (at least 0): below, the top coefficient of the
     polynomial part adds in.  The c^n n^e (e < m) span the solutions of
-    the denominator's recurrence, and deg den consecutive values fix one
-    as no c is 0, so the solve is exact."""
+    the denominator's recurrence, and bareiss fixes one from deg den
+    consecutive values with no pivot search: the columns come as whole
+    bases, then e = 0 ... r-1 of the next, so the first k span the
+    solutions of an order-k recurrence whose roots c are all nonzero, and
+    no nonzero one vanishes at k consecutive n.  So every leading
+    principal minor is nonzero; a column eventually 0 leaves no system."""
+    from fractions import Fraction  # here: hilbert and oracle never solve
+
     a, lowest = _cancel(a, bases)  # lowest terms
     degree = sum(m for _, m in lowest)
     start = max(0, len(a) - degree)
     values = (a + [0] * (start + degree))[:start + degree]
     for c, m in lowest:
         for _ in range(m):
-            values = _over(values, c)
+            values = over(values, c)
     cols = [(c, e) for c, m in lowest for e in range(m)]
-    sol = _solve([[c ** n * n ** e for c, e in cols]
-                  for n in range(start, start + degree)], values[start:])
+    det, nums = bareiss([
+        {i: v for i, v in enumerate([c ** n * n ** e for c, e in cols]
+                                    + [values[n]]) if v}
+        for n in range(start, start + degree)], 0)
     terms = {}
-    for (c, _), v in zip(cols, sol):
-        terms.setdefault(c, []).append(v)
+    for (c, _), v in zip(cols, nums):
+        terms.setdefault(c, []).append(Fraction(v, det))
     return start, tuple(
         (c, tuple(p)) for c, p in sorted(terms.items(), reverse=True))
 
@@ -339,7 +313,7 @@ def fixed_degree_polynomial(result, j):
         return BiPoly({(b, a): v for (a, b), v in p.terms.items()}).as_s_coeffs()
 
     den = t_coeffs(rat.den_expanded())
-    rest, power = one_minus_t_order(den[0])
+    (rest,), power = divide_out([den[0]], len(den[0]) - 1)
     if rest != [1]:
         raise NotConformant(f"denominator at t = 0 is not a power of 1-s: "
                             f"{den[0]}")

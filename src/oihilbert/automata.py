@@ -12,11 +12,13 @@ Hilbert series exactly.
 from functools import cache
 from math import isqrt, prod
 
-from .errors import NonDivisible, OihError
+from .errors import OihError
 from .polyarith import (
     BiPoly,
     FactoredRational,
+    bareiss,
     common_denominator,
+    exact,
     power_product,
     split_content,
 )
@@ -519,63 +521,6 @@ def _pack_size(square, cols, norm, top):
             (1 + norm) * (isqrt(square) + 1))
 
 
-def _bareiss(mat, first):
-    """det(M) and det(M) * x_i, i >= first, for M x = b on integers: mat[i]
-    maps column to entry of row i, zeros left out, column len(mat) to b_i.
-
-    Fraction-free forward elimination without pivot search; by Sylvester's
-    identity each entry after step k is a minor of order k + 1, so the
-    divisions are exact.  Pivot row i reads sum_(j >= i) a_ij x_j = b_i,
-    a_ii the leading minor of order i + 1, so the last b is det * x_last
-    and back-substitution gives det * x_i = (det * b_i - sum_(j > i) a_ij
-    det x_j) / a_ii, exact by Cramer.  Rows are rescaled lazily, as the
-    per-step factors telescope: a row's level counts the steps as of which
-    it is exact, pivots[l] is step l - 1's pivot, and a touched row becomes
-    (pivot * row - row[k] * top) / pivots[level]."""
-    size = len(mat)
-    pivots = [1]
-    lvl = [0] * size
-
-    def exact(val, by):
-        if by == 1:
-            return val
-        val, rem = divmod(val, by)
-        if rem:
-            raise NonDivisible("pivot does not divide a minor")
-        return val
-
-    for k in range(size):
-        top = mat[k]
-        if lvl[k] < k:
-            top = mat[k] = {j: exact(v * pivots[k], pivots[lvl[k]])
-                            for j, v in top.items()}
-        pivot = top[k]
-        pivots.append(pivot)
-        for i in range(k + 1, size):
-            row = mat[i]
-            left = row.get(k)
-            if left is None:
-                continue
-            by = pivots[lvl[i]]
-            new = {}
-            for j in set(row) | set(top):
-                if j > k:
-                    val = pivot * row.get(j, 0) - left * top.get(j, 0)
-                    if val:
-                        new[j] = exact(val, by)
-            mat[i] = new
-            lvl[i] = k + 1
-    det = pivots[size]
-    got = {size - 1: mat[-1].get(size, 0)}
-    for i in range(size - 2, first - 1, -1):
-        val = det * mat[i].get(size, 0)
-        for j, v in mat[i].items():
-            if i < j < size:
-                val -= v * got[j]
-        got[i] = exact(val, mat[i][i])
-    return det, [got[i] for i in range(first, size)]
-
-
 def _solve_packed(comp, inner, rhs, keep, bits, width):
     """Packed det(I - T_CC) and det(I - T_CC) * x_q, q in keep, for one
     component (see generating_function): inner[q] holds (r, a, b) per edge
@@ -641,14 +586,11 @@ def _solve_packed(comp, inner, rhs, keep, bits, width):
         shift += loop
     rows = [eliminate(q) for q in ks]
     shift -= sum(lift for lift, _ in rows)
-    det, nums = _bareiss([row for _, row in rows], size - len(keep))
+    det, nums = bareiss([row for _, row in rows], size - len(keep))
     f = power(abs(shift))
     if shift >= 0:
         return det * f, [v * f for v in nums]
-    out = [divmod(v, f) for v in [det] + nums]
-    if any(rem for _, rem in out):
-        raise NonDivisible("(1-t)-power does not divide")
-    return out[0][0], [v for v, _ in out[1:]]
+    return exact(det, f), [exact(v, f) for v in nums]
 
 
 def _sizes(p):
@@ -689,7 +631,7 @@ def generating_function(dfa):
     diagonal 1 - t.  Row k of K times (1-t)^J_k, J_k the largest j of its
     V successors, is a scaled row of the Schur complement S on K, and
     det(I - T_CC) = (1-t)^m det S, m counting V's diagonals 1 - t, as
-    M_VV is triangular.  _bareiss on the scaled rows gives (1-t)^(sum J)
+    M_VV is triangular.  bareiss on the scaled rows gives (1-t)^(sum J)
     det S and numerators over it; both are multiplied by (1-t)^(m - sum
     J), or divided when that is negative: the polynomial division is
     exact and packing is a ring homomorphism, so the integer one is too.

@@ -1,5 +1,7 @@
 """Exact polynomial arithmetic over Z: univariate and bivariate polynomials,
-rational functions with factored denominators, and truncated series windows.
+rational functions with factored denominators, and truncated series windows,
+with the two kernels every exact solve shares: fraction-free elimination of
+an integer system (`bareiss`) and division by 1 - c y (`over`, `divide_out`).
 
 Everything is arbitrary-precision integer arithmetic; the
 pipeline contains no floating point. A univariate polynomial is a sequence
@@ -52,6 +54,65 @@ def _exact_quotient(num, den):
     if any(rem):
         raise NonDivisible("nonzero remainder")
     return q
+
+
+def exact(val, by):
+    """val / by for ints; raises NonDivisible unless by divides val."""
+    if by == 1:
+        return val
+    val, rem = divmod(val, by)
+    if rem:
+        raise NonDivisible("integer division leaves a remainder")
+    return val
+
+
+def bareiss(mat, first):
+    """det(M) and det(M) * x_i, i >= first, for M x = b on integers: mat[i]
+    maps column to entry of row i, zeros left out, column len(mat) to b_i.
+
+    Fraction-free forward elimination without pivot search; by Sylvester's
+    identity each entry after step k is a minor of order k + 1, so the
+    divisions are exact.  Pivot row i reads sum_(j >= i) a_ij x_j = b_i,
+    a_ii the leading minor of order i + 1, so the last b is det * x_last
+    and back-substitution gives det * x_i = (det * b_i - sum_(j > i) a_ij
+    det x_j) / a_ii, exact by Cramer.  Rows are rescaled lazily, as the
+    per-step factors telescope: a row's level counts the steps as of which
+    it is exact, pivots[l] is step l - 1's pivot, and a touched row becomes
+    (pivot * row - row[k] * top) / pivots[level].  The empty system has
+    det 1 and no unknowns."""
+    size = len(mat)
+    pivots = [1]
+    lvl = [0] * size
+    for k in range(size):
+        top = mat[k]
+        if lvl[k] < k:
+            top = mat[k] = {j: exact(v * pivots[k], pivots[lvl[k]])
+                            for j, v in top.items()}
+        pivot = top[k]
+        pivots.append(pivot)
+        for i in range(k + 1, size):
+            row = mat[i]
+            left = row.get(k)
+            if left is None:
+                continue
+            by = pivots[lvl[i]]
+            new = {}
+            for j in set(row) | set(top):
+                if j > k:
+                    val = pivot * row.get(j, 0) - left * top.get(j, 0)
+                    if val:
+                        new[j] = exact(val, by)
+            mat[i] = new
+            lvl[i] = k + 1
+    det = pivots[size]
+    got = {size - 1: mat[-1].get(size, 0)} if mat else {}
+    for i in range(size - 2, first - 1, -1):
+        val = det * mat[i].get(size, 0)
+        for j, v in mat[i].items():
+            if i < j < size:
+                val -= v * got[j]
+        got[i] = exact(val, mat[i][i])
+    return det, [got[i] for i in range(first, size)]
 
 
 class BiPoly:
@@ -248,28 +309,34 @@ class BiPoly:
 ONE_MINUS_T = BiPoly({(0, 0): 1, (0, 1): -1})
 
 
-def _divide_one_minus_t(rows, most):
-    """Divide every row, a dense coefficient list in t, by 1 - t as long
-    as all of them allow, at most `most` times: (rows, times divided).
+def over(p, c=1):
+    """p / (1 - c y) as a series to len(p) terms, for a coefficient list
+    p in y: the running q_j = p_j + c q_(j-1), plain running sums for
+    c = 1."""
+    if c == 1:
+        return list(accumulate(p))
+    q, acc = [], 0
+    for v in p:
+        acc = v + c * acc
+        q.append(acc)
+    return q
 
-    A row is divisible by 1 - t iff its coefficients sum to 0, and the
-    quotient is then its running sums with the last one, that 0,
-    dropped."""
+
+def divide_out(rows, most, c=1):
+    """(rows, k): every row, a coefficient list in y, divided by (1 - c
+    y)^k, k as large as all rows allow up to `most`.  A row p divides when
+    the last term of over(p, c), c^deg(p) p(1/c), is 0 (a zero row always
+    does), and the quotient is over(p, c) without it."""
     k = 0
-    while k < most and not any(map(sum, rows)):
-        rows = [list(accumulate(r))[:-1] for r in rows]
-        k += 1
+    while k < most:
+        out = []
+        for row in rows:
+            q = over(row, c)
+            if q and q.pop():
+                return rows, k
+            out.append(q)
+        rows, k = out, k + 1
     return rows, k
-
-
-def one_minus_t_order(u):
-    """(q, k) with u = (1-t)^k * q and k as large as it goes, for a
-    coefficient list u that ends in a nonzero coefficient, cancelled by
-    running sums; the zero polynomial gives (u, 0)."""
-    if not u:
-        return u, 0
-    (q,), k = _divide_one_minus_t([u], len(u) - 1)
-    return q, k
 
 
 def split_content(p):
@@ -289,7 +356,7 @@ def split_content(p):
     is then irreducible over Z by Gauss's lemma.  A hand-built automaton
     may break the premise; its rest keeps the extra content.
     """
-    rows, k = _divide_one_minus_t(p.as_s_coeffs(), p.deg_t())
+    rows, k = divide_out(p.as_s_coeffs(), p.deg_t())
     if not k:
         return [] if p.is_one() else [(p, 1)]
     rest = BiPoly.from_s_coeffs(rows)
@@ -435,7 +502,7 @@ class FactoredRational:
         kept = []
         for base, e in self.factors:
             if base == ONE_MINUS_T:
-                rows, k = _divide_one_minus_t(num.as_s_coeffs(), e)
+                rows, k = divide_out(num.as_s_coeffs(), e)
                 if k:
                     num = BiPoly.from_s_coeffs(rows)
                     e -= k
@@ -543,7 +610,7 @@ def expand_series(r, n_max, j_max, t_prefactor=0):
         for (k, l), v in base.terms.items():
             if not k:
                 col[l] = v
-        rest, ones = one_minus_t_order(col)
+        (rest,), ones = divide_out([col], len(col) - 1)
         # the product of the constant terms is 1, so each one is 1 or -1
         lead = rest[0]
         along = [(l, v) for l, v in enumerate(rest[1:jj + 1], 1)

@@ -3,7 +3,8 @@ the right-to-left decoder of words (eta, by shift operators), membership
 in the standard-word language, running a DFA on one word, counting a
 DFA's accepted words by path counts, the unpruned subset construction,
 the greatest simulation as a pairwise fixpoint, Moore minimization,
-equality of rational functions by cross-multiplication, t^k,
+equality of rational functions by cross-multiplication, repeated long
+division by 1 - c y, t^k,
 the schoolbook product and per-digit unpacking of bivariate polynomials,
 the packed solve of a component system given as polynomial rows,
 reduction of a factored rational function by trial division alone,
@@ -53,7 +54,7 @@ from oihilbert.oicore import (
     expand_to_width,
     hilbert_width,
 )
-from oihilbert.polyarith import BiPoly, FactoredRational
+from oihilbert.polyarith import BiPoly, FactoredRational, bareiss
 from oihilbert.words import decode, is_xi, tau_index
 
 S, T = sympy.symbols("s t")
@@ -389,6 +390,21 @@ def one_minus_t_divide(u):
     return u, k
 
 
+def divide_out_reference(rows, most, c=1):
+    """(rows, k): every row, a coefficient sequence, divided by 1 - c y
+    by long division as long as all of them allow, at most `most` times;
+    the rows come back as lists without trailing zeros."""
+    rows = [UniPoly(r) for r in rows]
+    k = 0
+    while k < most:
+        try:
+            rows = [r.exact_div(UniPoly((1, -c))) for r in rows]
+        except NonDivisible:
+            break
+        k += 1
+    return [list(r.coeffs) for r in rows], k
+
+
 def t_power(k):
     """t^k as a UniPoly."""
     return UniPoly((0,) * k + (1,))
@@ -467,7 +483,7 @@ def solve_component(rows, rhs, first):
     """det(M) and the numerators det(M) * x_i, i >= first, of M x = rhs,
     for rows as in pack_size and rhs not all zero: every entry packed once
     (automata._pack), the right-hand side divided by its common monomial
-    s^sa t^tb, automata._bareiss on the integers, the results unpacked
+    s^sa t^tb, polyarith.bareiss on the integers, the results unpacked
     with the monomial given back.  A digit is the fewest bytes that hold
     four times the coefficient bound."""
     size = len(rows)
@@ -480,7 +496,7 @@ def solve_component(rows, rhs, first):
     for row, b in zip(mat, rhs):
         if b:
             row[size] = automata._pack(b, width, nbytes, sa, tb)
-    det, nums = automata._bareiss(mat, first)
+    det, nums = bareiss(mat, first)
     return automata._unpack(det, width, nbytes), [
         automata._unpack(v, width, nbytes, sa, tb) for v in nums]
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import sympy
 
 from oihilbert import polyarith
+from oihilbert.analysis import _closed_form
 from oihilbert.automata import _pack, _unpack
 from oihilbert.errors import NonDivisible, OihError, SingularAtOrigin
 from oihilbert.polyarith import (
@@ -14,10 +15,13 @@ from oihilbert.polyarith import (
     BiPoly,
     FactoredRational,
     _exact_quotient,
+    bareiss,
     common_denominator,
+    divide_out,
+    exact,
     expand_series,
     mul_into,
-    one_minus_t_order,
+    over,
     render_poly,
     render_rational,
     split_content,
@@ -25,6 +29,8 @@ from oihilbert.polyarith import (
 
 from oracles import (
     UniPoly,
+    _ref_solve,
+    divide_out_reference,
     equals_cross_mul,
     expand_cellwise,
     one_minus_t_divide,
@@ -70,18 +76,58 @@ class TestUniPoly:
             _exact_quotient([0, 3, 1], [1, 2])
 
     def test_one_minus_t_order_against_repeated_division(self):
-        # leading zeros, negative coefficients, and powers of 1 - t up to
-        # the whole polynomial
+        # one row divided by 1 - t as far as it goes: leading zeros,
+        # negative coefficients, and powers of 1 - t up to the whole
+        # polynomial
         rng = random.Random(1801)
-        assert one_minus_t_order([]) == ([], 0)
+        assert divide_out([[]], -1) == ([[]], 0)
         for _ in range(300):
             low = [0] * rng.choice((0, 0, 1, 3))
             u = UniPoly(low + [rng.randint(-6, 6)
                                for _ in range(rng.randint(1, 6))])
             u = u * UniPoly((1, -1)) ** rng.randint(0, 5)
             q, k = one_minus_t_divide(u)
-            assert one_minus_t_order(list(u.coeffs)) == (list(q.coeffs),
-                                                         k), u.coeffs
+            u = list(u.coeffs)
+            assert divide_out([u], len(u) - 1) == ([list(q.coeffs)], k), u
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 5])
+    def test_over_and_divide_out_against_long_division(self, c):
+        # rows r_i (1 - c y)^k_i: zero rows, most below the least k_i,
+        # rows that 1 - c y does not divide, several rows of different
+        # orders; over's series times 1 - c y gives its input back
+        rng = random.Random(3400 + c)
+        factor = UniPoly((1, -c))
+        assert over([], c) == [] and divide_out([], 3, c) == ([], 3)
+        assert divide_out([[], []], 2, c) == ([[], []], 2)
+        seen = set()
+        for _ in range(200):
+            rows, orders = [], []
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.15:
+                    rows.append([])
+                    continue
+                r = UniPoly([rng.randint(-6, 6)
+                             for _ in range(rng.randint(1, 5))]
+                            + [rng.choice((-3, -1, 1, 2))])
+                k = rng.randint(0, 4)
+                rows.append(list((r * factor ** k).coeffs))
+                orders.append(k)
+            most = rng.randint(0, 5)
+            for row in rows:
+                q = over(row, c)
+                assert len(q) == len(row)
+                assert mul_into([], q, [1, -c])[:len(row)] == row
+            want = divide_out_reference(rows, most, c)
+            got = divide_out(rows, most, c)
+            assert got == want, (rows, most, c)
+            if not want[1]:
+                assert got[0] == rows
+            if orders:
+                least = min(orders)
+                assert got[1] >= min(least, most)
+                seen.add((least < most, least == 0, len(orders) > 1,
+                          len(orders) < len(rows)))
+        assert len(seen) >= 6, seen
 
     @given(small_unis, small_unis, small_unis)
     @settings(max_examples=80, deadline=None)
@@ -94,6 +140,40 @@ class TestUniPoly:
             UniPoly(h) - UniPoly(f) * UniPoly(g)).coeffs
         if f:
             assert _exact_quotient(prod, f) == list(UniPoly(g).coeffs)
+
+
+class TestBareiss:
+    # systems shaped like analysis._closed_form's: rows n = start ... of
+    # c^n n^e over whole bases in falling order, integer right-hand sides
+
+    def test_exact(self):
+        assert exact(-12, 3) == -4 and exact(5, 1) == 5
+        with pytest.raises(NonDivisible):
+            exact(7, 2)
+
+    def test_empty_system(self):
+        # a column eventually 0 cancels every factor of the closed form
+        assert bareiss([], 0) == (1, []) and _ref_solve([], []) == []
+        assert _closed_form([], [(1, 3)]) == (0, ())
+        assert _closed_form([1, -3], [(3, 1)]) == (1, ())
+
+    def test_closed_form_systems_against_fractions(self):
+        rng = random.Random(3401)
+        for _ in range(60):
+            bases = sorted(rng.sample(range(1, 6), rng.randint(1, 5)),
+                           reverse=True)
+            cols = [(c, e) for c in bases for e in range(rng.randint(1, 4))]
+            start = rng.randint(0, 6)
+            dense = [[c ** n * n ** e for c, e in cols]
+                     for n in range(start, start + len(cols))]
+            rhs = [rng.randint(-50, 50) for _ in cols]
+            first = rng.randrange(len(cols))
+            det, nums = bareiss(
+                [{i: v for i, v in enumerate(row + [b]) if v}
+                 for row, b in zip(dense, rhs)], first)
+            assert det
+            assert [Fraction(v, det) for v in nums] == _ref_solve(
+                dense, rhs)[first:], (cols, start, rhs)
 
 
 class TestBiPoly:
