@@ -27,16 +27,16 @@ class ShapeReport(namedtuple("ShapeReport", "conformant one_minus_t_power "
 
 def factor_base(t_power, growth):
     """The denominator factor (1-t)^t_power - s*growth(t)."""
-    return ONE_MINUS_T ** t_power - BiPoly.from_s_coeffs([(), growth])
+    return ONE_MINUS_T ** t_power - BiPoly(((), growth))
 
 
 def _classify_factor(b, c):
     """(t_power, growth) for a conforming factor, else None."""
     if b.deg_s() != 1:
         return None
-    b0, b1 = b.as_s_coeffs()
+    b0, b1 = b.rows
     tp = len(b0) - 1
-    if not (0 <= tp <= c) or b0 != _at_one_minus([0] * tp + [1]):
+    if not (0 <= tp <= c) or list(b0) != _at_one_minus([0] * tp + [1]):
         return None
     f = tuple(-v for v in b1)
     if f[0] != 1 or sum(f) <= 0:
@@ -109,7 +109,7 @@ def _subst(p, b):
     """p(sigma x^b, 1 - x) as a list in x of coefficient tuples in sigma,
     and its sigma-rows x^(b i) p_i(1 - x) as lists in x."""
     rows = [[0] * (b * i) + _at_one_minus(u) if u else []
-            for i, u in enumerate(p.as_s_coeffs())]
+            for i, u in enumerate(p.rows)]
     return list(zip_longest(*rows, fillvalue=0)), rows
 
 
@@ -309,8 +309,9 @@ def fixed_degree_polynomial(result, j):
     basis tuples multiply the count by comb(n, d)."""
     rat = result.rational
 
-    def t_coeffs(p):
-        return BiPoly({(b, a): v for (a, b), v in p.terms.items()}).as_s_coeffs()
+    def t_coeffs(p):  # the rows of p with s and t swapped, as lists
+        return [list(row)
+                for row in BiPoly(zip_longest(*p.rows, fillvalue=0)).rows]
 
     den = t_coeffs(rat.den_expanded())
     (rest,), power = divide_out([den[0]], len(den[0]) - 1)

@@ -10,6 +10,7 @@ Hilbert series exactly.
 """
 
 from functools import cache
+from itertools import chain
 from math import isqrt, prod
 
 from .errors import OihError
@@ -480,8 +481,10 @@ def _pack(p, width, nbytes, sa=0, tb=0):
     the terms summed; the zero polynomial packs to 0."""
     bits = 8 * nbytes
     got = 0
-    for (i, j), c in p.terms.items():
-        got += c << (bits * ((i - sa) * width + j - tb))
+    for i, row in enumerate(p.rows[sa:]):
+        for k, c in enumerate(row[tb:], i * width):
+            if c:
+                got += c << bits * k
     return got
 
 
@@ -500,8 +503,9 @@ def _unpack(val, width, nbytes, sa=0, tb=0):
               for k in range(0, len(raw), nbytes)]
     if not half - half // 2 < min(digits) <= max(digits) < half + half // 2:
         raise OihError("solve result exceeds its digit bound")
-    return BiPoly._raw({(k // width + sa, k % width + tb): w - half
-                        for k, w in enumerate(digits) if w != half})
+    pad = [0] * tb
+    return BiPoly([()] * sa + [pad + [w - half for w in digits[k:k + width]]
+                               for k in range(0, len(digits), width)])
 
 
 def _times(f, a, b, bits, width):
@@ -595,10 +599,14 @@ def _solve_packed(comp, inner, rhs, keep, bits, width):
 
 def _sizes(p):
     """(l1 norm, least s-degree, least t-degree, top t-degree, top
-    s-degree, number of terms) of a nonzero p."""
-    si, tj = zip(*p.terms)
-    return (sum(map(abs, p.terms.values())), min(si), min(tj), max(tj),
-            max(si), len(si))
+    s-degree, number of terms) of a nonzero p.  A sequence's first
+    nonzero entry v is found by filter, and its index is that of v's
+    first occurrence."""
+    rows = p.rows
+    flat = list(chain.from_iterable(rows))
+    return (sum(map(abs, flat)), rows.index(next(filter(None, rows))),
+            min(row.index(next(filter(None, row))) for row in rows if row),
+            max(map(len, rows)) - 1, len(rows) - 1, len(flat) - flat.count(0))
 
 
 def generating_function(dfa):
@@ -618,8 +626,8 @@ def generating_function(dfa):
     powers of packed bases, the whole component's stride and digit bound
     coming from sizes alone (_pack_size; l1(cofactor) <= prod
     l1(base)^e).  A one-state component's determinant is its entry and
-    its numerator the right-hand side, summed term by term instead when
-    that takes no more term products than the packed sum has digits.
+    its numerator the right-hand side, summed as BiPoly products instead
+    when that takes no more term products than the packed sum has digits.
 
     In a larger component (_solve_packed), K is the entry states, marker
     targets (entered by a marker edge inside C), states whose diagonal is
@@ -659,8 +667,8 @@ def generating_function(dfa):
     tuples = []  # per component: {factor id: exponent}
     bases = {}  # factor id -> base
     shapes = {}  # factor id -> the base's _sizes
-    ids = {}  # base key -> factor id
-    splits = {}  # determinant key -> its (factor id, exponent) pairs
+    ids = {}  # base -> factor id
+    splits = {}  # determinant -> its (factor id, exponent) pairs
     products = {}  # lacking (factor id, exponent) pairs -> their product
     cofs = {}  # the same -> (l1 bound, t-degree, s-degree, term bound)
     one = BiPoly.one()
@@ -711,7 +719,7 @@ def generating_function(dfa):
         det, nums = one, [BiPoly.zero()] * len(wanted)
         if len(comp) == 1:
             a, b = succ.get(comp[0], {}).get(comp[0], (0, 0))
-            diag = BiPoly({(0, 0): 1, (0, 1): -a, (1, 0): -b})
+            diag = BiPoly(((1, -a), (-b,)))
         if hi < 0:  # no right-hand side
             pass
         elif len(comp) == 1 and pairs <= (ds - sa + 1) * (hi - tb + 1):
@@ -719,12 +727,8 @@ def generating_function(dfa):
             for (_, c), outs in exits.items():
                 part = None
                 for r, a, b in outs:
-                    for di, dl, m in ((0, 1, a), (1, 0, b)):
-                        if m:
-                            term = BiPoly._raw({
-                                (i + di, l + dl): m * v
-                                for (i, l), v in x[r].terms.items()})
-                            part = part + term if part else term
+                    term = x[r] * BiPoly(((0, a), (b,)))
+                    part = part + term if part else term
                 part = part * cofactor(lacks[c]) if lacks[c] else part
                 num = num + part if num else part
             if num:
@@ -764,11 +768,11 @@ def generating_function(dfa):
                                           width)
                 det = _unpack(det, width, nbytes)
                 nums = [_unpack(v, width, nbytes, sa, tb) for v in nums]
-        pieces = splits.get(det.key())
+        pieces = splits.get(det)
         if pieces is None:
-            pieces = splits[det.key()] = []
+            pieces = splits[det] = []
             for base, e in split_content(det):
-                i = ids.setdefault(base.key(), len(ids))
+                i = ids.setdefault(base, len(ids))
                 if i not in bases:
                     bases[i], shapes[i] = base, _sizes(base)
                 pieces.append((i, e))

@@ -14,7 +14,7 @@ import itertools
 from math import comb
 
 from .errors import NotAnIdeal, WidthMismatch
-from .polyarith import mul_into
+from .polyarith import mul_into, over
 
 
 class Monomial:
@@ -372,7 +372,7 @@ class WidthSeries:
         out = list(self.num[:j_max + 1])
         out += [0] * (j_max + 1 - len(out))
         for _ in range(self.den_pow):
-            out = list(itertools.accumulate(out))
+            out = over(out)
         return out
 
     def __repr__(self):

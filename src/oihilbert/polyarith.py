@@ -8,14 +8,16 @@ pipeline contains no floating point. A univariate polynomial is a sequence
 of ints, index = degree: the kernels here work on lists, and a value that
 is kept (a shape report's growth, a width's numerator, a `kpoly` result)
 is a tuple without trailing zeros, so its equality and hash are those of
-the polynomial. Bivariate terms are keyed by (s-degree, t-degree). The
-canonical term order used for rendering sorts by s-degree, then t-degree,
+the polynomial. A bivariate polynomial, `BiPoly`, is the tuple of its
+s-rows, each a univariate polynomial in t, so the same kernels work on it
+row by row. Terms render, and factors sort, by s-degree, then t-degree,
 both ascending.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, starmap, zip_longest
+from operator import add, sub
 
 from .errors import NonDivisible, SingularAtOrigin
 
@@ -116,31 +118,26 @@ def bareiss(mat, first):
 
 
 class BiPoly:
-    """Sparse bivariate integer polynomial in s and t.
+    """Bivariate integer polynomial in s and t, held as its s-rows.
 
-    Terms are a dict keyed by (s_degree, t_degree); the dict is treated as
-    immutable after construction.
+    rows[i] is the coefficient tuple in t of s^i, without trailing zeros;
+    there is no trailing empty row, so the zero polynomial is (), and
+    equality and hash are those of rows.  The constructor takes any
+    sequence of coefficient sequences and trims it.
     """
 
-    __slots__ = ("terms", "_key")
+    __slots__ = ("rows",)
 
-    def __init__(self, terms=None):
-        d = {}
-        if terms:
-            for k, v in (terms.items() if isinstance(terms, dict) else terms):
-                if v:
-                    d[k] = d.get(k, 0) + v
-                    if not d[k]:
-                        del d[k]
-        self.terms = d
-        self._key = None
-
-    @classmethod
-    def _raw(cls, terms):
-        p = cls.__new__(cls)
-        p.terms = terms
-        p._key = None
-        return p
+    def __init__(self, rows=()):
+        out = []
+        for row in rows:
+            n = len(row)
+            while n and not row[n - 1]:
+                n -= 1
+            out.append(tuple(row[:n]))
+        while out and not out[-1]:
+            out.pop()
+        self.rows = tuple(out)
 
     @classmethod
     def zero(cls):
@@ -148,92 +145,87 @@ class BiPoly:
 
     @classmethod
     def one(cls):
-        return cls({(0, 0): 1})
+        return cls(((1,),))
 
     @classmethod
     def s(cls):
-        return cls({(1, 0): 1})
+        return cls(((), (1,)))
 
     @classmethod
     def term(cls, i, j, coeff=1):
-        return cls({(i, j): coeff})
+        return cls([()] * i + [(0,) * j + (coeff,)])
 
     def key(self):
-        if self._key is None:
-            self._key = tuple(sorted(self.terms.items()))
-        return self._key
+        """The ((s-degree, t-degree), coefficient) terms, ordered by
+        s-degree, then t-degree: the order factors sort and render in."""
+        return tuple(((i, j), c) for i, row in enumerate(self.rows)
+                     for j, c in enumerate(row) if c)
 
     def is_zero(self):
-        return not self.terms
+        return not self.rows
 
     def is_one(self):
-        return self.terms == {(0, 0): 1}
+        return self.rows == ((1,),)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.rows)
 
     def __eq__(self, other):
-        return isinstance(other, BiPoly) and self.terms == other.terms
+        return isinstance(other, BiPoly) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.rows)
 
     def __neg__(self):
-        return BiPoly._raw({k: -v for k, v in self.terms.items()})
+        return self * -1
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
-        return BiPoly._raw(out)
+    def __add__(self, other, op=add):
+        return BiPoly([list(starmap(op, zip_longest(u, v, fillvalue=0)))
+                       for u, v in zip_longest(self.rows, other.rows,
+                                               fillvalue=())])
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, sub)
 
     def __mul__(self, other):
-        """Product with a BiPoly or an int, term by term.  A one-term
-        operand shifts the other's exponents and scales its
-        coefficients."""
+        """Product with a BiPoly or an int: one mul_into per pair of
+        nonzero s-rows.  A one-term operand c s^i t^j moves the other's
+        rows up by i and their entries by j, scaled by c."""
         if isinstance(other, int):
-            if other == 0:
-                return BiPoly()
-            return BiPoly._raw({k: v * other for k, v in self.terms.items()})
-        a, b = self.terms, other.terms
+            return BiPoly([[v * other for v in row] for row in self.rows])
+        a, b = self.rows, other.rows
         if not a or not b:
             return BiPoly()
-        if len(a) == 1 or len(b) == 1:
-            if len(a) != 1:
-                a, b = b, a
-            ((i, j), c), = a.items()
-            return BiPoly._raw({(i + k, j + l): c * v
-                                for (k, l), v in b.items()})
-        out = {}
-        for (i, j), av in a.items():
-            for (k, l), bv in b.items():
-                kk = (i + k, j + l)
-                w = out.get(kk, 0) + av * bv
-                if w:
-                    out[kk] = w
-                elif kk in out:
-                    del out[kk]
-        return BiPoly._raw(out)
+        for one, rest in ((a, b), (b, a)):
+            *low, top = one
+            if not any(low) and top.count(0) == len(top) - 1:
+                pad, c = top[:-1], top[-1]
+                return BiPoly(low + [pad + (row if c == 1 else tuple(
+                    v * c for v in row)) if row else () for row in rest])
+        out = [[] for _ in range(len(a) + len(b) - 1)]
+        for i, u in enumerate(a):
+            if u:
+                for k, v in enumerate(b, i):
+                    mul_into(out[k], u, v)
+        return BiPoly(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         """self^n: a two-term base, such as 1 - t, from one row of
         binomial coefficients, any other by repeated squaring."""
-        if len(self.terms) == 2:
-            ((i, j), a), ((k, l), b) = self.terms.items()
+        terms = self.key()
+        if len(terms) == 2:
+            ((i, j), a), ((k, l), b) = terms
+            out = [[] for _ in range(n * max(i, k) + 1)]
             row = accumulate(range(n), lambda c, r: c * (n - r) // (r + 1),
                              initial=1)
-            return BiPoly._raw({
-                (i * (n - r) + k * r, j * (n - r) + l * r):
-                c * a ** (n - r) * b ** r for r, c in enumerate(row)})
+            for r, c in enumerate(row):
+                got = out[i * (n - r) + k * r]
+                at = j * (n - r) + l * r
+                got.extend([0] * (at + 1 - len(got)))
+                got[at] = c * a ** (n - r) * b ** r
+            return BiPoly(out)
         out = BiPoly.one()
         base = self
         while n:
@@ -245,41 +237,22 @@ class BiPoly:
         return out
 
     def deg_s(self):
-        return max((i for i, _ in self.terms), default=-1)
+        return len(self.rows) - 1
 
     def deg_t(self):
-        return max((j for _, j in self.terms), default=-1)
+        return max(map(len, self.rows), default=0) - 1
 
     def coeff(self, i, j):
-        return self.terms.get((i, j), 0)
-
-    def as_s_coeffs(self):
-        """Coefficients of s^k as dense lists in t, index k; each ends in
-        a nonzero coefficient or is empty."""
-        rows = [[] for _ in range(self.deg_s() + 1)]
-        for (i, j), c in self.terms.items():
-            row = rows[i]
-            if len(row) <= j:
-                row.extend([0] * (j + 1 - len(row)))
-            row[j] = c
-        return rows
-
-    @classmethod
-    def from_s_coeffs(cls, coeffs):
-        """The polynomial whose s^k coefficient is coeffs[k], a
-        coefficient list in t."""
-        return cls._raw({(i, j): c for i, u in enumerate(coeffs)
-                         for j, c in enumerate(u) if c})
+        row = self.rows[i] if i < len(self.rows) else ()
+        return row[j] if j < len(row) else 0
 
     def exact_div(self, other):
         """Exact quotient in Z[s,t], dividing as polynomials in s over
-        Z[t], row by row in place on the s-rows' lists."""
+        Z[t], row by row in place on lists of the s-rows."""
         if other.is_zero():
             raise NonDivisible("division by zero polynomial")
-        if self.is_zero():
-            return BiPoly()
-        num = self.as_s_coeffs()
-        *low, top = other.as_s_coeffs()
+        num = [list(row) for row in self.rows]
+        *low, top = other.rows
         dd = len(low)
         q = [[] for _ in range(max(len(num) - dd, 0))]
         while True:
@@ -294,7 +267,7 @@ class BiPoly:
             qc = q[dn - dd] = _exact_quotient(num.pop(), top)
             for i, dc in enumerate(low, dn - dd):
                 mul_into(num[i], qc, dc, -1)
-        return BiPoly.from_s_coeffs(q)
+        return BiPoly(q)
 
     def try_div(self, other):
         try:
@@ -306,7 +279,7 @@ class BiPoly:
         return f"BiPoly({render_poly(self)!r})"
 
 
-ONE_MINUS_T = BiPoly({(0, 0): 1, (0, 1): -1})
+ONE_MINUS_T = BiPoly(((1, -1),))
 
 
 def over(p, c=1):
@@ -356,19 +329,16 @@ def split_content(p):
     is then irreducible over Z by Gauss's lemma.  A hand-built automaton
     may break the premise; its rest keeps the extra content.
     """
-    rows, k = divide_out(p.as_s_coeffs(), p.deg_t())
+    rows, k = divide_out(p.rows, p.deg_t())
     if not k:
         return [] if p.is_one() else [(p, 1)]
-    rest = BiPoly.from_s_coeffs(rows)
+    rest = BiPoly(rows)
     return [(ONE_MINUS_T, k)] + ([] if rest.is_one() else [(rest, 1)])
 
 
 def _rows_at_two(p):
     """p's s-rows evaluated at t = 2, index = s-degree."""
-    rows = [0] * (p.deg_s() + 1)
-    for (i, j), c in p.terms.items():
-        rows[i] += c << j
-    return rows
+    return [sum(c << j for j, c in enumerate(row)) for row in p.rows]
 
 
 def _s_root_at_two(base):
@@ -431,16 +401,11 @@ class FactoredRational:
         self.num = num
         fs = {}
         for base, e in factors:
-            if e == 0 or base.is_one():
-                continue
-            k = base.key()
-            if k in fs:
-                fs[k] = (base, fs[k][1] + e)
-            else:
-                fs[k] = (base, e)
+            if e and not base.is_one():
+                fs[base] = fs.get(base, 0) + e
         if num.is_zero():
             fs = {}
-        self.factors = tuple(sorted(fs.values(), key=lambda be: be[0].key()))
+        self.factors = tuple(sorted(fs.items(), key=lambda be: be[0].key()))
 
     @classmethod
     def zero(cls):
@@ -461,9 +426,9 @@ class FactoredRational:
             return other
         if other.is_zero():
             return self
-        bases = {b.key(): b for b, _ in self.factors + other.factors}
+        bases = {b.rows: b for b, _ in self.factors + other.factors}
         top, (cs, co) = common_denominator(
-            [{b.key(): e for b, e in r.factors} for r in (self, other)])
+            [{b.rows: e for b, e in r.factors} for r in (self, other)])
         return FactoredRational(
             self.num * power_product((bases[k], e) for k, e in cs)
             + other.num * power_product((bases[k], e) for k, e in co),
@@ -476,6 +441,9 @@ class FactoredRational:
         return FactoredRational(-self.num, self.factors)
 
     def mul_t_power(self, k):
+        """t^k times self; self itself for k = 0."""
+        if not k:
+            return self
         return FactoredRational(self.num * BiPoly.term(0, k), self.factors)
 
     def reduce(self):
@@ -502,9 +470,9 @@ class FactoredRational:
         kept = []
         for base, e in self.factors:
             if base == ONE_MINUS_T:
-                rows, k = divide_out(num.as_s_coeffs(), e)
+                rows, k = divide_out(num.rows, e)
                 if k:
-                    num = BiPoly.from_s_coeffs(rows)
+                    num = BiPoly(rows)
                     e -= k
             else:
                 root = _s_root_at_two(base)
@@ -520,10 +488,6 @@ class FactoredRational:
 
     def __repr__(self):
         return f"FactoredRational({render_rational(self)!r})"
-
-
-def _canonical_terms(p):
-    return sorted(p.terms.items())
 
 
 def _render_monomial(i, j, coeff):
@@ -547,7 +511,7 @@ def render_poly(p):
     if p.is_zero():
         return "0"
     out = []
-    for (i, j), c in _canonical_terms(p):
+    for (i, j), c in p.key():
         mono = _render_monomial(i, j, c)
         if not out:
             out.append(mono if c > 0 else "-" + mono)
@@ -564,7 +528,7 @@ def render_rational(r, t_prefactor=0):
     num = render_poly(r.num)
     if r.num.is_zero():
         return num
-    if len(r.num.terms) > 1 and (r.factors or t_prefactor):
+    if len(r.num.key()) > 1 and (r.factors or t_prefactor):
         num = f"({num})"
     if t_prefactor > 0:
         num = f"t^-{t_prefactor}" + ("" if num == "1" else f"*{num}")
@@ -600,16 +564,13 @@ def expand_series(r, n_max, j_max, t_prefactor=0):
         raise SingularAtOrigin("denominator is not 1 at s = t = 0")
     jj = j_max + t_prefactor
     rows = [[0] * (jj + 1) for _ in range(n_max + 1)]
-    for (n, j), v in r.num.terms.items():
-        if n <= n_max and j <= jj:
-            rows[n][j] = v
+    for row, got in zip(rows, r.num.rows):
+        row[:len(got)] = got[:jj + 1]
     for base, e in r.factors:
-        across = sorted((k, l, v) for (k, l), v in base.terms.items()
-                        if 0 < k <= n_max and l <= jj)
-        col = [0] * (1 + max(l for k, l in base.terms if not k))
-        for (k, l), v in base.terms.items():
-            if not k:
-                col[l] = v
+        across = [(k, l, v)
+                  for k, got in enumerate(base.rows[1:n_max + 1], 1)
+                  for l, v in enumerate(got[:jj + 1]) if v]
+        col = base.rows[0]
         (rest,), ones = divide_out([col], len(col) - 1)
         # the product of the constant terms is 1, so each one is 1 or -1
         lead = rest[0]

@@ -5,7 +5,10 @@ DFA's accepted words by path counts, the unpruned subset construction,
 the greatest simulation as a pairwise fixpoint, Moore minimization,
 equality of rational functions by cross-multiplication, repeated long
 division by 1 - c y, t^k,
-the schoolbook product and per-digit unpacking of bivariate polynomials,
+bivariate polynomials as term dicts (building and reading a BiPoly, and
+the dict arithmetic: sums, the schoolbook product, powers, long division
+and the rendered term order), per-digit unpacking of bivariate
+polynomials,
 the packed solve of a component system given as polynomial rows,
 reduction of a factored rational function by trial division alone,
 the paper's pseudo-division criterion for eventual finite length,
@@ -54,7 +57,12 @@ from oihilbert.oicore import (
     expand_to_width,
     hilbert_width,
 )
-from oihilbert.polyarith import BiPoly, FactoredRational, bareiss
+from oihilbert.polyarith import (
+    BiPoly,
+    FactoredRational,
+    _render_monomial,
+    bareiss,
+)
 from oihilbert.words import decode, is_xi, tau_index
 
 S, T = sympy.symbols("s t")
@@ -410,13 +418,89 @@ def t_power(k):
     return UniPoly((0,) * k + (1,))
 
 
+# ---------------------------------------------------------------------------
+# bivariate polynomials as term dicts: the tests build and read BiPolys
+# through bipoly and terms_of, and the term_* functions and schoolbook are
+# the dict arithmetic BiPoly's rows are checked against
+
+
+def bipoly(terms):
+    """The BiPoly with these terms, a dict or pairs (s-degree, t-degree)
+    -> coefficient; repeated keys add up and zeros drop."""
+    rows = []
+    for (i, j), c in (terms.items() if isinstance(terms, dict) else terms):
+        rows.extend([] for _ in range(i + 1 - len(rows)))
+        row = rows[i]
+        row.extend([0] * (j + 1 - len(row)))
+        row[j] += c
+    return BiPoly(rows)
+
+
+def terms_of(p):
+    """The nonzero terms of a BiPoly as a dict (s-degree, t-degree) ->
+    coefficient."""
+    return {(i, j): c for i, row in enumerate(p.rows)
+            for j, c in enumerate(row) if c}
+
+
+def term_sum(a, b, sign=1):
+    """a + sign * b for term dicts."""
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + sign * v
+    return {k: v for k, v in out.items() if v}
+
+
 def schoolbook(a, b):
-    """Terms of the BiPoly product a * b, term by term."""
+    """The product of two term dicts, term by term."""
     out = {}
-    for (i, j), x in a.terms.items():
-        for (k, l), y in b.terms.items():
+    for (i, j), x in a.items():
+        for (k, l), y in b.items():
             out[(i + k, j + l)] = out.get((i + k, j + l), 0) + x * y
     return {kl: c for kl, c in out.items() if c}
+
+
+def term_power(a, n):
+    """a^n for a term dict, one product at a time."""
+    out = {(0, 0): 1}
+    for _ in range(n):
+        out = schoolbook(out, a)
+    return out
+
+
+def term_quotient(a, b):
+    """a / b for term dicts, by long division on the largest term in
+    (s-degree, t-degree) order, a monomial order, so an exact quotient
+    never stops; raises NonDivisible unless b divides a over Z."""
+    if not b:
+        raise NonDivisible("division by zero polynomial")
+    (bi, bj), bc = max(b.items())
+    rem, out = dict(a), {}
+    while rem:
+        (i, j), c = max(rem.items())
+        if i < bi or j < bj or c % bc:
+            raise NonDivisible("leading term does not divide")
+        step = {(i - bi, j - bj): c // bc}
+        out = term_sum(out, step)
+        rem = term_sum(rem, schoolbook(step, b), -1)
+    return out
+
+
+def term_key(a):
+    """The terms of a term dict sorted by s-degree, then t-degree."""
+    return tuple(sorted(a.items()))
+
+
+def term_render(a):
+    """polyarith.render_poly on a term dict: the terms in term_key order."""
+    out = []
+    for (i, j), c in term_key(a):
+        mono = _render_monomial(i, j, c)
+        if not out:
+            out.append(mono if c > 0 else "-" + mono)
+        else:
+            out.append(("+ " if c > 0 else "- ") + mono)
+    return " ".join(out) or "0"
 
 
 def trial_reduce(r):
@@ -467,12 +551,12 @@ def pack_size(rows, rhs, tb=0):
     row i of M, and rhs packs divided by t^tb."""
     top, norm = -1, 0
     for b in rhs:
-        for (_, j), v in b.terms.items():
+        for (_, j), v in terms_of(b).items():
             top, norm = max(top, j), norm + abs(v)
     cols = {}
     square = 1
     for row in rows:
-        square *= sum(sum(map(abs, p.terms.values())) ** 2
+        square *= sum(sum(map(abs, terms_of(p).values())) ** 2
                       for p in row.values())
         for j, p in row.items():
             cols[j] = max(cols.get(j, 0), p.deg_t())
@@ -487,8 +571,8 @@ def solve_component(rows, rhs, first):
     with the monomial given back.  A digit is the fewest bytes that hold
     four times the coefficient bound."""
     size = len(rows)
-    sa = min(i for b in rhs for i, _ in b.terms)
-    tb = min(j for b in rhs for _, j in b.terms)
+    sa = min(i for b in rhs for i, _ in terms_of(b))
+    tb = min(j for b in rhs for _, j in terms_of(b))
     width, bound = pack_size(rows, rhs, tb)
     nbytes = -(-(4 * bound).bit_length() // 8)
     mat = [{j: automata._pack(p, width, nbytes) for j, p in row.items()}
@@ -502,7 +586,7 @@ def solve_component(rows, rhs, first):
 
 
 def _expr(b):
-    return sympy.Add(*(c * S**i * T**j for (i, j), c in b.terms.items()))
+    return sympy.Add(*(c * S**i * T**j for (i, j), c in terms_of(b).items()))
 
 
 def paper_artinian(rep):
@@ -542,14 +626,14 @@ def _ref_at_one_minus(u):
 
 def _ref_subst(p, b):
     """p(sigma x^b, 1 - x) as a BiPoly keyed (x-degree, sigma-degree)."""
-    return BiPoly({(b * i + k, i): c for i, u in enumerate(_s_rows(p))
+    return bipoly({(b * i + k, i): c for i, u in enumerate(_s_rows(p))
                    for k, c in enumerate(_ref_at_one_minus(u).coeffs)})
 
 
 def _s_rows(p):
     """p's s-rows as UniPolys in t, index = s-degree."""
     rows = [[0] * (p.deg_t() + 1) for _ in range(p.deg_s() + 1)]
-    for (i, j), c in p.terms.items():
+    for (i, j), c in terms_of(p).items():
         rows[i][j] = c
     return [UniPoly(row) for row in rows]
 
@@ -634,7 +718,7 @@ def growth_reference(rep):
     g = _ref_at_one_minus(UniPoly(next(f for tp, f in rep.factors
                                        if tp == big_b)))
     on_curve = UniPoly()
-    for (k, i), c in num.terms.items():
+    for (k, i), c in terms_of(num).items():
         on_curve = on_curve + UniPoly(
             (0,) * k + (g ** (num.deg_t() - i) * c).coeffs)
     bound = next((k for k, c in enumerate(on_curve.coeffs) if c), -1)
@@ -659,7 +743,8 @@ def fixed_degree_reference(result, j):
     rat = result.rational
 
     def t_coeffs(p):
-        return _s_rows(BiPoly({(b, a): v for (a, b), v in p.terms.items()}))
+        return _s_rows(bipoly({(b, a): v
+                               for (a, b), v in terms_of(p).items()}))
 
     den = t_coeffs(rat.den_expanded())
     rest, power = one_minus_t_divide(den[0])
@@ -674,7 +759,7 @@ def fixed_degree_reference(result, j):
 
 def _truncate(p, n_max, j_max):
     """The terms of p with s-degree <= n_max and t-degree <= j_max."""
-    return BiPoly({(i, j): c for (i, j), c in p.terms.items()
+    return bipoly({(i, j): c for (i, j), c in terms_of(p).items()
                    if i <= n_max and j <= j_max})
 
 
@@ -690,7 +775,7 @@ def expand_cellwise(r, n_max, j_max, t_prefactor=0):
             den = _truncate(den * base, n_max, jj)
     if den.coeff(0, 0) != 1:
         raise SingularAtOrigin("denominator is not 1 at s = t = 0")
-    rest = [(kl, v) for kl, v in den.terms.items() if kl != (0, 0)]
+    rest = [(kl, v) for kl, v in terms_of(den).items() if kl != (0, 0)]
     w = {}
     for n in range(n_max + 1):
         for j in range(jj + 1):
@@ -1002,7 +1087,7 @@ def division_exponent_bound(p):
 def _as_rational(num, den_pow):
     """num / (1-t)^den_pow, num a coefficient tuple in t, as a
     FactoredRational."""
-    return FactoredRational(BiPoly({(0, j): c for j, c in enumerate(num)}),
+    return FactoredRational(bipoly({(0, j): c for j, c in enumerate(num)}),
                             ((BiPoly.one() - BiPoly.term(0, 1), den_pow),))
 
 

@@ -29,8 +29,9 @@ from oihilbert.schema import InputDocument, load_document, parse_document
 from oihilbert.series import SeriesResult, free_series, module_series
 
 from corpus import random_presentation
-from oracles import (UniPoly, ZeroModule, dim_deg_width, equals_cross_mul,
-                     fixed_degree_reference, growth_reference, paper_artinian)
+from oracles import (UniPoly, ZeroModule, bipoly, dim_deg_width,
+                     equals_cross_mul, fixed_degree_reference,
+                     growth_reference, paper_artinian, terms_of)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,12 +60,12 @@ S, T = sympy.symbols("s t")
 
 def sympy_pieces(b):
     """sympy's irreducible factors of b, each with positive constant term."""
-    expr = sympy.Add(*(c * S**i * T**j for (i, j), c in b.terms.items()))
+    expr = sympy.Add(*(c * S**i * T**j for (i, j), c in terms_of(b).items()))
     _, pieces = sympy.factor_list(expr, S, T)
     out = []
     for piece, mult in pieces:
         poly = sympy.Poly(piece, S, T)
-        q = BiPoly({(int(i), int(j)): int(c)
+        q = bipoly({(int(i), int(j)): int(c)
                     for (i, j), c in zip(poly.monoms(), poly.coeffs())})
         out.append((-q if q.coeff(0, 0) < 0 else q, int(mult)))
     return out
@@ -80,7 +81,7 @@ def product_of(pieces):
 
 def hand_series(num_terms, den_terms):
     return SeriesResult(
-        FactoredRational(BiPoly(num_terms), ((BiPoly(den_terms), 1),)),
+        FactoredRational(bipoly(num_terms), ((bipoly(den_terms), 1),)),
         0, "quotient")
 
 
@@ -108,7 +109,7 @@ class TestShape:
         bad = hand_series({(0, 0): 1, (1, 0): 1}, {(0, 0): 1, (2, 1): -1})
         rep = validate_shape(bad, 1)
         assert not rep.conformant
-        assert rep.leftover == BiPoly({(0, 0): 1, (2, 1): -1})
+        assert rep.leftover == bipoly({(0, 0): 1, (2, 1): -1})
 
     @given(st.integers(0, 3),
            st.lists(st.integers(-3, 3), max_size=4),
@@ -117,7 +118,7 @@ class TestShape:
     def test_split_of_s_linear_base(self, j, growth, k):
         # b = (1-t)^k * ((1-t)^j + s*u1(t)): at s = 0 a power of 1 - t,
         # as every determinant of a minimal module DFA is
-        b = BiPoly.from_s_coeffs([(UniPoly((1, -1)) ** j).coeffs, growth]) \
+        b = BiPoly([(UniPoly((1, -1)) ** j).coeffs, growth]) \
             * ONE_MINUS_T ** k
         pieces = split_content(b)
         assert product_of(pieces) == b
@@ -151,7 +152,7 @@ class TestShape:
         assert validate_shape(res, 2).conformant
         rep = validate_shape(res, 1)
         assert not rep.conformant
-        assert rep.leftover == BiPoly(factor)
+        assert rep.leftover == bipoly(factor)
 
     def test_report_reconstructs_series(self):
         for p in [principal_power(3),
@@ -165,7 +166,7 @@ class TestShape:
             den = (BiPoly.one() - BiPoly.term(0, 1)) ** rep.one_minus_t_power
             for tp, f in rep.factors:
                 den = den * ((BiPoly.one() - BiPoly.term(0, 1)) ** tp
-                             - BiPoly({(1, j): c for j, c in enumerate(f)}))
+                             - bipoly({(1, j): c for j, c in enumerate(f)}))
             assert equals_cross_mul(
                 res.rational, FactoredRational(rep.numerator, ((den, 1),)))
 

@@ -30,11 +30,18 @@ from oihilbert.polyarith import (
 from oracles import (
     UniPoly,
     _ref_solve,
+    bipoly,
     divide_out_reference,
     equals_cross_mul,
     expand_cellwise,
     one_minus_t_divide,
     schoolbook,
+    term_key,
+    term_power,
+    term_quotient,
+    term_render,
+    term_sum,
+    terms_of,
     trial_reduce,
     unpack_digits,
 )
@@ -43,7 +50,7 @@ S, T = sympy.symbols("s t")
 
 
 def to_sympy(p):
-    return sympy.Add(*(c * S**i * T**j for (i, j), c in p.terms.items()))
+    return sympy.Add(*(c * S**i * T**j for (i, j), c in terms_of(p).items()))
 
 
 small_unis = st.lists(st.integers(-6, 6), min_size=0, max_size=5)
@@ -52,7 +59,7 @@ small_bis = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)),
     st.integers(-5, 5),
     max_size=6,
-).map(BiPoly)
+).map(bipoly)
 
 
 class TestUniPoly:
@@ -178,18 +185,19 @@ class TestBareiss:
 
 class TestBiPoly:
     def test_constructor_merges_and_drops_zeros(self):
-        p = BiPoly([((0, 0), 1), ((0, 0), -1), ((1, 2), 3)])
-        assert p.terms == {(1, 2): 3}
+        p = bipoly([((0, 0), 1), ((0, 0), -1), ((1, 2), 3)])
+        assert terms_of(p) == {(1, 2): 3}
 
     def test_arith_round_trip(self):
-        one_minus_t = BiPoly({(0, 0): 1, (0, 1): -1})
-        f = one_minus_t ** 2 - BiPoly.s() * BiPoly({(0, 0): 1, (0, 1): 1})
-        assert f.terms == {(0, 0): 1, (0, 1): -2, (0, 2): 1, (1, 0): -1, (1, 1): -1}
+        one_minus_t = bipoly({(0, 0): 1, (0, 1): -1})
+        f = one_minus_t ** 2 - BiPoly.s() * bipoly({(0, 0): 1, (0, 1): 1})
+        assert terms_of(f) == {(0, 0): 1, (0, 1): -2, (0, 2): 1, (1, 0): -1,
+                               (1, 1): -1}
         assert f.deg_s() == 1 and f.deg_t() == 2
 
     def test_exact_div(self):
-        a = BiPoly({(0, 0): 1, (0, 1): -1, (1, 0): -1})  # 1 - t - s
-        b = BiPoly({(0, 0): 1, (1, 0): 1})  # 1 + s
+        a = bipoly({(0, 0): 1, (0, 1): -1, (1, 0): -1})  # 1 - t - s
+        b = bipoly({(0, 0): 1, (1, 0): 1})  # 1 + s
         with pytest.raises(NonDivisible):
             a.exact_div(b)
         assert (a * b).exact_div(b) == a
@@ -224,12 +232,80 @@ class TestBiPoly:
                 assert base ** n == acc, (base, n)
                 acc = acc * base
 
+    def test_rows_against_term_dicts(self):
+        # the row form against the term-dict arithmetic of tests/oracles.py:
+        # sums, differences, products with an int, a one-term and a general
+        # operand, powers, exact division of products and of non-divisors,
+        # and the term order that factors sort and render in
+        rng = random.Random(3501)
+
+        def draw(n, ds, dt, mag=5):
+            out = {}
+            for _ in range(n):
+                out[(rng.randint(0, ds), rng.randint(0, dt))] = rng.choice(
+                    (-1, 1)) * rng.randint(1, mag)
+            return out
+
+        for case in range(300):
+            a = draw(rng.randint(0, 7), rng.choice((0, 2, 6)),
+                     rng.choice((0, 2, 6)), rng.choice((5, 1 << 70)))
+            b = draw(rng.randint(0, 5), rng.choice((0, 1, 3)),
+                     rng.choice((0, 1, 3)))
+            one = draw(1, 4, 4, rng.choice((1, 1 << 65)))
+            k = rng.choice((0, 1, -1, 3, -(1 << 65)))
+            pa, pb, pm = bipoly(a), bipoly(b), bipoly(one)
+            assert terms_of(pa) == a and pa.key() == term_key(a)
+            assert render_poly(pa) == term_render(a)
+            assert (pa.deg_s(), pa.deg_t()) == (
+                max((i for i, _ in a), default=-1),
+                max((j for _, j in a), default=-1))
+            assert terms_of(pa + pb) == term_sum(a, b)
+            assert terms_of(pa - pb) == term_sum(a, b, -1)
+            assert terms_of(-pa) == term_sum({}, a, -1)
+            assert terms_of(pa * k) == terms_of(k * pa) == {
+                kl: v * k for kl, v in a.items() if k}
+            for x, y in ((pa, pb), (pb, pa), (pa, pm), (pm, pa), (pm, pm)):
+                assert terms_of(x * y) == schoolbook(terms_of(x),
+                                                     terms_of(y)), (x, y)
+            if b:
+                assert terms_of((pa * pb).exact_div(pb)) == a, (a, b)
+                near = term_sum(schoolbook(a, b), draw(1, 4, 4))
+                try:
+                    want = term_quotient(near, b)
+                except NonDivisible:
+                    want = None
+                got = bipoly(near).try_div(pb)
+                assert (got if got is None else terms_of(got)) == want, (
+                    near, b)
+                if want is None:
+                    with pytest.raises(NonDivisible):
+                        bipoly(near).exact_div(pb)
+            if case < 40:
+                n = rng.randint(0, 5)
+                assert terms_of(pa ** n) == term_power(a, n), (a, n)
+
+        s, t = BiPoly.s(), BiPoly.term(0, 1)
+        one_minus_s = BiPoly.one() - s
+        for base in (ONE_MINUS_T, one_minus_s, ONE_MINUS_T ** 2 - s,
+                     ONE_MINUS_T - s * t):
+            for n in range(12):
+                assert terms_of(base ** n) == term_power(terms_of(base), n)
+
+        # factors sort by their terms, not by their rows: 1 - t has the
+        # larger rows, ((1, -1),) against ((1,), (-1,)), and sorts first
+        assert one_minus_s.rows < ONE_MINUS_T.rows
+        assert ONE_MINUS_T.key() < one_minus_s.key()
+        r = FactoredRational(BiPoly.one(), [(one_minus_s, 1),
+                                            (ONE_MINUS_T, 1)])
+        assert r.factors == ((ONE_MINUS_T, 1), (one_minus_s, 1))
+        assert render_rational(r) == "1/(1 - t)*(1 - s)"
+
     def test_s_coeff_views(self):
-        p = BiPoly({(0, 0): 1, (0, 2): 5, (2, 1): -3})
-        cs = p.as_s_coeffs()
-        assert cs == [[1, 0, 5], [], [0, -3]]
-        assert BiPoly.from_s_coeffs(cs) == p
-        assert BiPoly.zero().as_s_coeffs() == []
+        p = bipoly({(0, 0): 1, (0, 2): 5, (2, 1): -3})
+        assert p.rows == ((1, 0, 5), (), (0, -3))
+        # the constructor trims trailing zeros and trailing empty rows
+        assert BiPoly([[1, 0, 5, 0], [0], (0, -3), [], [0, 0]]) == p
+        assert BiPoly.zero().rows == () == BiPoly([[0], []]).rows
 
     @given(small_bis, small_bis, st.integers(0, 4), st.integers(0, 4),
            st.sampled_from((-2, -1, 1, 3)))
@@ -250,7 +326,7 @@ class TestBiPoly:
         q, r = sympy.div(to_sympy(near), to_sympy(a), S, T, domain="QQ")
         q = sympy.Poly(q, S, T)
         if r == 0 and all(v.is_integer for v in q.coeffs()):
-            assert near.exact_div(a) == BiPoly(
+            assert near.exact_div(a) == bipoly(
                 {(int(m), int(n)): int(v)
                  for (m, n), v in zip(q.monoms(), q.coeffs())})
         else:
@@ -268,13 +344,14 @@ class TestBiPoly:
         for _ in range(300):
             deg = rng.choice((2, 6, 40))
             mag = rng.choice((3, 1 << 40, 1 << 70))
-            a = BiPoly({(rng.randint(0, deg), rng.randint(0, deg)):
+            a = bipoly({(rng.randint(0, deg), rng.randint(0, deg)):
                         rng.randint(-mag, mag)
                         for _ in range(rng.randint(0, 8))})
             m = rng.choice(monomials)
             zero = BiPoly.zero()
             for x, y in ((a, m), (m, a), (a, a), (m, m), (a, zero), (zero, m)):
-                assert (x * y).terms == schoolbook(x, y), (x, y)
+                assert terms_of(x * y) == schoolbook(terms_of(x),
+                                                     terms_of(y)), (x, y)
 
     def test_product_routes_against_schoolbook(self):
         # term-pair counts from 1 to 1,225: dense operands with small
@@ -289,7 +366,7 @@ class TestBiPoly:
         def draw(n, ds, dt, mag):
             cells = rng.sample([(i, j) for i in range(ds + 1)
                                 for j in range(dt + 1)], n)
-            return BiPoly({c: rng.choice((-1, 1)) * rng.randint(1, mag)
+            return bipoly({c: rng.choice((-1, 1)) * rng.randint(1, mag)
                            for c in cells})
 
         sizes = [(1, 1), (2, 3), (8, 6), (16, 24), (24, 17), (33, 35),
@@ -310,7 +387,8 @@ class TestBiPoly:
                             * (a.deg_t() + b.deg_t() + 1) > pairs)
                 for x, y in ((a, b), (b, a), (a, mono), (mono, a),
                              (a, zero), (zero, b)):
-                    assert (x * y).terms == schoolbook(x, y), (x, y)
+                    assert terms_of(x * y) == schoolbook(
+                        terms_of(x), terms_of(y)), (x, y)
 
     @pytest.mark.parametrize("nbytes", [1, 2, 3, 8, 9, 16])
     def test_pack_unpack_round_trip(self, nbytes):
@@ -327,7 +405,7 @@ class TestBiPoly:
             for case in range(60):
                 sa, tb = ((0, 0) if case % 2 else
                           (rng.randint(0, 300), rng.randint(0, 300)))
-                p = BiPoly({(sa + rng.randint(0, 6),
+                p = bipoly({(sa + rng.randint(0, 6),
                              tb + rng.randrange(width)):
                             rng.choice(pool) if rng.random() < 0.6
                             else rng.randint(1 - safe, safe - 1)
@@ -347,7 +425,7 @@ class TestBiPoly:
             width = rng.randint(1, 6)
             nbytes = rng.choice((1, 2, 8, 9))
             safe = 1 << (8 * nbytes - 2)
-            rest = BiPoly({(rng.randint(0, 5), rng.randrange(width)):
+            rest = bipoly({(rng.randint(0, 5), rng.randrange(width)):
                            rng.randint(1 - safe, safe - 1)
                            for _ in range(rng.randint(1, 6))})
             sa, tb = rng.randint(0, 400), rng.randint(0, 400)
@@ -384,13 +462,13 @@ class TestBiPoly:
                 continue
             assert want == {(i // width, i % width): d
                             for i, d in enumerate(digits) if d}
-            assert _unpack(val, width, nbytes).terms == want, digits
+            assert terms_of(_unpack(val, width, nbytes)) == want, digits
 
 
 class TestFactoredRational:
     def setup_method(self):
-        self.one_minus_t = BiPoly({(0, 0): 1, (0, 1): -1})
-        self.one_minus_t_minus_s = BiPoly({(0, 0): 1, (0, 1): -1, (1, 0): -1})
+        self.one_minus_t = bipoly({(0, 0): 1, (0, 1): -1})
+        self.one_minus_t_minus_s = bipoly({(0, 0): 1, (0, 1): -1, (1, 0): -1})
 
     def test_add_merges_factor_multisets(self):
         a = FactoredRational(BiPoly.one(), [(self.one_minus_t, 2)])
@@ -410,7 +488,7 @@ class TestFactoredRational:
         one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.term(0, 1)
         pool = [one - t, one + t, one - s, one - s * t - t * t,
                 one - s - s * t * 2]
-        num = BiPoly({(rng.randint(0, 2), rng.randint(0, 2)):
+        num = bipoly({(rng.randint(0, 2), rng.randint(0, 2)):
                       rng.randint(-4, 4) for _ in range(rng.randint(0, 3))})
         return FactoredRational(num, [
             (b, rng.randint(1, 3))
@@ -509,7 +587,7 @@ class TestFactoredRational:
                 start = rng.choice((0, 0, 1, 4))
                 for j in range(start, start + rng.randint(1, 4)):
                     terms[(i, j)] = rng.randint(-5, 5)
-            num = BiPoly(terms)
+            num = bipoly(terms)
             if rng.random() < 0.5:
                 # every row divisible by 1 - t but one
                 i, j = rng.randrange(5), rng.randrange(4)
@@ -532,13 +610,13 @@ class TestFactoredRational:
             # exact fractions
             if base.deg_s() != 1:
                 return False
-            b0 = sum(c * 2 ** j for (i, j), c in base.terms.items() if not i)
-            b1 = -sum(c * 2 ** j for (i, j), c in base.terms.items() if i)
+            b0 = sum(c * 2 ** j for (i, j), c in terms_of(base).items() if not i)
+            b1 = -sum(c * 2 ** j for (i, j), c in terms_of(base).items() if i)
             if not b1:
                 return False
             x = Fraction(b0, b1)
             return sum(c * x ** i * 2 ** j
-                       for (i, j), c in num.terms.items()) != 0
+                       for (i, j), c in terms_of(num).items()) != 0
 
         def check(r):
             divisions.clear()
@@ -566,7 +644,7 @@ class TestFactoredRational:
         # no monomial is a multiple of b
         for _ in range(60):
             f = [1] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
-            b = ONE_MINUS_T ** rng.randint(0, 3) - s * BiPoly(
+            b = ONE_MINUS_T ** rng.randint(0, 3) - s * bipoly(
                 {(0, j): v for j, v in enumerate(f)})
             num, e = draw_num(), rng.randint(1, 3)
             m = rng.randint(0, e)
@@ -596,8 +674,8 @@ class TestFactoredRational:
 
 class TestSeries:
     def test_geometric_series(self):
-        one_minus_t_minus_s = BiPoly({(0, 0): 1, (0, 1): -1, (1, 0): -1})
-        one_minus_t = BiPoly({(0, 0): 1, (0, 1): -1})
+        one_minus_t_minus_s = bipoly({(0, 0): 1, (0, 1): -1, (1, 0): -1})
+        one_minus_t = bipoly({(0, 0): 1, (0, 1): -1})
         # (1-t)/(1-t-s) counts all monomials of all widths, c = 1
         r = FactoredRational(one_minus_t, [(one_minus_t_minus_s, 1)])
         w = expand_series(r, 5, 5)
@@ -609,8 +687,8 @@ class TestSeries:
                 assert w[n][j] == expect
 
     def test_against_fraction_brute_force(self):
-        num = BiPoly({(0, 0): 2, (1, 1): -3})
-        den = BiPoly({(0, 0): 1, (1, 0): -2, (0, 1): 5})
+        num = bipoly({(0, 0): 2, (1, 1): -3})
+        den = bipoly({(0, 0): 1, (1, 0): -2, (0, 1): 5})
         w = expand_series(FactoredRational(num, [(den, 2)]), 4, 4)
         # brute force with sympy series
         expr = to_sympy(num) / to_sympy(den) ** 2
@@ -624,9 +702,9 @@ class TestSeries:
     def test_factors_reaching_past_the_window(self):
         # terms of s-degree 6 and t-degree 7 lie outside a 4 x 4 window,
         # and (1 - t - s^6)^3 has many more
-        num = BiPoly({(0, 0): 1, (2, 1): 5})
-        f1 = BiPoly({(0, 0): 1, (0, 1): -1, (6, 0): -1})
-        f2 = BiPoly({(0, 0): 1, (1, 7): 3, (1, 0): -1})
+        num = bipoly({(0, 0): 1, (2, 1): 5})
+        f1 = bipoly({(0, 0): 1, (0, 1): -1, (6, 0): -1})
+        f2 = bipoly({(0, 0): 1, (1, 7): 3, (1, 0): -1})
         w = expand_series(FactoredRational(num, [(f1, 3), (f2, 1)]), 4, 4,
                           t_prefactor=1)
         expr = to_sympy(num) / (to_sympy(f1) ** 3 * to_sympy(f2))
@@ -638,7 +716,7 @@ class TestSeries:
                 assert w[n][j] == ser.coeff(S, n).coeff(T, j + 1)
 
     def test_t_prefactor_shifts_columns(self):
-        num = BiPoly({(0, 2): 1, (1, 3): 4})
+        num = bipoly({(0, 2): 1, (1, 3): 4})
         r = FactoredRational(num)
         w = expand_series(r, 1, 1, t_prefactor=2)
         assert w[0][0] == 1 and w[1][1] == 4
@@ -649,7 +727,7 @@ class TestSeries:
         rng = random.Random(1920)
 
         def poly(terms, lo=0):
-            return BiPoly({(rng.randint(lo, 3), rng.randint(0, 4)):
+            return bipoly({(rng.randint(lo, 3), rng.randint(0, 4)):
                            rng.randint(-3, 3) for _ in range(terms)})
 
         def factor():
@@ -657,7 +735,7 @@ class TestSeries:
             if kind == 0:  # 1 - t
                 return ONE_MINUS_T
             if kind == 1:  # (1-t)^c - s f(t), as the pipeline's factors
-                f = BiPoly({(1, j): -rng.randint(1, 2)
+                f = bipoly({(1, j): -rng.randint(1, 2)
                             for j in range(rng.randint(0, 3))})
                 return ONE_MINUS_T ** rng.randint(0, 2) + f
             if kind == 2:  # a t-only piece such as a split content
@@ -665,7 +743,7 @@ class TestSeries:
             if kind == 3:  # constant -1, squared below
                 return BiPoly.term(0, 0, -1) + poly(3, lo=1)
             # past the window: s^6, t^7 and beyond
-            return BiPoly({(0, 0): 1, (6, 0): -1, (1, 7): 3, (0, 9): 2})
+            return bipoly({(0, 0): 1, (6, 0): -1, (1, 7): 3, (0, 9): 2})
 
         for case in range(150):
             factors = []
@@ -709,17 +787,17 @@ class TestSeries:
 
 class TestRendering:
     def test_poly_canonical_order(self):
-        p = BiPoly({(1, 0): -1, (0, 0): 1, (0, 1): -1})
+        p = bipoly({(1, 0): -1, (0, 0): 1, (0, 1): -1})
         assert render_poly(p) == "1 - t - s"
         assert render_poly(BiPoly.zero()) == "0"
-        assert render_poly(BiPoly({(2, 3): 4})) == "4*s^2*t^3"
-        assert render_poly(BiPoly({(0, 0): -2, (1, 1): 1})) == "-2 + s*t"
+        assert render_poly(bipoly({(2, 3): 4})) == "4*s^2*t^3"
+        assert render_poly(bipoly({(0, 0): -2, (1, 1): 1})) == "-2 + s*t"
 
     def test_rational_rendering(self):
-        one_minus_s = BiPoly({(0, 0): 1, (1, 0): -1})
+        one_minus_s = bipoly({(0, 0): 1, (1, 0): -1})
         r = FactoredRational(BiPoly.one(), [(one_minus_s, 1)])
         assert render_rational(r) == "1/(1 - s)"
-        r2 = FactoredRational(BiPoly({(1, 0): 1, (1, 1): -1}), [(one_minus_s, 2)])
+        r2 = FactoredRational(bipoly({(1, 0): 1, (1, 1): -1}), [(one_minus_s, 2)])
         assert render_rational(r2) == "(s - s*t)/(1 - s)^2"
         assert render_rational(r, 1) == "t^-1/(1 - s)"
         assert render_rational(r2, 1) == "t^-1*(s - s*t)/(1 - s)^2"
