@@ -333,18 +333,18 @@ def determinize(nfa, dfa):
 
 
 def minimize(dfa):
-    """Trim, then Hopcroft partition refinement.
+    """Trim, then Hopcroft partition refinement of the live part.
 
-    Missing transitions and those into dead states (not both reachable and
-    co-reachable) go to an explicit sink block, so the refinement runs on a
-    complete automaton (Hopcroft 1971; for partial DFAs, Valmari and
-    Lehtinen 2008).  It starts from the accepting live states, the other
-    live states and the sink, and splits with per-letter inverse
-    transitions.  The worklist holds splitter blocks: a block split while
-    queued queues both halves, otherwise only the smaller one.  A
-    splitter's members are copied before refining with it, as refining can
-    split the splitter itself.  Blocks are numbered in order of their
-    smallest live state.
+    The refinement runs on the partial DFA of the live states (reachable
+    and co-reachable), with no sink (Hopcroft 1971; for partial DFAs,
+    Valmari and Lehtinen 2008).  It starts from the accepting and the
+    other live states, both queued, and splits with per-letter inverse
+    transitions between live states.  The worklist holds splitter blocks:
+    a block split while queued queues both halves, otherwise only the
+    smaller one, which needs only determinism (the preimage of a block is
+    the disjoint union of its halves' preimages).  A splitter's members
+    are copied before refining with it, as refining can split the splitter
+    itself.  Blocks are numbered in order of their smallest state.
     """
     if dfa.n == 0:
         return dfa
@@ -374,15 +374,13 @@ def minimize(dfa):
     if dfa.start not in live:
         return empty_dfa(letters)
 
-    SINK = -1
     states = sorted(live)
-    inv = {a: {SINK: [SINK]} for a in letters}
-    for q in states:
-        for a in letters:
-            r = dfa.trans.get((q, a))
-            inv[a].setdefault(r if r in live else SINK, []).append(q)
+    inv = {a: {} for a in letters}
+    for (q, a), r in dfa.trans.items():
+        if q in live and r in live:
+            inv[a].setdefault(r, []).append(q)
     accepting = live & dfa.accepts
-    members = [m for m in (accepting, live - accepting, {SINK}) if m]
+    members = [m for m in (accepting, live - accepting) if m]
     blk = {q: b for b, m in enumerate(members) for q in m}
     work = list(range(len(members)))
     queued = set(work)

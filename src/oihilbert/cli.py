@@ -208,13 +208,12 @@ def cmd_decompose(args):
     if args.json:
         _emit({
             "e": list(dec.e),
-            "m": dec.m,
             "marked": None if dec.marked is None else [
                 monomial_to_obj(g) for g in dec.marked.generators],
             "unmarked": [monomial_to_obj(g) for g in dec.unmarked.generators],
         })
     else:
-        print(f"generation width m = {dec.m}, e = ({args.e})")
+        print(f"e = ({args.e})")
         if dec.marked is None:
             print("marked part: absent (rank parameter is 0)")
         else:

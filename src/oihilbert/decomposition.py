@@ -1,33 +1,30 @@
-"""Column-splitting decomposition of a quotient by width-wise colon ideals.
+"""Column-splitting decomposition of a quotient by its derived ideals.
 
-Dividing out a power of the first column splits the quotient, one width
-down, into a marked part (basis tuple starts at column 1, rank drops) and
-an unmarked part (rank kept).  Both parts are again monomial quotients,
-read off from colon generators at one fixed width, and the construction
-yields the repeated-division identity for the width-wise series.
+Reading the first column of a standard monomial, with exponent vector e,
+splits the quotient one width down into a marked part (the basis tuple
+started at column 1, so the rank drops by one) and an unmarked part (rank
+kept).  Both parts are again monomial quotients, the derived ideals of
+the minimal generators: each generator whose first column is at most e
+contributes its tail, the generator moved one column down.  The split
+holds at every width n >= 1, with no generation width to reach first.
 """
 
 from collections import namedtuple
+from operator import le
 
-from .errors import Column1NotEmpty, WidthMismatch
-from .oicore import ModulePresentation, Monomial, colon_width, minimalize
-
-
-def res_monomial(m):
-    """Drop the (empty) first column; a basis entry at column 1 is removed,
-    the others slide down one."""
-    if m.width == 0:
-        raise WidthMismatch("cannot drop a column of a width-0 monomial")
-    if any(m.cols[0]):
-        raise Column1NotEmpty(f"column 1 of {m!r} carries variables")
-    if m.pi and m.pi[0] == 1:
-        pi = tuple(x - 1 for x in m.pi[1:])
-    else:
-        pi = tuple(x - 1 for x in m.pi)
-    return Monomial(m.c, m.width - 1, m.cols[1:], pi, m.summand)
+from .errors import WidthMismatch
+from .oicore import ModulePresentation, Monomial, minimalize
 
 
-class Decomposition(namedtuple("Decomposition", "e m marked unmarked")):
+def tail(m):
+    """Drop the first column; a basis entry at column 1 is removed, the
+    others slide down one."""
+    pi = m.pi[1:] if m.pi[:1] == (1,) else m.pi
+    return Monomial(m.c, m.width - 1, m.cols[1:], [x - 1 for x in pi],
+                    m.summand)
+
+
+class Decomposition(namedtuple("Decomposition", "e marked unmarked")):
     """Width-independent presentations of the two split parts: marked has
     rank d-1 (None when d == 0), unmarked rank d."""
 
@@ -35,31 +32,25 @@ class Decomposition(namedtuple("Decomposition", "e m marked unmarked")):
 
 
 def compute_decomposition(p, e):
-    """Split data for the quotient by p's submodule along column-1 power e.
+    """The two derived ideals of p's minimal generators G for the
+    first-column exponent e.  Valid for a single unshifted summand.
 
-    Valid for a single unshifted summand.  The marked part reads the
-    width-m colon components whose basis tuple starts at 1; the unmarked
-    part reads the width-(m+1) components that skip column 1.
+    The unmarked part is generated by G and the tails of the g in G whose
+    first column is at most e and whose basis tuple does not start at 1;
+    the marked part by the tails of those that start at 1.  A width-0
+    generator has no first column and stays in G.
     """
     if len(p.summands) != 1 or p.summands[0][1] != 0:
         raise WidthMismatch("decomposition needs one summand, shift 0")
     if len(e) != p.c or any(x < 0 for x in e):
         raise WidthMismatch(f"exponent vector must be {p.c} nonnegatives")
     d = p.summands[0][0]
-    wi = max((g.width for g in minimalize(p.generators)), default=0)
-    m = wi if wi >= 1 else max(1, d)
-
-    # generators with a column-1 variable are swallowed once the column-1
-    # variables are adjoined; the rest lose their empty first column.
-    # colon_width's set is minimal and sorted, and res_monomial shifts
-    # every kept basis tuple alike, so both lists stay minimal and sorted
+    gens = minimalize(list(p.generators))
+    fits = [g for g in gens if g.width and all(map(le, g.cols[0], e))]
     marked = None
     if d >= 1:
-        gens = [res_monomial(g) for g in colon_width(p, tuple(e), m)
-                if g.pi[0] == 1 and not any(g.cols[0])]
-        marked = ModulePresentation(p.c, [(d - 1, 0)], gens)
-
-    gens = [res_monomial(g) for g in colon_width(p, tuple(e), m + 1)
-            if not (d >= 1 and g.pi[0] == 1) and not any(g.cols[0])]
-    unmarked = ModulePresentation(p.c, [(d, 0)], gens)
-    return Decomposition(tuple(e), m, marked, unmarked)
+        marked = ModulePresentation(p.c, [(d - 1, 0)], minimalize(
+            [tail(g) for g in fits if g.pi[:1] == (1,)]))
+    unmarked = ModulePresentation(p.c, [(d, 0)], minimalize(
+        gens + [tail(g) for g in fits if g.pi[:1] != (1,)]))
+    return Decomposition(tuple(e), marked, unmarked)

@@ -29,9 +29,5 @@ class NotConformant(OihError):
     """A denominator factor does not match any expected shape."""
 
 
-class Column1NotEmpty(OihError):
-    """The monomial involves first-column variables where none are allowed."""
-
-
 class SchemaError(OihError):
     """An input document does not conform to the JSON schema."""

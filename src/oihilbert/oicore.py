@@ -184,7 +184,9 @@ def _images(p, n, place):
 def expand_to_width(p, n):
     """Width-n generating set of the submodule: every distinct
     order-embedding image of the presentation's generators, in generator
-    order.  The set need not be minimal; pass it to `minimalize` for that."""
+    order.  The set need not be minimal; pass it to `minimalize` for that.
+    No command calls it: the tests do, and the benchmark's tracing looks
+    it up by name."""
     c = p.c
     zero = (0,) * c
 
@@ -481,18 +483,6 @@ def hilbert_width(p, n, quotient=True):
     """Classical Hilbert series at width n alone: the last row of
     `hilbert_widths`."""
     return hilbert_widths(p, n, quotient)[n]
-
-
-def colon_width(p, e, n):
-    """Width-n generators of (M_n : x^e), where x^e is the degree-|e| monomial
-    with exponent e_i on the row-i variable of column 1."""
-    if len(e) != p.c:
-        raise WidthMismatch(f"colon exponent needs {p.c} entries")
-    out = []
-    for m in expand_to_width(p, n):
-        col1 = tuple(max(0, a - b) for a, b in zip(m.cols[0], e))
-        out.append(Monomial(m.c, m.width, (col1,) + m.cols[1:], m.pi, m.summand))
-    return minimalize(out)
 
 
 # ---------------------------------------------------------------------------

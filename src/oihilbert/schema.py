@@ -19,6 +19,11 @@ from .oicore import (
 
 SCHEMA_VERSION = 1
 
+# The widest generator or asserted element a document may hold.  The
+# engines allocate in proportion to a generator's width, so a wider one
+# is refused (exit 2) before any of them runs.
+MAX_WIDTH = 1000
+
 _TOP_KEYS = {"schema_version", "c", "summands", "generators", "category",
              "mode", "asserted_groebner"}
 
@@ -91,7 +96,8 @@ def _parse_monomial(obj, path, c, summands):
     obj = _as_object(obj, path, {"summand", "width", "pi", "exponents"})
     summand = _as_int(obj.get("summand", 0), f"{path}.summand", 0,
                       len(summands) - 1)
-    width = _as_int(_require(obj, "width", path), f"{path}.width", 0)
+    width = _as_int(_require(obj, "width", path), f"{path}.width", 0,
+                    MAX_WIDTH)
     d = summands[summand][0]
     pi = _parse_pi(obj, path, d, width)
     cols = _parse_exponents(obj, path, c, width)
@@ -102,7 +108,8 @@ def _parse_element(obj, path, c, summands):
     obj = _as_object(obj, path, {"summand", "width", "terms"})
     summand = _as_int(obj.get("summand", 0), f"{path}.summand", 0,
                       len(summands) - 1)
-    width = _as_int(_require(obj, "width", path), f"{path}.width", 0)
+    width = _as_int(_require(obj, "width", path), f"{path}.width", 0,
+                    MAX_WIDTH)
     d = summands[summand][0]
     terms = _as_list(_require(obj, "terms", path), f"{path}.terms")
     parsed = []

@@ -36,6 +36,16 @@ def random_single_summand(rng, max_d=2, max_gens=3, max_width=3, max_deg=3):
     return ModulePresentation(c, [(d, 0)], gens)
 
 
+def decompose_cases(rng, count=30):
+    """(presentation, exponent vectors) pairs for the decomposition: a
+    single-summand presentation each, at the zero, all-ones and a random
+    first-column exponent vector."""
+    for _ in range(count):
+        p = random_single_summand(rng, max_gens=4, max_width=4)
+        yield p, [(0,) * p.c, (1,) * p.c,
+                  tuple(rng.randint(0, 3) for _ in range(p.c))]
+
+
 def random_ideal(rng, c=None, max_gens=3, max_width=3, max_deg=3,
                  category="OI"):
     if c is None:

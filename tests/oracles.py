@@ -49,7 +49,6 @@ from oihilbert.errors import (
     NotInLanguage,
     OihError,
     SingularAtOrigin,
-    WidthMismatch,
 )
 from oihilbert.oicore import (
     Monomial,
@@ -1059,11 +1058,9 @@ def sliced_quotient_dims(p, e, n, j_max):
 
 
 def verify_decomposition(p, e, n, j_max):
-    """Check the width-n slice identity: the colon-plus-column-1 quotient
-    matches marked + unmarked parts one width down.  Needs n >= m+1."""
+    """Check the width-n slice identity, n >= 1: the colon-plus-column-1
+    quotient matches marked + unmarked parts one width down."""
     dec = compute_decomposition(p, e)
-    if n < dec.m + 1:
-        raise WidthMismatch(f"identity needs width > {dec.m}")
     lhs = sliced_quotient_dims(p, e, n, j_max)
     rhs = [0] * (j_max + 1)
     if dec.marked is not None:

@@ -505,8 +505,8 @@ _RECORDS = [
      "InputDocument(presentation=ModulePresentation(c=1, "
      "summands=((0, 0),), 0 generators, OI), quotient=True, "
      "groebner_leads=())"),
-    (Decomposition((1,), 1, None, _EMPTY),
-     "Decomposition(e=(1,), m=1, marked=None, "
+    (Decomposition((1,), None, _EMPTY),
+     "Decomposition(e=(1,), marked=None, "
      "unmarked=ModulePresentation(c=1, summands=((0, 0),), "
      "0 generators, OI))"),
 ]

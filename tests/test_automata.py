@@ -359,6 +359,19 @@ class TestMinimize:
             cases["several blocks"] += small.n > 2
         assert all(cases.values()), cases
 
+    def test_missing_transition_alone_splits(self):
+        # states 1 and 2 both lead to the accepting state 3 on letter 0;
+        # only 1 has a letter-1 edge, so no sink block is needed to keep
+        # them apart: the preimage of the live block {3} under letter 1
+        # splits them.  With the edge added to 2 they merge.
+        trans = {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 3, (2, 0): 3}
+        dfa = Dfa((0, 1), 4, 0, {3}, trans)
+        small = minimize(dfa)
+        assert small.n == 4 and same_dfa(small, moore_minimize(dfa))
+        full = Dfa((0, 1), 4, 0, {3}, trans | {(2, 1): 3})
+        small = minimize(full)
+        assert small.n == 3 and same_dfa(small, moore_minimize(full))
+
     def test_corpus_automata_against_moore(self):
         # refining with a splitter block that is not copied first (later
         # letters then see it shrunk) merges states in 8 of these

