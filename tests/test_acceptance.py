@@ -240,7 +240,9 @@ def test_criterion_07_decomposition_identity():
         si_at = {}
         for e in product(range(3), repeat=p.c):
             dec = compute_decomposition(p, e)
-            for n in range(1, 5):
+            # every width from 1 up to 4 past the widest generator (at
+            # most 3 here, or d <= 2 without any)
+            for n in range(1, 8):
                 ok, lhs, rhs = verify_decomposition(p, e, n, 6)
                 if not ok:
                     failures.append((k, e, n, lhs, rhs))

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from oihilbert import oicore
+from oihilbert import decomposition, oicore
 from oihilbert.decomposition import compute_decomposition, tail
 from oihilbert.errors import WidthMismatch
 from oihilbert.oicore import Monomial, ModulePresentation
@@ -81,11 +81,12 @@ class TestComputeDecomposition:
     def test_reads_no_widthwise_series(self, monkeypatch):
         # the parts come from the minimal generators alone
         def refuse(*args, **kwargs):
-            raise AssertionError("hilbert_width called")
+            raise AssertionError("width-wise routine called")
 
-        monkeypatch.setattr(oicore, "hilbert_width", refuse)
-        monkeypatch.setattr(oicore, "hilbert_widths", refuse)
-        monkeypatch.setattr(oicore, "expand_to_width", refuse)
+        # patch both the oicore names and any copy bound into decomposition
+        for module in (oicore, decomposition):
+            for name in ("hilbert_width", "hilbert_widths", "expand_to_width"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
         # x[1,1] divides the width-2 generator, so only its tail is read
         p = ideal(1, [((1,),), ((2,), (1,))])
         dec = compute_decomposition(p, (1,))
