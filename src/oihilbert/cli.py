@@ -21,7 +21,7 @@ from .errors import NotInLanguage, OihError, SchemaError
 from .oicore import Monomial, hilbert_widths
 from .polyarith import render_poly
 from .schema import _parse_exponents, _parse_pi, load_document, monomial_to_obj
-from .series import module_series
+from .series import letter_series, module_series
 from .words import decode, encode, word_from_str, word_to_str
 
 
@@ -71,7 +71,7 @@ def cmd_hilbert(args):
             "t_prefactor": res.t_prefactor,
             "mode": res.mode,
             "reduced": res.reduced,
-            "automaton_states": list(res.automaton_states),
+            "column_states": list(res.column_states),
             "shape": _shape_obj(rep),
         })
     else:
@@ -96,6 +96,9 @@ def cmd_expand(args):
 
 
 def cmd_oracle(args):
+    """Two checks of the series: its N x J window cell by cell against the
+    width-wise route, and the whole rational function against the letter
+    automaton's (`letter_series`).  Each difference prints a line."""
     doc = load_document(args.file)
     p = doc.effective_presentation()
     if any(shift < 0 for _, shift in p.summands):
@@ -112,10 +115,24 @@ def cmd_oracle(args):
     for n, j, series, widthwise in mismatches:
         print(f"mismatch at n={n} j={j}: "
               f"series gives {series}, width-wise gives {widthwise}")
-    if mismatches:
+    routes_agree = _same_series(res, letter_series(p, doc.quotient))
+    if not routes_agree:
+        print("mismatch: column route and letter automaton give different "
+              "series")
+    if mismatches or not routes_agree:
         return 3
     print("OK")
     return 0
+
+
+def _same_series(a, b):
+    """Whether two SeriesResults are one rational function: equal reduced
+    forms, else equal cross-products of the reduced forms."""
+    ra = a.rational.mul_t_power(b.t_prefactor).reduce()
+    rb = b.rational.mul_t_power(a.t_prefactor).reduce()
+    if ra.num == rb.num and ra.factors == rb.factors:
+        return True
+    return ra.num * rb.den_expanded() == rb.num * ra.den_expanded()
 
 
 def _int_arg(text, low):
@@ -213,7 +230,7 @@ def cmd_decompose(args):
             "unmarked": [monomial_to_obj(g) for g in dec.unmarked.generators],
         })
     else:
-        print(f"e = ({args.e})")
+        print(f"e = ({','.join(map(str, dec.e))})")
         if dec.marked is None:
             print("marked part: absent (rank parameter is 0)")
         else:

@@ -12,16 +12,9 @@ holds at every width n >= 1, with no generation width to reach first.
 from collections import namedtuple
 from operator import le
 
+from .columns import Ideals
 from .errors import WidthMismatch
-from .oicore import ModulePresentation, Monomial, minimalize
-
-
-def tail(m):
-    """Drop the first column; a basis entry at column 1 is removed, the
-    others slide down one."""
-    pi = m.pi[1:] if m.pi[:1] == (1,) else m.pi
-    return Monomial(m.c, m.width - 1, m.cols[1:], [x - 1 for x in pi],
-                    m.summand)
+from .oicore import ModulePresentation
 
 
 class Decomposition(namedtuple("Decomposition", "e marked unmarked")):
@@ -33,24 +26,31 @@ class Decomposition(namedtuple("Decomposition", "e marked unmarked")):
 
 def compute_decomposition(p, e):
     """The two derived ideals of p's minimal generators G for the
-    first-column exponent e.  Valid for a single unshifted summand.
+    first-column exponent e, as the column automaton derives them
+    (`columns.Ideals.derive`).  Valid for a single unshifted summand.
 
-    The unmarked part is generated by G and the tails of the g in G whose
-    first column is at most e and whose basis tuple does not start at 1;
-    the marked part by the tails of those that start at 1.  A width-0
-    generator has no first column and stays in G.
+    The unmarked part is generated by G and the tails of the g in G
+    whose first column is at most e and whose basis tuple does not start
+    at 1; the marked part by the tails of those that start at 1.  A
+    width-0 generator has no first column and stays in G.  Each part's
+    generators are minimal, sorted by width, then degree.
     """
     if len(p.summands) != 1 or p.summands[0][1] != 0:
         raise WidthMismatch("decomposition needs one summand, shift 0")
     if len(e) != p.c or any(x < 0 for x in e):
         raise WidthMismatch(f"exponent vector must be {p.c} nonnegatives")
     d = p.summands[0][0]
-    gens = minimalize(list(p.generators))
-    fits = [g for g in gens if g.width and all(map(le, g.cols[0], e))]
-    marked = None
-    if d >= 1:
-        marked = ModulePresentation(p.c, [(d - 1, 0)], minimalize(
-            [tail(g) for g in fits if g.pi[:1] == (1,)]))
-    unmarked = ModulePresentation(p.c, [(d, 0)], minimalize(
-        gens + [tail(g) for g in fits if g.pi[:1] != (1,)]))
-    return Decomposition(tuple(e), marked, unmarked)
+    table = Ideals(p.c, p.generators)
+    ideal = table.minimal(p.generators)
+    mons = table.mons
+    fit = sum(1 << k for k, g in enumerate(ideal)
+              if mons[g].width and all(map(le, mons[g].cols[0], e)))
+    unmarked, marked = table.derive(ideal, table.prepare(ideal), fit)
+
+    def part(rank, numbers):
+        gens = sorted((mons[k] for k in numbers),
+                      key=lambda g: (g.width, g.degree, g.key()))
+        return ModulePresentation(p.c, [(rank, 0)], gens)
+
+    return Decomposition(tuple(e), part(d - 1, marked) if d else None,
+                         part(d, unmarked))

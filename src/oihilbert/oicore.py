@@ -47,6 +47,15 @@ class Monomial:
         self.cols = cols
         self._hash = None
 
+    @classmethod
+    def _of(cls, c, width, cols, pi, summand):
+        """The monomial of parts already valid, cols a tuple of column
+        tuples and pi a tuple; nothing is checked."""
+        out = cls.__new__(cls)
+        out.c, out.width, out.cols, out.pi = c, width, cols, pi
+        out.summand, out._hash = summand, None
+        return out
+
     @property
     def degree(self):
         return sum(e for col in self.cols for e in col)
@@ -99,16 +108,19 @@ def _embeds(g, gpi, outs, mpi):
     """True iff an order-embedding sends gpi to mpi and each column mask
     of g under its image among m's, given by their complements outs.  A
     basis column lands on its fixed target, any other on the first column
-    past the last image that holds it: the most room for the rest."""
+    past the last image that holds it: the most room for the rest.
+    Column j has images j .. j + slack, slack = len(outs) - len(g), left
+    for it: the later columns need one each."""
     fixed = {a - 1: b - 1 for a, b in zip(gpi, mpi)}
     last = -1
+    slack = len(outs) - len(g)
     for j, col in enumerate(g):
         at = fixed.get(j)
         if at is None:
             at = last + 1
-            while at < len(outs) and col & outs[at]:
+            while at <= j + slack and col & outs[at]:
                 at += 1
-            if at == len(outs):
+            if at > j + slack:
                 return False
         elif at <= last or col & outs[at]:
             return False

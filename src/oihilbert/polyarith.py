@@ -123,10 +123,14 @@ class BiPoly:
     rows[i] is the coefficient tuple in t of s^i, without trailing zeros;
     there is no trailing empty row, so the zero polynomial is (), and
     equality and hash are those of rows.  The constructor takes any
-    sequence of coefficient sequences and trims it.
+    sequence of coefficient sequences and trims it; `_of` takes rows
+    already in this form as they are.  Rows are never mutated, so a
+    result shares each row that its operation leaves as it was: a sum
+    the rows where the other operand has none, a one-term product with
+    coefficient 1 and no t-shift the other operand's rows.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_key")
 
     def __init__(self, rows=()):
         out = []
@@ -138,6 +142,15 @@ class BiPoly:
         while out and not out[-1]:
             out.pop()
         self.rows = tuple(out)
+        self._key = None
+
+    @classmethod
+    def _of(cls, rows):
+        """The BiPoly of a tuple of trimmed row tuples, not checked."""
+        out = cls.__new__(cls)
+        out.rows = rows
+        out._key = None
+        return out
 
     @classmethod
     def zero(cls):
@@ -157,9 +170,12 @@ class BiPoly:
 
     def key(self):
         """The ((s-degree, t-degree), coefficient) terms, ordered by
-        s-degree, then t-degree: the order factors sort and render in."""
-        return tuple(((i, j), c) for i, row in enumerate(self.rows)
-                     for j, c in enumerate(row) if c)
+        s-degree, then t-degree: the order factors sort and render in.
+        Computed once per polynomial."""
+        if self._key is None:
+            self._key = tuple(((i, j), c) for i, row in enumerate(self.rows)
+                              for j, c in enumerate(row) if c)
+        return self._key
 
     def is_zero(self):
         return not self.rows
@@ -180,9 +196,20 @@ class BiPoly:
         return self * -1
 
     def __add__(self, other, op=add):
-        return BiPoly([list(starmap(op, zip_longest(u, v, fillvalue=0)))
-                       for u, v in zip_longest(self.rows, other.rows,
-                                               fillvalue=())])
+        rows = []
+        for u, v in zip_longest(self.rows, other.rows, fillvalue=()):
+            if not v:
+                rows.append(u)
+            elif not u:
+                rows.append(v if op is add else tuple(-x for x in v))
+            else:
+                row = list(starmap(op, zip_longest(u, v, fillvalue=0)))
+                while row and not row[-1]:
+                    row.pop()
+                rows.append(tuple(row))
+        while rows and not rows[-1]:
+            rows.pop()
+        return BiPoly._of(tuple(rows))
 
     def __sub__(self, other):
         return self.__add__(other, sub)
@@ -192,7 +219,10 @@ class BiPoly:
         nonzero s-rows.  A one-term operand c s^i t^j moves the other's
         rows up by i and their entries by j, scaled by c."""
         if isinstance(other, int):
-            return BiPoly([[v * other for v in row] for row in self.rows])
+            if not other:
+                return BiPoly()
+            return BiPoly._of(tuple(tuple(v * other for v in row)
+                                    for row in self.rows))
         a, b = self.rows, other.rows
         if not a or not b:
             return BiPoly()
@@ -200,8 +230,9 @@ class BiPoly:
             *low, top = one
             if not any(low) and top.count(0) == len(top) - 1:
                 pad, c = top[:-1], top[-1]
-                return BiPoly(low + [pad + (row if c == 1 else tuple(
-                    v * c for v in row)) if row else () for row in rest])
+                return BiPoly._of(tuple(low) + tuple(
+                    pad + (row if c == 1 else tuple(v * c for v in row))
+                    if row else () for row in rest))
         out = [[] for _ in range(len(a) + len(b) - 1)]
         for i, u in enumerate(a):
             if u:

@@ -1,14 +1,15 @@
 """Assembly of equivariant Hilbert series for module presentations.
 
-Each summand contributes independently: the submodule part is read off the
-summand's word automaton, the quotient part is the free series minus it,
-and degree shifts multiply by powers of t.  A negative shift is carried as
-an explicit t^-K prefactor so the rational part stays polynomial.
+Each summand contributes independently: the submodule part is solved on
+the summand's column automaton of derived ideals (`columns`), the
+quotient part is the free series minus it, and degree shifts multiply by
+powers of t.  A negative shift is carried as an explicit t^-K prefactor
+so the rational part stays polynomial.
 """
 
 from collections import namedtuple
 
-from .automata import generating_function, module_dfa
+from .columns import summand_series
 from .polyarith import (
     ONE_MINUS_T,
     BiPoly,
@@ -28,12 +29,12 @@ def free_series(c, d):
 
 class SeriesResult(namedtuple(
         "SeriesResult",
-        "rational t_prefactor mode automaton_states reduced",
+        "rational t_prefactor mode column_states reduced",
         defaults=((), False))):
     """A bivariate Hilbert series t^-K * rational, plus pipeline metadata:
-    mode is "quotient" or "submodule", automaton_states the minimal DFA
-    size of each summand, and reduced whether rational is in lowest
-    terms."""
+    mode is "quotient" or "submodule", column_states the number of
+    derived ideals solved for each summand, and reduced whether rational
+    is in lowest terms."""
 
     __slots__ = ()
 
@@ -45,7 +46,28 @@ class SeriesResult(namedtuple(
 
 
 def module_series(p, quotient=True, reduce=False):
-    """Hilbert series of the submodule presented by p, or of its quotient."""
+    """Hilbert series of the submodule presented by p, or of its quotient,
+    each summand solved on its column automaton."""
+    return _assemble(p, quotient, reduce, summand_series)
+
+
+def letter_series(p, quotient=True):
+    """The same series, unreduced, by the letter automaton: each summand's
+    minimal DFA on standard words (`automata.module_dfa`) solved by its
+    transfer matrix (`automata.generating_function`).  It is `oracle`'s
+    second route; no other command loads `automata`.  column_states is
+    left empty."""
+    from .automata import generating_function, module_dfa
+
+    def solve(c, d, gens):
+        return generating_function(module_dfa(c, d, gens)), None
+
+    return _assemble(p, quotient, False, solve)._replace(column_states=())
+
+
+def _assemble(p, quotient, reduce, solve):
+    """The series of p from solve(c, d, gens), which gives one summand's
+    submodule series and its state count."""
     prefactor = max(0, -min((sh for _, sh in p.summands), default=0))
     total = FactoredRational.zero()
     sizes = []
@@ -53,9 +75,8 @@ def module_series(p, quotient=True, reduce=False):
     for g in p.generators:
         by_summand.setdefault(g.summand, []).append(g)
     for idx, (d, shift) in enumerate(p.summands):
-        dfa = module_dfa(p.c, d, by_summand.get(idx, []))
-        sizes.append(dfa.n)
-        part = generating_function(dfa)
+        part, states = solve(p.c, d, by_summand.get(idx, []))
+        sizes.append(states)
         if quotient:
             part = free_series(p.c, d) - part
         total = total + part.mul_t_power(shift + prefactor)

@@ -26,7 +26,12 @@ from oihilbert.errors import NotConformant
 from oihilbert.oicore import Monomial, ModulePresentation
 from oihilbert.polyarith import BiPoly, FactoredRational, split_content
 from oihilbert.schema import InputDocument, load_document, parse_document
-from oihilbert.series import SeriesResult, free_series, module_series
+from oihilbert.series import (
+    SeriesResult,
+    free_series,
+    letter_series,
+    module_series,
+)
 
 from corpus import random_presentation
 from oracles import (UniPoly, ZeroModule, bipoly, dim_deg_width,
@@ -462,14 +467,14 @@ class TestReadoutReference:
         # the integer-list kernels against the UniPoly readout of
         # oracles.growth_reference, on the reduced shape reports; repr
         # also pins the Fraction coefficients of the terms.  The shape
-        # of each unreduced series, taken as it stands, reaches "series
-        # is not reduced" too
+        # of each unreduced series of the letter automaton, taken as it
+        # stands, reaches "series is not reduced" too
         docs = _readout_documents()
         assert len(docs) == 480 + 7 + 100
         raised = 0
         for n, (p, quotient) in enumerate(docs):
             res = module_series(p, quotient=quotient, reduce=True)
-            raw = module_series(p, quotient=quotient)._replace(reduced=True)
+            raw = letter_series(p, quotient=quotient)._replace(reduced=True)
             for rep in (validate_shape(res, p.c), validate_shape(raw, p.c)):
                 got = _outcome(_growth, rep)
                 assert got == _outcome(growth_reference, rep), n
@@ -499,7 +504,7 @@ _RECORDS = [
      "numerator=BiPoly('1'))"),
     (SeriesResult(_FREE, 0, "quotient"),
      "SeriesResult(rational=FactoredRational('(1 - t)/(1 - t - s)'), "
-     "t_prefactor=0, mode='quotient', automaton_states=(), "
+     "t_prefactor=0, mode='quotient', column_states=(), "
      "reduced=False)"),
     (InputDocument(_EMPTY, True, ()),
      "InputDocument(presentation=ModulePresentation(c=1, "
@@ -530,6 +535,6 @@ class TestRecords:
 
     def test_series_result_defaults(self):
         res = SeriesResult(_FREE, 2, "submodule")
-        assert (res.automaton_states, res.reduced) == ((), False)
+        assert (res.column_states, res.reduced) == ((), False)
         assert res == SeriesResult(_FREE, 2, "submodule", (), False)
         assert res != SeriesResult(_FREE, 2, "submodule", (1,), False)

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from oihilbert import analysis, cli, oicore
 from oihilbert.errors import SchemaError
 from oihilbert.oicore import Monomial, ModulePresentation
+from oihilbert.polyarith import BiPoly
 from oihilbert.schema import (
     MAX_WIDTH,
     load_document,
@@ -272,12 +273,37 @@ class TestCommands:
             res = real(p, quotient=quotient, reduce=reduce)
             return type(res)(res.rational + free_series(1, 0),
                              res.t_prefactor, res.mode,
-                             res.automaton_states, False)
+                             res.column_states, False)
 
         monkeypatch.setattr(cli, "module_series", corrupted)
         code, out, _ = run(capsys, "oracle", doc, "-N", "3", "-J", "3")
         assert code == 3
-        assert "mismatch at n=" in out
+        lines = out.splitlines()
+        assert lines[0].startswith("mismatch at n=")
+        assert lines[-1] == ("mismatch: column route and letter automaton "
+                             "give different series")
+
+    def test_oracle_sees_a_difference_past_the_window(self, capsys,
+                                                       tmp_path,
+                                                       monkeypatch):
+        # s^2 t^(J+5) added to the numerator changes only cells with
+        # j >= J + 5: the window agrees, the whole-series check does not
+        doc = write_doc(tmp_path, minimal())
+        real = cli.module_series
+        J = 3
+
+        def corrupted(p, quotient=True, reduce=False):
+            res = real(p, quotient=quotient, reduce=reduce)
+            r = res.rational
+            return res._replace(rational=type(r)(
+                r.num + BiPoly.term(2, J + 5), r.factors))
+
+        monkeypatch.setattr(cli, "module_series", corrupted)
+        code, out, _ = run(capsys, "oracle", doc, "-N", "6", "-J", str(J))
+        assert code == 3
+        assert out.splitlines() == [
+            "mismatch: column route and letter automaton give different "
+            "series"]
 
     def test_oracle_reports_every_mismatch(self, capsys, tmp_path,
                                            monkeypatch):
@@ -430,6 +456,14 @@ class TestCommands:
             "e = (1)", "marked part: absent (rank parameter is 0)",
             "unmarked part (rank 0):", "  1 [width 0]"]
 
+    def test_decompose_prints_the_parsed_e(self, capsys):
+        # padded input prints as parsed, as --json reports it
+        doc = str(INPUTS / "principal_x11.json")
+        code, out, _ = run(capsys, "decompose", doc, "--e", " 01")
+        assert (code, out.splitlines()[0]) == (0, "e = (1)")
+        code, out, _ = run(capsys, "decompose", doc, "--e", " 01", "--json")
+        assert (code, json.loads(out)["e"]) == (0, [1])
+
     def test_decompose_json(self, capsys, tmp_path):
         doc = write_doc(tmp_path, {
             "schema_version": 1, "c": 1,
@@ -560,13 +594,14 @@ class TestCommands:
     def test_cold_commands_import_only_what_they_run(self):
         # a fresh interpreter per command shows what the command itself
         # imports: sympy is a test-only oracle, dataclasses drags in
-        # inspect, decomposition serves decompose alone and fractions the
-        # exact solve of analyze; the package's decomposition names still
-        # load on first access
+        # inspect, decomposition serves decompose alone, the letter
+        # automaton oracle alone, and fractions the exact solve of
+        # analyze; every command solves on the column automaton, and the
+        # package's decomposition names still load on first access
         src = Path(__file__).resolve().parent.parent / "src"
         doc = str(INPUTS / "squarefree_pair.json")
-        watched = ["dataclasses", "fractions", "inspect",
-                   "oihilbert.decomposition", "sympy"]
+        watched = ["dataclasses", "fractions", "inspect", "oihilbert.automata",
+                   "oihilbert.columns", "oihilbert.decomposition", "sympy"]
         script = (
             "import contextlib, io, json, sys\n"
             "from oihilbert import cli\n"
@@ -579,11 +614,12 @@ class TestCommands:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(src), os.environ.get("PYTHONPATH", "")]))
         for argv, loaded in [
-                (["hilbert", doc], []),
-                (["analyze", doc], ["fractions"]),
-                (["oracle", doc, "-N", "3", "-J", "3"], []),
+                (["hilbert", doc], ["oihilbert.columns"]),
+                (["analyze", doc], ["fractions", "oihilbert.columns"]),
+                (["oracle", doc, "-N", "3", "-J", "3"],
+                 ["oihilbert.automata", "oihilbert.columns"]),
                 (["decompose", doc, "--e", "1"],
-                 ["oihilbert.decomposition"])]:
+                 ["oihilbert.columns", "oihilbert.decomposition"])]:
             out = subprocess.run([sys.executable, "-c", script, *argv],
                                  env=env, capture_output=True, text=True,
                                  timeout=120)

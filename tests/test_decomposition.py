@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from oihilbert import decomposition, oicore
-from oihilbert.decomposition import compute_decomposition, tail
+from oihilbert.columns import tail
+from oihilbert.decomposition import compute_decomposition
 from oihilbert.errors import WidthMismatch
 from oihilbert.oicore import Monomial, ModulePresentation
 from oihilbert.schema import load_document
