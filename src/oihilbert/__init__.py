@@ -2,8 +2,10 @@
 
 The width-n components of such a module assemble into a two-variable
 series that is rational with a controlled denominator; this package
-computes it exactly by compiling generators to a weighted automaton,
-and extracts growth invariants from the result.
+computes it exactly on the column automaton of derived ideals, split at
+each standard monomial's first column as the paper's rationality proof
+does, checks it against the letter automaton on words and the width-wise
+route, and extracts growth invariants from the result.
 """
 
 from .analysis import (

@@ -300,6 +300,39 @@ class TestBiPoly:
         assert r.factors == ((ONE_MINUS_T, 1), (one_minus_s, 1))
         assert render_rational(r) == "1/(1 - t)*(1 - s)"
 
+    def test_row_sharing_against_term_dicts(self):
+        # sums, differences and one-term products keep every row their
+        # operation leaves as it was, the very tuple; results are in the
+        # trimmed form and agree with the term-dict arithmetic, also when
+        # the top rows cancel; key() is computed once
+        rng = random.Random(3702)
+
+        def draw(rows, dt):
+            return bipoly({(i, rng.randint(0, dt)): rng.choice((-2, 1, 3))
+                           for i in rows for _ in range(rng.randint(1, 3))})
+
+        for _ in range(200):
+            a = draw(rng.sample(range(8), rng.randint(1, 5)), 6)
+            b = draw(rng.sample(range(8), rng.randint(0, 4)), 6)
+            for got, want in ((a + b, term_sum(terms_of(a), terms_of(b))),
+                              (a - b, term_sum(terms_of(a), terms_of(b), -1)),
+                              (a - a, {}), (b + a - b, terms_of(a))):
+                assert terms_of(got) == want
+                assert got == bipoly(want)
+                assert all(not row or row[-1] for row in got.rows)
+                assert not got.rows or got.rows[-1]
+            total = a + b
+            for i, row in enumerate(a.rows):
+                if i >= len(b.rows) or not b.rows[i]:
+                    assert total.rows[i] is row
+            shifted = BiPoly.term(rng.randint(0, 3), 0) * a
+            assert terms_of(shifted) == schoolbook(
+                terms_of(BiPoly.term(shifted.deg_s() - a.deg_s(), 0)),
+                terms_of(a))
+            assert all(x is y for x, y in zip(
+                [r for r in shifted.rows if r], [r for r in a.rows if r]))
+            assert a.key() is a.key()
+
     def test_s_coeff_views(self):
         p = bipoly({(0, 0): 1, (0, 2): 5, (2, 1): -3})
         assert p.rows == ((1, 0, 5), (), (0, -3))
