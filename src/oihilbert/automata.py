@@ -10,18 +10,17 @@ Hilbert series exactly.
 """
 
 from functools import cache
-from itertools import chain
-from math import isqrt, prod
 
-from .errors import OihError
 from .polyarith import (
+    ONE_MINUS_T,
     BiPoly,
     FactoredRational,
     bareiss,
     common_denominator,
-    exact,
+    divide_out,
     power_product,
     split_content,
+    times_one_minus_t,
 )
 from .words import alphabet, encode, is_xi, tau, tau_index
 
@@ -470,73 +469,56 @@ def _sccs(start, succ):
     return out
 
 
-def _pack(p, width, nbytes, sa=0, tb=0):
-    """Evaluate p / (s^sa t^tb) at t = 2^(8*nbytes), s = t^width, for
-    offsets no larger than p's least s- and t-degrees: a ring
-    homomorphism, injective back to terms (see _unpack) while every
-    coefficient stays below 2^(8*nbytes - 2) in absolute value and every
-    t-degree less tb below width.  Each term is shifted to its digit and
-    the terms summed; the zero polynomial packs to 0."""
-    bits = 8 * nbytes
-    got = 0
-    for i, row in enumerate(p.rows[sa:]):
-        for k, c in enumerate(row[tb:], i * width):
-            if c:
-                got += c << bits * k
-    return got
+def generating_function(dfa):
+    """Sum of s^(markers) t^(variables) over accepted words, as an exact
+    rational in s and t: x = e_accept + T x, solved for x_start.
 
+    Edges between two states are bundled as letter counts, a variables
+    (weight t) and b markers (weight s).  K, the boundary states, is the
+    start and every state a marker letter enters, plus any state whose
+    self-loop has several letters and any state on or above a cycle of
+    the variable edges among the others (Kahn's algorithm); in a module
+    DFA these last two sets are empty (split_content).  V, the rest, is a
+    DAG of variable edges whose states have at most a one-letter
+    self-loop, and each is eliminated once, successors first (state
+    elimination, Brzozowski and McCluskey): x_v = (sum_k e_vk x_k + e_v)
+    / (1-t)^j_v, a row over K and the constant, j_v the largest j of v's
+    V successors plus one for a self-loop, each term brought to it by
+    running differences (times_one_minus_t).  A state k of K gets the
+    same row, its own self-loop kept as an entry, and so the equation
+    ((1-t)^J_k - e_kk) x_k - sum_(k' != k) e_kk' x_k' = e_k.
 
-def _unpack(val, width, nbytes, sa=0, tb=0):
-    """The polynomial whose signed digits of nbytes bytes make val, times
-    s^sa t^tb; raises OihError if a digit reaches 2^(8*nbytes - 2), too
-    large for the balanced representation to be trustworthy.  Adding half
-    a digit at every position makes each digit plain, so every digit is
-    read with int.from_bytes and the half taken off again."""
-    bits = 8 * nbytes
-    half = 1 << (bits - 1)
-    count = (abs(val).bit_length() + bits - 1) // bits + 1
-    bias = int.from_bytes(half.to_bytes(nbytes, "little") * count, "little")
-    raw = (val + bias).to_bytes(nbytes * count, "little")
-    digits = [int.from_bytes(raw[k:k + nbytes], "little")
-              for k in range(0, len(raw), nbytes)]
-    if not half - half // 2 < min(digits) <= max(digits) < half + half // 2:
-        raise OihError("solve result exceeds its digit bound")
-    pad = [0] * tb
-    return BiPoly([()] * sa + [pad + [w - half for w in digits[k:k + width]]
-                               for k in range(0, len(digits), width)])
-
-
-def _times(f, a, b, bits, width):
-    """Packed f * (a*t + b*s), t = 2^bits and s = t^width."""
-    return (a * f << bits if a else 0) + (b * f << bits * width if b else 0)
-
-
-def _pack_size(square, cols, norm, top):
-    """Stride and coefficient bound for packing a component's M x = b:
-    square is the product over M's rows of their entries' summed squared
-    l1 norms, cols each column's top t-degree, norm a bound on sum_i
-    l1(b_i), top one on b's top t-degree less b's packing offset.  det(M)
-    and each Cramer numerator take one entry per column, b standing in
-    for at most one; on |s| = |t| = 1 Hadamard and Parseval bound their
-    coefficients by H = isqrt(square) + 1 and norm * H."""
-    return (1 + sum(cols) + max(0, top - min(cols)),
-            (1 + norm) * (isqrt(square) + 1))
-
-
-def _solve_packed(comp, inner, rhs, keep, bits, width):
-    """Packed det(I - T_CC) and det(I - T_CC) * x_q, q in keep, for one
-    component (see generating_function): inner[q] holds (r, a, b) per edge
-    of a variables and b markers from q to r inside it, rhs[q] is packed,
-    t = 2^bits and s = t^width, so an edge weight multiplies by shifts."""
-    one_minus_t = 1 - (1 << bits)
-    kset = set(keep) | {r for q in comp for r, a, b in inner.get(q, ())
-                        if b or (r == q and a > 1)}
+    These equations are solved one strongly connected component C of K
+    at a time, sinks first.  Only the start and the states that other
+    components' rows read keep a numerator, over C's factor tuple
+    {id: exponent}.  C's denominator is the multiset maximum of the
+    tuples it reaches (common_denominator); an exit term e_kr x_r is
+    multiplied by the cofactor r's component lacks, and e_k by the whole
+    denominator.  bareiss on BiPoly rows solves the component, kept
+    states last; a one-state component's determinant is its entry and
+    its numerator the right-hand side.  Weights vanish at the origin, so
+    every leading principal minor is 1 there and no pivot vanishes.  The
+    determinant joins the denominator split by split_content, less one
+    1 - t for each time every kept numerator vanishes at t = 1: the
+    scaling by (1-t)^J_k counts a V state's self-loop once for every K
+    state above it.  A component whose right-hand sides all vanish adds
+    nothing.  Cofactors and splits are memoized for the call.
+    """
+    if dfa.n == 0 or not dfa.accepts:
+        return FactoredRational.zero()
+    marker = {a: int(not is_xi(a)) for a in dfa.alphabet}
+    succ = {}
+    for (q, a), r in dfa.trans.items():
+        succ.setdefault(q, {}).setdefault(r, [0, 0])[marker[a]] += 1
+    kset = {dfa.start}
+    for q, out in succ.items():
+        kset.update(r for r, (a, b) in out.items() if b or r == q and a > 1)
     later = {}  # state of V -> its successors in V not yet ordered
     preds = {}
-    for q in comp:
+    for q in range(dfa.n):
         if q not in kset:
             later[q] = 0
-            for r, _, _ in inner.get(q, ()):
+            for r in succ.get(q, ()):
                 if r != q and r not in kset:
                     later[q] += 1
                     preds.setdefault(r, []).append(q)
@@ -547,129 +529,45 @@ def _solve_packed(comp, inner, rhs, keep, bits, width):
             if not later[u]:
                 order.append(u)
     kset.update(q for q, n in later.items() if n)
-    powers = [1]
+    one = BiPoly.one()
+    done = {}  # state of V -> (j_v, its row)
 
-    def power(k):
-        while len(powers) <= k:
-            powers.append(powers[-1] * one_minus_t)
-        return powers[k]
+    def expand(q):
+        """(J, q's row times (1-t)^J): {state of K or None: entry}."""
+        out = succ.get(q, {})
+        lift = max((done[r][0] for r in out if r in done), default=0)
+        row = {None: times_one_minus_t(one, lift)} if q in dfa.accepts else {}
+        for r, (a, b) in out.items():
+            if r == q and q not in kset:  # the self-loop of a state of V
+                continue
+            w = BiPoly(((0, a), (b,)))
+            if r in done:
+                j, got = done[r]
+                got = {k: p * w for k, p in got.items()}
+            else:
+                j, got = 0, {r: w}
+            for k, p in got.items():
+                p = times_one_minus_t(p, lift - j)
+                row[k] = row[k] + p if k in row else p
+        return lift, row
 
-    ks = [q for q in comp if q in kset and q not in keep] + list(keep)
-    col = {q: i for i, q in enumerate(ks)}
-    size = len(ks)
-    done = {}  # state of V -> (j_v, e_v)
-
-    def eliminate(q):
-        """(J, q's row over K and the right-hand side (column size) times
-        (1-t)^J, its V successors substituted, J their largest j)."""
-        edges = inner.get(q, ())
-        lift = max((done[r][0] for r, _, _ in edges if r in done),
-                   default=0)
-        scale = power(lift)
-        out = {col[q]: scale} if q in col else {}
-        if rhs[q]:
-            out[size] = scale * rhs[q]
-        for r, a, b in edges:
-            if r in col:
-                c = col[r]
-                out[c] = out.get(c, 0) - _times(scale, a, b, bits, width)
-            elif r in done:
-                j, row = done[r]
-                f = power(lift - j)
-                for c, v in row.items():
-                    out[c] = out.get(c, 0) + _times(v * f, a, b, bits, width)
-        return lift, {c: v for c, v in out.items() if v}
-
-    shift = 0  # m - sum J
-    for q in order:
-        lift, row = eliminate(q)
-        loop = any(r == q for r, _, _ in inner.get(q, ()))
-        done[q] = (lift + loop, row)
-        shift += loop
-    rows = [eliminate(q) for q in ks]
-    shift -= sum(lift for lift, _ in rows)
-    det, nums = bareiss([row for _, row in rows], size - len(keep))
-    f = power(abs(shift))
-    if shift >= 0:
-        return det * f, [v * f for v in nums]
-    return exact(det, f), [exact(v, f) for v in nums]
-
-
-def _sizes(p):
-    """(l1 norm, least s-degree, least t-degree, top t-degree, top
-    s-degree, number of terms) of a nonzero p.  A sequence's first
-    nonzero entry v is found by filter, and its index is that of v's
-    first occurrence."""
-    rows = p.rows
-    flat = list(chain.from_iterable(rows))
-    return (sum(map(abs, flat)), rows.index(next(filter(None, rows))),
-            min(row.index(next(filter(None, row))) for row in rows if row),
-            max(map(len, rows)) - 1, len(rows) - 1, len(flat) - flat.count(0))
-
-
-def generating_function(dfa):
-    """Sum of s^(markers) t^(variables) over accepted words, as an exact
-    rational in s and t.
-
-    Edges between two states are bundled as letter counts, a variables
-    (weight t) and b markers (weight s).  x = e_accept + T x is solved one
-    strongly connected component C at a time, sinks first, (I - T_CC) x_C
-    = e_C + T_C,out x_out; only entry states (the start, targets of other
-    components' edges) keep a numerator, with its _sizes, over C's factor
-    tuple {id: exponent}.  C's denominator is the multiset maximum of the
-    tuples it reaches (common_denominator); an exit term x_r * (a*t + b*s)
-    is multiplied by the cofactor its component lacks, and an accepting
-    state adds the whole denominator.  These right-hand sides are built
-    packed (_pack: t = 2^bits, s = t^width) from shifts of packed x_r and
-    powers of packed bases, the whole component's stride and digit bound
-    coming from sizes alone (_pack_size; l1(cofactor) <= prod
-    l1(base)^e).  A one-state component's determinant is its entry and
-    its numerator the right-hand side, summed as BiPoly products instead
-    when that takes no more term products than the packed sum has digits.
-
-    In a larger component (_solve_packed), K is the entry states, marker
-    targets (entered by a marker edge inside C), states whose diagonal is
-    neither 1 nor 1 - t, and states on or above a cycle of edges among
-    the rest; V, the rest, is a DAG of variable edges with diagonals 1 or
-    1 - t (in a module DFA the last two sets are empty: split_content).
-    Successors first, x_v = e_v / (1-t)^j_v, e_v a row over K and the
-    right-hand side, j_v the largest j of v's V successors plus one for a
-    diagonal 1 - t.  Row k of K times (1-t)^J_k, J_k the largest j of its
-    V successors, is a scaled row of the Schur complement S on K, and
-    det(I - T_CC) = (1-t)^m det S, m counting V's diagonals 1 - t, as
-    M_VV is triangular.  bareiss on the scaled rows gives (1-t)^(sum J)
-    det S and numerators over it; both are multiplied by (1-t)^(m - sum
-    J), or divided when that is negative: the polynomial division is
-    exact and packing is a ring homomorphism, so the integer one is too.
-    Intermediates may wrap digits; only the determinant and entry
-    numerators unpack, every digit checked.  Weights vanish at the
-    origin, so no leading principal minor, or pivot, vanishes.  Each
-    determinant joins the denominator split by split_content; one whose
-    right-hand sides vanish is dropped.  Cofactors, their sizes and
-    splits are memoized for the call.
-    """
-    if dfa.n == 0 or not dfa.accepts:
-        return FactoredRational.zero()
-    marker = {a: int(not is_xi(a)) for a in dfa.alphabet}
-    succ = {}
-    for (q, a), r in dfa.trans.items():
-        succ.setdefault(q, {}).setdefault(r, [0, 0])[marker[a]] += 1
-    sccs = _sccs(dfa.start, succ)
+    for v in order:
+        lift, row = expand(v)
+        done[v] = (lift + (v in succ.get(v, ())), row)
+    rows = {k: expand(k) for k in kset}
+    sccs = _sccs(dfa.start, {k: [r for r in row if r is not None]
+                             for k, (_, row) in rows.items()})
     where = {q: i for i, comp in enumerate(sccs) for q in comp}
-    entry = {dfa.start}
+    wanted = {dfa.start}
     for q, i in where.items():
-        entry.update(r for r in succ.get(q, ()) if where[r] != i)
-    x = {}  # entry state -> numerator over its component's factor tuple
-    sizes = {}  # entry state with a nonzero numerator -> its _sizes
+        wanted.update(r for r in rows[q][1] if r is not None and where[r] != i)
+    x = {}  # wanted state -> numerator over its component's factor tuple
     home = {}
     tuples = []  # per component: {factor id: exponent}
     bases = {}  # factor id -> base
-    shapes = {}  # factor id -> the base's _sizes
     ids = {}  # base -> factor id
     splits = {}  # determinant -> its (factor id, exponent) pairs
     products = {}  # lacking (factor id, exponent) pairs -> their product
-    cofs = {}  # the same -> (l1 bound, t-degree, s-degree, term bound)
-    one = BiPoly.one()
 
     def cofactor(lack):
         if lack not in products:
@@ -677,109 +575,67 @@ def generating_function(dfa):
         return products[lack]
 
     for here, comp in enumerate(sccs):
-        inner = {}
-        exits = {}  # (state, successor component) -> [(r, a, b)]
+        keep = [q for q in comp if q in wanted]
+        comp = [q for q in comp if q not in wanted] + keep
+        pos = {q: i for i, q in enumerate(comp)}
+        mat = []
+        exits = {}  # (state, successor component) -> [(r, e_qr)]
+        accepts = {}  # accepting state -> e_q
         for q in comp:
-            for r, (a, b) in succ.get(q, {}).items():
-                if where[r] == here:
-                    inner.setdefault(q, []).append((r, a, b))
+            lift, row = rows[q]
+            entries = {}
+            for r, p in row.items():
+                if r is None:
+                    accepts[q] = p
+                elif r in pos:
+                    entries[pos[r]] = -p
                 elif x[r]:
-                    exits.setdefault((q, home[r]), []).append((r, a, b))
+                    exits.setdefault((q, home[r]), []).append((r, p))
+            diag = times_one_minus_t(one, lift)
+            entries[pos[q]] = diag - row[q] if q in row else diag
+            mat.append(entries)
         reached = list({c for _, c in exits})
-        accepting = [q for q in comp if q in dfa.accepts]
         top, lacks = common_denominator(
-            [tuples[c] for c in reached] + [{}] * bool(accepting))
-        for lack in lacks:
-            if lack not in cofs:
-                l1, dt, ds, count = 1, 0, 0, 1
-                for i, e in lack:
-                    got = shapes[i]
-                    l1, count = l1 * got[0] ** e, count * got[5] ** e
-                    dt, ds = dt + got[3] * e, ds + got[4] * e
-                cofs[lack] = (l1, dt, ds, min(count, (dt + 1) * (ds + 1)))
+            [tuples[c] for c in reached] + [{}] * bool(accepts))
         lacks = dict(zip(reached + [None], lacks))
-        wanted = [q for q in comp if q in entry]
-        norm = pairs = 0
-        hi = ds = -1
-        sa = tb = 1 << 62
-        if accepting:
-            l1, hi, ds, _ = cofs[lacks[None]]
-            norm, sa, tb = l1 * len(accepting), 0, 0
+        rhs = [BiPoly.zero()] * len(comp)
+        for q, e in accepts.items():
+            rhs[pos[q]] = e * cofactor(lacks[None])
         for (q, c), outs in exits.items():
-            l1c, dtc, dsc, count = cofs[lacks[c]]
-            for r, a, b in outs:
-                l1, ls, lt, ht, hs, n = sizes[r]
-                norm += l1 * (a + b) * l1c
-                pairs += n * count * ((a > 0) + (b > 0))
-                hi = max(hi, ht + (a > 0) + dtc)
-                ds = max(ds, hs + (b > 0) + dsc)
-                sa, tb = min(sa, ls), min(tb, lt)
-        det, nums = one, [BiPoly.zero()] * len(wanted)
-        if len(comp) == 1:
-            a, b = succ.get(comp[0], {}).get(comp[0], (0, 0))
-            diag = BiPoly(((1, -a), (-b,)))
-        if hi < 0:  # no right-hand side
-            pass
-        elif len(comp) == 1 and pairs <= (ds - sa + 1) * (hi - tb + 1):
-            num = cofactor(lacks[None]) if accepting else BiPoly.zero()
-            for (_, c), outs in exits.items():
-                part = None
-                for r, a, b in outs:
-                    term = x[r] * BiPoly(((0, a), (b,)))
-                    part = part + term if part else term
-                part = part * cofactor(lacks[c]) if lacks[c] else part
-                num = num + part if num else part
-            if num:
-                det, nums = diag, [num]
-        else:
-            square, cols = 1, dict.fromkeys(comp, 0)
-            for q in comp:
-                total = 1
-                for r, a, b in inner.get(q, ()):
-                    total += (a + b + (r == q)) ** 2 - (r == q)
-                    cols[r] |= a > 0
-                square *= total
-            width, bound = _pack_size(square, cols.values(), norm, hi - tb)
-            nbytes = -(-(4 * bound).bit_length() // 8)
-            bits = 8 * nbytes
-            packed = {i: _pack(bases[i], width, nbytes)
-                      for lack in lacks.values() for i, _ in lack}
-            lifted = {c: prod(packed[i] ** e for i, e in lack)
-                      for c, lack in lacks.items()}  # packed cofactors
-            rhs = dict.fromkeys(comp, 0)
-            for q in accepting:
-                rhs[q] = lifted[None]
-            held = {}  # state -> its packed numerator
-            for (q, c), outs in exits.items():
-                part = 0
-                for r, a, b in outs:
-                    got = held.get(r)
-                    if got is None:
-                        got = held[r] = _pack(x[r], width, nbytes, sa, tb)
-                    part += _times(got, a, b, bits, width)
-                rhs[q] += part * lifted[c]
-            if any(rhs.values()) and len(comp) == 1:
-                det, nums = diag, [_unpack(rhs[comp[0]], width, nbytes, sa,
-                                           tb)]
-            elif any(rhs.values()):
-                det, nums = _solve_packed(comp, inner, rhs, wanted, bits,
-                                          width)
-                det = _unpack(det, width, nbytes)
-                nums = [_unpack(v, width, nbytes, sa, tb) for v in nums]
+            part = None
+            for r, p in outs:
+                term = p * x[r]
+                part = part + term if part else term
+            part = part * cofactor(lacks[c]) if lacks[c] else part
+            rhs[pos[q]] = rhs[pos[q]] + part
+        det, nums = one, [BiPoly.zero()] * len(keep)
+        if len(comp) == 1 and rhs[0]:
+            det, nums = mat[0][0], rhs
+        elif any(rhs):
+            for entries, b in zip(mat, rhs):
+                if b:
+                    entries[len(comp)] = b
+            det, nums = bareiss(mat, len(comp) - len(keep))
+            nums = [v or BiPoly.zero() for v in nums]
         pieces = splits.get(det)
         if pieces is None:
             pieces = splits[det] = []
             for base, e in split_content(det):
                 i = ids.setdefault(base, len(ids))
-                if i not in bases:
-                    bases[i], shapes[i] = base, _sizes(base)
+                bases[i] = base
                 pieces.append((i, e))
+        if pieces and bases[pieces[0][0]] == ONE_MINUS_T:
+            (i, e), *rest = pieces
+            flat, k = divide_out([r for v in nums for r in v.rows], e)
+            if k:
+                flat = iter(flat)
+                nums = [BiPoly([next(flat) for _ in v.rows]) for v in nums]
+                pieces = [(i, e - k)] + rest
         for i, e in pieces:
-            top[i] = top.get(i, 0) + e
+            if e:
+                top[i] = top.get(i, 0) + e
         tuples.append(top)
-        for q, num in zip(wanted, nums):
+        for q, num in zip(keep, nums):
             x[q], home[q] = num, here
-            if num:
-                sizes[q] = _sizes(num)
     return FactoredRational(x[dfa.start], [
         (bases[i], e) for i, e in tuples[home[dfa.start]].items()])

@@ -20,7 +20,13 @@ from .analysis import (
 from .errors import NotInLanguage, OihError, SchemaError
 from .oicore import Monomial, hilbert_widths
 from .polyarith import render_poly
-from .schema import _parse_exponents, _parse_pi, load_document, monomial_to_obj
+from .schema import (
+    MAX_WIDTH,
+    _parse_exponents,
+    _parse_pi,
+    load_document,
+    monomial_to_obj,
+)
 from .series import letter_series, module_series
 from .words import decode, encode, word_from_str, word_to_str
 
@@ -135,7 +141,7 @@ def _same_series(a, b):
     return ra.num * rb.den_expanded() == rb.num * ra.den_expanded()
 
 
-def _int_arg(text, low):
+def _int_arg(text, low, high=None):
     try:
         n = int(text)
     except ValueError:
@@ -143,6 +149,8 @@ def _int_arg(text, low):
             f"expected an integer of at least {low}, got {text!r}")
     if n < low:
         raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+    if high is not None and n > high:
+        raise argparse.ArgumentTypeError(f"must be at most {high}, got {n}")
     return n
 
 
@@ -152,6 +160,11 @@ def _count_arg(text):
 
 def _positive_arg(text):
     return _int_arg(text, 1)
+
+
+def _width_arg(text):
+    """A width, bounded as a document's generator widths are."""
+    return _int_arg(text, 0, MAX_WIDTH)
 
 
 def _growth_text(terms):
@@ -317,7 +330,7 @@ def build_parser():
     wsub = w.add_subparsers(dest="action", required=True)
     we = wsub.add_parser("encode")
     we.add_argument("--c", type=_positive_arg, required=True)
-    we.add_argument("--width", type=_count_arg, required=True)
+    we.add_argument("--width", type=_width_arg, required=True)
     we.add_argument("--pi", default="",
                     help="comma-separated basis tuple, e.g. 1,3")
     we.add_argument("--exponents", default="",

@@ -1,7 +1,8 @@
 """Exact polynomial arithmetic over Z: univariate and bivariate polynomials,
 rational functions with factored denominators, and truncated series windows,
 with the two kernels every exact solve shares: fraction-free elimination of
-an integer system (`bareiss`) and division by 1 - c y (`over`, `divide_out`).
+a system over the integers or over `BiPoly` (`bareiss`) and division by
+1 - c y (`over`, `divide_out`).
 
 Everything is arbitrary-precision integer arithmetic; the
 pipeline contains no floating point. A univariate polynomial is a sequence
@@ -59,9 +60,12 @@ def _exact_quotient(num, den):
 
 
 def exact(val, by):
-    """val / by for ints; raises NonDivisible unless by divides val."""
+    """val / by for ints or BiPolys; raises NonDivisible unless by
+    divides val."""
     if by == 1:
         return val
+    if isinstance(val, BiPoly):
+        return val.exact_div(by)
     val, rem = divmod(val, by)
     if rem:
         raise NonDivisible("integer division leaves a remainder")
@@ -69,8 +73,9 @@ def exact(val, by):
 
 
 def bareiss(mat, first):
-    """det(M) and det(M) * x_i, i >= first, for M x = b on integers: mat[i]
-    maps column to entry of row i, zeros left out, column len(mat) to b_i.
+    """det(M) and det(M) * x_i, i >= first, for M x = b over the integers
+    or over BiPolys: mat[i] maps column to entry of row i, zeros left out,
+    column len(mat) to b_i.  A missing result is the int 0.
 
     Fraction-free forward elimination without pivot search; by Sylvester's
     identity each entry after step k is a minor of order k + 1, so the
@@ -343,6 +348,19 @@ def divide_out(rows, most, c=1):
     return rows, k
 
 
+def times_one_minus_t(p, k):
+    """p * (1-t)^k for a BiPoly p, by k running differences of each
+    s-row: the inverse of divide_out."""
+    if not k:
+        return p
+    rows = []
+    for row in p.rows:
+        for _ in range(k if row else 0):
+            row = tuple(map(sub, row + (0,), (0,) + row))
+        rows.append(row)
+    return BiPoly._of(tuple(rows))
+
+
 def split_content(p):
     """Split p, with p(0, 0) = 1, into (piece, exponent) pairs whose
     product is p: (1-t)^k, k as large as divides every s-row (found by
@@ -355,8 +373,9 @@ def split_content(p):
     is standard, so w = a^k; then u a v is standard too, with u v's
     monomial times a variable, so L(q) <= L(qa) <= ... <= L(qa^k) = L(q)
     and q a = q.  Two loop letters at a state would make an unsorted run.
-    So at s = 0, I - T_CC is triangular after reordering, det = (1-t)^m,
-    and the content, a divisor, is a power of 1 - t.  A rest linear in s
+    So at s = 0 a component's rows are triangular after reordering, each
+    diagonal a power of 1 - t, and the content, a divisor of the
+    determinant there, is a power of 1 - t.  A rest linear in s
     is then irreducible over Z by Gauss's lemma.  A hand-built automaton
     may break the premise; its rest keeps the extra content.
     """

@@ -7,10 +7,7 @@ equality of rational functions by cross-multiplication, repeated long
 division by 1 - c y, t^k,
 bivariate polynomials as term dicts (building and reading a BiPoly, and
 the dict arithmetic: sums, the schoolbook product, powers, long division
-and the rendered term order), per-digit unpacking of bivariate
-polynomials,
-the packed solve of a component system given as polynomial rows,
-reduction of a factored rational function by trial division alone,
+and the rendered term order), reduction of a factored rational function by trial division alone,
 the paper's pseudo-division criterion for eventual finite length,
 written with sympy rather than the package's own polynomial
 arithmetic, the eventual growth and fixed-degree readouts on UniPoly
@@ -39,7 +36,6 @@ from operator import le
 
 import sympy
 
-from oihilbert import automata
 from oihilbert.analysis import factor_base
 from oihilbert.automata import Dfa, empty_dfa
 from oihilbert.decomposition import compute_decomposition
@@ -60,7 +56,6 @@ from oihilbert.polyarith import (
     BiPoly,
     FactoredRational,
     _render_monomial,
-    bareiss,
 )
 from oihilbert.words import decode, is_xi, tau_index
 
@@ -518,70 +513,6 @@ def trial_reduce(r):
             num, e = q, e - 1
         kept.append((base, e))
     return FactoredRational(num, kept)
-
-
-def unpack_digits(val, width, nbytes):
-    """automata._unpack one digit at a time, every digit visited: the terms
-    of the balanced nbytes-byte digits of val, or None if a digit reaches
-    2^(8*nbytes - 2) in absolute value."""
-    full = 1 << (8 * nbytes)
-    safe = full >> 2
-    sign = -1 if val < 0 else 1
-    val = abs(val)
-    out = {}
-    idx = 0
-    while val:
-        digit = val % full
-        val //= full
-        if digit >= full >> 1:
-            digit -= full
-            val += 1
-        if digit:
-            if abs(digit) >= safe:
-                return None
-            out[(idx // width, idx % width)] = sign * digit
-        idx += 1
-    return out
-
-
-def pack_size(rows, rhs, tb=0):
-    """automata._pack_size's stride and bound for M x = rhs, its sizes
-    read off the polynomials themselves: rows[i] maps column to entry of
-    row i of M, and rhs packs divided by t^tb."""
-    top, norm = -1, 0
-    for b in rhs:
-        for (_, j), v in terms_of(b).items():
-            top, norm = max(top, j), norm + abs(v)
-    cols = {}
-    square = 1
-    for row in rows:
-        square *= sum(sum(map(abs, terms_of(p).values())) ** 2
-                      for p in row.values())
-        for j, p in row.items():
-            cols[j] = max(cols.get(j, 0), p.deg_t())
-    return automata._pack_size(square, cols.values(), norm, top - tb)
-
-
-def solve_component(rows, rhs, first):
-    """det(M) and the numerators det(M) * x_i, i >= first, of M x = rhs,
-    for rows as in pack_size and rhs not all zero: every entry packed once
-    (automata._pack), the right-hand side divided by its common monomial
-    s^sa t^tb, polyarith.bareiss on the integers, the results unpacked
-    with the monomial given back.  A digit is the fewest bytes that hold
-    four times the coefficient bound."""
-    size = len(rows)
-    sa = min(i for b in rhs for i, _ in terms_of(b))
-    tb = min(j for b in rhs for _, j in terms_of(b))
-    width, bound = pack_size(rows, rhs, tb)
-    nbytes = -(-(4 * bound).bit_length() // 8)
-    mat = [{j: automata._pack(p, width, nbytes) for j, p in row.items()}
-           for row in rows]
-    for row, b in zip(mat, rhs):
-        if b:
-            row[size] = automata._pack(b, width, nbytes, sa, tb)
-    det, nums = bareiss(mat, first)
-    return automata._unpack(det, width, nbytes), [
-        automata._unpack(v, width, nbytes, sa, tb) for v in nums]
 
 
 def _expr(b):

@@ -11,10 +11,7 @@ from oihilbert import automata
 from oihilbert.automata import (
     Dfa,
     Nfa,
-    _pack,
     _simulation,
-    _solve_packed,
-    _unpack,
     determinize,
     generating_function,
     intersect_nfa_dfa,
@@ -27,11 +24,12 @@ from oihilbert.oicore import Monomial, ModulePresentation, hilbert_width
 from oihilbert.polyarith import (
     BiPoly,
     FactoredRational,
+    bareiss,
     common_denominator,
     divide_out,
-    exact,
     expand_series,
     power_product,
+    split_content,
 )
 from oihilbert.schema import load_document, parse_document
 from oihilbert.series import module_series
@@ -40,9 +38,8 @@ from oihilbert.words import alphabet, decode, is_xi
 from corpus import random_monomial, random_presentation
 from enumerate_small import all_monomials, lstd_words
 from oracles import (bipoly, equals_cross_mul, in_lstd, moore_minimize,
-                     oi_divides, pack_size, pairwise_simulation, run_dfa,
-                     solve_component, subset_dfa, terms_of,
-                     word_count_window)
+                     oi_divides, pairwise_simulation, run_dfa, subset_dfa,
+                     terms_of, word_count_window)
 
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "inputs"
@@ -127,7 +124,7 @@ def elimination_levels(rows):
 
 def sympy_solve(rows, rhs):
     """det(M) and the Cramer numerators det(M) * x_i of M x = rhs, by
-    sympy: the reference for the packed solves."""
+    sympy: the reference for bareiss on polynomial rows."""
     size = len(rows)
     mat = sympy.Matrix(size, size, lambda i, j: to_sympy(
         rows[i].get(j, BiPoly.zero())))
@@ -140,60 +137,45 @@ def sympy_solve(rows, rhs):
     return from_sympy(sympy.expand(mat.det())), nums
 
 
-def random_component(rng, size):
-    """The edges of one component as generating_function hands them to
-    _solve_packed: inner[q] lists (r, a, b), a variable and b marker
-    letters from q to r.  A chain of variable edges 0 -> 1 -> ... closed
-    by a marker edge back to 0, and each ordered pair given an edge with
-    probability 1/4: variable self-loops of one to three letters, marker
-    self-loops, and variable edges either way, so variable cycles longer
-    than one edge occur."""
-    counts = {(q, q + 1): [1, 0] for q in range(size - 1)}
-    counts[size - 1, 0] = [0, 1]
-    for q in range(size):
-        for r in range(size):
-            if rng.random() < 0.25:
-                got = counts.setdefault((q, r), [0, 0])
-                if rng.random() < 0.75:
-                    got[0] += rng.randint(1, 3 if q == r else 2)
-                else:
-                    got[1] += 1
-    inner = {}
-    for (q, r), (a, b) in sorted(counts.items()):
-        inner.setdefault(q, []).append((r, a, b))
-    return inner
+def bareiss_rows(rows, rhs, first):
+    """polyarith.bareiss on polynomial rows: det(M) and the numerators
+    det(M) * x_i, i >= first, of M x = rhs, rows[i] mapping column to
+    entry of row i."""
+    mat = [dict(row) for row in rows]
+    for row, b in zip(mat, rhs):
+        if b:
+            row[len(rows)] = b
+    det, nums = bareiss(mat, first)
+    return det, [v or BiPoly.zero() for v in nums]
 
 
-def component_rows(comp, inner):
-    """I - T_CC of a component as polynomial rows, indexed by position in
-    comp."""
-    pos = {q: i for i, q in enumerate(comp)}
-    rows = []
-    for i, q in enumerate(comp):
-        row = {i: BiPoly.one()}
-        for r, a, b in inner.get(q, ()):
-            row[pos[r]] = bipoly({(0, 0): int(r == q), (0, 1): -a,
-                                  (1, 0): -b})
-        rows.append({j: p for j, p in row.items() if p})
-    return rows
+def random_boundary_dfa(rng, c):
+    """Three to six states over c variables and two markers, start 0,
+    each variable present at each state with probability 1/2 and each
+    marker with 1/4, aimed at any state, and one or two accepting
+    states: marker targets inside one strongly connected component,
+    variable cycles longer than one edge and self-loops of several
+    letters all occur."""
+    letters = alphabet(c, 1)
+    n = rng.randint(3, 6)
+    trans = {(q, a): rng.randrange(n) for q in range(n) for a in letters
+             if rng.random() < (0.5 if is_xi(a) else 0.25)}
+    return Dfa(letters, n, 0, rng.sample(range(n), rng.randint(1, 2)),
+               trans)
 
 
-def forced_states(comp, inner, keep):
-    """The states the DAG elimination must keep on top of keep, by kind:
-    marker targets, diagonals other than 1 and 1 - t, and the states on
-    or above a cycle of the variable edges among the rest."""
-    targets = {r for q in comp for r, _, b in inner.get(q, ()) if b}
-    loops = {q for q in comp for r, a, b in inner.get(q, ())
-             if r == q and a > 1}
-    rest = set(comp) - set(keep) - targets - loops
-    succ = {q: {r for r, _, _ in inner.get(q, ()) if r != q and r in rest}
-            for q in rest}
-    while True:
-        sinks = {q for q, rs in succ.items() if not rs}
-        if not sinks:
-            break
-        succ = {q: rs - sinks for q, rs in succ.items() if q not in sinks}
-    return targets, loops, set(succ)
+def sympy_generating_function(dfa):
+    """x_start of (I - T) x = e_accept by Cramer's rule in sympy, over
+    det(I - T) unreduced."""
+    mat = sympy.eye(dfa.n)
+    for (q, a), r in dfa.trans.items():
+        mat[q, r] -= T if is_xi(a) else S
+    num = mat.copy()
+    num[:, dfa.start] = sympy.Matrix(
+        [int(q in dfa.accepts) for q in range(dfa.n)])
+    det = from_sympy(sympy.expand(mat.det(method="berkowitz")))
+    return FactoredRational(
+        from_sympy(sympy.expand(num.det(method="berkowitz"))), [(det, 1)])
 
 
 class TestLstdDfa:
@@ -594,7 +576,8 @@ class TestGeneratingFunction:
 
     def test_entries_wider_than_eight_byte_digits(self):
         # I - T of a 3-cycle with signed wide entries: the determinant
-        # carries (2^40 + 3)^3 * t^3
+        # carries (2^40 + 3)^3 * t^3, and bareiss on BiPoly rows keeps
+        # every coefficient exact
         big = BiPoly.term(0, 1, 2 ** 40 + 3)
         marker = BiPoly.s() - BiPoly.term(1, 1, 5)
         one, zero = BiPoly.one(), BiPoly.zero()
@@ -604,7 +587,7 @@ class TestGeneratingFunction:
         rhs = [one, zero, zero]
         det, nums = sympy_solve(rows, rhs)
         assert max(map(abs, terms_of(det).values())) > 2 ** 64
-        assert solve_component(rows, rhs, 0) == (det, nums)
+        assert bareiss_rows(rows, rhs, 0) == (det, nums)
 
     def test_counts_wider_than_eight_byte_digits(self):
         # a 13-cycle whose every edge carries all 40 variable letters:
@@ -619,51 +602,11 @@ class TestGeneratingFunction:
         assert list(win[0]) == [c ** j if j % n == 0 else 0
                           for j in range(3 * n + 1)]
 
-    def test_common_monomial_packs_as_offsets(self):
-        # right-hand sides sharing s^300 t^300, as the exits of
-        # test_cycle_with_wide_spread_exits share s: they pack divided by
-        # it, at the stride and digit size of the system shifted down,
-        # and every numerator gets it back
-        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.term(0, 1)
-        shared = BiPoly.term(300, 300)
-        rows = [{0: one - t, 1: -s}, {0: -t, 1: one, 2: -s},
-                {0: -(s * t), 2: one - t - s}]
-        rest = [one + s * t * 2, BiPoly.zero(), t * t - s]
-        rhs = [shared * b for b in rest]
-        assert pack_size(rows, rhs, 300) == pack_size(rows, rest)
-        det, nums = sympy_solve(rows, rhs)
-        assert terms_of(nums[0]) and min(terms_of(nums[0])) == (300, 300)
-        assert solve_component(rows, rhs, 0) == (det, nums)
-        assert solve_component(rows, rhs, 2) == (det, nums[2:])
-
-    def test_small_bound_packs_narrow_digits(self, monkeypatch):
-        # a bound of 18 needs 7 bits for four times itself: one byte per
-        # digit, not eight
-        sizes = []
-        pack = automata._pack
-
-        def recorded(p, width, nbytes, sa=0, tb=0):
-            sizes.append(nbytes)
-            return pack(p, width, nbytes, sa, tb)
-
-        monkeypatch.setattr(automata, "_pack", recorded)
-        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.term(0, 1)
-        rows = [{0: one - t, 1: -s}, {0: -s, 1: one - t}]
-        rhs = [one, t]
-        assert pack_size(rows, rhs)[1] == 18
-        assert solve_component(rows, rhs, 0) == sympy_solve(rows, rhs)
-        assert sizes == [1] * 6
-
     @given(augmented_systems())
     @settings(max_examples=40, deadline=None)
-    def test_packed_solve_bounds_and_values(self, system):
+    def test_polynomial_bareiss_against_sympy(self, system):
         rows, rhs = system
-        width, bound = pack_size(rows, rhs)
-        det, nums = sympy_solve(rows, rhs)
-        for p in [det] + nums:
-            assert max(map(abs, terms_of(p).values()), default=0) <= bound
-            assert p.deg_t() < width
-        assert solve_component(rows, rhs, 0) == (det, nums)
+        assert bareiss_rows(rows, rhs, 0) == sympy_solve(rows, rhs)
 
     def test_lazy_levels_against_sympy(self):
         rng = random.Random(20261018)
@@ -686,7 +629,7 @@ class TestGeneratingFunction:
             mat = sympy.Matrix(size, size, lambda i, j: to_sympy(
                 rows[i].get(j, BiPoly.zero())))
             det = from_sympy(sympy.expand(mat.det(method="berkowitz")))
-            got_det, nums = solve_component(rows, rhs, 0)
+            got_det, nums = bareiss_rows(rows, rhs, 0)
             assert got_det == det
             # M (det x) = det b determines det x, as det is nonzero
             for row, b in zip(rows, rhs):
@@ -700,7 +643,7 @@ class TestGeneratingFunction:
             cases["split inside"] += 0 < first < size - 1
             cases["last row alone"] += first == size - 1
             col = sympy.Matrix([to_sympy(b) for b in rhs])
-            got_det, entry = solve_component(rows, rhs, first)
+            got_det, entry = bareiss_rows(rows, rhs, first)
             assert got_det == det
             assert len(entry) == size - first
             for i, num in zip(range(first, size), entry):
@@ -710,169 +653,57 @@ class TestGeneratingFunction:
                     m.det(method="berkowitz")))
         assert all(cases.values()), cases
 
-    def test_column_stride_cases(self):
-        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.term(0, 1)
-        cases = [
-            # columns of t-degree 0 and 3, right-hand side t^2: replacing
-            # the degree-0 column lifts a Cramer numerator to t-degree 5,
-            # past the column sum 3 and short of the row bound 2 + 6
-            ([{0: one - s, 1: -t ** 3}, {0: -s, 1: one - t ** 3}],
-             [t ** 2, BiPoly.zero()], 6),
-            # columns of t-degree 3 and 1 above a constant right-hand
-            # side: det(M) reaches the column sum 4, short of the row
-            # bound 0 + 6
-            ([{0: one - t ** 3, 1: -(s * t)}, {0: -(t ** 3), 1: one - s}],
-             [one, BiPoly.zero()], 5),
-        ]
-        for rows, rhs, want in cases:
-            size = len(rows)
-            width, _ = pack_size(rows, rhs)
-            assert width == want
-            mat = sympy.Matrix(size, size, lambda i, j: to_sympy(
-                rows[i].get(j, BiPoly.zero())))
-            det = from_sympy(sympy.expand(mat.det()))
-            nums = []
-            for i in range(size):
-                m = mat.copy()
-                m[:, i] = sympy.Matrix([to_sympy(b) for b in rhs])
-                nums.append(from_sympy(sympy.expand(m.det())))
-            assert max(p.deg_t() for p in [det] + nums) == want - 1
-            assert solve_component(rows, rhs, 0) == (det, nums)
-
-    def test_dag_first_solve_against_sympy(self, monkeypatch):
-        # random component systems solved with V eliminated along its DAG
-        # and with every state in K, against sympy; the systems need
-        # states forced into K (marker targets, self-loops of two or three
-        # variables, variable cycles longer than one edge), and some have
-        # a negative Schur exponent m - sum J, seen as a division by a
-        # power of the packed 1 - t
-        divisors = []
-
-        def spied(val, by):
-            divisors.append(by)
-            return exact(val, by)
-
-        monkeypatch.setattr(automata, "exact", spied)
+    def test_dag_first_solve_against_sympy(self):
+        # hand-built DFAs whose boundary components have two or more
+        # states: marker targets inside one strongly connected component
+        # and variable cycles longer than one edge, next to self-loops of
+        # several letters and states eliminated along the variable DAG;
+        # the series against Cramer's rule on the whole of I - T
         rng = random.Random(1963)
-        cases = {"marker target": 0, "two or three variable loop": 0,
-                 "longer variable cycle": 0, "V eliminated": 0,
-                 "negative exponent": 0}
+        cases = {"markers into each other": 0, "longer variable cycle": 0,
+                 "several-letter loop": 0, "eliminated": 0}
         for _ in range(40):
-            size = rng.randint(2, 7)
-            comp = list(range(size))
-            inner = random_component(rng, size)
-            rows = component_rows(comp, inner)
-            rhs = [BiPoly.zero() if rng.random() < 0.3 else
-                   bipoly({(rng.randint(0, 2), rng.randint(0, 3)):
-                           rng.randint(-3, 3) for _ in range(2)})
-                   for _ in comp]
-            if not any(rhs):
-                rhs[0] = BiPoly.one()
-            mat = sympy.Matrix(size, size, lambda i, j: to_sympy(
-                rows[i].get(j, BiPoly.zero())))
-            det = from_sympy(sympy.expand(mat.det(method="berkowitz")))
-            width, bound = pack_size(rows, rhs)
-            nbytes = -(-(4 * bound).bit_length() // 8)
-            packed = {q: _pack(b, width, nbytes) for q, b in zip(comp, rhs)}
-            keep = sorted(rng.sample(comp, rng.randint(1, min(3, size))))
-            targets, loops, cyclic = forced_states(comp, inner, keep)
-            cases["marker target"] += bool(targets - set(keep))
-            cases["two or three variable loop"] += bool(loops - set(keep))
+            dfa = random_boundary_dfa(rng, 2)
+            succ, xsucc, loops = {}, {}, {}
+            for (q, a), r in dfa.trans.items():
+                succ.setdefault(q, set()).add(r)
+                if is_xi(a):
+                    xsucc.setdefault(q, set()).add(r)
+                    loops[q] = loops.get(q, 0) + (q == r)
+            targets = {r for (q, a), r in dfa.trans.items() if not is_xi(a)}
+            for comp in automata._sccs(dfa.start, succ):
+                cases["markers into each other"] += (
+                    len(targets & set(comp)) > 1)
+            cyclic = {q for comp in automata._sccs(dfa.start, xsucc)
+                      if len(comp) > 1 for q in comp}
             cases["longer variable cycle"] += bool(cyclic)
-            cases["V eliminated"] += (
-                len(set(keep) | targets | loops | cyclic) < size)
-            unit = 1 - (1 << 8 * nbytes)
-            for wanted in (comp, keep):
-                del divisors[:]
-                got_det, got = _solve_packed(comp, inner, packed, wanted,
-                                             8 * nbytes, width)
-                assert _unpack(got_det, width, nbytes) == det
-                got = [_unpack(v, width, nbytes) for v in got]
-                if wanted is comp:
-                    # M (det x) = det b determines det x, as det is nonzero
-                    nums = got
-                    for row, b in zip(rows, rhs):
-                        total = BiPoly.zero()
-                        for j, p in row.items():
-                            total = total + p * nums[j]
-                        assert total == det * b
-                assert got == [nums[q] for q in wanted]
-                cases["negative exponent"] += any(
-                    unit ** k in divisors for k in (1, 2, 3))
-        assert all(cases.values()), cases
+            several = {q for q, k in loops.items() if k > 1}
+            cases["several-letter loop"] += bool(several)
+            cases["eliminated"] += bool(
+                closure({dfa.start}, dfa.trans.items()) - targets - cyclic
+                - several - {dfa.start})
+            assert equals_cross_mul(generating_function(dfa),
+                                    sympy_generating_function(dfa)), (
+                dfa.trans, dfa.accepts)
+        assert all(v >= 5 for v in cases.values()), cases
 
-    def test_negative_schur_exponent(self, monkeypatch):
-        # states 0 and 1 both reach V = {2}, whose diagonal is 1 - t:
-        # m = 1 and J_0 = J_1 = 1, so det(I - T_CC) is (1-t)^-1 times the
-        # Bareiss determinant of the scaled rows, an exact packed division
-        divisors = []
-
-        def spied(val, by):
-            divisors.append(by)
-            return exact(val, by)
-
-        monkeypatch.setattr(automata, "exact", spied)
-        inner = {0: [(1, 0, 1), (2, 1, 0)], 1: [(2, 2, 0), (0, 0, 1)],
-                 2: [(2, 1, 0), (0, 1, 0), (1, 0, 1)]}
-        comp = [0, 1, 2]
-        one, s, t = BiPoly.one(), BiPoly.s(), BiPoly.term(0, 1)
-        rhs = [one + s, t, s * t]
-        rows = component_rows(comp, inner)
-        det, nums = sympy_solve(rows, rhs)
-        width, bound = pack_size(rows, rhs)
-        nbytes = -(-(4 * bound).bit_length() // 8)
-        packed = {q: _pack(b, width, nbytes) for q, b in zip(comp, rhs)}
-        got_det, got = _solve_packed(comp, inner, packed, [0], 8 * nbytes,
-                                     width)
-        assert 1 - (1 << 8 * nbytes) in divisors
-        assert _unpack(got_det, width, nbytes) == det
-        assert _unpack(got[0], width, nbytes) == nums[0]
-
-    def test_size_bounds_cover_the_right_hand_sides(self, monkeypatch):
-        # the stride and coefficient bound generating_function derives from
-        # the sizes kept with each numerator are never below _pack_size of
-        # the actual system, its right-hand sides unpacked; the bundled
-        # DFAs' components reach successors with different factors, so
-        # cofactors are not all 1
-        sized, solve = automata._pack_size, automata._solve_packed
-        last, seen = [], []
-
-        def recorded(*args):
-            last[:] = [sized(*args)]
-            return last[0]
-
-        def checked(comp, inner, rhs, keep, bits, width):
-            # pack_size calls the recorded _pack_size too: read it first
-            got_width, bound = last[0]
-            assert got_width == width
-            actual = [_unpack(rhs[q], width, bits // 8) for q in comp]
-            want = pack_size(component_rows(comp, inner), actual)
-            assert width >= want[0] and bound >= want[1]
-            seen.append(len(comp))
-            return solve(comp, inner, rhs, keep, bits, width)
-
-        monkeypatch.setattr(automata, "_pack_size", recorded)
-        monkeypatch.setattr(automata, "_solve_packed", checked)
-        corpus = json.loads(
-            (ROOT / "perfbench" / "corpus" / "solve-heavy.json").read_text())
-        rng = random.Random(3607)
-        docs = [parse_document(entry["doc"]).effective_presentation()
-                for entry in corpus["docs"][:40]]
-        docs += [random_presentation(rng) for _ in range(40)]
-        dfas = [module_dfa(p.c, d, [g for g in p.generators
-                                    if g.summand == idx])
-                for p in docs for idx, (d, _) in enumerate(p.summands)]
-        dfas += [bundled_dfa(rng, alphabet(c, 1)) for c in (2, 3)
-                 for _ in range(60)]
-        # the 2-cycle 0 <-> 1 exits to 2, which loops on x1, and to 3,
-        # which loops on t0: x0's right-hand side t*(1-s) + s*(1-t) has l1
-        # norm 4, twice the exit terms' before their cofactors
-        dfas.append(Dfa(alphabet(2, 0), 4, 0, {2, 3}, {
-            (0, 1): 1, (1, 1): 0, (0, 2): 2, (0, 0): 3, (2, 1): 2,
-            (3, 0): 3}))
-        for dfa in dfas:
-            generating_function(dfa)
-        assert len(seen) > 200 and max(seen) > 20
+    def test_negative_schur_exponent(self):
+        # states 0 and 1 both reach V = {2}, whose diagonal is 1 - t, and
+        # 2 leads back to both: in this one component m = 1 and J_0 =
+        # J_1 = 1, so the determinant of the scaled rows of K is
+        # (1-t)^(sum J - m) = (1-t) times det(I - T).  Every numerator of
+        # the component vanishes at t = 1 too, and the extra 1 - t
+        # cancels: what is left is Cramer's rule over the split of
+        # det(I - T)
+        trans = {(0, 0): 1, (0, 1): 2, (1, 1): 2, (1, 2): 2, (1, 0): 0,
+                 (2, 1): 2, (2, 2): 0, (2, 0): 1}
+        dfa = Dfa(alphabet(2, 0), 3, 0, {2}, trans)
+        gf = generating_function(dfa)
+        want = sympy_generating_function(dfa)
+        (det, _), = want.factors
+        assert gf.num == want.num
+        assert gf.factors == FactoredRational(
+            want.num, split_content(det)).factors
 
     def test_successor_components_with_different_factors(self):
         # 0 <-x1-> 1 is a 2-cycle and 0 accepts; 0 -t0-> 2 reaches a
@@ -1098,6 +929,22 @@ class TestPerformanceProbe:
         for n in range(4):
             dims = hilbert_width(p, n, quotient=True).dims(e + 2)
             assert [win[n][j] for j in range(e + 3)] == dims, n
+
+    def test_degree_probe_at_automaton_scale(self):
+        # e = 1600: a 3,204-state minimal DFA whose 1,600-state component
+        # is mostly eliminated along the variable DAG; the reduced series
+        # is the column route's
+        e = 1600
+        p = ModulePresentation(1, [(0, 0)], [
+            Monomial(1, 2, ((e,), (1,))), Monomial(1, 2, ((1,), (e,)))])
+        dfa = module_dfa(1, 0, p.generators)
+        assert dfa.n == 2 * e + 4
+        t0 = time.monotonic()
+        gf = generating_function(dfa)
+        assert time.monotonic() - t0 < 2.0
+        got = gf.reduce()
+        want = module_series(p, quotient=False, reduce=True).rational
+        assert (got.num, got.factors) == (want.num, want.factors)
 
     def test_moderate_module_is_fast(self):
         gens = [

@@ -487,6 +487,20 @@ class TestCommands:
         assert code == 0
         assert out.strip() == "x[1,1]*x[1,2] [width 2]"
 
+    def test_words_encode_width_is_bounded(self, capsys):
+        # --width is bounded like a document's generator width: the
+        # largest one encodes, one more is a usage error, not an
+        # allocation without bound
+        code, out, _ = run(capsys, "words", "encode", "--c", "1",
+                           "--width", str(MAX_WIDTH))
+        assert (code, out.split()) == (0, ["t0"] * MAX_WIDTH)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["words", "encode", "--c", "1",
+                      "--width", str(MAX_WIDTH + 1)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"must be at most {MAX_WIDTH}, got {MAX_WIDTH + 1}" in err
+
     def test_words_decode_two_markers(self, capsys):
         code, out, _ = run(capsys, "words", "decode", "--c", "1",
                            "--d", "1", "t1 t1")

@@ -8,8 +8,7 @@ import sympy
 
 from oihilbert import polyarith
 from oihilbert.analysis import _closed_form
-from oihilbert.automata import _pack, _unpack
-from oihilbert.errors import NonDivisible, OihError, SingularAtOrigin
+from oihilbert.errors import NonDivisible, SingularAtOrigin
 from oihilbert.polyarith import (
     ONE_MINUS_T,
     BiPoly,
@@ -25,6 +24,7 @@ from oihilbert.polyarith import (
     render_poly,
     render_rational,
     split_content,
+    times_one_minus_t,
 )
 
 from oracles import (
@@ -43,7 +43,6 @@ from oracles import (
     term_sum,
     terms_of,
     trial_reduce,
-    unpack_digits,
 )
 
 S, T = sympy.symbols("s t")
@@ -386,12 +385,28 @@ class TestBiPoly:
                 assert terms_of(x * y) == schoolbook(terms_of(x),
                                                      terms_of(y)), (x, y)
 
+    def test_times_one_minus_t_against_schoolbook(self):
+        # k running differences of each s-row, with empty rows between
+        # nonzero ones, give p * (1-t)^k trimmed, and divide_out takes
+        # them off again
+        rng = random.Random(1963)
+        for _ in range(200):
+            p = bipoly({(rng.choice((0, 2, 3)), rng.randint(0, 5)):
+                        rng.randint(-6, 6) for _ in range(rng.randint(0, 6))})
+            k = rng.randint(0, 4)
+            got = times_one_minus_t(p, k)
+            assert terms_of(got) == schoolbook(
+                terms_of(p), term_power({(0, 0): 1, (0, 1): -1}, k))
+            assert got.rows == BiPoly(got.rows).rows
+            rows, j = divide_out(got.rows, k)
+            assert (BiPoly(rows), j) == (p, k)
+
     def test_product_routes_against_schoolbook(self):
         # term-pair counts from 1 to 1,225: dense operands with small
         # coefficients, sparse high-degree operands (more cells in the
         # degree box than term pairs) and coefficients past 2^62, in both
         # orders; every product goes term by term, and BiPoly has no
-        # packed format: only the transfer-matrix solve packs
+        # packed format
         assert not hasattr(BiPoly, "_pack")
         assert not hasattr(BiPoly, "_unpack")
         rng = random.Random(1802)
@@ -422,80 +437,6 @@ class TestBiPoly:
                              (a, zero), (zero, b)):
                     assert terms_of(x * y) == schoolbook(
                         terms_of(x), terms_of(y)), (x, y)
-
-    @pytest.mark.parametrize("nbytes", [1, 2, 3, 8, 9, 16])
-    def test_pack_unpack_round_trip(self, nbytes):
-        # automata's packed format, at digit sizes from one byte up:
-        # negative coefficients, runs of zero digits between terms and
-        # coefficients one short of the digit bound on either side, with
-        # and without offsets s^sa t^tb below the least degrees
-        rng = random.Random(1700 + nbytes)
-        safe = 1 << (8 * nbytes - 2)
-        pool = (1, -1, 7, -7, safe - 1, 1 - safe)
-        for width in range(1, 6):
-            assert _pack(BiPoly.zero(), width, nbytes) == 0
-            assert _unpack(0, width, nbytes) == BiPoly.zero()
-            for case in range(60):
-                sa, tb = ((0, 0) if case % 2 else
-                          (rng.randint(0, 300), rng.randint(0, 300)))
-                p = bipoly({(sa + rng.randint(0, 6),
-                             tb + rng.randrange(width)):
-                            rng.choice(pool) if rng.random() < 0.6
-                            else rng.randint(1 - safe, safe - 1)
-                            for _ in range(rng.randint(1, 8))})
-                assert _unpack(_pack(p, width, nbytes, sa, tb), width,
-                               nbytes, sa, tb) == p, (p, sa, tb)
-                if (sa, tb) == (0, 0):
-                    assert _unpack(_pack(p, width, nbytes), width,
-                                   nbytes) == p, p
-
-    def test_pack_offsets_divide_out_a_monomial(self):
-        # _pack(p, ..., sa, tb) packs p / (s^sa t^tb), and _unpack with
-        # the same offsets multiplies it back: the packed integer is the
-        # one of the polynomial shifted down, as short as its spread
-        rng = random.Random(1701)
-        for _ in range(200):
-            width = rng.randint(1, 6)
-            nbytes = rng.choice((1, 2, 8, 9))
-            safe = 1 << (8 * nbytes - 2)
-            rest = bipoly({(rng.randint(0, 5), rng.randrange(width)):
-                           rng.randint(1 - safe, safe - 1)
-                           for _ in range(rng.randint(1, 6))})
-            sa, tb = rng.randint(0, 400), rng.randint(0, 400)
-            p = rest * BiPoly.term(sa, tb)
-            packed = _pack(p, width, nbytes, sa, tb)
-            assert packed == _pack(rest, width, nbytes)
-            assert _unpack(packed, width, nbytes, sa, tb) == p
-            assert _unpack(packed, width, nbytes) == rest
-
-    @pytest.mark.parametrize("nbytes", [1, 2, 3, 8, 9, 16])
-    def test_unpack_against_per_digit_decoder(self, nbytes):
-        rng = random.Random(nbytes)
-        safe = 1 << (8 * nbytes - 2)
-        pool = (0, 0, 0, 1, -1, 2, -2, safe - 1, 1 - safe)
-        for case in range(300):
-            count = rng.randint(1, 12)
-            digits = [rng.choice(pool) if rng.random() < 0.7
-                      else rng.randint(1 - safe, safe - 1)
-                      for _ in range(count)]
-            if case % 3 == 0:
-                # a negative digit, then a 1: its raw digit is zero and
-                # the carry from below makes it 1
-                k = rng.randrange(count)
-                digits[k:k + 2] = [-rng.randint(1, 5), 1]
-            if case % 4 == 1:
-                digits[rng.randrange(count)] = rng.choice((safe, -safe))
-            val = sum(d << (8 * nbytes * i) for i, d in enumerate(digits))
-            width = rng.randint(1, 4)
-            want = unpack_digits(val, width, nbytes)
-            if case % 4 == 1:
-                assert want is None
-                with pytest.raises(OihError):
-                    _unpack(val, width, nbytes)
-                continue
-            assert want == {(i // width, i % width): d
-                            for i, d in enumerate(digits) if d}
-            assert terms_of(_unpack(val, width, nbytes)) == want, digits
 
 
 class TestFactoredRational:
