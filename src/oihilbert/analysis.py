@@ -173,18 +173,33 @@ def _closed_form(a, bases):
         (c, tuple(p)) for c, p in sorted(terms.items(), reverse=True))
 
 
+def _root_up(a, b, k):
+    """The least integer r >= 0 with b r^k >= a, for ints a >= 0 and
+    b, k >= 1, by bisection below 2^ceil(bits(a)/k)."""
+    lo, hi = 0, 1 << -(-a.bit_length() // k)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if b * mid ** k >= a:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _last_zero(terms, start):
     """Largest n >= start where sum_c c^n P_c(n) vanishes, else start - 1.
 
     Scaled by their common denominator, which moves no sign or zero, the
     coefficients are ints.  Only n below a proven bound N is searched.
-    With P = P_top of degree d, lead |l| and lower coefficients of
-    absolute sum h, |P(n)| >= |l| n^d/2 once n |l| >= 2h; the rest is at
-    most H c2^n n^f for n >= 1 (c2 the next base, H and f the others'
-    absolute coefficient sum and top degree).  N is the first n with |l|
-    top^n n^d > 2 H c2^n n^f and top n^g >= c2 (n+1)^g, g = f - d, so the
-    ratio of the sides no longer falls.  With one base (H = 0) it bounds
-    the integer roots of P."""
+    With P = P_top of degree d, lead |l| and lower coefficients p_j of
+    absolute sum h, |P(n)| >= |l| n^d/2 once n |l| >= 2h, and also once
+    n >= 4 max_k ceil((|p_(d-k)| / |l|)^(1/k)), as each |p_(d-k)|
+    n^(d-k) is then at most |l| n^d/4^k; the search starts at the smaller
+    of the two.  The rest is at most H c2^n n^f for n >= 1 (c2 the next
+    base, H and f the others' absolute coefficient sum and top degree).
+    N is the first n with |l| top^n n^d > 2 H c2^n n^f and top n^g >= c2
+    (n+1)^g, g = f - d, so the ratio of the sides no longer falls.  With
+    one base (H = 0) it bounds the integer roots of P."""
     scale = lcm(*(v.denominator for _, p in terms for v in p))
     terms = [(c, [v.numerator * (scale // v.denominator) for v in p])
              for c, p in terms]
@@ -193,9 +208,10 @@ def _last_zero(terms, start):
     big = sum(abs(v) for _, q in rest for v in q)
     c2 = max((c for c, _ in rest), default=1)
     f = max((len(q) - 1 for _, q in rest), default=0)
-    n = 1
-    while not (n * lead >= 2 * low
-               and lead * top ** n * n ** d > 2 * big * c2 ** n * n ** f
+    n = max(1, min(-(-2 * low // lead), 4 * max(
+        (_root_up(abs(p[d - k]), lead, k) for k in range(1, d + 1)),
+        default=0)))
+    while not (lead * top ** n * n ** d > 2 * big * c2 ** n * n ** f
                and top * n ** max(f - d, 0) >= c2 * (n + 1) ** max(f - d, 0)):
         n += 1
     return next((m for m in range(n - 1, start - 1, -1)

@@ -12,14 +12,9 @@ Hilbert series exactly.
 from functools import cache
 
 from .polyarith import (
-    ONE_MINUS_T,
     BiPoly,
     FactoredRational,
-    bareiss,
-    common_denominator,
-    divide_out,
-    power_product,
-    split_content,
+    solve_sinks_first,
     times_one_minus_t,
 )
 from .words import alphabet, encode, is_xi, tau, tau_index
@@ -432,43 +427,6 @@ def module_dfa(c, d, gens):
     return minimize(determinize(module_nfa(c, d, gens), lstd_dfa(c, d)))
 
 
-def _sccs(start, succ):
-    """Strongly connected components reachable from start, sinks first.
-
-    Tarjan's algorithm with an explicit stack, so long chains do not hit
-    the recursion limit.
-    """
-    index = {start: 0}
-    low = {start: 0}
-    stack = [start]
-    on_stack = {start}
-    work = [(start, iter(succ.get(start, ())))]
-    out = []
-    while work:
-        q, it = work[-1]
-        for r in it:
-            if r not in index:
-                index[r] = low[r] = len(index)
-                stack.append(r)
-                on_stack.add(r)
-                work.append((r, iter(succ.get(r, ()))))
-                break
-            if r in on_stack:
-                low[q] = min(low[q], index[r])
-        else:
-            work.pop()
-            if work:
-                p = work[-1][0]
-                low[p] = min(low[p], low[q])
-            if low[q] == index[q]:
-                k = stack.index(q)
-                comp = stack[k:][::-1]
-                del stack[k:]
-                on_stack.difference_update(comp)
-                out.append(comp)
-    return out
-
-
 def generating_function(dfa):
     """Sum of s^(markers) t^(variables) over accepted words, as an exact
     rational in s and t: x = e_accept + T x, solved for x_start.
@@ -486,23 +444,8 @@ def generating_function(dfa):
     V successors plus one for a self-loop, each term brought to it by
     running differences (times_one_minus_t).  A state k of K gets the
     same row, its own self-loop kept as an entry, and so the equation
-    ((1-t)^J_k - e_kk) x_k - sum_(k' != k) e_kk' x_k' = e_k.
-
-    These equations are solved one strongly connected component C of K
-    at a time, sinks first.  Only the start and the states that other
-    components' rows read keep a numerator, over C's factor tuple
-    {id: exponent}.  C's denominator is the multiset maximum of the
-    tuples it reaches (common_denominator); an exit term e_kr x_r is
-    multiplied by the cofactor r's component lacks, and e_k by the whole
-    denominator.  bareiss on BiPoly rows solves the component, kept
-    states last; a one-state component's determinant is its entry and
-    its numerator the right-hand side.  Weights vanish at the origin, so
-    every leading principal minor is 1 there and no pivot vanishes.  The
-    determinant joins the denominator split by split_content, less one
-    1 - t for each time every kept numerator vanishes at t = 1: the
-    scaling by (1-t)^J_k counts a V state's self-loop once for every K
-    state above it.  A component whose right-hand sides all vanish adds
-    nothing.  Cofactors and splits are memoized for the call.
+    (1-t)^J_k x_k = sum_k' e_kk' x_k' + e_k, solved by
+    solve_sinks_first.
     """
     if dfa.n == 0 or not dfa.accepts:
         return FactoredRational.zero()
@@ -554,88 +497,4 @@ def generating_function(dfa):
     for v in order:
         lift, row = expand(v)
         done[v] = (lift + (v in succ.get(v, ())), row)
-    rows = {k: expand(k) for k in kset}
-    sccs = _sccs(dfa.start, {k: [r for r in row if r is not None]
-                             for k, (_, row) in rows.items()})
-    where = {q: i for i, comp in enumerate(sccs) for q in comp}
-    wanted = {dfa.start}
-    for q, i in where.items():
-        wanted.update(r for r in rows[q][1] if r is not None and where[r] != i)
-    x = {}  # wanted state -> numerator over its component's factor tuple
-    home = {}
-    tuples = []  # per component: {factor id: exponent}
-    bases = {}  # factor id -> base
-    ids = {}  # base -> factor id
-    splits = {}  # determinant -> its (factor id, exponent) pairs
-    products = {}  # lacking (factor id, exponent) pairs -> their product
-
-    def cofactor(lack):
-        if lack not in products:
-            products[lack] = power_product((bases[i], e) for i, e in lack)
-        return products[lack]
-
-    for here, comp in enumerate(sccs):
-        keep = [q for q in comp if q in wanted]
-        comp = [q for q in comp if q not in wanted] + keep
-        pos = {q: i for i, q in enumerate(comp)}
-        mat = []
-        exits = {}  # (state, successor component) -> [(r, e_qr)]
-        accepts = {}  # accepting state -> e_q
-        for q in comp:
-            lift, row = rows[q]
-            entries = {}
-            for r, p in row.items():
-                if r is None:
-                    accepts[q] = p
-                elif r in pos:
-                    entries[pos[r]] = -p
-                elif x[r]:
-                    exits.setdefault((q, home[r]), []).append((r, p))
-            diag = times_one_minus_t(one, lift)
-            entries[pos[q]] = diag - row[q] if q in row else diag
-            mat.append(entries)
-        reached = list({c for _, c in exits})
-        top, lacks = common_denominator(
-            [tuples[c] for c in reached] + [{}] * bool(accepts))
-        lacks = dict(zip(reached + [None], lacks))
-        rhs = [BiPoly.zero()] * len(comp)
-        for q, e in accepts.items():
-            rhs[pos[q]] = e * cofactor(lacks[None])
-        for (q, c), outs in exits.items():
-            part = None
-            for r, p in outs:
-                term = p * x[r]
-                part = part + term if part else term
-            part = part * cofactor(lacks[c]) if lacks[c] else part
-            rhs[pos[q]] = rhs[pos[q]] + part
-        det, nums = one, [BiPoly.zero()] * len(keep)
-        if len(comp) == 1 and rhs[0]:
-            det, nums = mat[0][0], rhs
-        elif any(rhs):
-            for entries, b in zip(mat, rhs):
-                if b:
-                    entries[len(comp)] = b
-            det, nums = bareiss(mat, len(comp) - len(keep))
-            nums = [v or BiPoly.zero() for v in nums]
-        pieces = splits.get(det)
-        if pieces is None:
-            pieces = splits[det] = []
-            for base, e in split_content(det):
-                i = ids.setdefault(base, len(ids))
-                bases[i] = base
-                pieces.append((i, e))
-        if pieces and bases[pieces[0][0]] == ONE_MINUS_T:
-            (i, e), *rest = pieces
-            flat, k = divide_out([r for v in nums for r in v.rows], e)
-            if k:
-                flat = iter(flat)
-                nums = [BiPoly([next(flat) for _ in v.rows]) for v in nums]
-                pieces = [(i, e - k)] + rest
-        for i, e in pieces:
-            if e:
-                top[i] = top.get(i, 0) + e
-        tuples.append(top)
-        for q, num in zip(keep, nums):
-            x[q], home[q] = num, here
-    return FactoredRational(x[dfa.start], [
-        (bases[i], e) for i, e in tuples[home[dfa.start]].items()])
+    return solve_sinks_first(dfa.start, {k: expand(k) for k in kset})

@@ -158,12 +158,14 @@ def _count_arg(text):
     return _int_arg(text, 0)
 
 
-def _positive_arg(text):
-    return _int_arg(text, 1)
+def _rows_arg(text):
+    """A row count c, bounded as a document's is."""
+    return _int_arg(text, 1, MAX_WIDTH)
 
 
 def _width_arg(text):
-    """A width, bounded as a document's generator widths are."""
+    """A width, a rank d or a table's largest width -N, bounded as a
+    document's generator widths are."""
     return _int_arg(text, 0, MAX_WIDTH)
 
 
@@ -306,14 +308,14 @@ def build_parser():
 
     ex = sub.add_parser("expand", help="print the dimension table")
     ex.add_argument("file")
-    ex.add_argument("-N", type=_count_arg, required=True, help="max width")
+    ex.add_argument("-N", type=_width_arg, required=True, help="max width")
     ex.add_argument("-J", type=_count_arg, required=True, help="max degree")
     ex.add_argument("--json", action="store_true")
 
     orc = sub.add_parser(
         "oracle", help="compare the series against width-wise recursion")
     orc.add_argument("file")
-    orc.add_argument("-N", type=_count_arg, required=True)
+    orc.add_argument("-N", type=_width_arg, required=True)
     orc.add_argument("-J", type=_count_arg, required=True)
 
     an = sub.add_parser("analyze", help="growth invariants and shape")
@@ -329,15 +331,15 @@ def build_parser():
     w = sub.add_parser("words", help="monomial/word round-trips")
     wsub = w.add_subparsers(dest="action", required=True)
     we = wsub.add_parser("encode")
-    we.add_argument("--c", type=_positive_arg, required=True)
+    we.add_argument("--c", type=_rows_arg, required=True)
     we.add_argument("--width", type=_width_arg, required=True)
     we.add_argument("--pi", default="",
                     help="comma-separated basis tuple, e.g. 1,3")
     we.add_argument("--exponents", default="",
                     help='column-major JSON, e.g. "[[1],[0]]"')
     wd = wsub.add_parser("decode")
-    wd.add_argument("--c", type=_positive_arg, required=True)
-    wd.add_argument("--d", type=_count_arg, required=True)
+    wd.add_argument("--c", type=_rows_arg, required=True)
+    wd.add_argument("--d", type=_width_arg, required=True)
     wd.add_argument("word", help='space-separated letters, e.g. "x1 t1"')
 
     return ap

@@ -29,11 +29,8 @@ exponents of that row into intervals [a, b), summing to
 (t^a - t^b) / (1-t), and a last one [a, oo), summing to t^a / (1-t); a
 product of intervals is a cell, and every e of a cell fits the same
 generators.  Ideals without generators have the series 0 and are
-dropped.  The states are solved sinks first, by back-substitution:
-
-    S_q = ((1-t)^c h0 + s sum_(r != q) P_qr S_r) / ((1-t)^c - s P_qq),
-
-each denominator split by `split_content`.
+dropped.  This is the system that `solve_sinks_first` solves, with every
+component a lone state, J = c and e_qr = s P_qr.
 """
 
 from itertools import product
@@ -45,10 +42,7 @@ from .polyarith import (
     ONE_MINUS_T,
     BiPoly,
     FactoredRational,
-    common_denominator,
-    divide_out,
-    power_product,
-    split_content,
+    solve_sinks_first,
 )
 
 
@@ -207,16 +201,13 @@ def summand_series(c, d, gens):
     has the series 0 and counts none."""
     table = Ideals(c, gens)
     root = (d, table.minimal(gens))
-    edges = {}  # state -> {successor: weight}
-    order = {}  # states, each after its successors
-    stack = [root] if root[1] else []
+    if not root[1]:
+        return FactoredRational.zero(), 0
+    numbers = {root: 0}  # state -> its number: the solve hashes ints
+    rows = {}  # number -> (c, {successor's number or None: entry})
+    stack = [root]
     while stack:
-        state = stack[-1]
-        if state in edges:  # its successors are solved by now
-            stack.pop()
-            if state not in order:
-                order[state] = None
-            continue
+        state = stack.pop()
         rank, ideal = state
         prepared = table.prepare(ideal)
         firsts = {k: table.mons[ideal[k]].cols[0] for k in prepared[0]}
@@ -228,60 +219,19 @@ def summand_series(c, d, gens):
                     acc = out.setdefault(target, {})
                     for e, v in weight.items():
                         acc[e] = acc.get(e, 0) + v
-        edges[state] = out
-        stack.extend(r for r in out if r not in edges)
-    return _solve(c, list(order), edges, table.mons), len(order)
-
-
-def _solve(c, order, edges, mons):
-    """The root's series, the last of order, by back-substitution; each
-    state's value is a numerator over {factor id: exponent}."""
-    om = ONE_MINUS_T ** c
-    x = {}
-    ids = {}  # base -> factor id
-    bases = {}  # factor id -> base
-    splits = {}  # denominator -> its (factor id, exponent) pairs
-    products = {}  # lacking (factor id, exponent) pairs -> their product
-    for state in order:
-        ideal = state[1]
-        # (s-weight, numerator, factors) per term of the right-hand side
-        terms = [] if mons[ideal[0]].width else [(om, BiPoly.one(), {})]
-        loop = BiPoly()
-        for target, weight in edges[state].items():
-            weight = BiPoly([(), [weight.get(e, 0)
-                                  for e in range(max(weight) + 1)]])
-            if target == state:
-                loop = weight
-            else:
-                terms.append((weight, *x[target]))
-        top, lacks = common_denominator([f for _, _, f in terms])
-        total = BiPoly()
-        for (weight, num, _), lack in zip(terms, lacks):
-            if lack:
-                if lack not in products:
-                    products[lack] = power_product(
-                        (bases[i], e) for i, e in lack)
-                weight = weight * products[lack]
-            total = total + weight * num
-        den = om - loop
-        pieces = splits.get(den)
-        if pieces is None:
-            pieces = splits[den] = []
-            for base, e in split_content(den):
-                i = ids.setdefault(base, len(ids))
-                bases[i] = base
-                pieces.append((i, e))
-        for i, e in pieces:
-            top[i] = top.get(i, 0) + e
-        # cancel 1 - t where every s-row vanishes at t = 1: the chains
-        # of (1-t)^c denominators stay short
-        one = ids.get(ONE_MINUS_T)
-        if top.get(one) and not any(map(sum, total.rows)):
-            rows, k = divide_out(total.rows, top[one])
-            total = BiPoly._of(tuple(map(tuple, rows)))
-            top[one] -= k
-        x[state] = total, top
-    if not order:
-        return FactoredRational.zero()
-    num, factors = x[order[-1]]
-    return FactoredRational(num, [(bases[i], e) for i, e in factors.items()])
+        row = {}
+        for target, w in out.items():
+            k = numbers.get(target)
+            if k is None:
+                k = numbers[target] = len(numbers)
+                stack.append(target)
+            got = [0] * (max(w) + 1)
+            for e, v in w.items():
+                got[e] = v
+            while not got[-1]:
+                got.pop()
+            row[k] = BiPoly._of(((), tuple(got)))
+        if not table.mons[ideal[0]].width:
+            row[None] = ONE_MINUS_T ** c
+        rows[numbers[state]] = c, row
+    return solve_sinks_first(0, rows), len(rows)

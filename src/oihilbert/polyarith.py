@@ -1,8 +1,8 @@
 """Exact polynomial arithmetic over Z: univariate and bivariate polynomials,
 rational functions with factored denominators, and truncated series windows,
-with the two kernels every exact solve shares: fraction-free elimination of
-a system over the integers or over `BiPoly` (`bareiss`) and division by
-1 - c y (`over`, `divide_out`).
+with the kernels every exact solve shares: fraction-free elimination over
+the integers or `BiPoly` (`bareiss`), division by 1 - c y (`over`,
+`divide_out`) and an automaton's equations solved sinks first.
 
 Everything is arbitrary-precision integer arithmetic; the
 pipeline contains no floating point. A univariate polynomial is a sequence
@@ -17,7 +17,8 @@ both ascending.
 
 from __future__ import annotations
 
-from itertools import accumulate, starmap, zip_longest
+from itertools import accumulate, islice, starmap, zip_longest
+from math import inf
 from operator import add, sub
 
 from .errors import NonDivisible, SingularAtOrigin
@@ -431,11 +432,150 @@ def common_denominator(factor_tuples):
 
 
 def power_product(factors):
-    """The product of base ** exponent over (base, exponent) pairs."""
+    """The product of base ** exponent over (base, exponent) pairs; a
+    power of 1 - t by running differences."""
     out = BiPoly.one()
     for base, e in factors:
-        out = out * base ** e
+        out = (times_one_minus_t(out, e) if base == ONE_MINUS_T
+               else out * base ** e)
     return out
+
+
+def _sccs(start, succ):
+    """Strongly connected components reachable from start, sinks first.
+
+    Tarjan's algorithm with an explicit stack, so long chains do not hit
+    the recursion limit.  A state whose component is out gets an infinite
+    lowlink, so no edge into it lowers another's.
+    """
+    index = {start: 0}
+    low = {start: 0}
+    stack = [start]
+    work = [(start, iter(succ.get(start, ())))]
+    out = []
+    while work:
+        q, it = work[-1]
+        for r in it:
+            if r not in index:
+                index[r] = low[r] = len(index)
+                stack.append(r)
+                work.append((r, iter(succ.get(r, ()))))
+                break
+            if low[r] < low[q]:
+                low[q] = low[r]
+        else:
+            work.pop()
+            if low[q] == index[q]:
+                comp = []
+                while not comp or comp[-1] != q:
+                    comp.append(stack.pop())
+                    low[comp[-1]] = inf
+                out.append(comp)
+            elif low[q] < low[work[-1][0]]:
+                low[work[-1][0]] = low[q]
+    return out
+
+
+def solve_sinks_first(start, rows):
+    """x_start as a FactoredRational for (1-t)^J_k x_k = sum_r e_kr x_r +
+    e_k, rows[k] = (J_k, {r: e_kr, None: e_k}) over BiPolys, zeros left
+    out, every e_kr vanishing at s = t = 0.
+
+    The states reachable from start are solved one strongly connected
+    component C at a time, sinks first; only the start and the states
+    other components read keep a numerator, over C's factor tuple {id:
+    exponent}.  C's denominator is the multiset maximum of the tuples it
+    reaches (common_denominator): the exit terms into one successor
+    component are summed and multiplied by the cofactor its tuple lacks,
+    and e_k by the whole denominator.  A lone state's determinant is
+    (1-t)^J_k - e_kk and its numerator the right-hand side; bareiss on
+    BiPoly rows solves a larger component, kept states last (the weights
+    vanish at the origin, so no pivot does).  The determinant joins the
+    denominator split by split_content.  1 - t then cancels from the
+    kept numerators as often as all of them allow, up to its exponent in
+    C's tuple, once every s-row sums to 0: the scalings by (1-t)^J_k
+    leave such powers.  A component whose right-hand sides all vanish
+    adds nothing.  Cofactors, splits and the (1-t)^J are memoized.
+    """
+    sccs = _sccs(start, {k: [r for r in row if r is not None]
+                         for k, (_, row) in rows.items()})
+    wanted = {start}
+    if len(sccs) < len(rows):  # unless every state is a lone component
+        where = {q: i for i, comp in enumerate(sccs) for q in comp}
+        for q, i in where.items():
+            wanted.update(r for r in rows[q][1]
+                          if r is not None and where[r] != i)
+    one, zero = BiPoly._of(((1,),)), BiPoly._of(())
+    x = {}  # wanted state -> numerator over its component's factor tuple
+    home = {}
+    tuples = {None: {}}  # component -> {factor id: exponent}; None: e_k's
+    bases = {0: ONE_MINUS_T}  # factor id -> base
+    ids = {ONE_MINUS_T: 0}  # base -> factor id
+    splits = {}  # determinant -> its (factor id, exponent) pairs
+    products = {}  # lacking (factor id, exponent) pairs -> their product
+    diags = {}  # J -> (1-t)^J
+
+    for here, comp in enumerate(sccs):
+        keep = comp  # a lone state is the start or read by another
+        if len(comp) > 1:
+            keep = [q for q in comp if q in wanted]
+            comp = [q for q in comp if q not in wanted] + keep
+        pos = {q: i for i, q in enumerate(comp)}
+        mat = []
+        parts = {}  # successor component -> {position: exit terms' sum}
+        for i, q in enumerate(comp):
+            lift, row = rows[q]
+            diag = diags.get(lift) or diags.setdefault(
+                lift, times_one_minus_t(one, lift))
+            entries = {i: diag}
+            for r, p in row.items():
+                if r is None:
+                    parts.setdefault(None, {})[i] = p
+                elif r in pos:
+                    entries[pos[r]] = diag - p if r == q else -p
+                elif x[r]:
+                    got = parts.setdefault(home[r], {})
+                    p = p * x[r]
+                    got[i] = got[i] + p if i in got else p
+            mat.append(entries)
+        top, lacks = common_denominator([tuples[c] for c in parts])
+        rhs = [zero] * len(comp)
+        for lack, got in zip(lacks, parts.values()):
+            if lack and lack not in products:
+                products[lack] = power_product((bases[j], e) for j, e in lack)
+            for i, part in got.items():
+                part = part * products[lack] if lack else part
+                rhs[i] = rhs[i] + part if rhs[i] else part
+        det, nums = one, [zero] * len(keep)
+        if len(comp) == 1 and rhs[0]:
+            det, nums = mat[0][0], rhs
+        elif any(rhs):
+            for entries, b in zip(mat, rhs):
+                if b:
+                    entries[len(comp)] = b
+            det, nums = bareiss(mat, len(comp) - len(keep))
+            nums = [v or zero for v in nums]
+        pieces = splits.get(det)
+        if pieces is None:
+            pieces = splits[det] = []
+            for base, e in split_content(det):
+                i = ids.setdefault(base, len(ids))
+                bases[i] = base
+                pieces.append((i, e))
+        for i, e in pieces:
+            top[i] = top.get(i, 0) + e
+        flat = [r for v in nums for r in v.rows]
+        if top.get(0) and not any(map(sum, flat)):
+            flat, k = divide_out(flat, top[0])
+            flat = iter(map(tuple, flat))
+            nums = [BiPoly._of(tuple(islice(flat, len(v.rows))))
+                    for v in nums]
+            top[0] -= k
+        tuples[here] = top
+        for q, num in zip(keep, nums):
+            x[q], home[q] = num, here
+    return FactoredRational(x[start], [
+        (bases[i], e) for i, e in tuples[home[start]].items()])
 
 
 class FactoredRational:

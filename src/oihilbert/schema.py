@@ -19,9 +19,10 @@ from .oicore import (
 
 SCHEMA_VERSION = 1
 
-# The widest generator or asserted element a document may hold.  The
-# engines allocate in proportion to a generator's width, so a wider one
-# is refused (exit 2) before any of them runs.
+# The widest generator or asserted element a document may hold, and the
+# largest row count c and summand rank d.  The engines allocate in
+# proportion to each, so a larger one is refused (exit 2) before any of
+# them runs; the command line bounds its width-like arguments by it too.
 MAX_WIDTH = 1000
 
 _TOP_KEYS = {"schema_version", "c", "summands", "generators", "category",
@@ -157,7 +158,7 @@ def parse_document(obj):
     if version != SCHEMA_VERSION:
         _fail("$.schema_version",
               f"unsupported version {version}, expected {SCHEMA_VERSION}")
-    c = _as_int(_require(obj, "c", "$"), "$.c", 1)
+    c = _as_int(_require(obj, "c", "$"), "$.c", 1, MAX_WIDTH)
 
     raw_summands = _as_list(_require(obj, "summands", "$"), "$.summands")
     if not raw_summands:
@@ -166,7 +167,8 @@ def parse_document(obj):
     for k, sm in enumerate(raw_summands):
         path = f"$.summands[{k}]"
         sm = _as_object(sm, path, {"d", "shift"})
-        summands.append((_as_int(_require(sm, "d", path), f"{path}.d", 0),
+        summands.append((_as_int(_require(sm, "d", path), f"{path}.d", 0,
+                                 MAX_WIDTH),
                          _as_int(sm.get("shift", 0), f"{path}.shift")))
 
     category = obj.get("category", "OI")

@@ -7,6 +7,9 @@ import os
 import shlex
 import subprocess
 import sys
+import time
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -117,6 +120,22 @@ class TestSchema:
             exc.value)
         doc = parse_document(minimal(generators=[{"width": MAX_WIDTH}]))
         assert doc.presentation.generators[0].width == MAX_WIDTH
+
+    def test_rows_and_rank_bound(self, capsys, tmp_path):
+        # c and every summand's d are bounded like a width: the largest
+        # parses, one more is a schema error before any engine allocates
+        doc = parse_document(minimal(c=MAX_WIDTH, generators=[]))
+        assert doc.presentation.c == MAX_WIDTH
+        doc = parse_document(minimal(summands=[{"d": MAX_WIDTH}],
+                                     generators=[]))
+        assert doc.presentation.summands == ((MAX_WIDTH, 0),)
+        for over, path in ((dict(c=MAX_WIDTH + 1), "$.c"),
+                           (dict(summands=[{"d": MAX_WIDTH + 1}]),
+                            "$.summands[0].d")):
+            bad = write_doc(tmp_path, minimal(generators=[], **over))
+            code, out, err = run(capsys, "hilbert", bad)
+            assert (code, out) == (2, "")
+            assert err.strip() == f"error: {path}: must be at most {MAX_WIDTH}"
 
     def test_pi_validation_paths(self):
         base = {
@@ -500,6 +519,57 @@ class TestCommands:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"must be at most {MAX_WIDTH}, got {MAX_WIDTH + 1}" in err
+
+    def test_width_like_arguments_are_bounded(self, capsys):
+        # --c, --d and -N are bounded like --width: the largest runs, one
+        # more is a usage error, not an allocation without bound
+        code, out, _ = run(capsys, "words", "encode", "--c", str(MAX_WIDTH),
+                           "--width", "1", "--exponents",
+                           json.dumps([[0] * (MAX_WIDTH - 1) + [1]]))
+        assert (code, out.split()) == (0, [f"x{MAX_WIDTH}", "t0"])
+        pi = ",".join(map(str, range(1, MAX_WIDTH + 1)))
+        code, word, _ = run(capsys, "words", "encode", "--c", "1",
+                            "--width", str(MAX_WIDTH), "--pi", pi)
+        code, out, _ = run(capsys, "words", "decode", "--c", "1",
+                           "--d", str(MAX_WIDTH), word.strip())
+        assert (code, out.strip()) == (
+            0, f"1 e({pi}) [width {MAX_WIDTH}]")
+        doc = str(INPUTS / "principal_cubed.json")
+        code, out, _ = run(capsys, "expand", doc, "-N", str(MAX_WIDTH),
+                           "-J", "0", "--json")
+        assert code == 0 and len(json.loads(out)["dims"]) == MAX_WIDTH + 1
+        for argv, flag in (
+                (["words", "encode", "--c", "1001", "--width", "1"], "--c"),
+                (["words", "decode", "--c", "1001", "--d", "0", "t0"], "--c"),
+                (["words", "decode", "--c", "1", "--d", "1001", "t1"], "--d"),
+                (["expand", doc, "-N", "1001", "-J", "0"], "-N"),
+                (["oracle", doc, "-N", "1001", "-J", "0"], "-N")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2, argv
+            assert (f"argument {flag}: must be at most {MAX_WIDTH}, got "
+                    f"{MAX_WIDTH + 1}") in capsys.readouterr().err
+
+    def test_analyze_free_module_of_high_rank(self, capsys, tmp_path):
+        # the multiplicity of a free module of rank d is C(n, d): its
+        # last zero is found below a bound near 4 d^2, not 2 d!
+        for d in (10, 20):
+            doc = write_doc(tmp_path, minimal(summands=[{"d": d}],
+                                              generators=[]))
+            t0 = time.monotonic()
+            code, out, _ = run(capsys, "analyze", doc)
+            code_json, data, _ = run(capsys, "analyze", doc, "--json")
+            assert time.monotonic() - t0 < 2.0
+            assert (code, code_json) == (0, 0)
+            assert f"dimension: 1*n + 0 for n >= {d}" in out.splitlines()
+            growth = json.loads(data)["multiplicity"]
+            assert growth["onset"] == d
+            (term,) = growth["terms"]
+            assert term["base"] == 1
+            poly = [Fraction(v) for v in term["poly"]]
+            for n in range(d, d + 21):
+                assert sum(v * n ** i for i, v in enumerate(poly)) == comb(
+                    n, d), (d, n)
 
     def test_words_decode_two_markers(self, capsys):
         code, out, _ = run(capsys, "words", "decode", "--c", "1",
