@@ -27,7 +27,12 @@ from .schema import (
     load_document,
     monomial_to_obj,
 )
-from .series import letter_series, module_series
+from .series import (
+    assemble,
+    column_parts,
+    module_series,
+    summand_generators,
+)
 from .words import decode, encode, word_from_str, word_to_str
 
 
@@ -103,15 +108,19 @@ def cmd_expand(args):
 
 def cmd_oracle(args):
     """Two checks of the series: its N x J window cell by cell against the
-    width-wise route, and the whole rational function against the letter
-    automaton's (`letter_series`).  Each difference prints a line."""
+    width-wise route, and each summand's whole submodule series against
+    its letter automaton's (`automata.generating_function` of
+    `automata.module_dfa`; no other command loads `automata`).  Each
+    differing cell prints a line, and any differing summand one more."""
+    from .automata import generating_function, module_dfa
+
     doc = load_document(args.file)
     p = doc.effective_presentation()
     if any(shift < 0 for _, shift in p.summands):
         raise SchemaError("oracle: the width-wise route needs nonnegative "
                           "shifts")
-    res = module_series(p, quotient=doc.quotient)
-    rows = res.window(args.N, args.J)
+    parts = column_parts(p)
+    rows = assemble(p, parts, doc.quotient).window(args.N, args.J)
     tables = [ws.dims(args.J)
               for ws in hilbert_widths(p, args.N, doc.quotient)]
     mismatches = [(n, j, series, widthwise)
@@ -121,7 +130,10 @@ def cmd_oracle(args):
     for n, j, series, widthwise in mismatches:
         print(f"mismatch at n={n} j={j}: "
               f"series gives {series}, width-wise gives {widthwise}")
-    routes_agree = _same_series(res, letter_series(p, doc.quotient))
+    routes_agree = all(
+        _same_rational(part, generating_function(module_dfa(p.c, d, gens)))
+        for (part, _), (d, _), gens in zip(parts, p.summands,
+                                           summand_generators(p)))
     if not routes_agree:
         print("mismatch: column route and letter automaton give different "
               "series")
@@ -131,14 +143,13 @@ def cmd_oracle(args):
     return 0
 
 
-def _same_series(a, b):
-    """Whether two SeriesResults are one rational function: equal reduced
-    forms, else equal cross-products of the reduced forms."""
-    ra = a.rational.mul_t_power(b.t_prefactor).reduce()
-    rb = b.rational.mul_t_power(a.t_prefactor).reduce()
-    if ra.num == rb.num and ra.factors == rb.factors:
+def _same_rational(a, b):
+    """Whether two FactoredRationals are one rational function: equal
+    reduced forms, else equal cross-products of the reduced forms."""
+    a, b = a.reduce(), b.reduce()
+    if a.num == b.num and a.factors == b.factors:
         return True
-    return ra.num * rb.den_expanded() == rb.num * ra.den_expanded()
+    return a.num * b.den_expanded() == b.num * a.den_expanded()
 
 
 def _int_arg(text, low, high=None):

@@ -33,7 +33,6 @@ dropped.  This is the system that `solve_sinks_first` solves, with every
 component a lone state, J = c and e_qr = s P_qr.
 """
 
-from itertools import product
 from operator import sub
 
 from .errors import WidthMismatch
@@ -167,31 +166,29 @@ class Ideals:
 
 
 def _cells(c, firsts):
-    """(fit mask, {t-exponent: coefficient}) per cell of N^c, the second
-    (1-t)^c times the sum of t^|e| over the cell, for the first columns
-    firsts of the fitting positions (a dict position -> exponents)."""
-    rows = []
+    """(fit mask, {t-exponent: coefficient}) per set of cells of N^c
+    that fit the same positions, the second (1-t)^c times the sum of
+    t^|e| over those cells, for the first columns firsts of the fitting
+    positions (a dict position -> exponents).
+
+    The rows are folded in one at a time, and cells whose fit mask so
+    far is equal are merged, since every later row narrows them alike:
+    there are at most 2^#positions masks, not prod(cuts + 1) cells."""
+    out = {-1: {0: 1}}
     for r in range(c):
         cuts = sorted({col[r] for col in firsts.values()} - {0})
-        lows = [0] + cuts
-        rows.append([(a, cuts[i] if i < len(cuts) else None, sum(
+        row = [(a, cuts[i] if i < len(cuts) else None, sum(
             1 << k for k, col in firsts.items() if col[r] <= a))
-            for i, a in enumerate(lows)])
-    out = {}
-    for cell in product(*rows):
-        fit = -1
-        terms = {0: 1}
-        for a, b, mask in cell:
-            fit &= mask
-            new = {}
-            for e, v in terms.items():
-                new[e + a] = new.get(e + a, 0) + v
-                if b is not None:
-                    new[e + b] = new.get(e + b, 0) - v
-            terms = new
-        acc = out.setdefault(fit, {})
-        for e, v in terms.items():
-            acc[e] = acc.get(e, 0) + v
+            for i, a in enumerate([0] + cuts)]
+        new = {}
+        for fit, terms in out.items():
+            for a, b, mask in row:
+                acc = new.setdefault(fit & mask, {})
+                for e, v in terms.items():
+                    acc[e + a] = acc.get(e + a, 0) + v
+                    if b is not None:
+                        acc[e + b] = acc.get(e + b, 0) - v
+        out = new
     return out.items()
 
 

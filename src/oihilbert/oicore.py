@@ -277,14 +277,14 @@ def kpoly(gens, layout, memo=None):
     for the monomial ideal minimally generated by the masks gens, laid
     out by layout.
 
-    The recursion splits on a pivot variable over all its powers at once
-    (`_split`), so it only enters ideals without that variable, and nests
-    at most once per variable.  memo maps each ideal of two or more
-    generators it meets, shifted down by whole columns to the first
-    column in use, to its numerator; pass one dict to share it across
-    calls.  A mask set is the polarization of every ideal it can stand
-    for, and polarization keeps the numerator, so one memo may serve
-    different layouts."""
+    The recursion splits on a pivot variable of the first column in use
+    over all its powers at once (`_split`), so it only enters ideals
+    without that variable, and nests at most once per variable.  memo
+    maps each ideal of two or more generators it meets, shifted down by
+    whole columns to the first column in use, to its numerator; pass one
+    dict to share it across calls.  A mask set is the polarization of
+    every ideal it can stand for, and polarization keeps the numerator,
+    so one memo may serve different layouts."""
     return _kpoly(list(gens), layout, {} if memo is None else memo)
 
 
@@ -315,10 +315,17 @@ def _split(gens, union, layout, memo):
     components or its pivot split.
 
     Components of disjoint support are merged by OR-ing masks.  A
-    connected ideal splits on its most used field x.  Its levels
-    l_0 = 0 < l_1 < ... < l_top are 0 and the x-exponents that occur;
-    with J_l the minimal set of the generators of x-exponent <= l, x
-    dropped, N(I) = sum_i (t^l_i - t^l_(i+1)) N(J_l_i)
+    connected ideal splits on the most used field x of column 0, the
+    first column it uses once `_kpoly` has shifted it.  The splits thus
+    use up an ideal's columns from the left, and what is left once a
+    column is gone is shifted down one: the width-n images that skip
+    column 1 are the width-(n-1) images moved right, so across the
+    widths of `hilbert_widths` the memo holds most of those ideals
+    already.
+
+    The split's levels l_0 = 0 < l_1 < ... < l_top are 0 and the
+    x-exponents that occur; with J_l the minimal set of the generators
+    of x-exponent <= l, x dropped, N(I) = sum_i (t^l_i - t^l_(i+1)) N(J_l_i)
     + t^l_top N(J_l_top): H(I) = H(I + <x>) + t H(I : x) unrolled over
     the powers of x."""
     comps = []
@@ -346,8 +353,9 @@ def _split(gens, union, layout, memo):
                 out[i] -= out[i - d]
         return tuple(out)
     best = 0
+    top = 1 << layout.stride  # past column 0, the first column in use
     for field in layout.fields:
-        if field > union:
+        if field >= top:
             break
         if field & union:
             count = sum(1 for g in gens if g & field)

@@ -8,6 +8,7 @@ so the rational part stays polynomial.
 """
 
 from collections import namedtuple
+from functools import cache
 
 from .columns import summand_series
 from .polyarith import (
@@ -19,9 +20,11 @@ from .polyarith import (
 )
 
 
+@cache
 def free_series(c, d):
     """Series of the free module on one rank-d generator in degree 0:
-    s^d (1-t)^c / ((1-t)^c - s)^(d+1)."""
+    s^d (1-t)^c / ((1-t)^c - s)^(d+1).  Built once per (c, d): every
+    summand of a quotient needs it, and no caller mutates it."""
     om = ONE_MINUS_T ** c
     return FactoredRational(
         BiPoly.term(d, 0) * om, ((om - BiPoly.s(), d + 1),))
@@ -48,35 +51,31 @@ class SeriesResult(namedtuple(
 def module_series(p, quotient=True, reduce=False):
     """Hilbert series of the submodule presented by p, or of its quotient,
     each summand solved on its column automaton."""
-    return _assemble(p, quotient, reduce, summand_series)
+    return assemble(p, column_parts(p), quotient, reduce)
 
 
-def letter_series(p, quotient=True):
-    """The same series, unreduced, by the letter automaton: each summand's
-    minimal DFA on standard words (`automata.module_dfa`) solved by its
-    transfer matrix (`automata.generating_function`).  It is `oracle`'s
-    second route; no other command loads `automata`.  column_states is
-    left empty."""
-    from .automata import generating_function, module_dfa
-
-    def solve(c, d, gens):
-        return generating_function(module_dfa(c, d, gens)), None
-
-    return _assemble(p, quotient, False, solve)._replace(column_states=())
+def summand_generators(p):
+    """The generators of each summand of p, in summand order."""
+    out = [[] for _ in p.summands]
+    for g in p.generators:
+        out[g.summand].append(g)
+    return out
 
 
-def _assemble(p, quotient, reduce, solve):
-    """The series of p from solve(c, d, gens), which gives one summand's
-    submodule series and its state count."""
+def column_parts(p):
+    """(submodule series, number of derived ideals solved) per summand of
+    p, each on its column automaton (`columns.summand_series`)."""
+    return [summand_series(p.c, d, gens)
+            for (d, _), gens in zip(p.summands, summand_generators(p))]
+
+
+def assemble(p, parts, quotient=True, reduce=False):
+    """The series of p from parts, one (submodule series, state count)
+    per summand: a quotient takes each from its free series, and each
+    shift multiplies by a power of t."""
     prefactor = max(0, -min((sh for _, sh in p.summands), default=0))
     total = FactoredRational.zero()
-    sizes = []
-    by_summand = {}
-    for g in p.generators:
-        by_summand.setdefault(g.summand, []).append(g)
-    for idx, (d, shift) in enumerate(p.summands):
-        part, states = solve(p.c, d, by_summand.get(idx, []))
-        sizes.append(states)
+    for (d, shift), (part, _) in zip(p.summands, parts):
         if quotient:
             part = free_series(p.c, d) - part
         total = total + part.mul_t_power(shift + prefactor)
@@ -86,6 +85,6 @@ def _assemble(p, quotient, reduce, solve):
         total,
         prefactor,
         "quotient" if quotient else "submodule",
-        tuple(sizes),
+        tuple(states for _, states in parts),
         reduce,
     )

@@ -18,7 +18,8 @@ exponent tuples, the width-wise Krull dimension, multiplicity and size
 invariants, OI-divisibility by a scan over column tuples, with the
 minimal generating sets and colon generators it gives, and the
 decomposition identities: the width-n slice identity and the
-repeated-division identity, which minimalize by that scan alone.
+repeated-division identity, which minimalize by that scan alone, and
+a module's whole series by the letter automaton.
 
 The references' univariate arithmetic lives here, in `UniPoly`: the
 package holds a univariate polynomial as a list or tuple of ints and
@@ -37,7 +38,7 @@ from operator import le
 import sympy
 
 from oihilbert.analysis import factor_base
-from oihilbert.automata import Dfa, empty_dfa
+from oihilbert.automata import Dfa, empty_dfa, generating_function, module_dfa
 from oihilbert.decomposition import compute_decomposition
 from oihilbert.errors import (
     NonDivisible,
@@ -57,6 +58,7 @@ from oihilbert.polyarith import (
     FactoredRational,
     _render_monomial,
 )
+from oihilbert.series import assemble, summand_generators
 from oihilbert.words import decode, is_xi, tau_index
 
 S, T = sympy.symbols("s t")
@@ -1040,3 +1042,18 @@ def repeated_division_sides(p, n):
         rhs = rhs + _as_rational((0,) * sum(e) + part.num,
                                  part.den_pow + gamma)
     return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# the letter automaton's whole series
+
+
+def letter_series(p, quotient=True):
+    """The series of p, unreduced, by the letter automaton: each summand's
+    minimal DFA on standard words (`automata.module_dfa`) solved by its
+    transfer matrix (`automata.generating_function`), assembled as
+    `series.module_series` assembles the column route's parts.
+    column_states is left empty."""
+    parts = [(generating_function(module_dfa(p.c, d, gens)), None)
+             for (d, _), gens in zip(p.summands, summand_generators(p))]
+    return assemble(p, parts, quotient)._replace(column_states=())

@@ -29,14 +29,14 @@ from oihilbert.schema import InputDocument, load_document, parse_document
 from oihilbert.series import (
     SeriesResult,
     free_series,
-    letter_series,
     module_series,
 )
 
 from corpus import random_presentation
 from oracles import (UniPoly, ZeroModule, bipoly, dim_deg_width,
                      equals_cross_mul, fixed_degree_reference,
-                     growth_reference, paper_artinian, terms_of)
+                     growth_reference, letter_series, paper_artinian,
+                     terms_of)
 
 ROOT = Path(__file__).resolve().parent.parent
 

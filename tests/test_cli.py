@@ -16,10 +16,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oihilbert import analysis, cli, oicore
+from oihilbert import analysis, cli, oicore, series
 from oihilbert.errors import SchemaError
 from oihilbert.oicore import Monomial, ModulePresentation
-from oihilbert.polyarith import BiPoly
+from oihilbert.polyarith import BiPoly, FactoredRational
 from oihilbert.schema import (
     MAX_WIDTH,
     load_document,
@@ -285,16 +285,15 @@ class TestCommands:
         assert (code, out.strip()) == (0, "OK")
 
     def test_oracle_flags_corruption(self, capsys, tmp_path, monkeypatch):
+        # a fault in the engine's series of the one summand
         doc = write_doc(tmp_path, minimal())
-        real = cli.module_series
+        real = series.summand_series
 
-        def corrupted(p, quotient=True, reduce=False):
-            res = real(p, quotient=quotient, reduce=reduce)
-            return type(res)(res.rational + free_series(1, 0),
-                             res.t_prefactor, res.mode,
-                             res.column_states, False)
+        def corrupted(c, d, gens):
+            part, states = real(c, d, gens)
+            return part + free_series(1, 0), states
 
-        monkeypatch.setattr(cli, "module_series", corrupted)
+        monkeypatch.setattr(series, "summand_series", corrupted)
         code, out, _ = run(capsys, "oracle", doc, "-N", "3", "-J", "3")
         assert code == 3
         lines = out.splitlines()
@@ -308,16 +307,42 @@ class TestCommands:
         # s^2 t^(J+5) added to the numerator changes only cells with
         # j >= J + 5: the window agrees, the whole-series check does not
         doc = write_doc(tmp_path, minimal())
-        real = cli.module_series
+        real = series.summand_series
         J = 3
 
-        def corrupted(p, quotient=True, reduce=False):
-            res = real(p, quotient=quotient, reduce=reduce)
-            r = res.rational
-            return res._replace(rational=type(r)(
-                r.num + BiPoly.term(2, J + 5), r.factors))
+        def corrupted(c, d, gens):
+            part, states = real(c, d, gens)
+            return type(part)(part.num + BiPoly.term(2, J + 5),
+                              part.factors), states
 
-        monkeypatch.setattr(cli, "module_series", corrupted)
+        monkeypatch.setattr(series, "summand_series", corrupted)
+        code, out, _ = run(capsys, "oracle", doc, "-N", "6", "-J", str(J))
+        assert code == 3
+        assert out.splitlines() == [
+            "mismatch: column route and letter automaton give different "
+            "series"]
+
+    def test_oracle_compares_each_summand(self, capsys, tmp_path,
+                                          monkeypatch):
+        # s^2 t^(J+5) added to summand 0's series and taken from summand
+        # 1's: the faults cancel in the total, so only a comparison per
+        # summand sees them
+        doc = write_doc(tmp_path, minimal(
+            summands=[{"d": 0, "shift": 0}, {"d": 0, "shift": 0}],
+            generators=[
+                {"summand": 0, "width": 1, "exponents": [[1]]},
+                {"summand": 1, "width": 2, "exponents": [[1], [1]]}]))
+        real = series.summand_series
+        J = 3
+        fault = FactoredRational(BiPoly.term(2, J + 5))
+
+        def corrupted(c, d, gens):
+            part, states = real(c, d, gens)
+            if gens[0].summand == 0:
+                return part + fault, states
+            return part - fault, states
+
+        monkeypatch.setattr(series, "summand_series", corrupted)
         code, out, _ = run(capsys, "oracle", doc, "-N", "6", "-J", str(J))
         assert code == 3
         assert out.splitlines() == [

@@ -1,5 +1,5 @@
 """The column automaton of derived ideals (`oihilbert.columns`) against the
-letter automaton (`series.letter_series`): equal reduced forms on seeded
+letter automaton (`oracles.letter_series`): equal reduced forms on seeded
 presentations of every shape the schema allows, a sympy cross-check on a
 subset, and the limits of the iterative solve."""
 
@@ -7,6 +7,7 @@ import contextlib
 import io
 import json
 import random
+import time
 
 import sympy
 
@@ -14,10 +15,10 @@ from oihilbert import cli
 from oihilbert.columns import summand_series
 from oihilbert.oicore import Monomial, ModulePresentation, symmetrize_fi_ideal
 from oihilbert.schema import MAX_WIDTH
-from oihilbert.series import letter_series, module_series
+from oihilbert.series import module_series
 
 from corpus import random_monomial, random_ideal
-from oracles import terms_of
+from oracles import letter_series, terms_of
 
 S, T = sympy.symbols("s t")
 
@@ -110,3 +111,23 @@ def test_widest_exponent_free_generator(tmp_path):
     assert got["column_states"] == [MAX_WIDTH + 1]
     assert got["shape"]["conformant"] is True
 
+
+def test_many_rows_fold_into_few_cells(tmp_path):
+    # x[1,1]...x[24,1]: 2^24 products of first-column intervals, but only
+    # two fit masks, so the rows fold into two cells
+    c = 24
+    doc = {"schema_version": 1, "c": c, "summands": [{"d": 0, "shift": 0}],
+           "generators": [{"width": 1, "exponents": [[1] * c]}],
+           "mode": "quotient"}
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    t0 = time.monotonic()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(["hilbert", str(path), "--json"])
+    assert time.monotonic() - t0 < 2.0
+    assert code == 0, err.getvalue()
+    got = json.loads(out.getvalue())
+    assert got["column_states"] == [2]
+    assert got["shape"]["conformant"] is True
